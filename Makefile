@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-golden test-cache test-cache-store test-faults test-serve test-obs bench serve check
+.PHONY: test test-fast test-golden test-cache test-cache-store test-faults test-serve test-obs bench bench-selftest serve check
 
 ## Tier-1 verification: the full suite including the paper benchmarks.
 test:
@@ -29,9 +29,8 @@ test-cache:
 ## max_entries LRU eviction invariants (including seeded random
 ## interleavings), index<->directory crash consistency (torn lines, orphans,
 ## stale records), warm==cold bit-for-bit under eviction pressure, readonly
-## fleet mode racing a live writer, the vanishing-entry-mid-scan regression,
-## and transparent migration of pre-shard flat directories (golden fixture
-## under tests/data/cache_legacy/).
+## fleet mode racing a live writer, and the vanishing-entry-mid-scan
+## regression.
 test-cache-store:
 	$(PYTHON) -m pytest tests/api/test_cache_store.py tests/serve/test_serve_cache.py -q
 
@@ -58,6 +57,13 @@ test-serve:
 test-obs:
 	$(PYTHON) -m pytest tests/obs tests/serve/test_serve_obs.py tests/serve/test_serve_metrics.py -q
 
+## Benchmark self-test (~35 s): every perfbench workload at tiny sizes, traced
+## and untraced.  Fails when a function the benchmark wraps (the payload codec,
+## fingerprinting, load_circuit, the service's response encoder) is renamed or
+## no longer reached, or when a record disagrees with `repro-map trace summarize`.
+bench-selftest:
+	$(PYTHON) perfbench/selftest.py
+
 ## Run the compile service locally on the default port (Ctrl-C to stop,
 ## `curl -X POST localhost:8653/admin/drain` for a graceful exit).
 serve:
@@ -73,12 +79,12 @@ bench:
 ## Pre-commit gate: golden determinism snapshots first (a routed-output
 ## regression fails in seconds, before the slow suite), then the compile-cache
 ## battery, then the bounded piece-store battery, then the fault-injection
-## suite, then the compile-service suite,
+## suite, then the compile-service suite, then the benchmark self-test,
 ## then tier-1 tests, then a CLI smoke of the public surface
 ## (`repro-map map` routes through repro.api.compile; `bench --quick` drives
 ## the compile_many batch driver on a reduced fixture, run twice against one
 ## --cache-dir so the second run exercises warm disk hits end to end).
-check: test-golden test-cache test-cache-store test-faults test-serve test-obs test
+check: test-golden test-cache test-cache-store test-faults test-serve bench-selftest test-obs test
 	$(PYTHON) -m repro map --generate qft:12 --backend ankaa3 --mapper sabre --verify
 	$(PYTHON) -m repro map --generate ghz:10 --mapper qlosure --verify
 	$(PYTHON) -m repro map --generate qft:10 --no-cache --trace-out $(or $(TMPDIR),/tmp)/repro-check.trace.jsonl

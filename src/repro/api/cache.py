@@ -39,16 +39,14 @@ The disk tier is a bounded, shareable piece store:
   contention.  The single-writer/many-reader split is the supported sharing
   model.
 
-A pre-sharding flat cache directory (``<dir>/<fingerprint>.json``) is
-adopted transparently: flat entries are served in place and resharded (moved
-into their shard directory and indexed) on the first write.
-
-Both tiers store the *serialized* payload (:mod:`repro.api.serialize`) and
-rehydrate on every hit, so a cached result is always a fresh object built
-through the same round-trip the test battery pins as exact.  Corrupted,
-truncated or version-mismatched disk entries are logged and treated as
-misses -- the cache never raises on bad persisted state, and caching only
-ever changes hit rates, never a single routed bit.
+Both tiers store the *serialized* payload (:mod:`repro.api.serialize`: the
+routed circuit as a columnar gate table) and rehydrate on every hit, so a
+cached result is always a fresh object built through the same round-trip the
+test battery pins as exact.  Every fingerprint embeds the payload version, so
+a payload layout change turns older entries into one-time misses; they are
+never read back.  Corrupted, truncated or version-mismatched disk entries are
+logged and treated as misses -- the cache never raises on bad persisted
+state, and caching only ever changes hit rates, never a single routed bit.
 
 That degrade-to-miss contract is testable: a cache constructed with a
 ``fault_plan`` (:class:`~repro.api.faults.FaultPlan`) simulates disk-tier
@@ -287,15 +285,13 @@ class _CatalogEntry:
     ``size`` is the actual payload file size (the directory is truth);
     ``seq`` is the monotonic last-access sequence driving LRU eviction
     (deterministic: no wall-clock comparisons), ``created`` a wall-clock
-    stamp for the age histogram only.  ``legacy`` marks a pre-sharding flat
-    entry awaiting migration.
+    stamp for the age histogram only.
     """
 
     fingerprint: str
     size: int
     created: float
     seq: int
-    legacy: bool = False
 
     @property
     def shard(self) -> str:
@@ -312,7 +308,6 @@ def _fresh_stats() -> dict:
         "evicted_bytes": 0,
         "integrity_misses": 0,
         "stale_index_misses": 0,
-        "migrated_entries": 0,
     }
 
 
@@ -353,7 +348,7 @@ class CompileCache:
             leaves it unbounded.
         readonly: open the disk tier read-only -- lookups are served from a
             shared directory but nothing is ever written (no entries, no
-            index appends, no eviction, no migration).  Requires
+            index appends, no eviction).  Requires
             ``directory``.
     """
 
@@ -467,9 +462,6 @@ class CompileCache:
     def _entry_path(self, fingerprint: str) -> Path:
         return self.directory / fingerprint[:2] / f"{fingerprint}.json"
 
-    def _legacy_path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.json"
-
     def _index_path(self, shard: str) -> Path:
         return self.directory / shard / INDEX_NAME
 
@@ -497,13 +489,14 @@ class CompileCache:
                 yield directory / name
 
     def _disk_entries(self) -> list[Path]:
-        """Every payload file, sharded and legacy-flat, sorted (tolerant)."""
+        """Every sharded payload file, sorted (tolerant)."""
         if self.directory is None or not self.directory.is_dir():
             return []
-        paths = list(self._scan_entry_files(self.directory))
-        for _, shard_dir in self._scan_shard_dirs():
-            paths.extend(self._scan_entry_files(shard_dir))
-        return sorted(paths)
+        return [
+            path
+            for _, shard_dir in self._scan_shard_dirs()
+            for path in self._scan_entry_files(shard_dir)
+        ]
 
     # -- the writer catalog --------------------------------------------------
 
@@ -563,16 +556,6 @@ class CompileCache:
                 if index_meta:
                     # index records whose payloads are gone: stale, compact away
                     self._dirty_shards.add(shard)
-            for path in self._scan_entry_files(self.directory):
-                fingerprint = path.name[:-5]
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                catalog.setdefault(
-                    fingerprint,
-                    _CatalogEntry(fingerprint, stat.st_size, stat.st_mtime, 0, legacy=True),
-                )
         self._meta = meta
         self._seq = max(
             [seq_floor] + [entry.seq for entry in catalog.values()]
@@ -639,7 +622,7 @@ class CompileCache:
         try:
             catalog = self._catalog_entries()
             entry = catalog.get(fingerprint)
-            if entry is None or entry.legacy:
+            if entry is None:
                 return
             entry.seq = self._next_seq()
             self._append_index(
@@ -659,7 +642,7 @@ class CompileCache:
         """Atomically rewrite one shard's index from the catalog (compaction)."""
         catalog = self._catalog_entries()
         entries = sorted(
-            (e for e in catalog.values() if not e.legacy and e.shard == shard),
+            (e for e in catalog.values() if e.shard == shard),
             key=lambda e: e.fingerprint,
         )
         shard_dir = self.directory / shard
@@ -726,34 +709,6 @@ class CompileCache:
                 pass
             raise
 
-    def _migrate_legacy(self) -> None:
-        """Reshard pre-ISSUE-9 flat entries (called from the write path)."""
-        catalog = self._catalog_entries()
-        legacy = [entry for entry in catalog.values() if entry.legacy]
-        for entry in sorted(legacy, key=lambda e: e.fingerprint):
-            source = self._legacy_path(entry.fingerprint)
-            target = self._entry_path(entry.fingerprint)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(source, target)
-            except FileNotFoundError:
-                del catalog[entry.fingerprint]  # vanished underfoot: drop
-                continue
-            entry.legacy = False
-            entry.seq = self._next_seq()
-            self._append_index(
-                entry.fingerprint,
-                {
-                    "op": "put",
-                    "fp": entry.fingerprint,
-                    "size": entry.size,
-                    "schema": CACHE_SCHEMA_VERSION,
-                    "created": round(entry.created, 3),
-                    "seq": entry.seq,
-                },
-            )
-            self.stats["migrated_entries"] += 1
-
     def _enforce_bounds(self) -> None:
         """Evict LRU entries (one batch) until the store is within bounds.
 
@@ -785,19 +740,13 @@ class CompileCache:
         shards: set[str] = set()
         freed = 0
         for entry in victims:
-            path = (
-                self._legacy_path(entry.fingerprint)
-                if entry.legacy
-                else self._entry_path(entry.fingerprint)
-            )
             try:
-                path.unlink()
+                self._entry_path(entry.fingerprint).unlink()
             except OSError:
                 pass  # already gone: the bound still holds
             del catalog[entry.fingerprint]
             self._memory.pop(entry.fingerprint, None)
-            if not entry.legacy:
-                shards.add(entry.shard)
+            shards.add(entry.shard)
             freed += entry.size
         self.stats["evictions"] += len(victims)
         self.stats["evicted_bytes"] += freed
@@ -816,7 +765,6 @@ class CompileCache:
 
     def _disk_get(self, fingerprint: str) -> dict | None:
         path = self._entry_path(fingerprint)
-        legacy = False
         try:
             faults = self._injected_faults(fingerprint)
             if "cache-read-eacces" in faults:
@@ -829,11 +777,7 @@ class CompileCache:
                 raise FileNotFoundError(
                     errno.ENOENT, f"injected eviction under reader for {path.name}"
                 )
-            try:
-                raw = path.read_bytes()
-            except FileNotFoundError:
-                raw = self._legacy_path(fingerprint).read_bytes()
-                legacy = True
+            raw = path.read_bytes()
             envelope = json.loads(raw)
         except FileNotFoundError:
             return None
@@ -867,7 +811,7 @@ class CompileCache:
             )
             self.stats["integrity_misses"] += 1
             return None
-        if self._catalog is not None and not legacy:
+        if self._catalog is not None:
             entry = self._catalog.get(fingerprint)
             recorded = entry.size if entry is not None else None
             if "cache-stale-index" in faults and recorded is not None:
@@ -903,7 +847,6 @@ class CompileCache:
                     errno.EACCES, f"injected EACCES writing {fingerprint[:12]}"
                 )
             catalog = self._catalog_entries()
-            self._migrate_legacy()
             path = self._entry_path(fingerprint)
             path.parent.mkdir(parents=True, exist_ok=True)
             text = json.dumps(envelope, sort_keys=True)
@@ -961,9 +904,8 @@ class CompileCache:
     def disk_stats(self) -> dict:
         """Aggregate statistics of the disk tier (the ``cache info`` payload).
 
-        Reports total bytes and entry count, per-shard bytes/entries (legacy
-        flat entries appear under the pseudo-shard ``"flat"``), the age in
-        seconds of the oldest and newest entries, an entry-age histogram and
+        Reports total bytes and entry count, per-shard bytes/entries, the age
+        in seconds of the oldest and newest entries, an entry-age histogram and
         the persisted eviction counters.  Shared by ``repro-map cache info``
         and the compile service's ``/metrics`` endpoint, so both surfaces
         always agree.  The directory may be shared with concurrently writing
@@ -982,7 +924,7 @@ class CompileCache:
                 stat = path.stat()
             except OSError:
                 continue  # vanished mid-scan (e.g. a concurrent clear)
-            shard = path.parent.name if path.parent != self.directory else "flat"
+            shard = path.parent.name
             entries += 1
             total_bytes += stat.st_size
             bucket = shards.setdefault(shard, {"entries": 0, "bytes": 0})

@@ -3,12 +3,16 @@
 The content-addressed cache (:mod:`repro.api.cache`) persists
 :class:`~repro.api.result.CompileResult` objects across processes, so the
 routed circuit and its bookkeeping need a faithful wire format.  Circuits
-travel as OpenQASM 2.0 text through the existing writer/loader pair --
-:func:`repro.qasm.writer.circuit_to_qasm` emits ``repr``-exact float
-parameters and :func:`repro.qasm.loader.circuit_from_qasm` parses them back
-losslessly -- so a payload round-trip reproduces the routed gate sequence
-bit for bit (the invariant the golden harness enforces; see
-``tests/api/test_serialize.py``).
+travel as a columnar **gate table** (:func:`circuit_to_payload`): the
+distinct ``[name, n_qubits, n_params]`` gate kinds, one space-separated
+``ops`` string holding each gate's kind code followed by its qubits, one
+space-separated ``params`` string of ``repr``-exact floats in gate order, and
+``[gate_index, label]`` pairs for labelled gates only.  Decoding is a
+``split()`` and an ``int``/``float`` map per column plus one validated
+:class:`~repro.circuit.gate.Gate` per gate -- no QASM lexer or parser -- and
+a payload round-trip reproduces the routed gate sequence bit for bit,
+labels, operand-less barriers and non-finite parameters included (the
+invariant the golden harness enforces; see ``tests/api/test_serialize.py``).
 
 The request itself is *not* serialized: payloads are only ever addressed by
 the request fingerprint (:func:`repro.api.cache.request_fingerprint`), and a
@@ -24,14 +28,13 @@ from pathlib import Path
 from repro.api.request import CompileRequest, check_one_source
 from repro.api.result import CompileResult
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gate import Gate
 from repro.hardware.coupling import CouplingGraph
-from repro.qasm.loader import circuit_from_qasm
-from repro.qasm.writer import circuit_to_qasm
 from repro.routing.result import RoutingResult
 
 #: Version stamp of the payload layout.  Bump on any shape change; the cache
 #: treats entries with a different stamp as misses instead of deserializing.
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 
 class SerializationError(ValueError):
@@ -39,35 +42,75 @@ class SerializationError(ValueError):
 
 
 def circuit_to_payload(circuit: QuantumCircuit) -> dict:
-    """Encode a circuit as a JSON-safe payload (QASM text + identity)."""
+    """Encode a circuit as a JSON-safe columnar gate table."""
+    codes: dict[tuple[str, int, int], int] = {}
+    ops: list[str] = []
+    params: list[str] = []
+    labels: list[list] = []
+    for index, gate in enumerate(circuit):
+        kind = (gate.name, len(gate.qubits), len(gate.params))
+        ops.append(str(codes.setdefault(kind, len(codes))))
+        ops.extend(map(str, gate.qubits))
+        params.extend(map(repr, gate.params))
+        if gate.label:
+            labels.append([index, gate.label])
     return {
         "name": circuit.name,
         "num_qubits": circuit.num_qubits,
-        "qasm": circuit_to_qasm(circuit),
+        "kinds": [list(kind) for kind in codes],
+        "ops": " ".join(ops),
+        "params": " ".join(params),
+        "labels": labels,
     }
 
 
 def circuit_from_payload(payload: dict) -> QuantumCircuit:
     """Rebuild a circuit from :func:`circuit_to_payload` output.
 
-    Measurements are preserved and multi-qubit gates are *not* decomposed:
-    the payload holds an already-routed circuit and must come back exactly
-    as emitted.
+    Every gate goes through :class:`Gate` and :meth:`QuantumCircuit.append`,
+    so the operand and qubit-range checks of a hand-built circuit apply; any
+    malformed column raises :class:`SerializationError`.
     """
     try:
-        circuit = circuit_from_qasm(
-            payload["qasm"],
-            include_measurements=True,
-            decompose_multiqubit=False,
-            name=payload["name"],
-        )
+        ops, params = payload["ops"], payload["params"]
+        if not isinstance(ops, str) or not isinstance(params, str):
+            raise SerializationError("gate-table columns 'ops' and 'params' must be strings")
+        kinds = [tuple(kind) for kind in payload["kinds"]]
+        for name, width, arity in kinds:
+            if not (
+                isinstance(name, str)
+                and type(width) is int
+                and type(arity) is int
+                and min(width, arity) >= 0
+            ):
+                raise SerializationError(f"malformed gate kind {[name, width, arity]!r}")
+        labels = {int(index): str(label) for index, label in payload["labels"]}
+        circuit = QuantumCircuit(int(payload["num_qubits"]), name=str(payload["name"]))
+        words = list(map(int, ops.split()))
+        values = list(map(float, params.split()))
+        position = cursor = 0
+        while position < len(words):
+            code = words[position]
+            if not 0 <= code < len(kinds):
+                raise SerializationError(f"unknown gate kind code {code}")
+            name, width, arity = kinds[code]
+            qubits = words[position + 1 : position + 1 + width]
+            gate_params = values[cursor : cursor + arity]
+            if len(qubits) != width:
+                raise SerializationError("ops column is truncated")
+            if len(gate_params) != arity:
+                raise SerializationError("params column is shorter than its gate kinds require")
+            position += 1 + width
+            cursor += arity
+            circuit.append(Gate(name, qubits, gate_params, labels.get(len(circuit), "")))
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, SerializationError):
+            raise
         raise SerializationError(f"invalid circuit payload: {exc}") from exc
-    if circuit.num_qubits != payload["num_qubits"]:
-        raise SerializationError(
-            f"circuit payload declares {payload['num_qubits']} qubits but its "
-            f"QASM text rebuilds {circuit.num_qubits}"
-        )
+    if cursor != len(values):
+        raise SerializationError("params column is longer than its gate kinds require")
+    if any(not 0 <= index < len(circuit) for index in labels):
+        raise SerializationError("a label names a gate the table does not hold")
     return circuit
 
 
@@ -149,7 +192,7 @@ def request_to_payload(request: CompileRequest) -> dict:
 
     The wire format covers everything a remote caller can express: a circuit
     source (``generate`` spec, server-local ``qasm`` path, or an in-memory
-    circuit shipped as QASM text), a backend *name*, router, seed, placement
+    circuit shipped as a gate table), a backend *name*, router, seed, placement
     and validation.  Explicit :class:`CouplingGraph` backends and non-JSON
     config objects are deliberately not wire-serializable -- they raise
     :class:`SerializationError` instead of being silently dropped.

@@ -413,8 +413,7 @@ def _command_cache_info(args: argparse.Namespace) -> int:
     print(f"shards       : {len(shards)} populated")
     for shard in sorted(shards):
         bucket = shards[shard]
-        label = "flat (pre-shard)" if shard == "flat" else shard
-        print(f"  {label:16s}: {bucket['entries']} entries, {bucket['bytes']} bytes")
+        print(f"  {shard:16s}: {bucket['entries']} entries, {bucket['bytes']} bytes")
     histogram = info["disk_age_histogram"]
     rendered = "  ".join(f"{label} {count}" for label, count in histogram.items())
     print(f"entry ages   : {rendered}")

@@ -22,6 +22,8 @@ from repro.api import (
     set_default_cache,
 )
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
+from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gate import Gate
 from repro.hardware.topologies import grid_topology
 
 GRID = grid_topology(4, 4)
@@ -99,6 +101,26 @@ class TestWarmCacheDeterminism:
         replayed = api_compile(request, cache=cache)
         assert replayed.pass_timings == first.pass_timings
         assert replayed.route_seconds == first.route_seconds
+
+    def test_gate_labels_survive_memory_and_disk_hits(self, tmp_path):
+        circuit = QuantumCircuit(4, name="labelled")
+        circuit.append(Gate("h", (0,), label="prep"))
+        for qubit in range(3):
+            circuit.append(Gate("cx", (qubit, qubit + 1), label=f"link{qubit}"))
+        request = CompileRequest(circuit=circuit, backend=GRID, router="sabre")
+
+        def labelled(result):
+            return [(g.name, g.qubits, g.label) for g in result.routed_circuit]
+
+        cache = CompileCache(directory=tmp_path)
+        cold = api_compile(request, cache=cache)
+        memory_hit = api_compile(request, cache=cache)
+        disk_cache = CompileCache(max_memory_entries=0, directory=tmp_path)
+        disk_hit = api_compile(request, cache=disk_cache)
+        assert cache.stats["memory_hits"] == 1 and disk_cache.stats["disk_hits"] == 1
+        assert ("h", (0,), "prep") in labelled(cold)
+        assert labelled(memory_hit) == labelled(cold)
+        assert labelled(disk_hit) == labelled(cold)
 
     def test_compile_uses_the_default_cache_by_default(self, fresh_default_cache):
         request = CompileRequest(circuit=ghz_circuit(8), backend=GRID, router="greedy")

@@ -18,10 +18,7 @@ Covers the ISSUE-9 store contract end to end:
 * readonly fleet mode -- a second handle serves hits from a shared warm
   directory without ever writing, racing a live writer's evictions,
 * the vanishing-entry regression -- ``disk_stats``/``clear`` tolerate
-  entries unlinked between scan and stat (a concurrent ``clear``),
-* migration -- a pre-ISSUE-9 flat cache directory (the golden fixture under
-  ``tests/data/cache_legacy``) is served in place and resharded on the
-  first write.
+  entries unlinked between scan and stat (a concurrent ``clear``).
 
 Most tests store one real compiled payload under synthetic fingerprints so
 the battery exercises the store, not the routers.
@@ -31,7 +28,6 @@ import hashlib
 import json
 import logging
 import random
-import shutil
 import threading
 from pathlib import Path
 
@@ -45,7 +41,6 @@ from repro.api import (
     compile_many,
     compile_uncached,
     default_cache,
-    request_fingerprint,
     set_default_cache,
 )
 from repro.api.cache import (
@@ -59,9 +54,6 @@ from repro.benchgen.qasmbench import ghz_circuit
 from repro.hardware.topologies import grid_topology
 
 GRID = grid_topology(4, 4)
-
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "data" / "cache_legacy"
-
 
 def request_for(seed=0):
     return CompileRequest(circuit=ghz_circuit(6), backend=GRID, router="greedy", seed=seed)
@@ -93,7 +85,7 @@ def fp(index: int) -> str:
 
 
 def payload_files(directory: Path) -> set[str]:
-    """Fingerprints of every payload file on disk (sharded + flat)."""
+    """Fingerprints of every payload file on disk."""
     found = set()
     for path in directory.rglob("*.json"):
         if path.name != META_NAME and len(path.stem) == 64:
@@ -545,19 +537,6 @@ class TestReadonly:
             assert reader.lookup(fp(index), request_for()) is not None
         assert reader.disk_stats()["entries"] == 4
 
-    def test_readonly_serves_legacy_flat_entries_without_resharding(self, tmp_path):
-        shutil.copytree(FIXTURE_DIR, tmp_path / "legacy")
-        flat = sorted((tmp_path / "legacy").glob("*.json"))
-        request = CompileRequest(
-            generate="ghz:4", backend="sherbrooke", router="greedy", seed=0
-        )
-        reader = CompileCache(
-            max_memory_entries=0, directory=tmp_path / "legacy", readonly=True
-        )
-        assert reader.lookup(request_fingerprint(request), request) is not None
-        assert sorted((tmp_path / "legacy").glob("*.json")) == flat  # still flat
-
-
 # ---------------------------------------------------------------------------
 # Concurrency stress
 # ---------------------------------------------------------------------------
@@ -697,72 +676,6 @@ class TestVanishingEntriesMidScan:
         finally:
             thread.join()
         assert not errors
-
-
-# ---------------------------------------------------------------------------
-# Migration of pre-ISSUE-9 flat directories
-# ---------------------------------------------------------------------------
-
-
-class TestLegacyMigration:
-    @pytest.fixture()
-    def legacy_dir(self, tmp_path):
-        target = tmp_path / "legacy"
-        shutil.copytree(FIXTURE_DIR, target)
-        return target
-
-    @staticmethod
-    def legacy_request(seed=0):
-        return CompileRequest(
-            generate="ghz:4", backend="sherbrooke", router="greedy", seed=seed
-        )
-
-    def test_golden_fixture_matches_current_fingerprints(self, legacy_dir):
-        # the fixture is only a fixture if the fingerprint algorithm still
-        # addresses it; regenerate it if this ever fails intentionally
-        on_disk = {path.stem for path in legacy_dir.glob("*.json")}
-        expected = {request_fingerprint(self.legacy_request(seed)) for seed in (0, 1)}
-        assert on_disk == expected
-
-    def test_flat_entries_served_in_place_before_any_write(self, legacy_dir):
-        cache = CompileCache(max_memory_entries=0, directory=legacy_dir)
-        request = self.legacy_request()
-        hit = cache.lookup(request_fingerprint(request), request)
-        assert hit is not None
-        assert cache.stats["disk_hits"] == 1
-        assert sorted(legacy_dir.glob("*.json"))  # untouched: still flat
-
-    def test_flat_hit_is_bit_identical_to_a_fresh_compile(self, legacy_dir):
-        request = self.legacy_request()
-        cache = CompileCache(max_memory_entries=0, directory=legacy_dir)
-        hit = cache.lookup(request_fingerprint(request), request)
-        assert bits_of(hit) == bits_of(compile_uncached(request))
-
-    def test_first_write_reshards_and_indexes_legacy_entries(self, legacy_dir, result):
-        fingerprints = {path.stem for path in legacy_dir.glob("*.json")}
-        cache = CompileCache(max_memory_entries=0, directory=legacy_dir)
-        cache.store(fp(1), result)
-        assert cache.stats["migrated_entries"] == 2
-        assert not list(legacy_dir.glob("*.json"))  # no flat payloads left
-        assert payload_files(legacy_dir) == fingerprints | {fp(1)}
-        assert index_fingerprints(legacy_dir) == fingerprints | {fp(1)}
-        # the resharded entries still serve, now from their shard paths
-        request = self.legacy_request()
-        fresh = CompileCache(max_memory_entries=0, directory=legacy_dir)
-        assert fresh.lookup(request_fingerprint(request), request) is not None
-
-    def test_migrated_entries_count_toward_bounds(self, legacy_dir, result):
-        cache = CompileCache(
-            max_memory_entries=0, directory=legacy_dir, max_entries=1
-        )
-        cache.store(fp(1), result)  # migrate 2 legacy entries, then evict to 1
-        assert cache.disk_stats()["entries"] == 1
-        assert cache.stats["evictions"] == 2
-
-    def test_cache_info_reports_flat_entries_as_a_pseudo_shard(self, legacy_dir):
-        info = CompileCache(directory=legacy_dir).info()
-        assert info["disk_shards"]["flat"]["entries"] == 2
-        assert info["disk_entries"] == 2
 
 
 # ---------------------------------------------------------------------------

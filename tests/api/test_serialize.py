@@ -12,6 +12,7 @@ independent oracle: a rebuilt circuit must still hash to the snapshot a
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from repro.api.serialize import circuit_from_payload, circuit_to_payload
 from repro.benchgen.qasmbench import qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gate import Gate
 from repro.hardware.topologies import grid_topology
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "data" / "golden"
@@ -124,15 +126,58 @@ class TestCircuitPayload:
         assert rebuilt.num_qubits == circuit.num_qubits
         assert rebuilt.name == circuit.name
 
-    def test_qubit_count_mismatch_raises(self):
-        payload = circuit_to_payload(QuantumCircuit(2, name="tiny"))
-        payload["num_qubits"] = 5
-        with pytest.raises(SerializationError, match="qubits"):
-            circuit_from_payload(payload)
+    def test_operand_less_barrier_survives(self):
+        circuit = QuantumCircuit(3, name="fence")
+        circuit.h(0)
+        circuit.append(Gate("barrier", ()))
+        circuit.cx(0, 2)
+        rebuilt = circuit_from_payload(circuit_to_payload(circuit))
+        assert gates_of(rebuilt) == gates_of(circuit)
 
-    def test_invalid_qasm_payload_raises_serialization_error(self):
-        with pytest.raises(SerializationError):
-            circuit_from_payload({"name": "x", "num_qubits": 2, "qasm": "not qasm"})
+    def test_non_finite_parameters_survive(self):
+        circuit = QuantumCircuit(2, name="wild")
+        for angle in (math.nan, math.inf, -math.inf, -0.0):
+            circuit.rz(angle, 1)
+        payload = json.loads(json.dumps(circuit_to_payload(circuit), allow_nan=False))
+        rebuilt = circuit_from_payload(payload)
+        assert [repr(g.params) for g in rebuilt] == [repr(g.params) for g in circuit]
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("ops", "0 0 1 1 2 1", "truncated"),
+            ("ops", "0 0 1 1 3 1 2", "unknown gate kind code 3"),
+            ("ops", "0 0 1 1 -1 1 2", "unknown gate kind code -1"),
+            ("ops", "0 3 1 1 2 1 2", "outside"),
+            ("params", "0.5 0.25", "longer"),
+            ("params", "", "shorter"),
+            ("ops", [0, 0, 1, 1, 2, 1, 2], "must be strings"),
+            ("params", [0.5], "must be strings"),
+            ("kinds", [["h", 1, 0], ["rz", 1, 1], ["cx", -2, 0]], "malformed gate kind"),
+            ("labels", [[9, "prep"]], "label"),
+        ],
+        ids=[
+            "truncated-ops",
+            "unknown-kind-code",
+            "negative-kind-code",
+            "qubit-out-of-range",
+            "params-too-long",
+            "params-too-short",
+            "ops-not-a-string",
+            "params-not-a-string",
+            "negative-kind-width",
+            "label-past-the-end",
+        ],
+    )
+    def test_malformed_table_raises_serialization_error(self, column, value, message):
+        circuit = QuantumCircuit(3, name="tiny")
+        circuit.h(0)
+        circuit.rz(0.5, 1)
+        circuit.cx(1, 2)
+        payload = circuit_to_payload(circuit)
+        payload[column] = value
+        with pytest.raises(SerializationError, match=message):
+            circuit_from_payload(payload)
 
 
 class TestResultPayload:

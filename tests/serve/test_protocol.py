@@ -1,12 +1,15 @@
 """Tests for the wire protocol: request codecs and error mapping."""
 
+import json
+
 import pytest
 
 from repro.api import CompileRequest, request_from_payload, request_to_payload
 from repro.api.cache import request_fingerprint
 from repro.api.result import CompileError
 from repro.api.serialize import SerializationError
-from repro.benchgen.qasmbench import ghz_circuit
+from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gate import Gate
 from repro.hardware.topologies import line_topology
 from repro.serve.protocol import (
     ProtocolError,
@@ -34,13 +37,25 @@ class TestRequestPayloadRoundTrip:
         assert str(rebuilt.qasm) == str(path)
         assert rebuilt.router == "greedy"
 
-    def test_in_memory_circuit_ships_as_qasm_text(self):
-        request = CompileRequest(circuit=ghz_circuit(6), backend="ankaa3", router="greedy")
+    def test_in_memory_circuit_ships_as_a_gate_table(self):
+        circuit = QuantumCircuit(3, name="labelled")
+        circuit.append(Gate("h", (0,), label="prep"))
+        circuit.rz(0.5, 1)
+        circuit.cx(0, 1)
+        circuit.append(Gate("cx", (1, 2), label="link"))
+        request = CompileRequest(circuit=circuit, backend="ankaa3", router="greedy")
         payload = request_to_payload(request)
-        assert "qasm" in payload["circuit"]
-        rebuilt = request_from_payload(payload)
-        # Content-addressing makes equality checkable without gate-by-gate
-        # comparison: equal circuits fingerprint identically.
+        assert payload["circuit"] == {
+            "name": "labelled",
+            "num_qubits": 3,
+            "kinds": [["h", 1, 0], ["rz", 1, 1], ["cx", 2, 0]],
+            "ops": "0 0 1 1 2 0 1 2 1 2",
+            "params": "0.5",
+            "labels": [[0, "prep"], [3, "link"]],
+        }
+        rebuilt = request_from_payload(json.loads(json.dumps(payload)))
+        assert list(rebuilt.circuit) == list(circuit)
+        # Labels are part of the fingerprint, so they must survive the wire.
         assert request_fingerprint(rebuilt) == request_fingerprint(request)
 
     def test_alias_router_fingerprints_identically_after_round_trip(self):

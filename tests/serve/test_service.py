@@ -14,7 +14,8 @@ import pytest
 from repro.api import CompileRequest, FaultPlan, compile_many
 from repro.api import compile as api_compile
 from repro.api.cache import request_fingerprint
-from repro.api.serialize import result_to_payload
+from repro.api.serialize import request_to_payload, result_to_payload
+from repro.benchgen.qasmbench import ghz_circuit
 from repro.serve import CompileService, ServeConfig
 
 
@@ -32,7 +33,7 @@ def normalize(result_payload: dict) -> dict:
     """A result payload minus its wall-clock fields.
 
     Pass timings and the recorded routing runtime are the only
-    non-deterministic payload fields; everything else -- routed QASM text,
+    non-deterministic payload fields; everything else -- the routed gate table,
     layouts, swaps, depth, metrics -- must match bit for bit.
     """
     payload = {k: v for k, v in result_payload.items() if k != "pass_timings"}
@@ -87,6 +88,19 @@ class TestCompileEndpoint:
         assert response.status == 400
         assert response.body["ok"] is False
         assert "message" in response.body["error"]
+
+    def test_malformed_circuit_table_is_a_structured_400(self):
+        body = request_to_payload(
+            CompileRequest(circuit=ghz_circuit(4), backend="ankaa3", router="greedy")
+        )
+        body["circuit"]["ops"] = body["circuit"]["ops"].rsplit(" ", 1)[0]
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/compile", {}, body)
+
+        response = run(with_service(ServeConfig(), scenario))
+        assert response.status == 400
+        assert "truncated" in response.body["error"]["message"]
 
     def test_unknown_path_is_404_and_wrong_method_is_405(self):
         async def scenario(service):
