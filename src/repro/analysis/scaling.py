@@ -8,6 +8,7 @@ least-squares line whose quality (R^2) quantifies "near-linear".
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -79,12 +80,21 @@ def mapping_time_scaling(
         instance = generate_queko_circuit(
             generation_device, depth, seed=seed * 9973 + index
         )
-        start = time.perf_counter()
-        if isinstance(mapper, RoutingEngine):
-            result = mapper.run(instance.circuit)
-        else:
-            result = mapper.map(instance.circuit)
-        elapsed = time.perf_counter() - start
+        # Time the mapping alone, with the cyclic collector paused as timeit
+        # does: one full collection of a large host process (tens of ms in
+        # a test run) landing inside a single point would skew the fit.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            if isinstance(mapper, RoutingEngine):
+                result = mapper.run(instance.circuit)
+            else:
+                result = mapper.map(instance.circuit)
+            elapsed = time.perf_counter() - start
+        finally:
+            if collecting:
+                gc.enable()
         points.append(
             ScalingPoint(
                 qops=total_operations(instance.circuit),

@@ -13,10 +13,10 @@ from __future__ import annotations
 from repro.api.registry import register_router
 from repro.hardware.coupling import CouplingGraph
 from repro.routing.engine import (
+    PairDeltaScorer,
     RouterError,
     RoutingEngine,
     RoutingState,
-    swapped_distance_sum,
 )
 
 
@@ -71,15 +71,8 @@ class CirqLikeRouter(RoutingEngine):
         front = state.unresolved_front()
         upcoming = self._next_slice(state)
 
-        distance = state.distance_rows()
-        phys_of = state.layout.phys_of
-        op_pairs = state.op_pairs
-        front_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in front)
-        ]
-        upcoming_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in upcoming)
-        ]
+        front_sum = PairDeltaScorer.for_gates(state, front).swapped_sum
+        upcoming_sum = PairDeltaScorer.for_gates(state, upcoming).swapped_sum
         weight = self.next_slice_weight
         last_swap = self._last_swap
 
@@ -87,19 +80,11 @@ class CirqLikeRouter(RoutingEngine):
         best: list[tuple[int, int]] = []
         for candidate in candidates:
             a, b = candidate
-            cost = float(swapped_distance_sum(front_pairs, a, b, distance))
-            # Per-term weighted accumulation (not sum-then-scale) preserves
-            # the float addition order of the cost definition.
-            for p1, p2 in upcoming_pairs:
-                if p1 == a:
-                    p1 = b
-                elif p1 == b:
-                    p1 = a
-                if p2 == a:
-                    p2 = b
-                elif p2 == b:
-                    p2 = a
-                cost += weight * distance[p1][p2]
+            # Scaling the slice sum once rounds differently from weighting
+            # each term, in the last bits only: at weight 0.4, distinct costs
+            # (integer + 0.4 * integer, + 0.5) differ by >= 0.1, far outside
+            # the 1e-12 tie tolerance, so the chosen SWAP is the same.
+            cost = front_sum(a, b) + weight * upcoming_sum(a, b)
             if candidate == last_swap:
                 cost += 0.5
             if cost < best_cost - 1e-12:

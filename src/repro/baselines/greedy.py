@@ -12,10 +12,10 @@ from __future__ import annotations
 from repro.api.registry import register_router
 from repro.hardware.coupling import CouplingGraph
 from repro.routing.engine import (
+    PairDeltaScorer,
     RouterError,
     RoutingEngine,
     RoutingState,
-    swapped_distance_sum,
 )
 
 
@@ -48,19 +48,13 @@ class GreedyDistanceRouter(RoutingEngine):
             raise RouterError("no candidate SWAPs available")
         front = state.unresolved_front()
 
-        distance = state.distance_rows()
-        phys_of = state.layout.phys_of
-        op_pairs = state.op_pairs
-        front_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in front)
-        ]
+        front_sum = PairDeltaScorer.for_gates(state, front).swapped_sum
         last_swap = self._last_swap
 
         best_cost = float("inf")
         best: list[tuple[int, int]] = []
         for candidate in candidates:
-            a, b = candidate
-            cost = float(swapped_distance_sum(front_pairs, a, b, distance))
+            cost = float(front_sum(*candidate))
             if candidate == last_swap:
                 # Undoing the previous SWAP never makes progress; discourage it.
                 cost += 0.5

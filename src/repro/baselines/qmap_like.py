@@ -12,27 +12,34 @@ single-gate fronts, a tie-breaking overestimate for wider fronts), and the
 node budget keeps worst-case runtime bounded with a deterministic greedy
 fallback.
 
-The search is *incremental* on the PR-1 routing kernel:
+The search is *incremental* on the shared routing kernel:
 
 * **Deferred materialisation.**  Heap entries carry ``(parent, swap)``
   instead of placement copies; a node's flat placement (logical index ->
   physical qubit) is materialised only when the node is popped, as one list
   copy plus an O(1) two-entry update through the parent's inverse map.
-  Pushes outnumber pops ~16x on the QUEKO workload, so the per-push O(n)
-  copy + O(n) swap scan of the naive formulation disappears from the
-  profile.
-* **Incremental heuristics.**  A child's heuristic is the parent's summed
-  distance plus the delta of the pairs whose physical endpoints the SWAP
-  touches (integer arithmetic on the flat distance table, so the values are
-  bit-for-bit those of a fresh summation).  Goal detection rides along: an
-  expanded node has every pair at distance >= 2, so a child reaches the goal
-  exactly when a touched pair lands at distance 1.
-* **Layer memoisation.**  The root of every search reuses the engine's
-  cached :meth:`~repro.routing.engine.RoutingState.front_pairs` /
-  :meth:`~repro.routing.engine.RoutingState.candidate_swaps` views, and
-  candidate-SWAP expansions of interior nodes are memoised by front
-  footprint (the set of physical qubits hosting front-layer operands),
-  which repeats heavily across the searches of one layer.
+  Pushes outnumber pops ~8x on the QUEKO workload (752k pushes, 97k pops
+  over the 54-qubit smoke fixture), so the per-push O(n) copy + O(n) swap
+  scan of the naive formulation disappears from the profile.
+* **Incremental heuristics.**  Each expanded node indexes its pairs with a
+  :class:`~repro.routing.engine.PairDeltaScorer`, as ``(other endpoint,
+  old distance)`` entries per physical qubit; a child's heuristic
+  is the parent's summed distance plus the delta of the entries on the two
+  swapped qubits, read through one bound distance row per qubit (integer
+  arithmetic on the flat distance table, so the values are bit-for-bit
+  those of a fresh summation).  Goal detection rides along: an expanded
+  node has every pair at distance >= 2, so a child reaches the goal exactly
+  when a touched pair lands at distance 1.
+* **Candidate lists.**  The root reuses the engine's cached
+  :meth:`~repro.routing.engine.RoutingState.candidate_swaps` view; an
+  interior node's candidates are the sorted union of the device's
+  per-qubit incident edges over its footprint (the physical qubits hosting
+  front-layer operands), built in C-level calls.
+* **Unreachable goals.**  A SWAP moves any pair's distance by at most one,
+  so when even the closest pair needs more than
+  :attr:`max_sequence_length` SWAPs (:meth:`_admissible_bound`), no goal is
+  ever pushed and the search could only fall back.  The router then goes
+  straight to the greedy fallback, which commits the same SWAP.
 * **Adaptive node budget.**  When the front layer is nearly routable --
   a single unresolved gate at distance 2 -- the summed-distance heuristic
   is consistent (a SWAP changes a single pair's distance by at most one)
@@ -50,14 +57,14 @@ all preserved exactly.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 
 from repro.api.registry import register_router
-from repro.hardware.coupling import CouplingGraph
 from repro.routing.engine import (
+    PairDeltaScorer,
     RouterError,
     RoutingEngine,
     RoutingState,
-    swapped_distance_sum,
 )
 
 
@@ -82,20 +89,9 @@ class QmapLikeRouter(RoutingEngine):
     #: :attr:`last_expanded_keys` (property-test instrumentation; off on the
     #: hot path).
     record_expansions = False
-
-    def __init__(self, coupling: CouplingGraph, seed: int = 0):
-        super().__init__(coupling, seed)
-        #: footprint (frozenset of physical qubits) -> sorted candidate SWAPs.
-        self._candidate_memo: dict[frozenset[int], list[tuple[int, int]]] = {}
-        #: Placement signatures expanded by the most recent search (only
-        #: populated when :attr:`record_expansions` is set).
-        self.last_expanded_keys: list[tuple[int, ...]] | None = None
-
-    # -- engine hooks ---------------------------------------------------------
-
-    def on_circuit_start(self, state: RoutingState) -> None:
-        """Reset per-circuit memo tables (footprints are device-specific)."""
-        self._candidate_memo.clear()
+    #: Placement signatures expanded by the most recent search (a list only
+    #: when :attr:`record_expansions` is set).
+    last_expanded_keys: list[tuple[int, ...]] | None = None
 
     # -- A* search ------------------------------------------------------------
 
@@ -128,6 +124,14 @@ class QmapLikeRouter(RoutingEngine):
         distance = state.distance_rows()
         layout = state.layout
         start = layout.phys_of  # read-only during the search (state contract)
+        trace: list[tuple[int, ...]] | None = (
+            [] if self.record_expansions else None
+        )
+        self.last_expanded_keys = trace
+        if self._admissible_bound(distance, start, pairs) > self.max_sequence_length:
+            # No goal within max_sequence_length SWAPs: the search could only
+            # exhaust and fall back.
+            return self._greedy_fallback(state, pairs)
         num_pairs = len(pairs)
 
         h_root = 0
@@ -155,8 +159,7 @@ class QmapLikeRouter(RoutingEngine):
         expanded = 0
         evaluations = 0
         max_length = self.max_sequence_length
-        memo = self._candidate_memo
-        neighbor_table = self.coupling.neighbor_table
+        incident = self.coupling.incident_edges.__getitem__
         heappush = heapq.heappush
         heappop = heapq.heappop
         # Estimate of the cheapest goal node sitting in the heap.  Any child
@@ -167,9 +170,6 @@ class QmapLikeRouter(RoutingEngine):
         # budget exhaustion the skipped nodes were equally unreachable, so
         # the fallback decision is untouched.
         best_goal_f: int | None = None
-        trace: list[tuple[int, ...]] | None = (
-            [] if self.record_expansions else None
-        )
 
         while frontier and expanded < budget:
             _, _, cost, h_int, parent, swap, first_swap, is_goal = heappop(
@@ -198,7 +198,6 @@ class QmapLikeRouter(RoutingEngine):
                 trace.append(key)
             if cost and is_goal:
                 state.cost_evaluations += evaluations
-                self.last_expanded_keys = trace
                 return first_swap
             if cost >= max_length:
                 continue
@@ -213,57 +212,41 @@ class QmapLikeRouter(RoutingEngine):
                 placements.append(placement)
                 inverses.append(inverse)
 
-            pair_phys = [(placement[q1], placement[q2]) for q1, q2 in pairs]
-            touch: dict[int, list[int]] = {}
-            for pair_index, (p1, p2) in enumerate(pair_phys):
-                touch.setdefault(p1, []).append(pair_index)
-                if p2 != p1:
-                    touch.setdefault(p2, []).append(pair_index)
-
+            touching = PairDeltaScorer(
+                ((placement[q1], placement[q2]) for q1, q2 in pairs), distance
+            ).touching
             if swap is None:
                 candidates = state.candidate_swaps()
             else:
-                footprint = frozenset(touch)
-                candidates = memo.get(footprint)
-                if candidates is None:
-                    edges: set[tuple[int, int]] = set()
-                    for p1 in footprint:
-                        for p2 in neighbor_table[p1]:
-                            edges.add((p1, p2) if p1 < p2 else (p2, p1))
-                    candidates = sorted(edges)
-                    memo[footprint] = candidates
-                else:
-                    state.heuristic_cache_hits += 1
+                candidates = sorted(set(chain.from_iterable(map(incident, touching))))
 
+            # An expanded node is no goal, so every pair sits at distance
+            # >= 2: none lies on a candidate edge, and a child is a goal
+            # exactly when a touched pair lands at distance 1.
             next_cost = cost + 1
             base = next_cost - num_pairs
-            empty: tuple[int, ...] = ()
-            touch_get = touch.get
+            touching_get = touching.get
+            evaluations += len(candidates)
             for candidate in candidates:
                 a2, b2 = candidate
-                touched_a = touch_get(a2, empty)
-                touched_b = touch_get(b2, empty)
                 delta = 0
                 goal = False
-                for pair_index in touched_a:
-                    p1, p2 = pair_phys[pair_index]
-                    n1 = b2 if p1 == a2 else a2 if p1 == b2 else p1
-                    n2 = b2 if p2 == a2 else a2 if p2 == b2 else p2
-                    new = distance[n1][n2]
-                    if new == 1:
-                        goal = True
-                    delta += new - distance[p1][p2]
-                for pair_index in touched_b:
-                    if pair_index in touched_a:
-                        continue
-                    p1, p2 = pair_phys[pair_index]
-                    n1 = b2 if p1 == a2 else a2 if p1 == b2 else p1
-                    n2 = b2 if p2 == a2 else a2 if p2 == b2 else p2
-                    new = distance[n1][n2]
-                    if new == 1:
-                        goal = True
-                    delta += new - distance[p1][p2]
-                evaluations += 1
+                entries = touching_get(a2)
+                if entries:
+                    row = distance[b2]
+                    for other, old in entries:
+                        new = row[other]
+                        if new == 1:
+                            goal = True
+                        delta += new - old
+                entries = touching_get(b2)
+                if entries:
+                    row = distance[a2]
+                    for other, old in entries:
+                        new = row[other]
+                        if new == 1:
+                            goal = True
+                        delta += new - old
                 h_child = h_int + delta
                 estimate = base + h_child
                 if best_goal_f is not None and estimate >= best_goal_f:
@@ -285,7 +268,6 @@ class QmapLikeRouter(RoutingEngine):
                 )
                 counter += 1
         state.cost_evaluations += evaluations
-        self.last_expanded_keys = trace
         return self._greedy_fallback(state, pairs)
 
     def _greedy_fallback(
@@ -293,23 +275,16 @@ class QmapLikeRouter(RoutingEngine):
     ) -> tuple[int, int]:
         """Fallback: the SWAP minimising the summed distance of the front pairs.
 
-        Deterministic: candidates are scanned in sorted order and only a
-        strictly smaller cost replaces the incumbent, so ties resolve to the
+        Deterministic: candidates are scanned in sorted order and ``min``
+        keeps the first of equal costs, so ties resolve to the
         lexicographically first edge on every run.
         """
         candidates = state.candidate_swaps()
         if not candidates:
             raise RouterError("no candidate SWAPs available")
-        distance = state.distance_rows()
         phys_of = state.layout.phys_of
-        front_pairs = [(phys_of[q1], phys_of[q2]) for q1, q2 in pairs]
-        best_cost = float("inf")
-        best = candidates[0]
-        for candidate in candidates:
-            a, b = candidate
-            cost = float(swapped_distance_sum(front_pairs, a, b, distance))
-            if cost < best_cost:
-                best_cost = cost
-                best = candidate
+        front_sum = PairDeltaScorer(
+            ((phys_of[q1], phys_of[q2]) for q1, q2 in pairs), state.distance_rows()
+        ).swapped_sum
         state.cost_evaluations += len(candidates)
-        return best
+        return min(candidates, key=lambda candidate: front_sum(*candidate))

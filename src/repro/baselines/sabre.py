@@ -13,10 +13,11 @@ cost with the release-valve behaviour of the Qiskit implementation (when the
 same front gate stays blocked for too long, SWAPs are forced along its
 shortest path) which keeps runtimes low on adversarial instances.
 
-The cost loop works on per-stall precomputed physical operand pairs and the
-flat distance table's row views; no tentative layout is materialised per
-candidate, and decay resets are O(1) via the generation counter of
-:class:`~repro.routing.decay.DecayTable`.
+Both layer sums are scored with one
+:class:`~repro.routing.engine.PairDeltaScorer` each, built per stall, so a
+candidate only re-reads the pairs on its two qubits; no tentative layout is
+materialised per candidate, and decay resets are O(1) via the generation
+counter of :class:`~repro.routing.decay.DecayTable`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from repro.api.registry import register_router
 from repro.hardware.coupling import CouplingGraph
 from repro.routing.decay import DecayTable
 from repro.routing.engine import (
+    PairDeltaScorer,
     RouterError,
     RoutingEngine,
     RoutingState,
-    swapped_distance_sum,
 )
 
 
@@ -116,16 +117,9 @@ class SabreRouter(RoutingEngine):
             raise RouterError("no candidate SWAPs available")
         extended = self._extended_set(state)
 
-        distance = state.distance_rows()
-        phys_of = state.layout.phys_of
         logical_at = state.layout.logical_at
-        op_pairs = state.op_pairs
-        front_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in front)
-        ]
-        extended_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in extended)
-        ]
+        front_sum = PairDeltaScorer.for_gates(state, front).swapped_sum
+        extended_sum = PairDeltaScorer.for_gates(state, extended).swapped_sum
         front_size = len(front)
         extended_size = len(extended)
         weight = self.extended_set_weight
@@ -135,14 +129,10 @@ class SabreRouter(RoutingEngine):
         best: list[tuple[int, int]] = []
         for candidate in candidates:
             a, b = candidate
-            front_cost = swapped_distance_sum(front_pairs, a, b, distance) / front_size
+            front_cost = front_sum(a, b) / front_size
             extended_cost = 0.0
             if extended_size:
-                extended_cost = (
-                    weight
-                    * swapped_distance_sum(extended_pairs, a, b, distance)
-                    / extended_size
-                )
+                extended_cost = weight * extended_sum(a, b) / extended_size
             decay_a = decay_get(logical_at[a], 1.0)
             decay_b = decay_get(logical_at[b], 1.0)
             max_decay = decay_a if decay_a >= decay_b else decay_b

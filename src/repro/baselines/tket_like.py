@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from repro.api.registry import register_router
 from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import RouterError, RoutingEngine, RoutingState
+from repro.routing.engine import (
+    PairDeltaScorer,
+    RouterError,
+    RoutingEngine,
+    RoutingState,
+)
 
 
 @register_router(
@@ -60,20 +65,10 @@ class TketLikeRouter(RoutingEngine):
         candidates = state.candidate_swaps()
         if not candidates:
             raise RouterError("no candidate SWAPs available")
-        front = state.unresolved_front()
-        upcoming = self._upcoming(state)
-
-        # The minimax cost compares individual terms, so the transposition
-        # stays inline here rather than using swapped_distance_sum.
-        distance = state.distance_rows()
-        phys_of = state.layout.phys_of
-        op_pairs = state.op_pairs
-        front_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in front)
-        ]
-        upcoming_pairs = [
-            (phys_of[q1], phys_of[q2]) for q1, q2 in (op_pairs[i] for i in upcoming)
-        ]
+        front = PairDeltaScorer.for_gates(state, state.unresolved_front())
+        front_longest = front.swapped_longest
+        front_sum = front.swapped_sum
+        upcoming_sum = PairDeltaScorer.for_gates(state, self._upcoming(state)).swapped_sum
         weight = self.lookahead_weight
         last_swap = self._last_swap
 
@@ -81,31 +76,9 @@ class TketLikeRouter(RoutingEngine):
         best: list[tuple[int, int]] = []
         for candidate in candidates:
             a, b = candidate
-            longest = 0
-            total = 0.0
-            for p1, p2 in front_pairs:
-                if p1 == a:
-                    p1 = b
-                elif p1 == b:
-                    p1 = a
-                if p2 == a:
-                    p2 = b
-                elif p2 == b:
-                    p2 = a
-                d = distance[p1][p2]
-                if d > longest:
-                    longest = d
-                total += d
-            for p1, p2 in upcoming_pairs:
-                if p1 == a:
-                    p1 = b
-                elif p1 == b:
-                    p1 = a
-                if p2 == a:
-                    p2 = b
-                elif p2 == b:
-                    p2 = a
-                total += weight * distance[p1][p2]
+            longest = front_longest(a, b)
+            # Exact: the sums are integers and the weight is a power of two.
+            total = front_sum(a, b) + weight * upcoming_sum(a, b)
             if candidate == last_swap:
                 total += 0.5
             key = (float(longest), total)

@@ -110,9 +110,29 @@ def available_backends() -> list[str]:
     return ["sherbrooke", "ankaa3", "sherbrooke-2x", "grid-9x9", "grid-16x16"]
 
 
+#: One shared graph per factory, so aliases resolve to the same instance.
+_RESOLVED: dict[Callable[[], CouplingGraph], CouplingGraph] = {}
+
+
 def backend_by_name(name: str) -> CouplingGraph:
-    """Look up a backend coupling graph by (case-insensitive) name."""
+    """Look up a backend coupling graph by (case-insensitive) name.
+
+    Each backend is built once per process and shared by every compile that
+    names it, so the all-pairs distance table is computed once, not per
+    compile.  The table is built before the graph is published: compiles run
+    on threads (``repro.serve``), and once it exists no lazy cache of the
+    graph is written again.
+    """
     key = name.strip().lower()
     if key not in _BACKENDS:
         raise KeyError(f"unknown backend {name!r}; available: {available_backends()}")
-    return _BACKENDS[key]()
+    factory = _BACKENDS[key]
+    graph = _RESOLVED.get(factory)
+    if graph is None:
+        graph = factory()
+        graph.distance_table()
+        # setdefault publishes atomically: threads racing on a first lookup
+        # all return the first graph stored.  No lock, so a child forked
+        # mid-build never inherits one held.
+        graph = _RESOLVED.setdefault(factory, graph)
+    return graph

@@ -14,11 +14,12 @@ class CouplingGraph:
     set ``Rhw``).  Edges are undirected: if ``(p1, p2)`` is present, a
     two-qubit gate (and a SWAP) may be applied between ``p1`` and ``p2``.
 
-    Adjacency tests and neighbour lists sit on the routing hot path, so they
-    are answered from precomputed structures (a flat row-major adjacency
-    bytearray and per-qubit sorted neighbour tuples) rather than networkx
-    queries; the networkx graph remains the source of truth for everything
-    cold (connectivity checks, path reconstruction, subgraphs).
+    Adjacency tests, neighbour lists and candidate-SWAP edges sit on the
+    routing hot path, so they are answered from precomputed structures (a
+    flat row-major adjacency bytearray, per-qubit sorted neighbour tuples and
+    per-qubit incident-edge tuples) rather than networkx queries; the
+    networkx graph remains the source of truth for everything cold
+    (connectivity checks, path reconstruction, subgraphs).
     """
 
     def __init__(
@@ -46,14 +47,19 @@ class CouplingGraph:
         n = self._num_qubits
         adjacency = bytearray(n * n)
         neighbors: list[tuple[int, ...]] = []
+        incident: list[tuple[tuple[int, int], ...]] = []
         for qubit in range(n):
             around = tuple(sorted(self._graph.neighbors(qubit)))
             neighbors.append(around)
+            incident.append(
+                tuple((min(qubit, other), max(qubit, other)) for other in around)
+            )
             base = qubit * n
             for other in around:
                 adjacency[base + other] = 1
         self._adjacency = bytes(adjacency)
         self._neighbors = tuple(neighbors)
+        self._incident = tuple(incident)
         self._distance = None  # FlatDistanceTable, built lazily once
         self._distance_rows: dict[int, list[int]] = {}
 
@@ -75,9 +81,13 @@ class CouplingGraph:
         return self._adjacency
 
     @property
-    def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
-        """Per-qubit sorted neighbour tuples (hot-path view of the edges)."""
-        return self._neighbors
+    def incident_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-qubit incident edges as ``(min, max)`` pairs (hot-path view).
+
+        Candidate-SWAP sets are the union of these over a footprint of
+        physical qubits.
+        """
+        return self._incident
 
     def edges(self) -> list[tuple[int, int]]:
         """The coupling edges as (min, max) ordered pairs."""

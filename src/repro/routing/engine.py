@@ -18,7 +18,7 @@ Incremental-state contract
 :class:`RoutingState` is an *incremental* kernel: the unresolved front layer,
 its physical-qubit footprint and the candidate-SWAP set are cached and kept
 in sync with gate retirement and SWAP application instead of being recomputed
-on every query.  Heuristics plugged into the engine must respect three rules:
+on every query.  Heuristics plugged into the engine must respect these rules:
 
 * **Read-only views.**  :meth:`RoutingState.unresolved_front`,
   :meth:`RoutingState.front_physical_qubits` and
@@ -45,6 +45,13 @@ on every query.  Heuristics plugged into the engine must respect three rules:
   memoisation that must survive a committed SWAP (layouts change, the
   front layer does not) on the signature instead of recomputing
   per-layer tables from scratch.
+* **Delta scoring.**  Distance-sum costs score candidates with a
+  :class:`PairDeltaScorer` built once per stall from the current physical
+  operand pairs: a SWAP ``(a, b)`` only moves the pairs with an endpoint on
+  ``a`` or ``b``, so each candidate costs O(pairs on two qubits) instead of
+  a re-summation of the whole front and look-ahead.  Integer distances make
+  the delta sum equal to a fresh summation, so the committed SWAP is the
+  same.
 
 Replaying the same seed against the same circuit and device reproduces the
 emitted gate sequence bit for bit: caches only memoise what the non-cached
@@ -57,6 +64,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from repro.circuit.circuit import QuantumCircuit
@@ -72,29 +80,103 @@ class RouterError(RuntimeError):
     """Raised when a router cannot make progress (should never happen on connected devices)."""
 
 
-def swapped_distance_sum(
-    pairs: list[tuple[int, int]], a: int, b: int, distance
-) -> int:
-    """Summed pair distances under the layout with physical qubits a/b exchanged.
+class PairDeltaScorer:
+    """Summed pair distances under every candidate SWAP, from touched pairs only.
 
-    ``pairs`` holds *current* physical operand pairs; the transposition
-    ``(a b)`` is applied arithmetically per operand, so no tentative layout
-    is materialised.  Only usable when the caller consumes the plain sum --
-    costs that weight or compare individual terms must keep their own
-    accumulation to preserve float ordering.
+    Built once per stall from the *current* physical operand pairs.  It holds
+    their summed distance (:attr:`base`) and a per-physical-qubit index
+    (:attr:`touching`) of ``(other endpoint, old distance)`` entries, one per
+    pair endpoint.  A SWAP ``(a, b)`` only moves the pairs with an endpoint
+    on ``a`` or ``b``, so :meth:`swapped_sum` adjusts ``base`` by those
+    pairs' change and never re-sums the rest.  The pair lying on the edge
+    ``(a, b)`` itself keeps its distance and is skipped.  Distances here are
+    integers (:class:`~repro.hardware.distance.FlatDistanceTable`), so
+    ``base - sum(old) + sum(new)`` equals a fresh summation exactly.
+    :meth:`swapped_longest` answers the minimax form of the same query.
     """
-    total = 0
-    for p1, p2 in pairs:
-        if p1 == a:
-            p1 = b
-        elif p1 == b:
-            p1 = a
-        if p2 == a:
-            p2 = b
-        elif p2 == b:
-            p2 = a
-        total += distance[p1][p2]
-    return total
+
+    __slots__ = ("base", "touching", "_distance", "_ranked")
+
+    def __init__(self, pairs, distance):
+        base = 0
+        touching: dict[int, list[tuple[int, int]]] = {}
+        for p1, p2 in pairs:
+            old = distance[p1][p2]
+            base += old
+            touching.setdefault(p1, []).append((p2, old))
+            touching.setdefault(p2, []).append((p1, old))
+        #: Summed distance of the pairs under the current layout.
+        self.base = base
+        #: physical qubit -> ``(other endpoint, old distance)`` per pair on it.
+        self.touching = touching
+        self._distance = distance
+        self._ranked: list[tuple[int, int, int]] | None = None
+
+    @classmethod
+    def for_gates(cls, state: "RoutingState", gates) -> "PairDeltaScorer":
+        """Scorer over two-qubit ``gates`` (circuit indices) at the current layout."""
+        phys_of = state.layout.phys_of
+        return cls(
+            (
+                (phys_of[q1], phys_of[q2])
+                for q1, q2 in map(state.op_pairs.__getitem__, gates)
+            ),
+            state.distance_rows(),
+        )
+
+    def swapped_sum(self, a: int, b: int) -> int:
+        """Summed pair distances with physical qubits ``a`` and ``b`` exchanged."""
+        total = self.base
+        touching = self.touching
+        entries = touching.get(a)
+        if entries:
+            row = self._distance[b]
+            for other, old in entries:
+                if other != b:
+                    total += row[other] - old
+        entries = touching.get(b)
+        if entries:
+            row = self._distance[a]
+            for other, old in entries:
+                if other != a:
+                    total += row[other] - old
+        return total
+
+    def swapped_longest(self, a: int, b: int) -> int:
+        """Largest pair distance with physical qubits ``a`` and ``b`` exchanged.
+
+        The larger of the touched pairs' new distances and the largest
+        untouched distance, found by scanning the pairs by decreasing old
+        distance past the touched ones.  For qubit-disjoint pairs (a front
+        layer) a SWAP touches at most two, so the scan stops within three.
+        """
+        longest = 0
+        touching = self.touching
+        for moved, to in ((a, b), (b, a)):
+            entries = touching.get(moved)
+            if entries:
+                row = self._distance[to]
+                for other, old in entries:
+                    new = old if other == to else row[other]
+                    if new > longest:
+                        longest = new
+        ranked = self._ranked
+        if ranked is None:
+            ranked = self._ranked = sorted(
+                (
+                    (old, moved, other)
+                    for moved, entries in touching.items()
+                    for other, old in entries
+                    if moved < other
+                ),
+                reverse=True,
+            )
+        for old, p1, p2 in ranked:
+            if old <= longest:
+                break
+            if p1 != a and p1 != b and p2 != a and p2 != b:
+                return old
+        return longest
 
 
 @dataclass
@@ -126,7 +208,7 @@ class RoutingState:
         self.is_2q: list[bool] = [gate.is_two_qubit for gate in gates]
         self._num_physical = self.coupling.num_qubits
         self._adjacency = self.coupling.adjacency
-        self._neighbor_table = self.coupling.neighbor_table
+        self._incident_edges = self.coupling.incident_edges
         self._front_dirty = True
         self._unresolved: list[int] = []
         self._front_pairs: list[tuple[int, int]] = []
@@ -221,14 +303,13 @@ class RoutingState:
         self.front_rebuilds += 1
 
     def _build_candidates(self, front_physical: set[int]) -> list[tuple[int, int]]:
-        neighbor_table = self._neighbor_table
-        candidates: set[tuple[int, int]] = set()
-        for p1 in front_physical:
-            for p2 in neighbor_table[p1]:
-                candidates.add((p1, p2) if p1 < p2 else (p2, p1))
+        incident = self._incident_edges
+        candidates = sorted(
+            set(chain.from_iterable(map(incident.__getitem__, front_physical)))
+        )
         self.candidate_builds += 1
         self.candidate_total += len(candidates)
-        return sorted(candidates)
+        return candidates
 
     def kernel_counters(self) -> dict[str, int]:
         """The routing-kernel work counters accumulated during one run."""

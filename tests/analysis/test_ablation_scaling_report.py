@@ -6,7 +6,7 @@ from repro.analysis.ablation import ABLATION_VARIANTS, ablation_study
 from repro.analysis.config import BenchScale, bench_scale
 from repro.analysis.experiments import ComparisonRecord
 from repro.analysis.report import format_table, render_nested_table, render_records
-from repro.analysis.scaling import mapping_time_scaling
+from repro.analysis.scaling import _linear_fit, mapping_time_scaling
 from repro.baselines.sabre import LightSabreRouter
 from repro.benchgen.queko import generate_queko_circuit
 from repro.hardware.topologies import grid_topology
@@ -43,12 +43,22 @@ class TestAblation:
 
 
 class TestScaling:
+    def test_linear_fit_on_known_points(self):
+        slope, intercept, r_squared = _linear_fit([1.0, 2.0, 3.0, 4.0], [3.0, 5.0, 7.0, 9.0])
+        assert (slope, intercept, r_squared) == pytest.approx((2.0, 1.0, 1.0))
+        # Least squares through (0,0), (1,2), (2,1), (3,3): sxy = 4, sxx = 5,
+        # residual sum of squares 1.8 against a total of 5.
+        slope, intercept, r_squared = _linear_fit([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0])
+        assert (slope, intercept, r_squared) == pytest.approx((0.8, 0.3, 0.64))
+
     def test_scaling_points_and_fit(self):
+        # Route times are host timings, so only the fit's arithmetic is checked.
         result = mapping_time_scaling(DEVICE, GRID, depths=[4, 8, 12], seed=1)
         assert len(result.points) == 3
         qops = [p.qops for p in result.points]
         assert qops == sorted(qops)
-        assert result.slope >= 0
+        fit = _linear_fit([float(q) for q in qops], [p.seconds for p in result.points])
+        assert (result.slope, result.intercept, result.r_squared) == fit
         data = result.as_dict()
         assert data["mapper"] == "qlosure"
         assert len(data["points"]) == 3

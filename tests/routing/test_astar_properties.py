@@ -14,7 +14,9 @@ the search-theoretic properties that proof rests on:
   (identical output on every run);
 * routing the same seed twice emits bit-for-bit identical gate sequences;
 * the adaptive near-routable budget commits exactly the SWAPs the
-  untightened search would.
+  untightened search would;
+* skipping the search when no goal is within ``max_sequence_length`` SWAPs
+  commits exactly the SWAPs the search would have fallen back to.
 """
 
 from __future__ import annotations
@@ -135,6 +137,28 @@ class RecordingRouter(QmapLikeRouter):
         return swap
 
 
+class SkipCountingRouter(RecordingRouter):
+    """Counts searches skipped for an unreachable goal (nothing expanded)."""
+
+    def __init__(self, coupling, seed=0):
+        super().__init__(coupling, seed)
+        self.skipped = 0
+
+    def select_swap(self, state):
+        swap = super().select_swap(state)
+        # A search always expands its root, so an empty trace is a skip.
+        self.skipped += self.last_expanded_keys == []
+        return swap
+
+
+class NeverSkippingRouter(QmapLikeRouter):
+    """Searches even when no goal is within ``max_sequence_length`` SWAPs."""
+
+    @staticmethod
+    def _admissible_bound(distance, placement, pairs):
+        return 0
+
+
 class ExhaustedBudgetRouter(QmapLikeRouter):
     """Budget of one: every search exhausts after the root expansion."""
 
@@ -189,6 +213,35 @@ class TestSearchProperties:
             assert _route_gates(QmapLikeRouter, circuit, coupling) == _route_gates(
                 UntightenedRouter, circuit, coupling
             )
+
+    def far_workloads(self):
+        """Operands far apart, so the first searches have no reachable goal."""
+        line = line_topology(12)
+        on_line = QuantumCircuit(12)
+        on_line.cx(0, 11)
+        on_line.cx(1, 10)
+        on_line.cx(0, 1)
+        grid = grid_topology(5, 5)
+        on_grid = QuantumCircuit(25)
+        on_grid.cx(0, 24)
+        on_grid.cx(4, 20)
+        on_grid.cx(0, 4)
+        return [(on_line, line), (on_grid, grid)]
+
+    def test_unreachable_goal_skip_commits_the_searched_swaps(self):
+        for circuit, coupling in self.far_workloads():
+            skipping = QmapLikeRouter(coupling).run(circuit)
+            searching = NeverSkippingRouter(coupling).run(circuit)
+            assert [(g.name, g.qubits) for g in skipping.routed_circuit] == [
+                (g.name, g.qubits) for g in searching.routed_circuit
+            ]
+            assert skipping.cost_evaluations < searching.cost_evaluations
+
+    def test_skip_path_still_records_expansions(self):
+        for circuit, coupling in self.far_workloads():
+            router = SkipCountingRouter(coupling)
+            router.run(circuit)
+            assert router.skipped > 0
 
     def test_nearly_routable_front_commits_the_optimal_swap(self):
         """Single pair at distance 2 resolves with exactly one SWAP."""
