@@ -13,9 +13,13 @@ test-fast:
 
 ## Golden determinism snapshots: every registered router against the pinned
 ## routed outputs under tests/data/golden/ (the required gate for hot-path
-## changes; regen via tests/routing/test_golden.py --update-golden).
+## changes; regen via tests/routing/test_golden.py --update-golden), plus the
+## kernel oracles: the incremental A* against a textbook search, the shared
+## delta scorer against re-summation, and Qlosure's M(s) scorer against a
+## brute-force evaluation.  A drifting scorer fails here in seconds.
 test-golden:
-	$(PYTHON) -m pytest tests/routing/test_golden.py -q
+	$(PYTHON) -m pytest tests/routing/test_golden.py tests/routing/test_astar_properties.py \
+		tests/routing/test_pair_delta_scorer.py tests/core/test_cost.py -q
 
 ## Compile-cache battery: serialization round-trip exactness (golden-hash
 ## oracle), fingerprint sensitivity, warm-vs-cold bit-for-bit determinism and
@@ -76,11 +80,12 @@ serve:
 bench:
 	$(PYTHON) benchmarks/perf_smoke.py
 
-## Pre-commit gate: golden determinism snapshots first (a routed-output
-## regression fails in seconds, before the slow suite), then the compile-cache
-## battery, then the bounded piece-store battery, then the fault-injection
-## suite, then the compile-service suite, then the benchmark self-test,
-## then tier-1 tests, then a CLI smoke of the public surface
+## Pre-commit gate: golden determinism snapshots and kernel oracles first (a
+## routed-output or scorer regression fails in seconds, before the slow
+## suite), then the compile-cache battery, then the bounded piece-store
+## battery, then the fault-injection suite, then the compile-service suite,
+## then the benchmark self-test, then tier-1 tests, then a CLI smoke of the
+## public surface
 ## (`repro-map map` routes through repro.api.compile; `bench --quick` drives
 ## the compile_many batch driver on a reduced fixture, run twice against one
 ## --cache-dir so the second run exercises warm disk hits end to end).

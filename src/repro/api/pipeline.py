@@ -10,7 +10,8 @@ function of the request: same request, same bits.
 Pass responsibilities:
 
 * ``load``      materialise the circuit (in-memory / QASM file / generator
-  spec) and resolve the backend coupling graph,
+  spec), reject gates on more than two qubits and resolve the backend
+  coupling graph,
 * ``place``     build the initial layout with the requested strategy
   (:mod:`repro.core.placement`),
 * ``route``     instantiate the router from the registry and run it -- this
@@ -119,6 +120,16 @@ def load_circuit(
         raise CompileError(f"cannot generate {generate!r}: {message}") from exc
 
 
+def _check_routable(circuit: QuantumCircuit) -> None:
+    """Reject gates on more than two qubits, which no router can place."""
+    for position, gate in enumerate(circuit):
+        if len(gate.qubits) > 2 and not gate.is_barrier:
+            raise CompileError(
+                f"gate #{position} ({gate!r}) acts on more than two qubits; "
+                "decompose before routing"
+            )
+
+
 def resolve_backend(backend: str | CouplingGraph) -> CouplingGraph:
     """Resolve a backend name to its coupling graph (graphs pass through)."""
     if isinstance(backend, CouplingGraph):
@@ -205,6 +216,7 @@ def compile_uncached(
             start = time.perf_counter()
             with tracer.span("load"):
                 circuit = load_circuit(request.circuit, request.qasm, request.generate)
+                _check_routable(circuit)
                 coupling = resolve_backend(request.backend)
             timings["load"] = time.perf_counter() - start
 

@@ -14,27 +14,33 @@ fallback.
 
 The search is *incremental* on the shared routing kernel:
 
-* **Deferred materialisation.**  Heap entries carry ``(parent, swap)``
+* **Deferred materialisation.**  Queue entries carry ``(parent, swap)``
   instead of placement copies; a node's flat placement (logical index ->
   physical qubit) is materialised only when the node is popped, as one list
   copy plus an O(1) two-entry update through the parent's inverse map.
-  Pushes outnumber pops ~8x on the QUEKO workload (752k pushes, 97k pops
-  over the 54-qubit smoke fixture), so the per-push O(n) copy + O(n) swap
-  scan of the naive formulation disappears from the profile.
-* **Incremental heuristics.**  Each expanded node indexes its pairs with a
-  :class:`~repro.routing.engine.PairDeltaScorer`, as ``(other endpoint,
-  old distance)`` entries per physical qubit; a child's heuristic
-  is the parent's summed distance plus the delta of the entries on the two
-  swapped qubits, read through one bound distance row per qubit (integer
+  Pushes outnumber pops ~8x on the QUEKO workload (752k pushes, 97k pops,
+  74k expansions over the 54-qubit smoke fixture), so the per-push O(n)
+  copy + O(n) swap scan of the naive formulation disappears from the
+  profile.
+* **Incremental heuristics.**  Front gates are qubit-disjoint, so each
+  search builds one partner table over the front's logical qubits.  A
+  child's heuristic is the parent's summed distance plus the change of the
+  (at most two) pairs with an operand on the swapped qubits, read through
+  the node's inverse map, the partner table and its placement: integer
   arithmetic on the flat distance table, so the values are bit-for-bit
-  those of a fresh summation).  Goal detection rides along: an expanded
-  node has every pair at distance >= 2, so a child reaches the goal exactly
-  when a touched pair lands at distance 1.
+  those of a fresh summation, and no node builds an index.  Goal detection
+  rides along: an expanded node has every pair at distance >= 2, so a child
+  reaches the goal exactly when a touched pair lands at distance 1.
+* **Bucket queue.**  A SWAP moves at most two pairs by one each, so a
+  child's integer estimate lies within ``[f - 1, f + 3]`` of its parent's,
+  and the open list is one FIFO deque per estimate instead of a binary
+  heap.  FIFO order is insertion order, so nodes pop in exactly the
+  ``(f, insertion counter)`` order of the heap formulation.
 * **Candidate lists.**  The root reuses the engine's cached
   :meth:`~repro.routing.engine.RoutingState.candidate_swaps` view; an
   interior node's candidates are the sorted union of the device's
-  per-qubit incident edges over its footprint (the physical qubits hosting
-  front-layer operands), built in C-level calls.
+  per-qubit incident edges over its footprint (the placements of the front
+  qubits), built in C-level calls.
 * **Unreachable goals.**  A SWAP moves any pair's distance by at most one,
   so when even the closest pair needs more than
   :attr:`max_sequence_length` SWAPs (:meth:`_admissible_bound`), no goal is
@@ -49,14 +55,14 @@ The search is *incremental* on the shared routing kernel:
   budget in deeper searches falls back to the deterministic greedy rule.
 
 The committed SWAP sequence is bit-for-bit identical to the naive
-formulation: the heap ordering key ``(f, insertion counter)``, the visited
-set keyed on placement signatures, and the expansion order of candidates are
-all preserved exactly.
+formulation: the pop order ``(f, insertion counter)``, the visited set keyed
+on placement signatures, and the expansion order of candidates are all
+preserved exactly.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from itertools import chain
 
 from repro.api.registry import register_router
@@ -134,9 +140,16 @@ class QmapLikeRouter(RoutingEngine):
             return self._greedy_fallback(state, pairs)
         num_pairs = len(pairs)
 
+        # Front gates are qubit-disjoint, so every front qubit has exactly
+        # one partner; a node reads its pairs through its own placement.
+        partner: dict[int, int] = {}
         h_root = 0
         for q1, q2 in pairs:
+            partner[q1] = q2
+            partner[q2] = q1
             h_root += distance[start[q1]][start[q2]]
+        front_qubits = list(partner)
+        partner_get = partner.get
 
         budget = self.node_budget
         if num_pairs == 1 and h_root == 2:
@@ -147,38 +160,39 @@ class QmapLikeRouter(RoutingEngine):
         # the live layout views, which the search never mutates).
         placements: list[list[int]] = [start]
         inverses: list[list[int | None]] = [layout.logical_at]
-        # Heap entries: (estimate, counter, cost, summed distance, parent
-        # record, swap from parent, first swap of the sequence, goal flag).
-        # Estimates are ints; they order the heap exactly like the equal-
-        # valued floats of the naive formulation.
-        frontier: list[tuple] = [
-            (h_root - num_pairs, 0, 0, h_root, 0, None, None, False)
-        ]
-        counter = 1
+        max_length = self.max_sequence_length
+        # Bucket queue (see the module docstring): estimate f = cost + h -
+        # pairs sits at slot f + offset, and every queued f lies within
+        # [f_root - max_length, f_root + 3 * max_length].  Entries: (cost,
+        # summed distance, parent record, swap from parent, first swap of
+        # the sequence, goal flag).
+        offset = max_length - (h_root - num_pairs)
+        buckets = [deque() for _ in range(4 * max_length + 1)]
+        buckets[max_length].append((0, h_root, 0, None, None, False))
+        low = max_length
+        queued = 1
         visited: set[tuple[int, ...]] = set()
         expanded = 0
         evaluations = 0
-        max_length = self.max_sequence_length
         incident = self.coupling.incident_edges.__getitem__
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        # Estimate of the cheapest goal node sitting in the heap.  Any child
-        # generated later with estimate >= this can never be popped before
-        # that goal (insertion counters are monotonic), and the search
-        # returns at the first goal pop, so pushing it would be dead work;
-        # it is evaluated (the counter stays exact) but not enqueued.  On
-        # budget exhaustion the skipped nodes were equally unreachable, so
-        # the fallback decision is untouched.
-        best_goal_f: int | None = None
+        # Slot of the cheapest goal node sitting in the queue.  Any child
+        # generated later with a slot >= this queues behind that goal, and
+        # the search returns at the first goal pop, so enqueueing it would
+        # be dead work; it is evaluated but not enqueued.  On budget
+        # exhaustion the skipped nodes were equally unreachable, so the
+        # fallback decision is untouched.
+        best_goal_slot: int | None = None
 
-        while frontier and expanded < budget:
-            _, _, cost, h_int, parent, swap, first_swap, is_goal = heappop(
-                frontier
-            )
+        while queued and expanded < budget:
+            bucket = buckets[low]
+            while not bucket:
+                low += 1
+                bucket = buckets[low]
+            cost, h_int, parent, swap, first_swap, is_goal = bucket.popleft()
+            queued -= 1
             if swap is None:
                 placement = start
-                parent_inverse = inverses[0]
-                l1 = l2 = None
+                inverse = parent_inverse = inverses[0]
             else:
                 parent_inverse = inverses[parent]
                 a, b = swap
@@ -204,6 +218,7 @@ class QmapLikeRouter(RoutingEngine):
 
             if swap is None:
                 record = 0
+                candidates = state.candidate_swaps()
             else:
                 inverse = list(parent_inverse)
                 inverse[a] = l2
@@ -211,62 +226,50 @@ class QmapLikeRouter(RoutingEngine):
                 record = len(placements)
                 placements.append(placement)
                 inverses.append(inverse)
-
-            touching = PairDeltaScorer(
-                ((placement[q1], placement[q2]) for q1, q2 in pairs), distance
-            ).touching
-            if swap is None:
-                candidates = state.candidate_swaps()
-            else:
-                candidates = sorted(set(chain.from_iterable(map(incident, touching))))
+                footprint = map(placement.__getitem__, front_qubits)
+                candidates = sorted(set(chain.from_iterable(map(incident, footprint))))
 
             # An expanded node is no goal, so every pair sits at distance
             # >= 2: none lies on a candidate edge, and a child is a goal
             # exactly when a touched pair lands at distance 1.
             next_cost = cost + 1
-            base = next_cost - num_pairs
-            touching_get = touching.get
+            slot_base = next_cost - num_pairs + offset
             evaluations += len(candidates)
             for candidate in candidates:
                 a2, b2 = candidate
-                delta = 0
+                h_child = h_int
                 goal = False
-                entries = touching_get(a2)
-                if entries:
-                    row = distance[b2]
-                    for other, old in entries:
-                        new = row[other]
-                        if new == 1:
-                            goal = True
-                        delta += new - old
-                entries = touching_get(b2)
-                if entries:
-                    row = distance[a2]
-                    for other, old in entries:
-                        new = row[other]
-                        if new == 1:
-                            goal = True
-                        delta += new - old
-                h_child = h_int + delta
-                estimate = base + h_child
-                if best_goal_f is not None and estimate >= best_goal_f:
+                mate = partner_get(inverse[a2])
+                if mate is not None:
+                    other = placement[mate]
+                    new = distance[b2][other]
+                    h_child += new - distance[a2][other]
+                    goal = new == 1
+                mate = partner_get(inverse[b2])
+                if mate is not None:
+                    other = placement[mate]
+                    new = distance[a2][other]
+                    h_child += new - distance[b2][other]
+                    if new == 1:
+                        goal = True
+                slot = slot_base + h_child
+                if best_goal_slot is not None and slot >= best_goal_slot:
                     continue
                 if goal:
-                    best_goal_f = estimate
-                heappush(
-                    frontier,
+                    best_goal_slot = slot
+                buckets[slot].append(
                     (
-                        estimate,
-                        counter,
                         next_cost,
                         h_child,
                         record,
                         candidate,
                         first_swap if first_swap is not None else candidate,
                         goal,
-                    ),
+                    )
                 )
-                counter += 1
+                queued += 1
+                if slot < low:
+                    low = slot
         state.cost_evaluations += evaluations
         return self._greedy_fallback(state, pairs)
 

@@ -72,58 +72,45 @@ def build_lookahead(
         return LookaheadWindow([front_two_qubit] if front_two_qubit else [])
 
     target = window_size(state, lookahead_constant, cap)
-    level: dict[int, int] = {}
-    in_window: set[int] = set()
+    level: dict[int, int] = {}  # window gate -> layer
     collected_two_qubit = 0
 
     # Seed with every unexecuted front gate (level 1).
     queue: deque[int] = deque()
     for index in sorted(state.front):
         level[index] = 1
-        in_window.add(index)
         queue.append(index)
         if is_2q[index]:
             collected_two_qubit += 1
 
-    # Expand in topological order while the two-qubit budget lasts.
-    executed = state.executed
+    # Expand in topological order while the two-qubit budget lasts.  A
+    # successor's unexecuted predecessors are counted by the engine already
+    # (``pending_predecessors``); window gates are unexecuted, so their
+    # successors are too.
+    pending = state.pending_predecessors
     successors_of = state.dag.successors
     predecessors_of = state.dag.predecessors
     remaining_preds: dict[int, int] = {}
     while queue and collected_two_qubit < target:
         current = queue.popleft()
         for successor in successors_of(current):
-            if successor in in_window or successor in executed:
+            if successor in level:
                 continue
-            if successor not in remaining_preds:
-                remaining_preds[successor] = sum(
-                    1
-                    for predecessor in predecessors_of(successor)
-                    if predecessor not in executed
-                )
-            remaining_preds[successor] -= 1
-            if remaining_preds[successor] > 0:
+            remaining = remaining_preds.get(successor, pending[successor]) - 1
+            remaining_preds[successor] = remaining
+            if remaining > 0:
                 continue
-            predecessor_levels = [
-                level[p]
-                for p in predecessors_of(successor)
-                if p in level
-            ]
-            level[successor] = 1 + max(predecessor_levels, default=0)
-            in_window.add(successor)
+            level[successor] = 1 + max(
+                (level[p] for p in predecessors_of(successor) if p in level), default=0
+            )
             queue.append(successor)
             if is_2q[successor]:
                 collected_two_qubit += 1
                 if collected_two_qubit >= target:
                     break
 
-    max_level = max(
-        (lvl for index, lvl in level.items() if is_2q[index]),
-        default=0,
-    )
-    layers: list[list[int]] = [[] for _ in range(max_level)]
+    layers: dict[int, list[int]] = {}
     for index, lvl in level.items():
         if is_2q[index]:
-            layers[lvl - 1].append(index)
-    layers = [sorted(layer) for layer in layers if layer]
-    return LookaheadWindow(layers)
+            layers.setdefault(lvl, []).append(index)
+    return LookaheadWindow([sorted(layers[lvl]) for lvl in sorted(layers)])

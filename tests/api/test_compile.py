@@ -13,6 +13,7 @@ from repro.api import (
     CompileRequest,
     UnknownRouterError,
     compile as api_compile,
+    compile_many,
     router_names,
 )
 from repro.baselines.cirq_like import CirqLikeRouter
@@ -22,6 +23,8 @@ from repro.baselines.sabre import LightSabreRouter, SabreRouter
 from repro.baselines.tket_like import TketLikeRouter
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
+from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gate import Gate
 from repro.circuit.validation import RoutingValidationError, verify_routing
 from repro.core.config import QlosureConfig
 from repro.core.mapper import QlosureMapper
@@ -237,3 +240,57 @@ class TestErrors:
     def test_missing_qasm_file_rejected(self, tmp_path):
         with pytest.raises(CompileError, match="cannot read QASM file"):
             api_compile(CompileRequest(qasm=tmp_path / "missing.qasm", backend=GRID))
+
+
+def toffoli_circuit(qubits=(0, 2, 4)) -> QuantumCircuit:
+    """A three-qubit gate followed by a CNOT that needs routing."""
+    circuit = QuantumCircuit(30)
+    circuit.append(Gate("ccx", qubits))
+    circuit.cx(0, 4)
+    return circuit
+
+
+class TestWideGates:
+    """Gates on more than two qubits fail the load pass, for every router."""
+
+    @pytest.mark.parametrize("router", ["sabre", "qlosure", "qmap"])
+    @pytest.mark.parametrize("validation", ["none", "full"])
+    def test_rejected_before_routing(self, router, validation):
+        request = CompileRequest(
+            circuit=toffoli_circuit(),
+            backend="sherbrooke",
+            router=router,
+            validation=validation,
+        )
+        with pytest.raises(CompileError, match="acts on more than two qubits") as caught:
+            api_compile(request, cache=False)
+        assert caught.value.phase == "load"
+
+    @pytest.mark.parametrize("router", ["sabre", "qlosure", "qmap"])
+    def test_adjacent_operands_are_not_passed_through(self, router):
+        # The first two operands sit on coupled qubits, so the routers would
+        # emit the gate unrouted, third operand and all.
+        request = CompileRequest(
+            circuit=toffoli_circuit((0, 1, 29)),
+            backend="sherbrooke",
+            router=router,
+            validation="none",
+        )
+        with pytest.raises(CompileError, match="gate #0"):
+            api_compile(request, cache=False)
+
+    def test_collected_failure_names_the_load_pass(self):
+        request = CompileRequest(circuit=toffoli_circuit(), backend="sherbrooke")
+        batch = compile_many([request], on_error="collect")
+        (error,) = batch.errors
+        assert error.phase == "load"
+
+    def test_wide_barriers_stay_allowed(self):
+        circuit = QuantumCircuit(5)
+        circuit.append(Gate("barrier", (0, 2, 4)))
+        circuit.cx(0, 4)
+        result = api_compile(
+            CompileRequest(circuit=circuit, backend="sherbrooke", validation="full"),
+            cache=False,
+        )
+        assert result.swaps_added > 0

@@ -1,14 +1,19 @@
 """Tests for the Qlosure cost function M(s)."""
 
+import random
+
 import pytest
 
+from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.config import QlosureConfig
 from repro.core.cost import WindowScorer, swap_cost, tentative_physical
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.hardware.topologies import line_topology
+from repro.routing.layout import Layout
 
 from tests.core.test_lookahead import make_state
+from tests.routing.test_astar_properties import random_connected_coupling
 
 
 def blocked_cnot_state(num_qubits: int = 5):
@@ -137,3 +142,92 @@ class TestWindowScorer:
         scorer = WindowScorer(state, window, {0: 1}, {}, config)
         # A swap between empty far-away qubits leaves every window gate alone.
         assert scorer.score((2, 3)) == pytest.approx(scorer.base_score())
+
+
+#: Every ablation of the cost, and each factor switched off on its own.
+ORACLE_CONFIGS = {
+    "full": QlosureConfig.full(),
+    "distance-only": QlosureConfig.distance_only(),
+    "layer-adjusted": QlosureConfig.layer_adjusted(),
+    "dependency-weighted": QlosureConfig.dependency_weighted(),
+    "no-discount": QlosureConfig(use_layer_discount=False),
+    "no-normalization": QlosureConfig(use_layer_normalization=False),
+}
+
+
+def brute_force_layer_sum(state, swap, window, weights, config) -> float:
+    """``sum_l Gamma_l / |G_l|`` from the module docstring, under ``phi o swap``.
+
+    ``swap=None`` evaluates the current layout.
+    """
+    distance = state.coupling.distance_matrix()
+
+    def physical(logical):
+        if swap is None:
+            return state.layout.phys_of[logical]
+        return tentative_physical(state, logical, swap)
+
+    layer_sum = 0.0
+    for layer_index, layer in enumerate(window.layers, start=1):
+        gamma = 0.0
+        for gate_index in layer:
+            q1, q2 = state.gate(gate_index).qubits
+            omega = max(weights.get(gate_index, 0), 1) if config.use_dependence_weights else 1
+            discount = layer_index if config.use_layer_discount else 1
+            gamma += omega * distance[physical(q1)][physical(q2)] / discount
+        layer_sum += gamma / len(layer) if config.use_layer_normalization else gamma
+    return layer_sum
+
+
+def brute_force_cost(state, swap, window, weights, decay, config) -> float:
+    """``M(s)``: the layer sum times the larger decay of the two moved qubits."""
+    layer_sum = brute_force_layer_sum(state, swap, window, weights, config)
+    if not config.use_decay:
+        return layer_sum
+    logical_at = state.layout.logical_at
+    return layer_sum * max(decay.get(logical_at[p], 1.0) for p in swap)
+
+
+def random_state(rng: random.Random):
+    """A random circuit on a random connected device under a random layout."""
+    device = random_connected_coupling(rng.randint(4, 12), rng)
+    num_logical = rng.randint(3, device.num_qubits)
+    circuit = random_circuit(
+        num_logical, rng.randint(10, 60), two_qubit_fraction=0.85, seed=rng.randrange(10**6)
+    )
+    state = make_state(circuit, device)
+    placement = rng.sample(range(device.num_qubits), num_logical)
+    state.layout = Layout(num_logical, device.num_qubits, placement)
+    state.mark_front_dirty()
+    return state
+
+
+class TestScorerOracle:
+    """The incremental scorer against a fresh evaluation of ``M(s)``."""
+
+    @pytest.mark.parametrize("variant", sorted(ORACLE_CONFIGS))
+    @pytest.mark.parametrize("trial", range(15))
+    def test_score_matches_brute_force_on_every_edge(self, variant, trial):
+        config = ORACLE_CONFIGS[variant]
+        rng = random.Random(1000 * trial + len(variant))
+        state = random_state(rng)
+        window = build_lookahead(
+            state, rng.randint(2, 8), front_only=config.lookahead_only_front
+        )
+        weights = {
+            index: rng.randint(0, 30)
+            for index in range(len(state.circuit.gates))
+            if rng.random() < 0.9
+        }
+        decay = {
+            logical: 1.0 + rng.choice((0.0, 0.001, 0.002, 0.005)) * rng.randint(0, 5)
+            for logical in range(state.circuit.num_qubits)
+        }
+        scorer = WindowScorer(state, window, weights, decay, config)
+        assert scorer.base_score() == pytest.approx(
+            brute_force_layer_sum(state, None, window, weights, config), rel=1e-12
+        )
+        for a, b in state.coupling.edges():
+            for swap in ((a, b), (b, a)):
+                expected = brute_force_cost(state, swap, window, weights, decay, config)
+                assert scorer.score(swap) == pytest.approx(expected, rel=1e-12)

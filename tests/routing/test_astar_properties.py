@@ -16,11 +16,14 @@ the search-theoretic properties that proof rests on:
 * the adaptive near-routable budget commits exactly the SWAPs the
   untightened search would;
 * skipping the search when no goal is within ``max_sequence_length`` SWAPs
-  commits exactly the SWAPs the search would have fallen back to.
+  commits exactly the SWAPs the search would have fallen back to;
+* the whole router emits the gates of a textbook A* (binary heap, full
+  placement copies, recomputed heuristic, plain node budget).
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 
@@ -171,6 +174,55 @@ class UntightenedRouter(QmapLikeRouter):
     near_routable_budget = 10**9
 
 
+class ReferenceAStarRouter(QmapLikeRouter):
+    """The textbook search the incremental one must reproduce gate for gate.
+
+    A binary heap on ``(f, counter)``, a full placement copy per child with
+    the summed-distance heuristic recomputed, a closed set on placements,
+    the plain node budget (no near-routable tightening, no unreachable-goal
+    skip, no push pruning), and the greedy rule when the budget runs out.
+    """
+
+    def select_swap(self, state):
+        pairs = state.front_pairs()
+        distance = state.distance_rows()
+        edges = self.coupling.edges()
+
+        def summed(placement):
+            return sum(distance[placement[q1]][placement[q2]] for q1, q2 in pairs)
+
+        def candidates(placement):
+            footprint = {placement[q] for pair in pairs for q in pair}
+            return [(a, b) for a, b in sorted(edges) if a in footprint or b in footprint]
+
+        def swapped(placement, a, b):
+            return [b if p == a else a if p == b else p for p in placement]
+
+        start = list(state.layout.phys_of)
+        frontier = [(summed(start) - len(pairs), 0, 0, start, None)]
+        counter = 1
+        closed = set()
+        expanded = 0
+        while frontier and expanded < self.node_budget:
+            _, _, cost, placement, first = heapq.heappop(frontier)
+            if tuple(placement) in closed:
+                continue
+            closed.add(tuple(placement))
+            expanded += 1
+            if cost and any(distance[placement[q1]][placement[q2]] == 1 for q1, q2 in pairs):
+                return first
+            if cost >= self.max_sequence_length:
+                continue
+            for a, b in candidates(placement):
+                child = swapped(placement, a, b)
+                estimate = cost + 1 + summed(child) - len(pairs)
+                heapq.heappush(frontier, (estimate, counter, cost + 1, child, first or (a, b)))
+                counter += 1
+        return min(
+            candidates(start), key=lambda edge: summed(swapped(start, *edge))
+        )
+
+
 def _route_gates(router_cls, circuit, coupling, seed=0, **kwargs):
     result = router_cls(coupling, seed=seed, **kwargs).run(circuit)
     return [(g.name, g.qubits, g.params) for g in result.routed_circuit]
@@ -250,3 +302,30 @@ class TestSearchProperties:
         line = line_topology(4)
         result = QmapLikeRouter(line).run(circuit, initial_layout={0: 0, 1: 2})
         assert result.swaps_added == 1
+
+
+class TestReferenceSearch:
+    """The incremental router against :class:`ReferenceAStarRouter`."""
+
+    def random_workloads(self):
+        workloads = []
+        for trial in range(8):
+            rng = random.Random(4000 + trial)
+            coupling = random_connected_coupling(rng.randint(6, 16), rng)
+            queko = generate_queko_circuit(coupling, depth=rng.randint(3, 8), seed=trial)
+            workloads.append((queko.circuit, coupling))
+            circuit = random_circuit(
+                rng.randint(4, coupling.num_qubits), 60, seed=rng.randrange(10**6)
+            )
+            workloads.append((circuit, coupling))
+        return workloads
+
+    def test_matches_reference_on_every_workload(self):
+        properties = TestSearchProperties()
+        workloads = (
+            properties.workloads() + properties.far_workloads() + self.random_workloads()
+        )
+        for circuit, coupling in workloads:
+            assert _route_gates(QmapLikeRouter, circuit, coupling) == _route_gates(
+                ReferenceAStarRouter, circuit, coupling
+            )

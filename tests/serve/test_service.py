@@ -16,6 +16,8 @@ from repro.api import compile as api_compile
 from repro.api.cache import request_fingerprint
 from repro.api.serialize import request_to_payload, result_to_payload
 from repro.benchgen.qasmbench import ghz_circuit
+from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gate import Gate
 from repro.serve import CompileService, ServeConfig
 
 
@@ -101,6 +103,22 @@ class TestCompileEndpoint:
         response = run(with_service(ServeConfig(), scenario))
         assert response.status == 400
         assert "truncated" in response.body["error"]["message"]
+
+    def test_wide_gate_in_circuit_table_is_a_structured_400(self):
+        circuit = QuantumCircuit(5)
+        circuit.append(Gate("ccx", (0, 2, 4)))
+        circuit.cx(0, 4)
+        body = request_to_payload(
+            CompileRequest(circuit=circuit, backend="sherbrooke", router="qmap")
+        )
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/compile", {}, body)
+
+        response = run(with_service(ServeConfig(), scenario))
+        assert response.status == 400
+        assert response.body["error"]["phase"] == "load"
+        assert "more than two qubits" in response.body["error"]["message"]
 
     def test_unknown_path_is_404_and_wrong_method_is_405(self):
         async def scenario(service):
