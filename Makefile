@@ -75,10 +75,10 @@ serve:
 
 ## Routing perf smoke: routes a pinned QUEKO workload with every router and
 ## writes BENCH_routing.json, the machine-readable perf trajectory.
-## Add `--compare BENCH_routing.json` (before overwriting) to fail on any
-## per-router mean swaps/depth drift.
+## `$(PYTHON) -m repro bench --output X.json --compare BENCH_routing.json`
+## fails on any per-router mean swaps/depth drift.
 bench:
-	$(PYTHON) benchmarks/perf_smoke.py
+	$(PYTHON) -m repro bench
 
 ## Pre-commit gate: golden determinism snapshots and kernel oracles first (a
 ## routed-output or scorer regression fails in seconds, before the slow
@@ -97,7 +97,7 @@ check: test-golden test-cache test-cache-store test-faults test-serve bench-self
 	$(PYTHON) -m repro trace chrome $(or $(TMPDIR),/tmp)/repro-check.trace.jsonl --output $(or $(TMPDIR),/tmp)/repro-check.chrome.json
 	rm -rf $(or $(TMPDIR),/tmp)/repro-cache-check
 	$(PYTHON) -m repro bench --quick --workers 2 --cache-dir $(or $(TMPDIR),/tmp)/repro-cache-check --output $(or $(TMPDIR),/tmp)/BENCH_quick.json
-	$(PYTHON) benchmarks/perf_smoke.py --quick --workers 2 --cache-dir $(or $(TMPDIR),/tmp)/repro-cache-check --output $(or $(TMPDIR),/tmp)/BENCH_quick_warm.json --compare $(or $(TMPDIR),/tmp)/BENCH_quick.json
+	$(PYTHON) -m repro bench --quick --workers 2 --cache-dir $(or $(TMPDIR),/tmp)/repro-cache-check --output $(or $(TMPDIR),/tmp)/BENCH_quick_warm.json --compare $(or $(TMPDIR),/tmp)/BENCH_quick.json
 	$(PYTHON) -m repro cache info --cache-dir $(or $(TMPDIR),/tmp)/repro-cache-check
 	$(PYTHON) -m repro cache clear --cache-dir $(or $(TMPDIR),/tmp)/repro-cache-check
 	@echo "make check: OK"

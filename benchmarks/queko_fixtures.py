@@ -12,12 +12,7 @@ from functools import lru_cache
 
 from repro.analysis.config import bench_scale
 from repro.analysis.experiments import compare_mappers
-from repro.baselines.cirq_like import CirqLikeRouter
-from repro.baselines.qmap_like import QmapLikeRouter
-from repro.baselines.sabre import LightSabreRouter
-from repro.baselines.tket_like import TketLikeRouter
 from repro.benchgen.queko import generate_queko_circuit
-from repro.core.mapper import QlosureMapper
 from repro.hardware.backends import ankaa3, sherbrooke, sherbrooke_2x
 from repro.hardware.backends import grid_16x16
 from repro.hardware.topologies import grid_topology
@@ -28,16 +23,10 @@ BASE_DEPTHS = (5, 10, 15, 20)
 BASE_DEPTHS_2X = (3, 6)
 
 
-def _mappers(backend, include_qmap: bool = True):
-    mappers = {
-        "lightsabre": LightSabreRouter(backend),
-        "cirq": CirqLikeRouter(backend),
-        "tket": TketLikeRouter(backend),
-        "qlosure": QlosureMapper(backend),
-    }
-    if include_qmap:
-        mappers["qmap"] = QmapLikeRouter(backend)
-    return mappers
+def _mappers(include_qmap: bool = True) -> tuple[str, ...]:
+    """Registry names of the compared routers, in the order their rows print."""
+    names = ("lightsabre", "cirq", "tket", "qlosure")
+    return names + ("qmap",) if include_qmap else names
 
 
 def _queko_instances(generation_device, depths, seeds, prefix):
@@ -92,4 +81,4 @@ def queko_records(backend_name: str):
         generation, depths, max(1, scale.seeds if backend_name != "sherbrooke-2x" else 1),
         prefix=f"queko-{backend_name}",
     )
-    return compare_mappers(circuits, backend, _mappers(backend, include_qmap)), depths
+    return compare_mappers(circuits, backend, _mappers(include_qmap)), depths

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.analysis.config import bench_scale
 from repro.analysis.experiments import compare_mappers
 from repro.analysis.report import format_table
-from repro.baselines.registry import all_mappers
 from repro.benchgen.qasmbench import qugan_circuit
 from repro.benchgen.queko import generate_queko_circuit
 from repro.hardware.backends import ankaa3, sherbrooke
@@ -31,7 +30,7 @@ def _regenerate():
     qasm18 = qugan_circuit(18)
     results = {}
     for backend_name, backend in (("sherbrooke", sherbrooke()), ("ankaa3", ankaa3())):
-        records = compare_mappers([queko54, qasm18], backend, all_mappers(backend))
+        records = compare_mappers([queko54, qasm18], backend)
         results[backend_name] = records
     return results
 

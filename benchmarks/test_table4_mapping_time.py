@@ -10,6 +10,12 @@ Paper values (seconds, Xeon E5-2680; LightSABRE is a Rust implementation):
     Pytket     14.54  32.99      9.49   20.90     15.84   37.95
     Qlosure    6.07   10.13      4.07   6.09      7.36    12.77
 
+The timed span is the route pass of :func:`repro.api.compile`
+(``CompileResult.route_seconds``), the same span ``repro-map bench`` records
+in ``BENCH_routing.json``; loading, placement, validation and metrics are
+outside it.  The records come through the default compile cache, so a cache
+hit replays the route time of the run that stored it.
+
 Absolute numbers are not comparable (the original baselines are C++/Rust and
 this reproduction is pure Python), but two shape properties carry over and
 are asserted here:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.analysis.config import bench_scale
 from repro.analysis.experiments import compare_mappers, qasmbench_table
 from repro.analysis.report import format_table
-from repro.baselines.registry import all_mappers
 from repro.benchgen.qasmbench import qasmbench_circuit
 from repro.hardware.backends import ankaa3, sherbrooke
 
@@ -48,7 +47,7 @@ def _circuits():
 
 
 def _run(backend):
-    return compare_mappers(_circuits(), backend, all_mappers(backend))
+    return compare_mappers(_circuits(), backend)
 
 
 def _render(table):

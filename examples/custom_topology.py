@@ -12,10 +12,11 @@ layout than the identity placement.
 
 from __future__ import annotations
 
-from repro import CouplingGraph, QlosureConfig, QlosureMapper, map_circuit
 from repro.analysis.report import format_table
+from repro.api import CompileRequest, compile
 from repro.benchgen.qasmbench import qaoa_circuit
-from repro.core.bidirectional import bidirectional_initial_layout
+from repro.core.config import QlosureConfig
+from repro.hardware.coupling import CouplingGraph
 
 
 def build_custom_device() -> CouplingGraph:
@@ -42,20 +43,21 @@ def main() -> None:
     }
     rows = []
     for name, config in variants.items():
-        result = map_circuit(circuit, device, config=config, validate=True)
+        result = compile(CompileRequest(circuit=circuit, backend=device, router="qlosure",
+                                        router_config=config, validation="full"))
         rows.append([name, result.swaps_added, result.routed_depth,
-                     f"{result.runtime_seconds:.2f}s"])
+                     f"{result.route_seconds:.2f}s"])
 
     # Variant (d): the full cost function plus a bidirectional initial layout.
-    layout = bidirectional_initial_layout(circuit, device, passes=1)
-    bidirectional = QlosureMapper(device, validate=True).map(circuit, initial_layout=layout)
+    bidirectional = compile(CompileRequest(circuit=circuit, backend=device, router="qlosure",
+                                           placement="bidirectional", validation="full"))
     rows.append(["bidirectional", bidirectional.swaps_added, bidirectional.routed_depth,
-                 f"{bidirectional.runtime_seconds:.2f}s"])
+                 f"{bidirectional.route_seconds:.2f}s"])
 
     print(format_table(["variant", "swaps", "depth", "time"], rows,
                        title="Fig. 8-style ablation on the custom device"))
     print("\ninitial layout found by the forward/backward pass:")
-    print(f"  {layout.as_dict()}")
+    print(f"  {bidirectional.routing.initial_layout}")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ those weights steer a SWAP decision.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.affine.dependence import (
     DependenceAnalysis,
     dependence_relation,
@@ -20,9 +22,8 @@ from repro.affine.dependence import (
     use_map,
 )
 from repro.affine.lifter import lift_circuit, lifting_report
-from repro.circuit.circuit import QuantumCircuit
+from repro.api import CompileRequest, compile
 from repro.core.config import QlosureConfig
-from repro.core.mapper import map_circuit
 from repro.hardware.coupling import CouplingGraph
 from repro.isl.closure import transitive_closure
 from repro.qasm.loader import circuit_from_qasm
@@ -73,10 +74,10 @@ def main() -> None:
     print(f"   most critical gate: G{analysis.critical_gates(top=1)[0]}")
 
     print("\n6) Routing the circuit on the Fig. 1c device")
-    full = map_circuit(circuit, FIG1_DEVICE, validate=True)
-    distance_only = map_circuit(
-        circuit, FIG1_DEVICE, config=QlosureConfig.distance_only(), validate=True
-    )
+    request = CompileRequest(circuit=circuit, backend=FIG1_DEVICE, router="qlosure",
+                             validation="full")
+    full = compile(request)
+    distance_only = compile(replace(request, router_config=QlosureConfig.distance_only()))
     print(f"   Qlosure (dependence-driven): {full.swaps_added} SWAPs, depth {full.routed_depth}")
     print(f"   distance-only ablation     : {distance_only.swaps_added} SWAPs, "
           f"depth {distance_only.routed_depth}")

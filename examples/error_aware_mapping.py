@@ -14,15 +14,12 @@ the two routed circuits.
 
 from __future__ import annotations
 
-from repro import (
-    ErrorAwareQlosureRouter,
-    NoiseModel,
-    QlosureRouter,
-    ankaa3,
-    success_probability,
-    verify_routing,
-)
+from repro.api import CompileRequest, compile
 from repro.benchgen.qasmbench import qaoa_circuit
+from repro.circuit.validation import verify_routing
+from repro.core.error_aware import ErrorAwareQlosureRouter
+from repro.hardware.backends import ankaa3
+from repro.hardware.noise import NoiseModel, success_probability
 
 
 def main() -> None:
@@ -34,10 +31,12 @@ def main() -> None:
           f"(edge error {min(noise.two_qubit_error.values()):.4f}"
           f" .. {max(noise.two_qubit_error.values()):.4f})\n")
 
-    plain = QlosureRouter(backend).run(circuit)
-    verify_routing(circuit, plain.routed_circuit, backend.edges(), plain.initial_layout)
+    plain = compile(CompileRequest(circuit=circuit, backend=backend, router="qlosure",
+                                   validation="full"))
     plain_probability = success_probability(plain.routed_circuit, noise)
 
+    # The error-aware variant takes a noise model, so it is built directly
+    # rather than through the router registry.
     aware = ErrorAwareQlosureRouter(backend, noise).run(circuit)
     verify_routing(circuit, aware.routed_circuit, backend.edges(), aware.initial_layout)
     aware_probability = aware.metadata["estimated_success_probability"]

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro import LightSabreRouter, QlosureMapper, backend_by_name
 from repro.analysis.experiments import compare_mappers, qasmbench_table
 from repro.analysis.report import format_table
 from repro.benchgen.qasmbench import qasmbench_circuit
+from repro.hardware.backends import backend_by_name
 
 
 FAMILIES = ("qram", "qugan", "qft", "adder", "qaoa")
@@ -31,9 +31,7 @@ def main() -> None:
 
     backend = backend_by_name(args.backend)
     circuits = [qasmbench_circuit(family, args.qubits) for family in FAMILIES]
-    mappers = {"qlosure": QlosureMapper(backend), "lightsabre": LightSabreRouter(backend)}
-
-    records = compare_mappers(circuits, backend, mappers)
+    records = compare_mappers(circuits, backend, mapper_names=("qlosure", "lightsabre"))
     rows = [
         [r.circuit_name, r.qops, r.mapper_name, r.swaps, r.routed_depth,
          f"{r.runtime_seconds:.2f}s"]

@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import statistics
 
-from repro import ankaa3
 from repro.analysis.experiments import compare_mappers, depth_factor_table, swap_ratio_table
 from repro.analysis.report import render_nested_table, render_records
-from repro.baselines.registry import all_mappers
 from repro.benchgen.queko import generate_queko_circuit
+from repro.hardware.backends import ankaa3
 
 
 def main() -> None:
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"generated {len(circuits)} QUEKO circuits with optimal depth {args.depth} "
           f"on {backend.name} ({circuits[0].num_operations} QOPs each)\n")
 
-    records = compare_mappers(circuits, backend, all_mappers(backend))
+    records = compare_mappers(circuits, backend)
     print(render_records(records))
 
     print("\naverage depth factor (routed depth / optimal depth, lower is better):")

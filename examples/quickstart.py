@@ -12,8 +12,9 @@ metrics alongside a LightSABRE baseline for comparison.
 
 from __future__ import annotations
 
-from repro import LightSabreRouter, QlosureMapper, sherbrooke, verify_routing
+from repro.api import CompileRequest, compile
 from repro.benchgen.qasmbench import ghz_circuit
+from repro.hardware.backends import sherbrooke
 from repro.qasm.writer import circuit_to_qasm
 
 
@@ -25,19 +26,18 @@ def main() -> None:
     print(f"backend : {backend.name} ({backend.num_qubits} qubits, "
           f"max degree {backend.max_degree()})")
 
-    # Map with Qlosure (the paper's dependence-driven mapper).
-    mapper = QlosureMapper(backend, validate=False)
-    result = mapper.map(circuit)
-    verify_routing(circuit, result.routed_circuit, backend.edges(), result.initial_layout)
+    # Map with Qlosure (the paper's dependence-driven mapper); validation="full"
+    # checks connectivity and dependence preservation of the routed circuit.
+    request = CompileRequest(circuit=circuit, backend=backend, router="qlosure",
+                             validation="full")
+    result = compile(request)
     print("\n-- Qlosure ------------------------------------------")
     print(f"SWAPs inserted : {result.swaps_added}")
     print(f"depth          : {circuit.depth()} -> {result.routed_depth}")
-    print(f"mapping time   : {result.runtime_seconds:.3f} s")
-    print(f"macro-gates    : {result.metadata['macro_gates']} "
-          f"(compression {result.metadata['compression_ratio']:.1f}x)")
+    print(f"mapping time   : {result.route_seconds:.3f} s")
 
-    # Compare against a SABRE baseline.
-    baseline = LightSabreRouter(backend).run(circuit)
+    # Compare against a SABRE baseline: the same request, another router.
+    baseline = compile(request.with_router("lightsabre"))
     print("\n-- LightSABRE baseline ------------------------------")
     print(f"SWAPs inserted : {baseline.swaps_added}")
     print(f"depth          : {circuit.depth()} -> {baseline.routed_depth}")

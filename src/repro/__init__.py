@@ -8,47 +8,19 @@ OpenQASM 2.0 front-end, a circuit IR with dependence analysis, hardware
 coupling-graph models, reimplementations of the four baseline mappers, and
 the QUEKO / QASMBench-style workload generators used by the evaluation.
 
+Every circuit is routed through :mod:`repro.api`; everything else is imported
+from its subpackage (``repro.circuit``, ``repro.hardware``, ...).
+
 Quickstart::
 
-    from repro import QlosureMapper, sherbrooke
+    from repro.api import CompileRequest, compile
     from repro.benchgen.qasmbench import ghz_circuit
 
-    mapper = QlosureMapper(sherbrooke())
-    result = mapper.map(ghz_circuit(20))
+    result = compile(CompileRequest(circuit=ghz_circuit(20), backend="sherbrooke",
+                                    router="qlosure", validation="full"))
     print(result.swaps_added, result.routed_depth)
 """
 
-from repro.circuit import QuantumCircuit, Gate, CircuitDAG, verify_routing
-from repro.hardware import (
-    CouplingGraph,
-    sherbrooke,
-    ankaa3,
-    sherbrooke_2x,
-    grid_9x9,
-    grid_16x16,
-    backend_by_name,
-)
-from repro.core import (
-    QlosureMapper,
-    QlosureConfig,
-    QlosureRouter,
-    map_circuit,
-    ErrorAwareQlosureRouter,
-    map_circuit_error_aware,
-)
-from repro.hardware.noise import NoiseModel, success_probability
-from repro.routing import Layout, RoutingResult
-from repro.baselines import (
-    SabreRouter,
-    LightSabreRouter,
-    QmapLikeRouter,
-    CirqLikeRouter,
-    TketLikeRouter,
-    GreedyDistanceRouter,
-    baseline_router,
-)
-from repro.affine import lift_circuit, dependence_weights, DependenceAnalysis
-from repro.qasm import circuit_from_qasm, circuit_to_qasm, load_qasm_file
 from repro import api
 from repro.api import (
     BatchResult,
@@ -62,40 +34,6 @@ from repro.api import (
 from repro._version import __version__
 
 __all__ = [
-    "QuantumCircuit",
-    "Gate",
-    "CircuitDAG",
-    "verify_routing",
-    "CouplingGraph",
-    "sherbrooke",
-    "ankaa3",
-    "sherbrooke_2x",
-    "grid_9x9",
-    "grid_16x16",
-    "backend_by_name",
-    "QlosureMapper",
-    "QlosureConfig",
-    "QlosureRouter",
-    "map_circuit",
-    "ErrorAwareQlosureRouter",
-    "map_circuit_error_aware",
-    "NoiseModel",
-    "success_probability",
-    "Layout",
-    "RoutingResult",
-    "SabreRouter",
-    "LightSabreRouter",
-    "QmapLikeRouter",
-    "CirqLikeRouter",
-    "TketLikeRouter",
-    "GreedyDistanceRouter",
-    "baseline_router",
-    "lift_circuit",
-    "dependence_weights",
-    "DependenceAnalysis",
-    "circuit_from_qasm",
-    "circuit_to_qasm",
-    "load_qasm_file",
     "api",
     "BatchResult",
     "CompileError",

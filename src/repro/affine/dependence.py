@@ -12,18 +12,17 @@ This module implements the paper's Sec. IV/V-B machinery:
 
 Two computation paths are provided and tested against each other:
 
-* an *ISL path* that materialises ``Rdep`` and ``R+`` as polyhedral maps
-  (exact, used for small circuits and for tests), and
-* a *scalable path* that computes the same ``omega`` counts directly on the
-  immediate-dependence DAG with reverse-topological bitset propagation
-  (used by the mapper on large circuits).  Both give identical weights
+* :func:`dependence_weights` -- the *ISL oracle*: it materialises ``Rdep`` as
+  a polyhedral map and counts reachable instances through ``isl/`` (exact,
+  Eq. 1 as the paper writes it), and
+* :class:`DependenceAnalysis` -- the *scalable path* the router uses: the
+  same ``omega`` counts computed directly on the immediate-dependence DAG
+  with reverse-topological bitset propagation.  Both give identical weights
   because the transitive closure of the immediate per-qubit dependence edges
   equals the transitive closure of the full sharing relation.
 """
 
 from __future__ import annotations
-
-from typing import Literal
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import CircuitDAG
@@ -102,39 +101,20 @@ def dependence_relation(
     return Map.from_pairs(space, pairs)
 
 
-def dependence_weights(
-    circuit: QuantumCircuit,
-    method: Literal["auto", "isl", "dag"] = "auto",
-    isl_gate_limit: int = 400,
-) -> dict[int, int]:
+def dependence_weights(circuit: QuantumCircuit) -> dict[int, int]:
     """Dependence weight ``omega`` for every gate instance, keyed by time-step.
 
     ``omega(g)`` is the number of gate instances transitively reachable from
-    ``g`` through the dependence relation (Eq. 1 of the paper).
+    ``g`` through the dependence relation (Eq. 1 of the paper), computed
+    through the ``isl/`` map library at any circuit size.  The router reads
+    the same counts from :class:`DependenceAnalysis`.
     """
-    instances = _gate_instances(circuit)
-    if method == "isl" or (method == "auto" and len(instances) <= isl_gate_limit):
-        relation = dependence_relation(circuit, immediate_only=True)
-        counts = reachable_counts(relation)
-        weights = {}
-        for time, qubits in instances:
-            key = (time, qubits[0], qubits[1]) if len(qubits) >= 2 else (time, qubits[0], qubits[0])
-            weights[time] = counts.get(key, 0)
-        return weights
-    return _dag_weights(circuit)
-
-
-def _dag_weights(circuit: QuantumCircuit) -> dict[int, int]:
-    """Scalable omega computation via the circuit DAG (bitset reachability)."""
-    dag = CircuitDAG(circuit, include_single_qubit=True)
-    counts = dag.descendant_counts()
-    weights: dict[int, int] = {}
-    time = 0
-    for index, gate in enumerate(circuit.gates):
-        if gate.is_barrier:
-            continue
-        weights[time] = counts.get(index, 0)
-        time += 1
+    relation = dependence_relation(circuit, immediate_only=True)
+    counts = reachable_counts(relation)
+    weights = {}
+    for time, qubits in _gate_instances(circuit):
+        key = (time, qubits[0], qubits[1]) if len(qubits) >= 2 else (time, qubits[0], qubits[0])
+        weights[time] = counts.get(key, 0)
     return weights
 
 

@@ -1,11 +1,15 @@
 """Experiment drivers that regenerate the paper's tables and figures.
 
-Each evaluation artifact of the paper has a driver here:
+Every driver routes through :mod:`repro.api` (``compile`` /
+``compile_many``), so the paper's numbers come from the same pipeline and
+the same route-pass stopwatch as the CLI and ``repro-map bench``.  Each
+evaluation artifact of the paper has a driver here:
 
-* :mod:`repro.analysis.experiments` -- the generic comparison runner plus the
-  aggregations behind Tables II-VI and Figures 6-7,
+* :mod:`repro.analysis.experiments` -- the comparison runner over registered
+  router names plus the aggregations behind Tables II-VI and Figures 6-7,
 * :mod:`repro.analysis.scaling` -- mapping-time-vs-QOPs data (Figure 5),
 * :mod:`repro.analysis.ablation` -- the cost-function ablation (Figure 8),
+* :mod:`repro.analysis.sensitivity` -- the window-constant and decay sweeps,
 * :mod:`repro.analysis.report` -- plain-text table rendering,
 * :mod:`repro.analysis.config` -- benchmark scale control via environment
   variables (`REPRO_BENCH_SCALE`, `REPRO_BENCH_SEEDS`).
@@ -14,7 +18,6 @@ Each evaluation artifact of the paper has a driver here:
 from repro.analysis.config import BenchScale, bench_scale
 from repro.analysis.experiments import (
     ComparisonRecord,
-    run_mapper_on_circuit,
     compare_mappers,
     depth_factor_table,
     swap_ratio_table,
@@ -37,7 +40,6 @@ __all__ = [
     "BenchScale",
     "bench_scale",
     "ComparisonRecord",
-    "run_mapper_on_circuit",
     "compare_mappers",
     "depth_factor_table",
     "swap_ratio_table",

@@ -10,18 +10,13 @@ time, per-circuit rows, per-initial-depth series).
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from repro.api import CompileRequest, CompileResult, compile as api_compile
+from repro.api import CompileRequest, CompileResult, compile_many
 from repro.benchgen.queko import QuekoCircuit
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.metrics import total_operations, two_qubit_gate_count
-from repro.core.mapper import QlosureMapper
 from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import RoutingEngine
-from repro.routing.result import RoutingResult
 
 
 @dataclass
@@ -44,15 +39,12 @@ class ComparisonRecord:
 
     @classmethod
     def from_compile_result(
-        cls,
-        result: CompileResult,
-        optimal_depth: int | None = None,
-        circuit_name: str | None = None,
+        cls, result: CompileResult, optimal_depth: int | None = None
     ) -> "ComparisonRecord":
         """Build a record from a :func:`repro.api.compile` outcome."""
         metrics = result.metrics
         return cls(
-            circuit_name=circuit_name or result.circuit_name,
+            circuit_name=result.circuit_name,
             backend_name=result.backend_name,
             mapper_name=result.router,
             num_qubits=metrics["num_qubits"],
@@ -95,39 +87,6 @@ class ComparisonRecord:
         }
 
 
-def run_mapper_on_circuit(
-    mapper_name: str,
-    mapper: object,
-    circuit: QuantumCircuit,
-    backend: CouplingGraph,
-    optimal_depth: int | None = None,
-    circuit_name: str | None = None,
-) -> ComparisonRecord:
-    """Run one mapper (a RoutingEngine or a QlosureMapper) on one circuit."""
-    start = time.perf_counter()
-    if isinstance(mapper, QlosureMapper):
-        result: RoutingResult = mapper.map(circuit)
-    elif isinstance(mapper, RoutingEngine):
-        result = mapper.run(circuit)
-    else:
-        raise TypeError(f"unsupported mapper object {type(mapper).__name__}")
-    elapsed = time.perf_counter() - start
-    return ComparisonRecord(
-        circuit_name=circuit_name or circuit.name,
-        backend_name=backend.name,
-        mapper_name=mapper_name,
-        num_qubits=circuit.num_qubits,
-        qops=total_operations(circuit),
-        two_qubit_gates=two_qubit_gate_count(circuit),
-        initial_depth=circuit.depth(),
-        optimal_depth=optimal_depth,
-        swaps=result.swaps_added,
-        routed_depth=result.routed_depth,
-        runtime_seconds=elapsed,
-        cost_evaluations=result.cost_evaluations,
-    )
-
-
 #: Default evaluation set: the four paper baselines plus Qlosure.
 DEFAULT_COMPARISON_ROUTERS = ("lightsabre", "qmap", "cirq", "tket", "qlosure")
 
@@ -135,36 +94,21 @@ DEFAULT_COMPARISON_ROUTERS = ("lightsabre", "qmap", "cirq", "tket", "qlosure")
 def compare_mappers(
     circuits: Iterable[QuantumCircuit | QuekoCircuit],
     backend: CouplingGraph,
-    mappers: Mapping[str, object] | None = None,
     mapper_names: Sequence[str] | None = None,
     workers: int = 1,
 ) -> list[ComparisonRecord]:
-    """Run a set of mappers over a set of circuits on one backend.
+    """Run a set of registered routers over a set of circuits on one backend.
 
     ``circuits`` may mix plain circuits and :class:`QuekoCircuit` instances;
     for the latter, the known optimal depth is recorded so depth factors are
     relative to the optimum as in the paper's Table II.
 
-    By default the comparison goes through :func:`repro.api.compile` over the
-    registry names in :data:`DEFAULT_COMPARISON_ROUTERS` (optionally fanned
-    out across ``workers`` processes).  Passing an explicit ``mappers``
-    dictionary of pre-built router objects keeps the legacy direct-drive
-    behaviour for custom configurations.
+    Every (circuit, router) pair is one :class:`~repro.api.CompileRequest`
+    through :func:`repro.api.compile_many` (cache-aware, optionally fanned
+    out across ``workers`` processes).  ``mapper_names`` are registry names
+    or aliases and default to :data:`DEFAULT_COMPARISON_ROUTERS`; records
+    come back circuit-major, routers in the given order.
     """
-    if mappers is not None:
-        if mapper_names is not None:
-            mappers = {name: mappers[name] for name in mapper_names}
-        records: list[ComparisonRecord] = []
-        for item in circuits:
-            circuit, optimal, name = _unpack_circuit(item)
-            for mapper_name, mapper in mappers.items():
-                records.append(
-                    run_mapper_on_circuit(
-                        mapper_name, mapper, circuit, backend, optimal, name
-                    )
-                )
-        return records
-
     names = tuple(mapper_names) if mapper_names is not None else DEFAULT_COMPARISON_ROUTERS
     unpacked = [_unpack_circuit(item) for item in circuits]
     requests = [
@@ -172,17 +116,12 @@ def compare_mappers(
         for circuit, _, name in unpacked
         for router in names
     ]
-    from repro.api import compile_many
-
     batch = compile_many(requests, workers=workers)
-    records = []
-    for (circuit, optimal, name), result in zip(
-        (entry for entry in unpacked for _ in names), batch
-    ):
-        records.append(
-            ComparisonRecord.from_compile_result(result, optimal, name)
-        )
-    return records
+    optima = (optimal for _, optimal, _ in unpacked for _ in names)
+    return [
+        ComparisonRecord.from_compile_result(result, optimal)
+        for optimal, result in zip(optima, batch)
+    ]
 
 
 def _unpack_circuit(item: QuantumCircuit | QuekoCircuit):

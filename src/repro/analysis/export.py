@@ -16,7 +16,7 @@ from typing import Iterable
 
 from repro.analysis.experiments import ComparisonRecord
 
-#: Column order of the CSV export (matches ComparisonRecord.as_dict()).
+#: Column order of the CSV export (ComparisonRecord.as_dict() plus the counters).
 CSV_FIELDS = (
     "circuit",
     "backend",
@@ -30,12 +30,14 @@ CSV_FIELDS = (
     "routed_depth",
     "depth_factor",
     "runtime_seconds",
+    "cost_evaluations",
 )
 
 
 def _record_row(record: ComparisonRecord) -> dict:
     row = record.as_dict()
     row["two_qubit_gates"] = record.two_qubit_gates
+    row["cost_evaluations"] = record.cost_evaluations
     return {field: row.get(field, "") for field in CSV_FIELDS}
 
 
@@ -75,6 +77,7 @@ def _coerce(row: dict) -> ComparisonRecord:
         swaps=as_int(row.get("swaps")),
         routed_depth=as_int(row.get("routed_depth")),
         runtime_seconds=float(row.get("runtime_seconds") or 0.0),
+        cost_evaluations=as_int(row.get("cost_evaluations")),
     )
 
 

@@ -2,21 +2,19 @@
 
 The paper shows that Qlosure's mapping time grows near-linearly with the
 number of quantum operations (QOPs).  :func:`mapping_time_scaling` measures
-the mapping time of a mapper over a ladder of circuit sizes and fits a simple
-least-squares line whose quality (R^2) quantifies "near-linear".
+the route-pass time of a registered router over a ladder of circuit sizes
+and fits a simple least-squares line whose quality (R^2) quantifies
+"near-linear".
 """
 
 from __future__ import annotations
 
 import gc
-import time
 from dataclasses import dataclass
 
+from repro.api import CompileRequest, compile as api_compile, resolve_router
 from repro.benchgen.queko import generate_queko_circuit
-from repro.circuit.metrics import total_operations
-from repro.core.mapper import QlosureMapper
 from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import RoutingEngine
 
 
 @dataclass
@@ -69,36 +67,35 @@ def mapping_time_scaling(
     backend: CouplingGraph,
     generation_device: CouplingGraph,
     depths: list[int],
-    mapper: object | None = None,
+    router: str = "qlosure",
     seed: int = 0,
 ) -> ScalingResult:
-    """Measure mapping time versus QOPs on QUEKO circuits of increasing depth."""
-    mapper = mapper or QlosureMapper(backend)
-    mapper_name = getattr(mapper, "name", type(mapper).__name__)
+    """Measure route-pass time versus QOPs on QUEKO circuits of increasing depth.
+
+    Every point is one uncached :func:`repro.api.compile` of ``router`` (a
+    registry name or alias); its time is the route pass
+    (``CompileResult.route_seconds``), the span ``repro-map bench`` reports.
+    """
     points: list[ScalingPoint] = []
     for index, depth in enumerate(sorted(depths)):
         instance = generate_queko_circuit(
             generation_device, depth, seed=seed * 9973 + index
         )
-        # Time the mapping alone, with the cyclic collector paused as timeit
-        # does: one full collection of a large host process (tens of ms in
-        # a test run) landing inside a single point would skew the fit.
+        request = CompileRequest(circuit=instance.circuit, backend=backend, router=router)
+        # Pause the cyclic collector as timeit does: one full collection of a
+        # large host process (tens of ms in a test run) landing inside a
+        # single point would skew the fit.
         collecting = gc.isenabled()
         gc.disable()
         try:
-            start = time.perf_counter()
-            if isinstance(mapper, RoutingEngine):
-                result = mapper.run(instance.circuit)
-            else:
-                result = mapper.map(instance.circuit)
-            elapsed = time.perf_counter() - start
+            result = api_compile(request, cache=False)
         finally:
             if collecting:
                 gc.enable()
         points.append(
             ScalingPoint(
-                qops=total_operations(instance.circuit),
-                seconds=elapsed,
+                qops=result.metrics["qops"],
+                seconds=result.route_seconds,
                 depth=result.routed_depth,
                 swaps=result.swaps_added,
             )
@@ -108,7 +105,7 @@ def mapping_time_scaling(
     )
     return ScalingResult(
         backend_name=backend.name,
-        mapper_name=str(mapper_name),
+        mapper_name=resolve_router(router).name,
         points=points,
         slope=slope,
         intercept=intercept,

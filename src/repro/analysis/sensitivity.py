@@ -13,10 +13,10 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
+from repro.api import CompileRequest, compile as api_compile
 from repro.benchgen.queko import QuekoCircuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.config import QlosureConfig
-from repro.core.mapper import QlosureMapper
 from repro.hardware.coupling import CouplingGraph
 
 
@@ -41,19 +41,22 @@ def _circuit_of(item: QuantumCircuit | QuekoCircuit) -> tuple[QuantumCircuit, st
 def _run_config(
     circuits, backend: CouplingGraph, config: QlosureConfig, parameter: str, value: float
 ) -> SweepResult:
-    mapper = QlosureMapper(backend, config=config)
     swaps, depths, runtimes = [], [], []
     per_circuit: dict[str, dict[str, float]] = {}
     for item in circuits:
         circuit, name = _circuit_of(item)
-        result = mapper.map(circuit)
+        result = api_compile(
+            CompileRequest(
+                circuit=circuit, backend=backend, router="qlosure", router_config=config
+            )
+        )
         swaps.append(result.swaps_added)
         depths.append(result.routed_depth)
-        runtimes.append(result.runtime_seconds)
+        runtimes.append(result.route_seconds)
         per_circuit[name] = {
             "swaps": result.swaps_added,
             "depth": result.routed_depth,
-            "runtime": round(result.runtime_seconds, 4),
+            "runtime": round(result.route_seconds, 4),
         }
     return SweepResult(
         parameter=parameter,

@@ -28,12 +28,12 @@ from typing import Any, Callable, Iterator
 
 #: Modules whose import registers the built-in routers (in listing order).
 _BUILTIN_ROUTER_MODULES = (
+    "repro.core.router",
     "repro.baselines.sabre",
     "repro.baselines.qmap_like",
     "repro.baselines.cirq_like",
     "repro.baselines.tket_like",
     "repro.baselines.greedy",
-    "repro.core.router",
 )
 
 

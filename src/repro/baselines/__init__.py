@@ -30,7 +30,6 @@ from repro.baselines.qmap_like import QmapLikeRouter
 from repro.baselines.cirq_like import CirqLikeRouter
 from repro.baselines.tket_like import TketLikeRouter
 from repro.baselines.greedy import GreedyDistanceRouter
-from repro.baselines.registry import baseline_router, available_baselines, all_mappers
 
 __all__ = [
     "GreedyDistanceRouter",
@@ -39,7 +38,4 @@ __all__ = [
     "QmapLikeRouter",
     "CirqLikeRouter",
     "TketLikeRouter",
-    "baseline_router",
-    "available_baselines",
-    "all_mappers",
 ]

@@ -28,12 +28,15 @@ failure escaping the pipeline (an unroutable circuit/backend pair, a crashed
 pass) exits with code 1 and a structured one-line
 :class:`~repro.api.result.CompileError` summary -- never a raw traceback.
 ``bench`` exits 1 when any request in the batch failed, so a partially
-failed run can never masquerade as a healthy perf trajectory.
+failed run can never masquerade as a healthy perf trajectory, and with
+``--compare BASELINE`` also when any router's mean swaps or depth differ
+from the baseline record.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -312,7 +315,11 @@ def _command_info(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.perf_trajectory import render_trajectory, write_perf_smoke
+    from repro.analysis.perf_trajectory import (
+        quality_regressions,
+        render_trajectory,
+        write_perf_smoke,
+    )
 
     if args.rounds < 1:
         raise CompileError("repro-map bench: --rounds must be at least 1")
@@ -327,6 +334,14 @@ def _command_bench(args: argparse.Namespace) -> int:
     if not args.cache and args.cache_dir is not None:
         raise CompileError("--no-cache and --cache-dir are mutually exclusive")
     _check_cache_bounds(args)
+    baseline = None
+    if args.compare is not None:
+        try:
+            baseline = json.loads(args.compare.read_text())
+        except (OSError, ValueError) as exc:
+            raise CompileError(
+                f"repro-map bench: --compare: cannot read baseline {args.compare}: {exc}"
+            ) from exc
     tracer = _start_tracer(args)
     if tracer is not None:
         from repro.obs import use_tracer
@@ -365,6 +380,14 @@ def _command_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 1
+    if baseline is not None:
+        problems = quality_regressions(record, baseline)
+        if problems:
+            print(f"\nquality drift vs {args.compare}:", file=sys.stderr)
+            for line in problems:
+                print(f"  {line}", file=sys.stderr)
+            return 1
+        print(f"quality identical to {args.compare} (swaps/depth unchanged)")
     return 0
 
 
@@ -577,6 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--trace-out", type=Path, default=None, metavar="FILE",
         help="record the whole benchmark batch as a JSONL trace file",
+    )
+    bench_parser.add_argument(
+        "--compare", type=Path, default=None, metavar="BASELINE",
+        help="exit 1 when per-router mean swaps/depth differ from this earlier "
+        "record (the determinism gate for performance-only changes)",
     )
     _add_cache_arguments(bench_parser)
     _add_fault_argument(bench_parser)

@@ -1,28 +1,30 @@
 """Qlosure: the dependence-driven qubit mapper (the paper's contribution).
 
-The mapper follows Algorithm 1 of the paper: circuits are lifted to the
-affine IR, the dependence relation and its transitive closure provide a
-weight ``omega`` for every gate, and the routing loop inserts SWAPs chosen by
-the layered, dependence-weighted cost function ``M(s)`` (Eq. 2).
+The router follows Algorithm 1 of the paper: every gate carries a weight
+``omega``, the number of its transitive dependents (Eq. 1, computed on the
+dependence DAG; :func:`repro.affine.dependence.dependence_weights` is the
+ISL oracle it matches), and the routing loop inserts SWAPs chosen by the
+layered, dependence-weighted cost function ``M(s)`` (Eq. 2).
 
-Public entry points:
+Circuits are routed with ``router="qlosure"`` through :mod:`repro.api`,
+which builds the router from the registry.  This subpackage holds the parts:
 
-* :class:`~repro.core.mapper.QlosureMapper` -- the full mapper (optional
-  bidirectional initial-layout passes),
-* :func:`~repro.core.mapper.map_circuit` -- one-call convenience wrapper,
+* :class:`~repro.core.router.QlosureRouter` -- the routing engine itself,
 * :class:`~repro.core.config.QlosureConfig` -- tuning knobs and the ablation
-  switches used in the paper's Fig. 8 study,
-* :class:`~repro.core.router.QlosureRouter` -- the routing engine itself.
+  switches used in the paper's Fig. 8 study (``router_config=``),
+* :func:`~repro.core.bidirectional.bidirectional_initial_layout` -- the
+  forward/backward initial-layout search (``placement="bidirectional"``),
+* :class:`~repro.core.error_aware.ErrorAwareQlosureRouter` -- the
+  error-weighted variant (the paper's future-work direction).
 """
 
 from repro.core.config import QlosureConfig
 from repro.core.cost import swap_cost
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.core.router import QlosureRouter
-from repro.core.mapper import QlosureMapper, map_circuit
 from repro.core.bidirectional import bidirectional_initial_layout
 from repro.core.placement import greedy_placement, initial_layout, placement_cost
-from repro.core.error_aware import ErrorAwareQlosureRouter, map_circuit_error_aware
+from repro.core.error_aware import ErrorAwareQlosureRouter
 
 __all__ = [
     "QlosureConfig",
@@ -30,12 +32,9 @@ __all__ = [
     "LookaheadWindow",
     "build_lookahead",
     "QlosureRouter",
-    "QlosureMapper",
-    "map_circuit",
     "bidirectional_initial_layout",
     "greedy_placement",
     "initial_layout",
     "placement_cost",
     "ErrorAwareQlosureRouter",
-    "map_circuit_error_aware",
 ]

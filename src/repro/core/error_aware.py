@@ -50,14 +50,3 @@ class ErrorAwareQlosureRouter(QlosureRouter):
         )
         return result
 
-
-def map_circuit_error_aware(
-    circuit,
-    coupling: CouplingGraph,
-    noise: NoiseModel | None = None,
-    config: QlosureConfig | None = None,
-    initial_layout=None,
-) -> RoutingResult:
-    """Route a circuit with the error-aware Qlosure variant in one call."""
-    router = ErrorAwareQlosureRouter(coupling, noise=noise, config=config)
-    return router.run(circuit, initial_layout)

@@ -15,7 +15,7 @@ Two renderings of the same registry:
   ``_sum``/``_count`` series, ``# TYPE`` comments, sanitised metric names.
 
 All mutation is single-writer per registry (the service mutates on its
-event-loop thread; see :mod:`repro.serve.metrics`), so there are no locks.
+event-loop thread; see :mod:`repro.serve.server`), so there are no locks.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ the endpoint list and architecture notes.
 """
 
 from repro.serve.jobs import JOB_STATES, Job, JobTable
-from repro.serve.metrics import Histogram, ServeMetrics
 from repro.serve.protocol import (
     ProtocolError,
     compile_error_body,
@@ -45,8 +44,6 @@ __all__ = [
     "Job",
     "JobTable",
     "JOB_STATES",
-    "Histogram",
-    "ServeMetrics",
     "ProtocolError",
     "decode_compile_body",
     "decode_batch_body",

@@ -52,9 +52,9 @@ from repro.api.request import CompileRequest
 from repro.api.result import CompileError, CompileResult
 from repro.api.serialize import result_to_payload
 from repro.obs.export import append_trace
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, new_trace_id, use_tracer
 from repro.serve.jobs import Job, JobTable
-from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import (
     ProtocolError,
     compile_error_body,
@@ -142,7 +142,7 @@ class CompileService:
                 max_entries=self.config.cache_max_entries,
                 readonly=self.config.cache_readonly,
             )
-        self.metrics = ServeMetrics()
+        self.metrics = MetricsRegistry()
         self.jobs = JobTable()
         self.queue = BoundedPriorityQueue(self.config.queue_size)
         self.draining = False

@@ -65,22 +65,15 @@ class TestWeights:
         assert values == sorted(values, reverse=True)
         assert values[-1] == 0
 
+    # The ISL oracle is keyed by time-step and the router's DAG path by gate
+    # index; the two coincide on barrier-free circuits.
     def test_isl_and_dag_paths_agree(self):
-        circuit = random_circuit(6, 40, seed=3)
-        isl_weights = dependence_weights(circuit, method="isl")
-        dag_weights = dependence_weights(circuit, method="dag")
-        assert isl_weights == dag_weights
+        for circuit in (random_circuit(6, 40, seed=3), random_circuit(8, 450, seed=1)):
+            assert dependence_weights(circuit) == DependenceAnalysis(circuit).weights()
 
     def test_isl_and_dag_agree_on_qft(self):
         circuit = qft_circuit(5)
-        assert dependence_weights(circuit, method="isl") == dependence_weights(
-            circuit, method="dag"
-        )
-
-    def test_auto_switches_to_dag_for_large_circuits(self):
-        circuit = random_circuit(8, 120, seed=1)
-        weights = dependence_weights(circuit, method="auto", isl_gate_limit=50)
-        assert len(weights) == 120
+        assert dependence_weights(circuit) == DependenceAnalysis(circuit).weights()
 
     def test_paper_example_weights(self, paper_example_circuit):
         weights = dependence_weights(paper_example_circuit)

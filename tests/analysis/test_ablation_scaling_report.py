@@ -7,7 +7,6 @@ from repro.analysis.config import BenchScale, bench_scale
 from repro.analysis.experiments import ComparisonRecord
 from repro.analysis.report import format_table, render_nested_table, render_records
 from repro.analysis.scaling import _linear_fit, mapping_time_scaling
-from repro.baselines.sabre import LightSabreRouter
 from repro.benchgen.queko import generate_queko_circuit
 from repro.hardware.topologies import grid_topology
 
@@ -64,9 +63,7 @@ class TestScaling:
         assert len(data["points"]) == 3
 
     def test_scaling_with_baseline_mapper(self):
-        result = mapping_time_scaling(
-            DEVICE, GRID, depths=[4, 8], mapper=LightSabreRouter(DEVICE), seed=2
-        )
+        result = mapping_time_scaling(DEVICE, GRID, depths=[4, 8], router="lightsabre", seed=2)
         assert result.mapper_name == "lightsabre"
 
 

@@ -3,19 +3,18 @@
 import pytest
 
 from repro.analysis.experiments import (
+    DEFAULT_COMPARISON_ROUTERS,
     ComparisonRecord,
     compare_mappers,
     depth_factor_table,
     mapping_time_table,
     qasmbench_table,
     queko_series,
-    run_mapper_on_circuit,
     swap_ratio_table,
 )
-from repro.baselines.sabre import LightSabreRouter
+from repro.api import UnknownRouterError
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
-from repro.core.mapper import QlosureMapper
 from repro.hardware.topologies import grid_topology
 
 
@@ -40,30 +39,36 @@ def _record(mapper, circuit="c", swaps=10, depth=50, optimal=None, initial=20, r
 
 class TestRunners:
     def test_run_single_mapper(self):
-        record = run_mapper_on_circuit(
-            "qlosure", QlosureMapper(GRID), ghz_circuit(8), GRID
-        )
+        (record,) = compare_mappers([ghz_circuit(8)], GRID, mapper_names=["qlosure"])
         assert record.mapper_name == "qlosure"
         assert record.qops == 8
         assert record.routed_depth >= record.initial_depth
 
     def test_run_baseline_engine(self):
-        record = run_mapper_on_circuit(
-            "lightsabre", LightSabreRouter(GRID), qft_circuit(6), GRID
-        )
+        (record,) = compare_mappers([qft_circuit(6)], GRID, mapper_names=["lightsabre"])
         assert record.swaps >= 0
         assert record.runtime_seconds > 0
 
-    def test_rejects_unknown_mapper_type(self):
-        with pytest.raises(TypeError):
-            run_mapper_on_circuit("x", object(), ghz_circuit(4), GRID)
+    def test_rejects_unknown_router_name(self):
+        with pytest.raises(UnknownRouterError):
+            compare_mappers([ghz_circuit(4)], GRID, mapper_names=["not-a-router"])
+
+    def test_default_set_is_the_paper_comparison(self):
+        assert set(DEFAULT_COMPARISON_ROUTERS) == {
+            "lightsabre", "qmap", "cirq", "tket", "qlosure",
+        }
+        # Records are circuit-major, routers in the given order (table row order).
+        records = compare_mappers([ghz_circuit(5), qft_circuit(5)], GRID)
+        assert [(r.circuit_name, r.mapper_name) for r in records] == [
+            (circuit, router)
+            for circuit in ("ghz_n5", "qft_n5")
+            for router in DEFAULT_COMPARISON_ROUTERS
+        ]
 
     def test_compare_mappers_on_mixed_inputs(self):
         queko = generate_queko_circuit(grid_topology(3, 3), depth=6, seed=1)
         records = compare_mappers(
-            [ghz_circuit(6), queko],
-            GRID,
-            mappers={"qlosure": QlosureMapper(GRID), "lightsabre": LightSabreRouter(GRID)},
+            [ghz_circuit(6), queko], GRID, mapper_names=["qlosure", "lightsabre"]
         )
         assert len(records) == 4
         queko_records = [r for r in records if r.optimal_depth is not None]
@@ -71,12 +76,7 @@ class TestRunners:
         assert all(r.optimal_depth == 6 for r in queko_records)
 
     def test_compare_mappers_subset_selection(self):
-        records = compare_mappers(
-            [ghz_circuit(5)],
-            GRID,
-            mappers={"qlosure": QlosureMapper(GRID), "lightsabre": LightSabreRouter(GRID)},
-            mapper_names=["qlosure"],
-        )
+        records = compare_mappers([ghz_circuit(5)], GRID, mapper_names=["qlosure"])
         assert {r.mapper_name for r in records} == {"qlosure"}
 
 

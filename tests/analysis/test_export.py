@@ -9,9 +9,7 @@ from repro.analysis.export import (
     load_records_csv,
     load_records_json,
 )
-from repro.baselines.sabre import LightSabreRouter
 from repro.benchgen.qasmbench import ghz_circuit
-from repro.core.mapper import QlosureMapper
 from repro.hardware.topologies import grid_topology
 
 
@@ -20,11 +18,7 @@ GRID = grid_topology(3, 3)
 
 @pytest.fixture
 def records():
-    return compare_mappers(
-        [ghz_circuit(6)],
-        GRID,
-        mappers={"qlosure": QlosureMapper(GRID), "lightsabre": LightSabreRouter(GRID)},
-    )
+    return compare_mappers([ghz_circuit(6)], GRID, mapper_names=["qlosure", "lightsabre"])
 
 
 class TestCsvRoundTrip:
@@ -38,6 +32,7 @@ class TestCsvRoundTrip:
             assert recovered.swaps == original.swaps
             assert recovered.routed_depth == original.routed_depth
             assert recovered.optimal_depth == original.optimal_depth
+            assert recovered.cost_evaluations == original.cost_evaluations
 
     def test_csv_has_header(self, records, tmp_path):
         path = export_records_csv(records, tmp_path / "records.csv")
@@ -58,9 +53,9 @@ class TestJsonRoundTrip:
     def test_roundtrip(self, records, tmp_path):
         path = export_records_json(records, tmp_path / "records.json")
         loaded = load_records_json(path)
-        assert [(r.circuit_name, r.mapper_name, r.swaps) for r in loaded] == [
-            (r.circuit_name, r.mapper_name, r.swaps) for r in records
-        ]
+        assert [
+            (r.circuit_name, r.mapper_name, r.swaps, r.cost_evaluations) for r in loaded
+        ] == [(r.circuit_name, r.mapper_name, r.swaps, r.cost_evaluations) for r in records]
 
     def test_json_is_a_list_of_objects(self, records, tmp_path):
         import json

@@ -1,9 +1,9 @@
 """Parity and pipeline tests for :func:`repro.api.compile`.
 
 The load-bearing guarantee: the unified pipeline produces **gate-for-gate
-identical** routed circuits to the legacy hand-wired path (direct router
-construction + ``run`` / ``QlosureMapper.map``) for every registered router
-and every seed.
+identical** routed circuits to driving the router objects by hand (direct
+construction + ``run``, with a hand-built bidirectional layout for the
+placement cases) for every registered router and every seed.
 """
 
 import pytest
@@ -26,8 +26,8 @@ from repro.benchgen.queko import generate_queko_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
 from repro.circuit.validation import RoutingValidationError, verify_routing
+from repro.core.bidirectional import bidirectional_initial_layout
 from repro.core.config import QlosureConfig
-from repro.core.mapper import QlosureMapper
 from repro.core.router import QlosureRouter
 from repro.hardware.topologies import grid_topology
 
@@ -55,7 +55,7 @@ def fixture_circuits():
 
 class TestLegacyParity:
     @pytest.mark.parametrize("name", sorted(LEGACY_ROUTERS))
-    def test_baseline_routers_match_legacy_path_gate_for_gate(self, name):
+    def test_baselines_match_legacy_path_gate_for_gate(self, name):
         for circuit in fixture_circuits():
             legacy = LEGACY_ROUTERS[name](GRID).run(circuit)
             result = api_compile(
@@ -69,7 +69,7 @@ class TestLegacyParity:
 
     def test_qlosure_matches_legacy_mapper(self):
         for circuit in fixture_circuits():
-            legacy = QlosureMapper(GRID).map(circuit)
+            legacy = QlosureRouter(GRID, QlosureConfig()).run(circuit)
             result = api_compile(
                 CompileRequest(circuit=circuit, backend=GRID, router="qlosure")
             )
@@ -92,7 +92,9 @@ class TestLegacyParity:
 
     def test_bidirectional_placement_matches_legacy_mapper(self):
         circuit = qft_circuit(8)
-        legacy = QlosureMapper(GRID, bidirectional_passes=1).map(circuit)
+        config = QlosureConfig()
+        layout = bidirectional_initial_layout(circuit, GRID, config, 1)
+        legacy = QlosureRouter(GRID, config).run(circuit, layout)
         result = api_compile(
             CompileRequest(
                 circuit=circuit,
@@ -109,7 +111,8 @@ class TestLegacyParity:
         # final run (what the CLI builds for --seed N --bidirectional-passes)
         circuit = qft_circuit(8)
         config = QlosureConfig(seed=4)
-        legacy = QlosureMapper(GRID, config=config, bidirectional_passes=1).map(circuit)
+        layout = bidirectional_initial_layout(circuit, GRID, config, 1)
+        legacy = QlosureRouter(GRID, config).run(circuit, layout)
         result = api_compile(
             CompileRequest(
                 circuit=circuit,

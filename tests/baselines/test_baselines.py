@@ -2,17 +2,16 @@
 
 import pytest
 
+from repro.api.registry import make_router, router_names
 from repro.baselines.cirq_like import CirqLikeRouter
 from repro.baselines.greedy import GreedyDistanceRouter
 from repro.baselines.qmap_like import QmapLikeRouter
-from repro.baselines.registry import all_mappers, available_baselines, baseline_router
 from repro.baselines.sabre import LightSabreRouter, SabreRouter
 from repro.baselines.tket_like import TketLikeRouter
 from repro.benchgen.qasmbench import qft_circuit
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.validation import verify_routing
-from repro.core.mapper import QlosureMapper
 from repro.hardware.topologies import grid_topology, line_topology
 
 
@@ -98,30 +97,21 @@ class TestQmapSpecifics:
 
 
 class TestRegistry:
-    def test_available_baselines_are_canonical_and_deduped(self):
-        names = available_baselines()
+    def test_baseline_names_are_canonical_and_deduped(self):
+        names = router_names(kind="baseline")
         assert set(names) == {"sabre", "lightsabre", "qmap", "cirq", "tket", "greedy"}
         # aliases must not show up as duplicate entries
         assert len(names) == len(set(names))
         assert "qmap-like" not in names and "pytket" not in names
 
     def test_lookup_by_alias(self):
-        assert isinstance(baseline_router("pytket", GRID), TketLikeRouter)
-        assert isinstance(baseline_router("SABRE", GRID), SabreRouter)
-        assert isinstance(baseline_router("qmap-like", GRID), QmapLikeRouter)
+        assert isinstance(make_router("pytket", GRID), TketLikeRouter)
+        assert isinstance(make_router("SABRE", GRID), SabreRouter)
+        assert isinstance(make_router("qmap-like", GRID), QmapLikeRouter)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
-            baseline_router("nonexistent", GRID)
+            make_router("nonexistent", GRID)
 
     def test_qlosure_is_not_a_baseline(self):
-        with pytest.raises(KeyError):
-            baseline_router("qlosure", GRID)
-
-    def test_all_mappers_includes_qlosure(self):
-        mappers = all_mappers(GRID)
-        assert set(mappers) == {"lightsabre", "qmap", "cirq", "tket", "qlosure"}
-        assert isinstance(mappers["qlosure"], QlosureMapper)
-
-    def test_all_mappers_can_exclude_qlosure(self):
-        assert "qlosure" not in all_mappers(GRID, include_qlosure=False)
+        assert "qlosure" not in router_names(kind="baseline")

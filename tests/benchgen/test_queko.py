@@ -2,9 +2,8 @@
 
 import pytest
 
+from repro.api import CompileRequest, compile
 from repro.benchgen.queko import generate_queko_circuit, queko_dataset
-from repro.circuit.validation import verify_routing
-from repro.core.mapper import map_circuit
 from repro.hardware.topologies import grid_topology, line_topology
 
 
@@ -68,11 +67,12 @@ class TestRoutingQueko:
     def test_routed_depth_is_at_least_optimal(self):
         line = line_topology(9)
         instance = generate_queko_circuit(GRID, depth=8, seed=4)
-        result = map_circuit(instance.circuit, line)
-        assert result.routed_depth >= instance.optimal_depth
-        verify_routing(
-            instance.circuit, result.routed_circuit, line.edges(), result.initial_layout
+        result = compile(
+            CompileRequest(
+                circuit=instance.circuit, backend=line, router="qlosure", validation="full"
+            )
         )
+        assert result.routed_depth >= instance.optimal_depth
 
 
 class TestDataset:

@@ -5,7 +5,7 @@ import pytest
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.validation import verify_routing
-from repro.core.error_aware import ErrorAwareQlosureRouter, map_circuit_error_aware
+from repro.core.error_aware import ErrorAwareQlosureRouter
 from repro.core.router import QlosureRouter
 from repro.hardware.noise import NoiseModel, success_probability
 from repro.hardware.topologies import grid_topology
@@ -23,7 +23,7 @@ class TestErrorAwareRouting:
 
     def test_success_probability_attached_to_result(self):
         circuit = ghz_circuit(8)
-        result = map_circuit_error_aware(circuit, GRID)
+        result = ErrorAwareQlosureRouter(GRID).run(circuit)
         probability = result.metadata["estimated_success_probability"]
         assert 0.0 < probability <= 1.0
 

@@ -1,14 +1,12 @@
-"""Tests for the Qlosure router and mapper."""
+"""Tests for the Qlosure router, its bidirectional layout search and its compile path."""
 
-import pytest
-
+from repro.api import CompileRequest, compile
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.validation import verify_routing
 from repro.core.bidirectional import bidirectional_initial_layout, reversed_circuit
 from repro.core.config import QlosureConfig
-from repro.core.mapper import QlosureMapper, map_circuit
 from repro.core.router import QlosureRouter
 from repro.hardware.topologies import grid_topology, line_topology
 from repro.routing.layout import Layout
@@ -78,30 +76,25 @@ class TestRouterCorrectness:
 
 
 class TestMapper:
-    def test_map_circuit_convenience(self):
-        result = map_circuit(ghz_circuit(10), GRID, validate=True)
-        assert result.mapper_name == "qlosure"
-        assert result.swaps_added >= 0
-
-    def test_metadata_contains_lifting_stats(self):
-        result = QlosureMapper(GRID).map(ghz_circuit(10))
-        assert result.metadata["gate_instances"] == 10
-        assert result.metadata["macro_gates"] == 2
-        assert result.metadata["compression_ratio"] == pytest.approx(5.0)
-
     def test_validation_flag(self):
-        mapper = QlosureMapper(GRID, validate=True)
-        result = mapper.map(qft_circuit(6))
+        result = compile(
+            CompileRequest(circuit=qft_circuit(6), backend=GRID, validation="full")
+        )
+        assert result.router == "qlosure"
         assert result.swaps_added >= 0
-
-    def test_mapper_name_reflects_bidirectional(self):
-        assert QlosureMapper(GRID).name == "qlosure"
-        assert QlosureMapper(GRID, bidirectional_passes=1).name == "qlosure-bidirectional"
 
     def test_bidirectional_mapping_is_valid(self):
         circuit = random_circuit(8, 40, seed=9)
-        mapper = QlosureMapper(GRID, bidirectional_passes=1, validate=True)
-        result = mapper.map(circuit)
+        result = compile(
+            CompileRequest(
+                circuit=circuit,
+                backend=GRID,
+                router="qlosure",
+                placement="bidirectional",
+                placement_options={"passes": 1},
+                validation="full",
+            )
+        )
         assert result.swaps_added >= 0
 
 
@@ -125,7 +118,7 @@ class TestBidirectional:
     def test_bidirectional_layout_not_worse_on_average(self):
         """A forward/backward pass should help (or at least not badly hurt) QFT routing."""
         circuit = qft_circuit(8)
-        trivial = map_circuit(circuit, GRID).swaps_added
+        trivial = QlosureRouter(GRID).run(circuit).swaps_added
         improved_layout = bidirectional_initial_layout(circuit, GRID, passes=1)
-        improved = map_circuit(circuit, GRID, initial_layout=improved_layout).swaps_added
+        improved = QlosureRouter(GRID).run(circuit, improved_layout).swaps_added
         assert improved <= trivial * 1.25

@@ -5,14 +5,20 @@ import pytest
 from repro.affine.dependence import DependenceAnalysis
 from repro.affine.lifter import lift_circuit
 from repro.analysis.experiments import compare_mappers, qasmbench_table
-from repro.baselines.registry import all_mappers
+from repro.api import CompileRequest, compile
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit, qugan_circuit
 from repro.benchgen.queko import generate_queko_circuit
 from repro.circuit.validation import verify_routing
-from repro.core.mapper import QlosureMapper, map_circuit
 from repro.hardware.backends import ankaa3, sherbrooke
 from repro.qasm.loader import circuit_from_qasm
 from repro.qasm.writer import circuit_to_qasm
+
+
+def route_qlosure(circuit, backend):
+    """Qlosure through the compile pipeline with full routed-circuit validation."""
+    return compile(
+        CompileRequest(circuit=circuit, backend=backend, router="qlosure", validation="full")
+    )
 
 
 class TestFullPipeline:
@@ -23,11 +29,11 @@ class TestFullPipeline:
         backend = ankaa3()
         program = lift_circuit(circuit)
         assert program.num_gate_instances == len(circuit)
-        result = map_circuit(circuit, backend, validate=True)
+        result = route_qlosure(circuit, backend)
         routed_qasm = circuit_to_qasm(result.routed_circuit)
         assert "swap" in routed_qasm
         reparsed = circuit_from_qasm(routed_qasm)
-        verify_routing(circuit, reparsed, backend.edges(), result.initial_layout)
+        verify_routing(circuit, reparsed, backend.edges(), result.routing.initial_layout)
 
     def test_motivating_example_from_paper_text(self):
         """Route the exact QASM trace of Fig. 1b on a line; checks the worked example."""
@@ -38,14 +44,14 @@ class TestFullPipeline:
         )
         circuit = circuit_from_qasm(source)
         backend = sherbrooke()
-        result = map_circuit(circuit, backend, validate=True)
+        result = route_qlosure(circuit, backend)
         assert result.swaps_added >= 1
 
     def test_dependence_weights_feed_the_router(self):
         circuit = qugan_circuit(12)
         analysis = DependenceAnalysis(circuit)
         assert max(analysis.weights().values()) > 0
-        result = map_circuit(circuit, ankaa3(), validate=True)
+        result = route_qlosure(circuit, ankaa3())
         assert result.swaps_added >= 0
 
 
@@ -54,13 +60,13 @@ class TestPaperBackendsEndToEnd:
     def test_ghz_on_paper_backends(self, backend_factory):
         backend = backend_factory()
         circuit = ghz_circuit(20)
-        result = QlosureMapper(backend, validate=True).map(circuit)
+        result = route_qlosure(circuit, backend)
         assert result.routed_depth >= circuit.depth()
 
     def test_queko_instance_on_ankaa(self):
         backend = ankaa3()
         instance = generate_queko_circuit(backend, depth=10, seed=3)
-        result = QlosureMapper(backend, validate=True).map(instance.circuit)
+        result = route_qlosure(instance.circuit, backend)
         assert result.routed_depth >= instance.optimal_depth
 
 
@@ -70,8 +76,7 @@ class TestComparisonShape:
         on dependence-rich QUEKO workloads (averaged over a few instances)."""
         backend = ankaa3()
         circuits = [generate_queko_circuit(backend, depth=12, seed=s) for s in range(3)]
-        mappers = all_mappers(backend)
-        records = compare_mappers(circuits, backend, mappers)
+        records = compare_mappers(circuits, backend)
         totals = {}
         for record in records:
             totals[record.mapper_name] = totals.get(record.mapper_name, 0) + record.swaps

@@ -150,18 +150,3 @@ class TestPrometheusName:
 
     def test_prefix_is_configurable(self):
         assert prometheus_name("x", prefix="acme_") == "acme_x"
-
-
-class TestServeFacade:
-    def test_serve_metrics_is_the_shared_registry(self):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.serve.metrics import DEFAULT_BUCKET_BOUNDS as SERVE_BOUNDS
-        from repro.serve.metrics import Histogram as ServeHistogram
-        from repro.serve.metrics import ServeMetrics
-
-        assert issubclass(ServeMetrics, MetricsRegistry)
-        assert ServeHistogram is Histogram
-        assert SERVE_BOUNDS is DEFAULT_BUCKET_BOUNDS
-        metrics = ServeMetrics()
-        metrics.increment("requests")
-        assert "repro_requests_total 1" in metrics.prometheus()

@@ -1,8 +1,8 @@
-"""Tests for the service metric registry (counters + latency histograms)."""
+"""Tests for the metric registry the service keeps (counters + latency histograms)."""
 
 import pytest
 
-from repro.serve.metrics import DEFAULT_BUCKET_BOUNDS, Histogram, ServeMetrics
+from repro.obs.metrics import DEFAULT_BUCKET_BOUNDS, Histogram, MetricsRegistry
 
 
 class TestHistogram:
@@ -40,16 +40,16 @@ class TestHistogram:
             Histogram(bounds=(0.0, 1.0))
 
 
-class TestServeMetrics:
+class TestServiceRegistry:
     def test_counters_accumulate(self):
-        metrics = ServeMetrics()
+        metrics = MetricsRegistry()
         metrics.increment("requests")
         metrics.increment("requests", 2)
         assert metrics.counter("requests") == 3
         assert metrics.counter("never-touched") == 0
 
     def test_snapshot_contains_gauges_and_histograms(self):
-        metrics = ServeMetrics()
+        metrics = MetricsRegistry()
         metrics.increment("executions")
         metrics.observe("pass_route", 0.02)
         metrics.observe("pass_route", 0.2)
@@ -61,7 +61,7 @@ class TestServeMetrics:
     def test_snapshot_is_json_safe(self):
         import json
 
-        metrics = ServeMetrics()
+        metrics = MetricsRegistry()
         metrics.observe("total", 1.5)
         metrics.increment("http_requests")
         encoded = json.dumps(metrics.snapshot(gauges={"in_flight": 0}))

@@ -11,35 +11,21 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
 
+    def test_top_level_is_the_api_surface(self):
+        assert set(repro.__all__) == {
+            "api", "BatchResult", "CompileError", "CompileRequest", "CompileResult",
+            "compile_many", "register_router", "__version__",
+        }
+
     def test_quickstart_snippet(self):
-        """The README quickstart must keep working."""
-        backend = repro.ankaa3()
-        circuit = repro.QuantumCircuit(4)
-        circuit.h(0)
-        circuit.cx(0, 3)
-        mapper = repro.QlosureMapper(backend)
-        result = mapper.map(circuit)
-        repro.verify_routing(
-            circuit, result.routed_circuit, backend.edges(), result.initial_layout
-        )
-        assert result.routed_depth >= circuit.depth()
+        """The package docstring quickstart must keep working."""
+        from repro.api import CompileRequest, compile
+        from repro.benchgen.qasmbench import ghz_circuit
 
-    def test_qasm_helpers_exported(self):
-        text = repro.circuit_to_qasm(repro.QuantumCircuit(2, [repro.Gate("cx", (0, 1))]))
-        circuit = repro.circuit_from_qasm(text)
-        assert len(circuit) == 1
-
-    def test_mappers_exported(self):
-        backend = repro.ankaa3()
-        for cls in (
-            repro.SabreRouter,
-            repro.LightSabreRouter,
-            repro.QmapLikeRouter,
-            repro.CirqLikeRouter,
-            repro.TketLikeRouter,
-            repro.GreedyDistanceRouter,
-        ):
-            assert cls(backend).name
+        result = compile(CompileRequest(circuit=ghz_circuit(20), backend="sherbrooke",
+                                        router="qlosure", validation="full"))
+        assert result.router == "qlosure"
+        assert result.routed_depth >= ghz_circuit(20).depth()
 
     def test_analysis_helpers_importable(self):
         from repro.analysis import compare_mappers, depth_factor_table  # noqa: F401

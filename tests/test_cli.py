@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -188,6 +190,50 @@ class TestFailureContract:
         captured = capsys.readouterr()
         assert code == 0
         assert "FAILED" not in captured.out
+
+
+@pytest.fixture(scope="module")
+def quick_bench_record(tmp_path_factory):
+    """One ``bench --quick`` trajectory record, the baseline for ``--compare``."""
+    path = tmp_path_factory.mktemp("bench") / "baseline.json"
+    assert main(["bench", "--quick", "--output", str(path)]) == 0
+    return path
+
+
+class TestBenchCompare:
+    def test_compare_against_own_record_exits_0(self, quick_bench_record, tmp_path, capsys):
+        code = main(
+            ["bench", "--quick", "--output", str(tmp_path / "run.json"),
+             "--compare", str(quick_bench_record)]
+        )
+        assert code == 0
+        assert "quality identical to" in capsys.readouterr().out
+
+    def test_swaps_drift_exits_1_and_names_the_router(
+        self, quick_bench_record, tmp_path, capsys
+    ):
+        baseline = json.loads(quick_bench_record.read_text())
+        baseline["routers"]["cirq"]["mean_swaps"] += 1
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(baseline))
+        code = main(
+            ["bench", "--quick", "--output", str(tmp_path / "run.json"),
+             "--compare", str(edited)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        drift = [line for line in err.splitlines() if "mean_swaps changed" in line]
+        assert len(drift) == 1 and "cirq" in drift[0]
+
+    def test_missing_baseline_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["bench", "--quick", "--output", str(tmp_path / "run.json"),
+             "--compare", str(tmp_path / "missing.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot read baseline" in err
+        assert not (tmp_path / "run.json").exists()
 
 
 class TestCacheFlags:
