@@ -21,13 +21,16 @@ test-golden:
 	$(PYTHON) -m pytest tests/routing/test_golden.py tests/routing/test_astar_properties.py \
 		tests/routing/test_pair_delta_scorer.py tests/core/test_cost.py -q
 
-## Compile-cache battery: serialization round-trip exactness (golden-hash
-## oracle), fingerprint sensitivity, warm-vs-cold bit-for-bit determinism and
-## bad-disk-entry robustness.  Fast (~5 s); runs in `make check` right after
-## the golden snapshots, before the slow suite.
+## Compile-cache battery: the Gate record's contract (every cache hit
+## rebuilds its routed gates through it), serialization round-trip exactness
+## (golden-hash oracle) and the pinned version-2 gate table, fingerprint
+## sensitivity and pinned cache keys, warm-vs-cold bit-for-bit determinism
+## and bad-disk-entry robustness.  Fast (~5 s); runs in `make check` right
+## after the golden snapshots, before the slow suite.
 test-cache:
-	$(PYTHON) -m pytest tests/api/test_serialize.py tests/api/test_fingerprint.py \
-		tests/api/test_cache.py tests/analysis/test_perf_trajectory.py -q
+	$(PYTHON) -m pytest tests/circuit/test_gate.py tests/api/test_serialize.py \
+		tests/api/test_fingerprint.py tests/api/test_cache.py \
+		tests/analysis/test_perf_trajectory.py -q
 
 ## Bounded piece-store battery: shard layout + per-shard indexes, max_bytes/
 ## max_entries LRU eviction invariants (including seeded random

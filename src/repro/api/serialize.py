@@ -7,12 +7,15 @@ travel as a columnar **gate table** (:func:`circuit_to_payload`): the
 distinct ``[name, n_qubits, n_params]`` gate kinds, one space-separated
 ``ops`` string holding each gate's kind code followed by its qubits, one
 space-separated ``params`` string of ``repr``-exact floats in gate order, and
-``[gate_index, label]`` pairs for labelled gates only.  Decoding is a
-``split()`` and an ``int``/``float`` map per column plus one validated
-:class:`~repro.circuit.gate.Gate` per gate -- no QASM lexer or parser -- and
-a payload round-trip reproduces the routed gate sequence bit for bit,
-labels, operand-less barriers and non-finite parameters included (the
-invariant the golden harness enforces; see ``tests/api/test_serialize.py``).
+``[gate_index, label]`` pairs for labelled gates only.  Decoding is one
+pass over the ``split()`` columns: each gate's operand and parameter words
+go unconverted into the one checked :class:`~repro.circuit.gate.Gate`
+constructor, which parses them, and the gate then passes the circuit's
+qubit-range check -- no QASM lexer or parser.  A payload round-trip
+reproduces the routed gate sequence bit for bit, labels, operand-less
+barriers and non-finite parameters included (the invariant the golden
+harness enforces; ``tests/data/payload-v2.json`` pins the layout; see
+``tests/api/test_serialize.py``).
 
 The request itself is *not* serialized: payloads are only ever addressed by
 the request fingerprint (:func:`repro.api.cache.request_fingerprint`), and a
@@ -67,9 +70,13 @@ def circuit_to_payload(circuit: QuantumCircuit) -> dict:
 def circuit_from_payload(payload: dict) -> QuantumCircuit:
     """Rebuild a circuit from :func:`circuit_to_payload` output.
 
-    Every gate goes through :class:`Gate` and :meth:`QuantumCircuit.append`,
-    so the operand and qubit-range checks of a hand-built circuit apply; any
-    malformed column raises :class:`SerializationError`.
+    One pass over the split ``ops`` and ``params`` columns.  Each gate's
+    operand and parameter words go unconverted into :class:`Gate`, whose
+    constructor turns them into ``int``/``float`` once and rejects repeated
+    operands, and every gate then goes through
+    :meth:`QuantumCircuit.append` and its qubit-range check: the checks of a
+    hand-built circuit.  Any malformed column raises
+    :class:`SerializationError`.
     """
     try:
         ops, params = payload["ops"], payload["params"]
@@ -84,30 +91,44 @@ def circuit_from_payload(payload: dict) -> QuantumCircuit:
                 and min(width, arity) >= 0
             ):
                 raise SerializationError(f"malformed gate kind {[name, width, arity]!r}")
+        # Kind codes as the encoder writes them; any other spelling of a
+        # code (``"01"``) falls back to ``int`` below.
+        kind_of_word = {str(code): kind for code, kind in enumerate(kinds)}
         labels = {int(index): str(label) for index, label in payload["labels"]}
+        label_of = labels.get
         circuit = QuantumCircuit(int(payload["num_qubits"]), name=str(payload["name"]))
-        words = list(map(int, ops.split()))
-        values = list(map(float, params.split()))
-        position = cursor = 0
-        while position < len(words):
-            code = words[position]
-            if not 0 <= code < len(kinds):
-                raise SerializationError(f"unknown gate kind code {code}")
-            name, width, arity = kinds[code]
-            qubits = words[position + 1 : position + 1 + width]
-            gate_params = values[cursor : cursor + arity]
-            if len(qubits) != width:
+        append = circuit.append
+        words = ops.split()
+        values = params.split()
+        end, available = len(words), len(values)
+        position = cursor = index = 0
+        while position < end:
+            kind = kind_of_word.get(words[position])
+            if kind is None:
+                code = int(words[position])
+                if not 0 <= code < len(kinds):
+                    raise SerializationError(f"unknown gate kind code {code}")
+                kind = kinds[code]
+            name, width, arity = kind
+            start = position + 1
+            position = start + width
+            if position > end:
                 raise SerializationError("ops column is truncated")
-            if len(gate_params) != arity:
-                raise SerializationError("params column is shorter than its gate kinds require")
-            position += 1 + width
-            cursor += arity
-            circuit.append(Gate(name, qubits, gate_params, labels.get(len(circuit), "")))
+            gate_params = ()
+            if arity:
+                gate_params = values[cursor : cursor + arity]
+                cursor += arity
+                if cursor > available:
+                    raise SerializationError(
+                        "params column is shorter than its gate kinds require"
+                    )
+            append(Gate(name, words[start:position], gate_params, label_of(index, "")))
+            index += 1
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(f"invalid circuit payload: {exc}") from exc
-    if cursor != len(values):
+    if cursor != available:
         raise SerializationError("params column is longer than its gate kinds require")
     if any(not 0 <= index < len(circuit) for index in labels):
         raise SerializationError("a label names a gate the table does not hold")

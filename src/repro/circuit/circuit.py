@@ -177,7 +177,7 @@ class QuantumCircuit:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantumCircuit):
             return NotImplemented
-        return self._num_qubits == other._num_qubits and self._gates == list(other.gates)
+        return self._num_qubits == other._num_qubits and self._gates == other._gates
 
     def __repr__(self) -> str:
         return (

@@ -22,17 +22,17 @@ class CircuitDAG:
     def __init__(self, circuit: QuantumCircuit, include_single_qubit: bool = True):
         self._circuit = circuit
         self._include_single = include_single_qubit
+        gates = circuit.gates
         self._gate_indices: list[int] = [
             idx
-            for idx, gate in enumerate(circuit.gates)
+            for idx, gate in enumerate(gates)
             if not gate.is_barrier and (include_single_qubit or gate.is_two_qubit)
         ]
         self._successors: dict[int, list[int]] = {i: [] for i in self._gate_indices}
         self._predecessors: dict[int, list[int]] = {i: [] for i in self._gate_indices}
         last_on_qubit: dict[int, int] = {}
         for idx in self._gate_indices:
-            gate = circuit.gates[idx]
-            for qubit in gate.qubits:
+            for qubit in gates[idx].qubits:
                 if qubit in last_on_qubit:
                     prev = last_on_qubit[qubit]
                     if idx not in self._successors[prev]:
@@ -59,7 +59,7 @@ class CircuitDAG:
 
     def gate(self, index: int) -> Gate:
         """The gate at a circuit index."""
-        return self._circuit.gates[index]
+        return self._circuit[index]
 
     def num_nodes(self) -> int:
         """Number of gates in the DAG."""

@@ -1,9 +1,22 @@
-"""Gate model: a single quantum operation on one or more qubits."""
+"""Gate model: a single quantum operation on one or more qubits.
+
+:class:`Gate` is a hand-written ``__slots__`` record, not a frozen
+dataclass, because gate construction sits on every hot producer of gates: a
+cache hit rebuilds every routed gate from its gate table, the route pass
+emits one gate per executed gate and SWAP, and full validation recovers the
+logical circuit gate by gate.  A frozen dataclass would pay seven
+``object.__setattr__`` calls per gate (four in ``__init__``, three in
+``__post_init__``); the record normalises with builtins and writes its four
+slots directly, at about half the cost.  It keeps the dataclass contract:
+value equality and hashing over the four fields,
+:class:`dataclasses.FrozenInstanceError` on assignment and deletion, and
+pickling (through ``__reduce__``, i.e. through the checked constructor).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import FrozenInstanceError
+from typing import Iterable, Sequence
 
 #: Names of standard single-qubit gates recognised by the QASM front-end.
 SINGLE_QUBIT_GATES = frozenset(
@@ -59,7 +72,6 @@ TWO_QUBIT_GATES = frozenset(
 THREE_QUBIT_GATES = frozenset({"ccx", "toffoli", "cswap", "fredkin"})
 
 
-@dataclass(frozen=True)
 class Gate:
     """A quantum gate applied to an ordered tuple of qubit indices.
 
@@ -69,21 +81,63 @@ class Gate:
             unmapped circuit, physical indices in a routed circuit).
         params: optional real parameters (rotation angles, ...).
         label: optional user label carried through transformations.
+
+    The constructor normalises its arguments: the name is lower-cased,
+    operands go through ``int()`` and parameters through ``float()``, so the
+    gate-table decoder hands it unparsed words.  Gates are immutable:
+    assigning or deleting an attribute raises
+    :class:`dataclasses.FrozenInstanceError`.
     """
+
+    __slots__ = ("name", "qubits", "params", "label")
 
     name: str
     qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    label: str = ""
+    params: tuple[float, ...]
+    label: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", self.name.lower())
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"gate {self.name} has repeated qubit operands {self.qubits}")
-        if not self.qubits and self.name != "barrier":
-            raise ValueError(f"gate {self.name} must act on at least one qubit")
+    def __init__(
+        self,
+        name: str,
+        qubits: Iterable[int],
+        params: Iterable[float] = (),
+        label: str = "",
+    ):
+        name = name.lower()
+        qubits = tuple(map(int, qubits))
+        params = tuple(map(float, params)) if params else ()
+        # Operands are distinct; only gates wider than two build a set.
+        count = len(qubits)
+        if count == 2 and qubits[0] == qubits[1] or count > 2 and len(set(qubits)) != count:
+            raise ValueError(f"gate {name} has repeated qubit operands {qubits}")
+        if not count and name != "barrier":
+            raise ValueError(f"gate {name} must act on at least one qubit")
+        _set_name(self, name)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+        _set_label(self, label)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.qubits, self.params, self.label) == (
+            other.name,
+            other.qubits,
+            other.params,
+            other.label,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.qubits, self.params, self.label))
+
+    def __reduce__(self):
+        return (Gate, (self.name, self.qubits, self.params, self.label))
 
     # -- classification ----------------------------------------------------
 
@@ -116,15 +170,11 @@ class Gate:
 
     def remap(self, mapping: Sequence[int] | dict[int, int]) -> "Gate":
         """Return a copy of the gate with qubit indices remapped."""
-        if isinstance(mapping, dict):
-            new_qubits = tuple(mapping[q] for q in self.qubits)
-        else:
-            new_qubits = tuple(mapping[q] for q in self.qubits)
-        return Gate(self.name, new_qubits, self.params, self.label)
+        return Gate(self.name, [mapping[q] for q in self.qubits], self.params, self.label)
 
     def with_qubits(self, qubits: Sequence[int]) -> "Gate":
         """Return a copy of the gate acting on different qubits."""
-        return Gate(self.name, tuple(qubits), self.params, self.label)
+        return Gate(self.name, qubits, self.params, self.label)
 
     def __repr__(self) -> str:
         operands = ", ".join(f"q[{q}]" for q in self.qubits)
@@ -132,6 +182,14 @@ class Gate:
             params = ", ".join(f"{p:g}" for p in self.params)
             return f"{self.name}({params}) {operands}"
         return f"{self.name} {operands}"
+
+
+# Direct slot writes for ``Gate.__init__``: the slot descriptors' setters,
+# which bypass the class's read-only ``__setattr__``.
+_set_name = Gate.name.__set__
+_set_qubits = Gate.qubits.__set__
+_set_params = Gate.params.__set__
+_set_label = Gate.label.__set__
 
 
 def cx(control: int, target: int) -> Gate:

@@ -223,7 +223,7 @@ class RoutingState:
 
     def gate(self, index: int) -> Gate:
         """The gate at circuit index ``index``."""
-        return self.circuit.gates[index]
+        return self.circuit[index]
 
     def is_executable(self, index: int) -> bool:
         """True when the gate's operands are adjacent under the current layout."""

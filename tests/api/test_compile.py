@@ -8,6 +8,7 @@ placement cases) for every registered router and every seed.
 
 import pytest
 
+from repro.analysis.perf_trajectory import smoke_fixture
 from repro.api import (
     CompileError,
     CompileRequest,
@@ -297,3 +298,33 @@ class TestWideGates:
             cache=False,
         )
         assert result.swaps_added > 0
+
+
+class TestGateListCopies:
+    """``QuantumCircuit.gates`` returns a fresh tuple on every read.
+
+    The DAG build and the route pass's gate emission index the circuit
+    instead, so a compile copies the gate list a fixed number of times, not
+    once per gate (which made both quadratic in the gate count).
+    """
+
+    @pytest.mark.parametrize("router", ["sabre", "qlosure"])
+    def test_copies_do_not_grow_with_gate_count(self, router, monkeypatch):
+        reads = []
+        gates = QuantumCircuit.gates
+        monkeypatch.setattr(
+            QuantumCircuit,
+            "gates",
+            property(lambda circuit: reads.append(circuit) or gates.fget(circuit)),
+        )
+        instances = smoke_fixture()
+        copies = {}
+        for instance in (instances[1], instances[5]):
+            reads.clear()
+            api_compile(
+                CompileRequest(circuit=instance.circuit, backend="sherbrooke", router=router),
+                cache=False,
+            )
+            copies[len(instance.circuit)] = len(reads)
+        assert sorted(copies) == [110, 333]
+        assert copies[110] == copies[333], copies

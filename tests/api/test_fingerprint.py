@@ -7,11 +7,14 @@ routed circuit) and must *not* move across spellings of the same request
 graph, equal-content circuits or QASM files) -- otherwise equal work misses.
 """
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.api import CompileRequest, request_fingerprint
+from repro.api.serialize import circuit_from_payload
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.core.config import QlosureConfig
 from repro.hardware.backends import sherbrooke
@@ -166,4 +169,35 @@ class TestFormat:
         request_fingerprint(CompileRequest(generate="qft:6", backend="no-such-device"))
         request_fingerprint(
             CompileRequest(qasm=tmp_path / "missing.qasm", backend="sherbrooke")
+        )
+
+
+class TestPinnedFingerprints:
+    """Literal cache keys of one request per circuit source.
+
+    Existing disk-cache entries and served clients are addressed by these
+    digests, so they must not move unless ``CACHE_SCHEMA_VERSION`` or
+    ``PAYLOAD_VERSION`` is bumped on purpose.
+    """
+
+    def test_circuit_request(self):
+        pinned = Path(__file__).resolve().parent.parent / "data" / "payload-v2.json"
+        circuit = circuit_from_payload(json.loads(pinned.read_text()))
+        request = CompileRequest(circuit=circuit, backend="sherbrooke", router="sabre")
+        assert request_fingerprint(request) == (
+            "5cb4d77f9cfa207d8ec8340e9ee06860aa196afcbd4cc1d72758a2d5cf98917d"
+        )
+
+    def test_qasm_request(self, tmp_path):
+        path = tmp_path / "bell.qasm"
+        path.write_text(BELL_QASM)
+        request = CompileRequest(qasm=path, backend="sherbrooke", router="sabre")
+        assert request_fingerprint(request) == (
+            "8739ad9f07fcd8f233e9d917ac542f3be5eaf85ef4ef690d5332ad36415edf41"
+        )
+
+    def test_generate_request(self):
+        request = CompileRequest(generate="qft:8", backend="sherbrooke", router="qlosure")
+        assert request_fingerprint(request) == (
+            "7ac6468702b17935cb95732ed1efd70a6d0396138daa8d55fa3a25ea28905504"
         )

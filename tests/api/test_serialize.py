@@ -34,6 +34,8 @@ from repro.circuit.gate import Gate
 from repro.hardware.topologies import grid_topology
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "data" / "golden"
+#: A gate table written by the ``PAYLOAD_VERSION`` 2 encoder (see TestPinnedPayload).
+PINNED_PAYLOAD = Path(__file__).resolve().parent.parent / "data" / "payload-v2.json"
 
 #: The pinned golden snapshot setup (kept in lockstep with
 #: tests/routing/test_golden.py: same circuits, same backend, same seed).
@@ -178,6 +180,40 @@ class TestCircuitPayload:
         payload[column] = value
         with pytest.raises(SerializationError, match=message):
             circuit_from_payload(payload)
+
+
+#: The gates ``tests/data/payload-v2.json`` holds, as ``(name, qubits, params, label)``.
+PINNED_GATES = [
+    ("h", (0,), (), ""),
+    ("cx", (0, 1), (), "entangle"),
+    ("barrier", (), (), ""),
+    ("rz", (2,), (-1.25e-07,), ""),
+    ("u3", (2,), (0.5, math.pi, -0.0), ""),
+    ("rz", (1,), (math.nan,), ""),
+    ("swap", (1, 2), (), ""),
+    ("barrier", (0, 2), (), ""),
+    ("measure", (2,), (), ""),
+]
+
+
+class TestPinnedPayload:
+    """The committed gate table pins the wire format of ``PAYLOAD_VERSION`` 2.
+
+    Disk caches and served clients hold tables like it, so a decoder change
+    must still read it to the same gates (label, operand-less barrier,
+    parameters and ``nan`` included) and re-encode it to the same dict.
+    """
+
+    def test_pinned_table_decodes_to_its_gates(self):
+        circuit = circuit_from_payload(json.loads(PINNED_PAYLOAD.read_text()))
+        assert circuit.name == "pinned-v2"
+        assert circuit.num_qubits == 3
+        # repr, because nan != nan
+        assert repr(gates_of(circuit)) == repr(PINNED_GATES)
+
+    def test_pinned_table_re_encodes_identically(self):
+        payload = json.loads(PINNED_PAYLOAD.read_text())
+        assert circuit_to_payload(circuit_from_payload(payload)) == payload
 
 
 class TestResultPayload:

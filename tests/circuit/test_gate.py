@@ -1,5 +1,9 @@
 """Tests for the gate model."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.circuit.gate import Gate, cx, h, swap
@@ -16,6 +20,8 @@ class TestConstruction:
     def test_repeated_operands_rejected(self):
         with pytest.raises(ValueError):
             Gate("cx", (1, 1))
+        with pytest.raises(ValueError, match="repeated"):
+            Gate("ccx", (0, 1, 0))
 
     def test_empty_operands_rejected(self):
         with pytest.raises(ValueError):
@@ -66,8 +72,34 @@ class TestTransformation:
         b = cx(0, 1)
         assert a == b
         assert hash(a) == hash(b)
-        with pytest.raises(AttributeError):
+        with pytest.raises(FrozenInstanceError):
             a.name = "cz"
+        with pytest.raises(FrozenInstanceError):
+            del a.qubits
+        assert a.name == "cx" and a.qubits == (0, 1)
+        gate = Gate("rz", (3,), (0.5,), label="turn")
+        assert pickle.loads(pickle.dumps(gate)) == gate
+        assert copy.deepcopy(gate) == gate
+        assert a != ("cx", (0, 1), (), "")
+        assert ("cx", (0, 1), (), "") != a
+
+    def test_equality_and_hash_cover_all_four_fields(self):
+        base = Gate("rz", (0,), (0.5,), "a")
+        for other in (
+            Gate("rx", (0,), (0.5,), "a"),
+            Gate("rz", (1,), (0.5,), "a"),
+            Gate("rz", (0,), (0.25,), "a"),
+            Gate("rz", (0,), (0.5,), "b"),
+        ):
+            assert base != other
+        assert hash(base) == hash(Gate("RZ", ["0"], [0.5], "a"))
+
+    def test_record_is_slotted_and_not_a_tuple(self):
+        gate = cx(0, 1)
+        assert not hasattr(gate, "__dict__")
+        assert not isinstance(gate, tuple)
+        with pytest.raises(TypeError):
+            iter(gate)
 
     def test_repr(self):
         assert repr(cx(0, 1)) == "cx q[0], q[1]"
