@@ -91,9 +91,6 @@ def circuit_from_payload(payload: dict) -> QuantumCircuit:
                 and min(width, arity) >= 0
             ):
                 raise SerializationError(f"malformed gate kind {[name, width, arity]!r}")
-        # Kind codes as the encoder writes them; any other spelling of a
-        # code (``"01"``) falls back to ``int`` below.
-        kind_of_word = {str(code): kind for code, kind in enumerate(kinds)}
         labels = {int(index): str(label) for index, label in payload["labels"]}
         label_of = labels.get
         circuit = QuantumCircuit(int(payload["num_qubits"]), name=str(payload["name"]))
@@ -103,13 +100,10 @@ def circuit_from_payload(payload: dict) -> QuantumCircuit:
         end, available = len(words), len(values)
         position = cursor = index = 0
         while position < end:
-            kind = kind_of_word.get(words[position])
-            if kind is None:
-                code = int(words[position])
-                if not 0 <= code < len(kinds):
-                    raise SerializationError(f"unknown gate kind code {code}")
-                kind = kinds[code]
-            name, width, arity = kind
+            code = int(words[position])
+            if not 0 <= code < len(kinds):
+                raise SerializationError(f"unknown gate kind code {code}")
+            name, width, arity = kinds[code]
             start = position + 1
             position = start + width
             if position > end:

@@ -105,7 +105,9 @@ class Gate:
     ):
         name = name.lower()
         qubits = tuple(map(int, qubits))
-        params = tuple(map(float, params)) if params else ()
+        # Skip only the already-normal empty tuple; a scalar still raises.
+        if params.__class__ is not tuple or params:
+            params = tuple(map(float, params))
         # Operands are distinct; only gates wider than two build a set.
         count = len(qubits)
         if count == 2 and qubits[0] == qubits[1] or count > 2 and len(set(qubits)) != count:

@@ -34,6 +34,15 @@ class TestConstruction:
         gate = Gate("rz", (0,), (1,))
         assert gate.params == (1.0,)
 
+    def test_params_must_be_iterable(self):
+        # A scalar angle is not a parameter list, zero included.
+        with pytest.raises(TypeError):
+            Gate("rz", [0], 0.0)
+        with pytest.raises(TypeError):
+            Gate("rz", [0], 0.5)
+        with pytest.raises(TypeError):
+            Gate("h", [0], None)
+
 
 class TestClassification:
     def test_two_qubit(self):
