@@ -185,14 +185,19 @@ def _circuit_token(circuit) -> dict:
     }
 
 
-def _qasm_token(path) -> dict:
+def _qasm_token(path, content: str | None = None) -> dict:
+    """The source token of a QASM file: its stem and the SHA-256 of ``content`` bytes.
+
+    ``content`` is the digest of bytes already read; without it the file is read now.
+    """
     path = Path(path)
-    try:
-        content = hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        # The compile pass will fail with its own one-line message; key the
-        # (never stored) fingerprint on the path so fingerprinting never raises.
-        return {"kind": "qasm", "stem": path.stem, "path": str(path)}
+    if content is None:
+        try:
+            content = hashlib.sha256(path.read_bytes()).hexdigest()
+        except OSError:
+            # The compile pass will fail with its own one-line message; key the
+            # (never stored) fingerprint on the path so fingerprinting never raises.
+            return {"kind": "qasm", "stem": path.stem, "path": str(path)}
     # Content-addressed: the same file moved elsewhere (same stem, and thus
     # the same metrics record) hits the same entry.
     return {"kind": "qasm", "stem": path.stem, "content": content}
@@ -246,16 +251,20 @@ def request_fingerprint(request: CompileRequest) -> str:
     resolved coupling graphs, and equal-content circuits or QASM files --
     produce equal fingerprints, and any output-affecting mutation changes it.
     """
+    if request.circuit is not None:
+        source = _circuit_token(request.circuit)
+    elif request.qasm is not None:
+        source = _qasm_token(request.qasm)
+    else:
+        source = {"kind": "generate", "spec": str(request.generate).strip()}
+    return _fingerprint(request, source)
+
+
+def _fingerprint(request: CompileRequest, source: dict) -> str:
     record = {
         "schema": CACHE_SCHEMA_VERSION,
         "payload": PAYLOAD_VERSION,
-        "source": (
-            _circuit_token(request.circuit)
-            if request.circuit is not None
-            else _qasm_token(request.qasm)
-            if request.qasm is not None
-            else {"kind": "generate", "spec": str(request.generate).strip()}
-        ),
+        "source": source,
         "backend": _backend_token(request.backend),
         "router": _router_token(request.router),
         "seed": int(request.seed),
@@ -427,7 +436,16 @@ class CompileCache:
     # -- stores --------------------------------------------------------------
 
     def store(self, fingerprint: str, result: CompileResult) -> None:
-        """Serialize ``result`` and store it under ``fingerprint`` in every tier."""
+        """Serialize ``result`` and store it under ``fingerprint`` in every tier.
+
+        A ``qasm=`` result compiled in this process is stored under the
+        fingerprint of the bytes its load pass parsed instead: ``fingerprint``
+        hashed the file before it was loaded, and a file edited in between
+        would otherwise leave one content's route under the other's key.
+        """
+        if result.source_digest is not None:
+            request = result.request
+            fingerprint = _fingerprint(request, _qasm_token(request.qasm, result.source_digest))
         payload = result_to_payload(result)
         self._memory_put(fingerprint, payload)
         if self.directory is not None and not self.readonly:

@@ -33,6 +33,7 @@ results never distort a timing trajectory with near-zero replay times.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -100,16 +101,21 @@ def load_circuit(
     if circuit is not None:
         return circuit
     if qasm is not None:
-        from repro.qasm.lexer import QasmSyntaxError
-        from repro.qasm.loader import load_qasm_file
+        from repro.qasm.loader import QasmSyntaxError, circuit_from_qasm
 
         path = Path(qasm)
         try:
-            return load_qasm_file(path)
+            data = path.read_bytes()
         except OSError as exc:
             raise CompileError(f"cannot read QASM file {path}: {exc}") from exc
+        try:
+            loaded = circuit_from_qasm(data.decode(), name=path.stem)
         except QasmSyntaxError as exc:
             raise CompileError(f"invalid QASM in {path}: {exc}") from exc
+        # The cache keys a result on the bytes parsed here, not on the file
+        # as it read when the request was fingerprinted (see CompileCache.store).
+        loaded._repro_source_digest = hashlib.sha256(data).hexdigest()
+        return loaded
     from repro.benchgen.qasmbench import qasmbench_circuit
 
     family, _, qubits = str(generate).partition(":")
@@ -281,6 +287,9 @@ def compile_uncached(
             circuit_name=request.label or circuit.name,
             pass_timings=timings,
             metrics=metrics,
+            source_digest=(
+                None if request.qasm is None else getattr(circuit, "_repro_source_digest", None)
+            ),
         )
     except Exception as exc:
         _annotate_phase(exc, phase)

@@ -147,6 +147,10 @@ class CompileResult:
     circuit_name: str
     pass_timings: dict[str, float] = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
+    #: SHA-256 of the QASM bytes the load pass parsed (``qasm=`` requests
+    #: compiled in this run; ``None`` otherwise and on cache hits).  The
+    #: cache stores the result under it; it is not part of the payload.
+    source_digest: str | None = field(default=None, compare=False, repr=False)
 
     #: Successes and failures share the ``ok`` discriminator.
     @property

@@ -10,6 +10,8 @@ import json
 
 import pytest
 
+import repro.api.batch as api_batch
+import repro.api.pipeline as api_pipeline
 from repro.api import (
     CACHE_SCHEMA_VERSION,
     CompileCache,
@@ -25,6 +27,7 @@ from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
 from repro.hardware.topologies import grid_topology
+from repro.qasm.writer import circuit_to_qasm
 
 GRID = grid_topology(4, 4)
 
@@ -293,3 +296,69 @@ class TestDuplicateRequestsInOneBatch:
         reference = compile_uncached(request)
         for result in list(cold) + list(warm):
             assert gates_of(result.routed_circuit) == gates_of(reference.routed_circuit)
+
+
+class TestQasmEditedDuringCompile:
+    """A ``qasm=`` file rewritten between fingerprinting and loading.
+
+    The request is fingerprinted on content A; while it compiles the file
+    reads B; then A is restored.  The route of B must not be filed under A's
+    fingerprint, or every later request for A (in this process, or in any
+    process sharing the disk tier) would be answered with B's circuit.
+    """
+
+    @staticmethod
+    def _edited_while(monkeypatch, module, attribute, path, during, after):
+        """Make ``module.attribute`` (the compile step) run while ``path`` holds ``during``."""
+        original = getattr(module, attribute)
+
+        def compile_while_edited(request, *args, **kwargs):
+            path.write_text(during)
+            try:
+                return original(request, *args, **kwargs)
+            finally:
+                path.write_text(after)
+
+        monkeypatch.setattr(module, attribute, compile_while_edited)
+
+    @pytest.mark.parametrize("entry", ["compile", "compile_many"])
+    def test_result_is_filed_under_the_bytes_it_was_compiled_from(
+        self, entry, tmp_path, monkeypatch
+    ):
+        a, b = circuit_to_qasm(ghz_circuit(6)), circuit_to_qasm(qft_circuit(6))
+        path = tmp_path / "circuit.qasm"
+        path.write_text(a)
+        request = CompileRequest(qasm=path, backend=GRID, router="sabre")
+        fresh_a = api_compile(request, cache=False)
+        path.write_text(b)
+        fresh_b = api_compile(request, cache=False)
+        assert bits_of(fresh_a) != bits_of(fresh_b)
+        path.write_text(a)
+
+        cache = CompileCache(directory=tmp_path / "cache")
+        if entry == "compile":
+            self._edited_while(monkeypatch, api_pipeline, "compile_uncached", path, b, a)
+            edited = api_compile(request, cache=cache)
+        else:
+            self._edited_while(monkeypatch, api_batch, "_compile", path, b, a)
+            edited = compile_many([request], cache=cache).results[0]
+        monkeypatch.undo()
+        assert bits_of(edited) == bits_of(fresh_b)
+
+        # The file reads A again: A's request is recompiled, not answered with B.
+        for store in (cache, CompileCache(directory=tmp_path / "cache")):
+            assert store.get(request) is None
+        assert bits_of(api_compile(request, cache=cache)) == bits_of(fresh_a)
+        # B's route is kept, under the fingerprint of B.
+        path.write_text(b)
+        hit = CompileCache(directory=tmp_path / "cache").get(request)
+        assert hit is not None and bits_of(hit) == bits_of(fresh_b)
+
+    def test_unchanged_file_is_stored_under_its_request_fingerprint(self, tmp_path):
+        path = tmp_path / "circuit.qasm"
+        path.write_text(circuit_to_qasm(ghz_circuit(6)))
+        request = CompileRequest(qasm=path, backend=GRID, router="sabre")
+        cache = CompileCache()
+        result = api_compile(request, cache=cache)
+        assert result.source_digest is not None
+        assert cache.lookup(request_fingerprint(request), request) is not None

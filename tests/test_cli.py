@@ -113,6 +113,15 @@ class TestErrorHandling:
         assert code == 2
         assert "invalid QASM" in capsys.readouterr().err
 
+    def test_undeclared_gate_argument_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text("OPENQASM 2.0;\nqreg q[2];\ngate g x,y { cx x,z; }\ng q[0],q[1];\n")
+        code = main(["map", "--qasm", str(bad), "--no-cache"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid QASM" in err and "'z'" in err and "line 3" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_backend_exits_2(self, capsys):
         code = main(["map", "--generate", "ghz:8", "--backend", "nope"])
         assert code == 2
