@@ -90,8 +90,8 @@ bench:
 ## then the benchmark self-test, then tier-1 tests, then a CLI smoke of the
 ## public surface
 ## (`repro-map map` routes through repro.api.compile, from a generator spec
-## and from QASM files: its own routed output read back, and a hand-written
-## corpus file with user gates, verified; `bench --quick` drives
+## and from QASM files: its own routed output read back, which holds SWAPs
+## mid-circuit, and a hand-written corpus file with user gates, both verified; `bench --quick` drives
 ## the compile_many batch driver on a reduced fixture, run twice against one
 ## --cache-dir so the second run exercises warm disk hits end to end).
 check: test-golden test-cache test-cache-store test-faults test-serve bench-selftest test-obs test
@@ -99,7 +99,7 @@ check: test-golden test-cache test-cache-store test-faults test-serve bench-self
 	$(PYTHON) -m repro map --generate ghz:10 --mapper qlosure --verify
 	$(PYTHON) -m repro map --generate qft:10 --no-cache --trace-out $(or $(TMPDIR),/tmp)/repro-check.trace.jsonl
 	$(PYTHON) -m repro map --generate qft:10 --no-cache --output $(or $(TMPDIR),/tmp)/repro-check.qasm
-	$(PYTHON) -m repro map --qasm $(or $(TMPDIR),/tmp)/repro-check.qasm --no-cache
+	$(PYTHON) -m repro map --qasm $(or $(TMPDIR),/tmp)/repro-check.qasm --no-cache --verify
 	$(PYTHON) -m repro map --qasm tests/data/qasm-corpus/user_gates.qasm --no-cache --verify
 	$(PYTHON) -m repro trace summarize $(or $(TMPDIR),/tmp)/repro-check.trace.jsonl
 	$(PYTHON) -m repro trace chrome $(or $(TMPDIR),/tmp)/repro-check.trace.jsonl --output $(or $(TMPDIR),/tmp)/repro-check.chrome.json

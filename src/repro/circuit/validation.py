@@ -92,12 +92,27 @@ def recovered_logical_circuit(
 
 
 def _per_qubit_traces(circuit: QuantumCircuit) -> dict[int, list[tuple]]:
+    """The gates acting on each qubit state, in order, SWAPs dropped.
+
+    State ``q`` starts on qubit ``q`` and a SWAP exchanges two qubits'
+    states, as :func:`recovered_logical_circuit` relabels a routed circuit.
+    """
     traces: dict[int, list[tuple]] = {}
+    state: list[int] | None = None  # qubit -> state it holds, once a SWAP moved one
     for gate in circuit:
-        if gate.is_barrier or gate.is_swap:
+        if gate.is_barrier:
             continue
-        signature = (gate.name, gate.qubits, gate.params)
-        for qubit in gate.qubits:
+        qubits = gate.qubits
+        if gate.is_swap:
+            if state is None:
+                state = list(range(circuit.num_qubits))
+            a, b = qubits
+            state[a], state[b] = state[b], state[a]
+            continue
+        if state is not None:
+            qubits = tuple([state[qubit] for qubit in qubits])
+        signature = (gate.name, qubits, gate.params)
+        for qubit in qubits:
             traces.setdefault(qubit, []).append(signature)
     return traces
 
@@ -112,7 +127,8 @@ def check_dependence_preservation(
     The criterion is per-qubit trace equality of the SWAP-stripped,
     logically-relabelled routed circuit against the original circuit: gates
     acting on disjoint qubits may be reordered freely, but the order of gates
-    sharing a qubit (i.e. every dependence) must be preserved.
+    sharing a qubit (i.e. every dependence) must be preserved.  SWAPs of the
+    original relabel it the same way, so traces follow qubit states.
     """
     recovered = recovered_logical_circuit(routed, initial_layout, original.num_qubits)
     original_traces = _per_qubit_traces(original)

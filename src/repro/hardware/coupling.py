@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
+from repro.hardware.distance import FlatDistanceTable, bfs_distances, shortest_path
 
 
 class CouplingGraph:
@@ -12,14 +12,17 @@ class CouplingGraph:
 
     The graph is the hardware abstraction the mapper consumes (the paper's
     set ``Rhw``).  Edges are undirected: if ``(p1, p2)`` is present, a
-    two-qubit gate (and a SWAP) may be applied between ``p1`` and ``p2``.
+    two-qubit gate (and a SWAP) may be applied between ``p1`` and ``p2``.  An
+    edge given twice, in either orientation, is kept once.
 
-    Adjacency tests, neighbour lists and candidate-SWAP edges sit on the
-    routing hot path, so they are answered from precomputed structures (a
-    flat row-major adjacency bytearray, per-qubit sorted neighbour tuples and
-    per-qubit incident-edge tuples) rather than networkx queries; the
-    networkx graph remains the source of truth for everything cold
-    (connectivity checks, path reconstruction, subgraphs).
+    Every query is answered from tables built once here: a flat row-major
+    adjacency bytearray, per-qubit neighbour tuples (sorted, and in the order
+    their edges were first given), per-qubit incident-edge tuples and the
+    edge list.  The routing hot path reads the sorted views.  The given order
+    fixes :meth:`edges` and the tie-breaks of :meth:`shortest_path`, which
+    match a networkx ``Graph`` built from the same edges: QUEKO generation,
+    synthetic noise models and Sherbrooke-2X consume that edge order, and
+    LightSABRE's release valve commits the first hop of that path.
     """
 
     def __init__(
@@ -30,36 +33,35 @@ class CouplingGraph:
     ):
         if num_qubits <= 0:
             raise ValueError("a coupling graph needs at least one qubit")
-        self._num_qubits = int(num_qubits)
+        n = self._num_qubits = int(num_qubits)
         self.name = name
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(self._num_qubits))
+        # Flat row-major adjacency table: adjacency[a * n + b] is 1 iff coupled.
+        adjacency = bytearray(n * n)
+        ordered: list[list[int]] = [[] for _ in range(n)]
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError(f"self-coupling ({a}, {b}) is not allowed")
-            if not (0 <= a < self._num_qubits and 0 <= b < self._num_qubits):
-                raise ValueError(
-                    f"edge ({a}, {b}) references a qubit outside [0, {self._num_qubits})"
-                )
-            self._graph.add_edge(a, b)
-        # Flat row-major adjacency table: adjacency[a * n + b] is 1 iff coupled.
-        n = self._num_qubits
-        adjacency = bytearray(n * n)
-        neighbors: list[tuple[int, ...]] = []
-        incident: list[tuple[tuple[int, int], ...]] = []
-        for qubit in range(n):
-            around = tuple(sorted(self._graph.neighbors(qubit)))
-            neighbors.append(around)
-            incident.append(
-                tuple((min(qubit, other), max(qubit, other)) for other in around)
-            )
-            base = qubit * n
-            for other in around:
-                adjacency[base + other] = 1
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a}, {b}) references a qubit outside [0, {n})")
+            if adjacency[a * n + b]:
+                continue
+            adjacency[a * n + b] = adjacency[b * n + a] = 1
+            ordered[a].append(b)
+            ordered[b].append(a)
         self._adjacency = bytes(adjacency)
-        self._neighbors = tuple(neighbors)
-        self._incident = tuple(incident)
+        self._ordered = tuple(map(tuple, ordered))
+        self._neighbors = tuple(tuple(sorted(around)) for around in ordered)
+        self._incident = tuple(
+            tuple((min(qubit, other), max(qubit, other)) for other in around)
+            for qubit, around in enumerate(self._neighbors)
+        )
+        self._edges = tuple(
+            (qubit, other)
+            for qubit, around in enumerate(ordered)
+            for other in around
+            if other > qubit
+        )
         self._distance = None  # FlatDistanceTable, built lazily once
         self._distance_rows: dict[int, list[int]] = {}
 
@@ -69,11 +71,6 @@ class CouplingGraph:
     def num_qubits(self) -> int:
         """Number of physical qubits on the device."""
         return self._num_qubits
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (do not mutate)."""
-        return self._graph
 
     @property
     def adjacency(self) -> bytes:
@@ -89,13 +86,22 @@ class CouplingGraph:
         """
         return self._incident
 
+    @property
+    def ordered_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per-qubit neighbours in the order their edges were first given."""
+        return self._ordered
+
     def edges(self) -> list[tuple[int, int]]:
-        """The coupling edges as (min, max) ordered pairs."""
-        return [tuple(sorted(edge)) for edge in self._graph.edges()]
+        """The coupling edges as (min, max) pairs.
+
+        Qubits come in index order, each followed by its higher-numbered
+        neighbours in the order their edges were first given.
+        """
+        return list(self._edges)
 
     def num_edges(self) -> int:
         """Number of coupling edges."""
-        return self._graph.number_of_edges()
+        return len(self._edges)
 
     def neighbors(self, qubit: int) -> list[int]:
         """Physical qubits directly coupled to ``qubit`` (sorted)."""
@@ -114,16 +120,14 @@ class CouplingGraph:
         return self._adjacency[a * self._num_qubits + b] == 1
 
     def is_connected(self) -> bool:
-        """True when the coupling graph is connected."""
-        return nx.is_connected(self._graph)
+        """True when every qubit is reachable from qubit 0 (cached BFS row)."""
+        return -1 not in self.distance_row(0)
 
     # -- distances -------------------------------------------------------------
 
-    def distance_table(self):
+    def distance_table(self) -> FlatDistanceTable:
         """The shared flat all-pairs distance table (built once, then cached)."""
         if self._distance is None:
-            from repro.hardware.distance import FlatDistanceTable, bfs_distances
-
             rows = [
                 self._distance_rows.get(source) or bfs_distances(self, source)
                 for source in range(self._num_qubits)
@@ -151,8 +155,6 @@ class CouplingGraph:
             return self._distance.rows[source]
         row = self._distance_rows.get(source)
         if row is None:
-            from repro.hardware.distance import bfs_distances
-
             row = bfs_distances(self, source)
             self._distance_rows[source] = row
         return row
@@ -162,20 +164,33 @@ class CouplingGraph:
         return self.distance_row(a)[b]
 
     def shortest_path(self, a: int, b: int) -> list[int]:
-        """One shortest path between two physical qubits (inclusive endpoints)."""
-        return nx.shortest_path(self._graph, a, b)
+        """One shortest path between two physical qubits (inclusive endpoints).
+
+        See :func:`repro.hardware.distance.shortest_path` for which one.
+        """
+        return shortest_path(self, a, b)
 
     # -- construction helpers ---------------------------------------------------
 
     def subgraph(self, qubits: Sequence[int], name: str | None = None) -> "CouplingGraph":
-        """Induced subgraph over a subset of physical qubits, reindexed from 0."""
-        index = {q: i for i, q in enumerate(qubits)}
+        """Induced subgraph over distinct qubits of this graph, reindexed from 0.
+
+        The subgraph's edges keep this graph's edge order.  A repeated qubit
+        or one outside the graph raises ``ValueError``.
+        """
+        index: dict[int, int] = {}
+        for qubit in qubits:
+            if not 0 <= qubit < self._num_qubits:
+                raise ValueError(
+                    f"qubit {qubit} is outside {self.name!r} ([0, {self._num_qubits}))"
+                )
+            if qubit in index:
+                raise ValueError(f"qubit {qubit} appears twice in the subgraph's qubits")
+            index[qubit] = len(index)
         edges = [
-            (index[a], index[b])
-            for a, b in self._graph.edges()
-            if a in index and b in index
+            (index[a], index[b]) for a, b in self._edges if a in index and b in index
         ]
-        return CouplingGraph(len(qubits), edges, name or f"{self.name}-sub")
+        return CouplingGraph(len(index), edges, name or f"{self.name}-sub")
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._num_qubits))

@@ -98,21 +98,61 @@ def flat_distance_table(graph: "CouplingGraph") -> FlatDistanceTable:
 
 
 def shortest_path(graph: "CouplingGraph", source: int, target: int) -> list[int]:
-    """One shortest path between two qubits, endpoints included."""
+    """One shortest path between two physical qubits, endpoints included.
+
+    A device usually has several shortest paths between two qubits; this
+    returns the one networkx's ``shortest_path`` returns on a ``Graph`` built
+    from the same edges.  The search is a bidirectional BFS: each step grows
+    the smaller frontier (the source side on a tie) by one level, visiting
+    neighbours in the order their edges were first given
+    (:attr:`CouplingGraph.ordered_neighbors`), and stops at the first qubit
+    both sides have reached.  LightSABRE's release valve commits the first
+    hop of this path, so another tie-break would change routed outputs.
+
+    Raises ``ValueError`` for a qubit outside the graph or when no path
+    exists.
+    """
+    for qubit in (source, target):
+        if not 0 <= qubit < graph.num_qubits:
+            raise ValueError(f"physical qubit {qubit} is outside [0, {graph.num_qubits})")
     if source == target:
         return [source]
-    parents: dict[int, int] = {source: source}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor in parents:
-                continue
-            parents[neighbor] = node
-            if neighbor == target:
-                path = [target]
-                while path[-1] != source:
-                    path.append(parents[path[-1]])
-                return list(reversed(path))
-            queue.append(neighbor)
+    adjacent = graph.ordered_neighbors
+    pred: dict[int, int | None] = {source: None}
+    succ: dict[int, int | None] = {target: None}
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            forward, meet = _grow(forward, adjacent, pred, succ)
+        else:
+            reverse, meet = _grow(reverse, adjacent, succ, pred)
+        if meet is not None:
+            return _chain(pred, meet)[::-1] + _chain(succ, succ[meet])
     raise ValueError(f"no path between physical qubits {source} and {target}")
+
+
+def _grow(
+    level: list[int],
+    adjacent: tuple[tuple[int, ...], ...],
+    parents: dict[int, int | None],
+    other_side: dict[int, int | None],
+) -> tuple[list[int], int | None]:
+    """Expand one BFS level; return the next level and the first meeting qubit."""
+    frontier = []
+    for node in level:
+        for neighbor in adjacent[node]:
+            if neighbor not in parents:
+                parents[neighbor] = node
+                frontier.append(neighbor)
+            if neighbor in other_side:
+                return frontier, neighbor
+    return frontier, None
+
+
+def _chain(parents: dict[int, int | None], node: int | None) -> list[int]:
+    """Follow ``parents`` from ``node`` to the search's root."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = parents[node]
+    return chain

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.hardware.coupling import CouplingGraph
@@ -138,18 +139,35 @@ def error_weighted_distance(
     Each edge is weighted by ``-3 * log(1 - error)`` -- the log-infidelity of
     the SWAP that would traverse it -- and shortest paths are computed over
     those weights, giving a drop-in replacement for the hop-count matrix
-    ``Dphys`` that prefers routes over well-calibrated couplers.
-    """
-    import networkx as nx
+    ``Dphys`` that prefers routes over well-calibrated couplers.  Unreachable
+    pairs read 0.0.
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(coupling.num_qubits))
+    One heap-based Dijkstra runs per source.  A qubit's entry is the least
+    float ``distance(neighbour) + weight`` over the neighbours settled before
+    it, and float addition is monotone, so the entries do not depend on the
+    order of relaxation or on heap ties: they equal networkx's
+    ``all_pairs_dijkstra_path_length`` bit for bit, even where equal-cost
+    paths sum to floats that differ in the last bit.
+    """
+    n = coupling.num_qubits
+    weighted: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for a, b in coupling.edges():
         weight = -3.0 * math.log(max(1e-9, 1.0 - noise.edge_error(a, b)))
-        graph.add_edge(a, b, weight=weight)
-    lengths = dict(nx.all_pairs_dijkstra_path_length(graph, weight="weight"))
-    matrix = [[0.0] * coupling.num_qubits for _ in range(coupling.num_qubits)]
-    for source, targets in lengths.items():
-        for target, value in targets.items():
-            matrix[source][target] = value
+        weighted[a].append((b, weight))
+        weighted[b].append((a, weight))
+    matrix = []
+    for source in range(n):
+        best = [math.inf] * n
+        best[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            length, node = heappop(heap)
+            if length > best[node]:
+                continue  # superseded by a shorter path pushed later
+            for other, weight in weighted[node]:
+                candidate = length + weight
+                if candidate < best[other]:
+                    best[other] = candidate
+                    heappush(heap, (candidate, other))
+        matrix.append([0.0 if length == math.inf else length for length in best])
     return matrix

@@ -174,6 +174,21 @@ class TestPipeline:
             result.initial_layout,
         )
 
+    @pytest.mark.parametrize("router", router_names())
+    def test_input_with_mid_circuit_swaps_verifies(self, router):
+        # A routed QFT read back as input: its SWAPs have gates after them.
+        circuit = api_compile(
+            CompileRequest(circuit=qft_circuit(8), backend=GRID, router="sabre"),
+            cache=False,
+        ).routed_circuit
+        swaps = [i for i, gate in enumerate(circuit) if gate.is_swap]
+        assert swaps and swaps[0] < len(circuit) - 10
+        result = api_compile(
+            CompileRequest(circuit=circuit, backend=GRID, router=router, validation="full"),
+            cache=False,
+        )
+        verify_routing(circuit, result.routed_circuit, GRID.edges(), result.initial_layout)
+
     def test_greedy_placement_strategy_routes_correctly(self):
         circuit = qft_circuit(8)
         result = api_compile(

@@ -128,3 +128,28 @@ class TestVerifyRouting:
         routed.swap(1, 2)
         routed.cx(0, 1)
         verify_routing(original, routed, LINE3_EDGES, {0: 0, 1: 2})
+
+
+class TestInputSwaps:
+    """SWAPs of the original are routed like any gate and move its states."""
+
+    @staticmethod
+    def original_with_swap() -> QuantumCircuit:
+        original = QuantumCircuit(3)
+        original.swap(0, 1)
+        original.cx(0, 2)  # acts on the state that started on qubit 1
+        return original
+
+    def test_routed_input_swap_passes(self):
+        routed = QuantumCircuit(3)
+        routed.swap(0, 1)  # the input's SWAP
+        routed.swap(1, 2)  # the router's SWAP
+        routed.cx(0, 1)
+        verify_routing(self.original_with_swap(), routed, LINE3_EDGES, [0, 1, 2])
+
+    def test_dropped_input_swap_fails(self):
+        routed = QuantumCircuit(3)
+        routed.swap(1, 2)
+        routed.cx(0, 1)
+        with pytest.raises(RoutingValidationError):
+            verify_routing(self.original_with_swap(), routed, LINE3_EDGES, [0, 1, 2])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.backends import sherbrooke
 from repro.hardware.coupling import CouplingGraph
 
 
@@ -46,6 +47,13 @@ class TestQueries:
         graph = CouplingGraph(3, [(2, 1), (1, 0)])
         assert sorted(graph.edges()) == [(0, 1), (1, 2)]
 
+    def test_edges_keep_the_order_they_were_given(self):
+        graph = CouplingGraph(4, [(3, 0), (1, 2), (0, 2), (2, 1), (0, 1)])
+        assert graph.edges() == [(0, 3), (0, 2), (0, 1), (1, 2)]
+        assert graph.num_edges() == 4
+        assert graph.neighbors(0) == [1, 2, 3]
+        assert graph.ordered_neighbors[0] == (3, 2, 1)
+
     def test_iteration_yields_qubits(self, line5):
         assert list(line5) == [0, 1, 2, 3, 4]
 
@@ -72,6 +80,15 @@ class TestDistances:
         for a, b in zip(path, path[1:]):
             assert grid3x3.are_adjacent(a, b)
 
+    @pytest.mark.parametrize("pair, outside", [((0, 500), 500), ((500, 0), 500), ((-1, 3), -1)])
+    def test_shortest_path_rejects_qubits_outside_the_graph(self, pair, outside):
+        with pytest.raises(ValueError, match=f"qubit {outside} "):
+            sherbrooke().shortest_path(*pair)
+
+    def test_shortest_path_without_a_path_raises_value_error(self):
+        with pytest.raises(ValueError, match="no path"):
+            CouplingGraph(4, [(0, 1), (2, 3)]).shortest_path(0, 3)
+
 
 class TestSubgraph:
     def test_subgraph_reindexes(self, grid3x3):
@@ -84,3 +101,12 @@ class TestSubgraph:
     def test_subgraph_drops_external_edges(self, line5):
         sub = line5.subgraph([0, 2, 4])
         assert sub.num_edges() == 0
+
+    def test_subgraph_rejects_a_repeated_qubit(self):
+        with pytest.raises(ValueError, match="qubit 0 "):
+            sherbrooke().subgraph([0, 0])
+
+    @pytest.mark.parametrize("qubit", [500, 127, -1])
+    def test_subgraph_rejects_a_qubit_outside_the_graph(self, qubit):
+        with pytest.raises(ValueError, match=f"qubit {qubit} "):
+            sherbrooke().subgraph([0, 1, qubit])
