@@ -41,12 +41,17 @@ test-cache:
 test-cache-store:
 	$(PYTHON) -m pytest tests/api/test_cache_store.py tests/serve/test_serve_cache.py -q
 
-## Fault-injection suite: structured per-request failures (on_error="collect"),
-## timeouts, retries with deterministic seeded backoff, worker-crash
-## isolation, determinism-under-failure (faulted siblings never perturb clean
-## results), and disk-tier failure simulation always degrading to a miss.
+## Batch executor and fault-injection suite (~4 s), the whole compile_many
+## contract: worker-count determinism (test_batch.py), structured per-request
+## failures (on_error="collect"), timeouts, retries with deterministic seeded
+## backoff, worker-crash isolation, forks per batch (pool size plus one per
+## respawn), determinism-under-failure (faulted siblings never perturb clean
+## results), disk-tier failure simulation always degrading to a miss, and
+## child spans stitched into the batch trace span for span
+## (test_trace_propagation.py).
 test-faults:
-	$(PYTHON) -m pytest tests/api/test_faults.py tests/api/test_batch_failures.py -q
+	$(PYTHON) -m pytest tests/api/test_faults.py tests/api/test_batch_failures.py \
+		tests/api/test_batch.py tests/obs/test_trace_propagation.py -q
 
 ## Compile-service suite: queue ordering/backpressure, wire codecs and error
 ## mapping, handler-level service semantics (coalescing, jobs, drain, fault

@@ -1,77 +1,63 @@
-"""Parallel batch driver: fan a list of compile requests across processes.
+"""Batch driver: one scheduler runs every cache miss, in process or on a pool.
 
 :func:`compile_many` is the harness-facing entry point for routing many
-circuits.  Results are bit-for-bit identical to running
-:func:`repro.api.compile` serially over the same requests because every
-request carries its own seed and routing has no cross-request state; the
-driver only changes *where* each request runs, never *what* it computes.
-Result order always matches request order regardless of worker scheduling.
+circuits.  Every request carries its own seed and routing has no
+cross-request state, so results are bit-for-bit identical to serial
+:func:`repro.api.compile` calls, in request order, however they are run.
 
-The driver is cache-aware: requests are fingerprinted up front and partitioned
-into hits and misses against the content-addressed cache
-(:mod:`repro.api.cache`), only the misses fan out across workers, and the
-miss results are stored back in the parent process (worker processes never
-own a cache, so nothing is populated into fork-copied stores that die with
-the pool).  Hits slot back into their original positions, so a warm-cache
-batch is positionally and bit-for-bit identical to a cold serial run.
+Requests are first fingerprinted and looked up in the content-addressed
+cache (:mod:`repro.api.cache`).  Hits slot back into their positions and
+only the misses are scheduled; their results are stored in the parent as
+they arrive (children never own a cache).
 
-The driver is also fault-tolerant.  Under ``on_error="collect"`` a failing
-request is recorded as a structured :class:`~repro.api.result.CompileError`
-in its original batch slot instead of aborting its siblings; ``timeout``
-bounds each request's wall-clock per attempt, ``retries`` re-runs failed
-attempts on a deterministic seeded backoff schedule
-(:func:`~repro.api.faults.deterministic_backoff` -- a pure function of the
-request fingerprint and attempt number, never wall-clock jitter), and a
-worker process that crashes or hangs is reaped and its request retried or
-recorded as failed while every sibling's result stays bit-for-bit identical
-to a clean serial run.  The :class:`~repro.api.faults.FaultPlan` harness
-injects exceptions, delays, worker kills and cache corruption at
-deterministic (fingerprint, attempt) points so every one of those recovery
-paths is testable and replayable.
+One scheduler runs every miss.  Retries, the seeded backoff
+(:func:`~repro.api.faults.deterministic_backoff`, a pure function of the
+fingerprint and attempt, never wall-clock jitter) and the ``on_error``
+policy stay in the parent, which hands each attempt to one of two executors:
 
-Execution strategy: a clean batch (no timeout, no retries, no fault plan,
-``on_error="raise"``) runs exactly as before -- serial in-process for one
-worker, a ``fork``-based :class:`~concurrent.futures.ProcessPoolExecutor`
-otherwise (workers inherit the warm interpreter instead of re-importing the
-package).  Once fault tolerance is engaged, requests that need *isolation*
-(a wall-clock timeout or a kill fault can only be enforced on a separate
-process) run one attempt per forked child with a result pipe; everything
-else runs in-process with exception capture.  Either way the computation per
-request is the same pure function, so worker count and scheduling never
-change the bits.
+* **in process**, on the calling thread, when one slot is enough
+  (``workers=1`` or a single miss) and no attempt needs isolation.  A
+  request's retries then run back to back, sleeping the backoff in between;
+* otherwise a **pool** of ``min(workers, misses)`` forked children that live
+  for the whole batch.  Only a separate process can enforce a ``timeout`` or
+  survive a ``kill`` fault: a child that runs past its deadline or dies is
+  reaped, and its slot forks a fresh one for its next attempt.  A batch
+  therefore forks its pool size plus one child per respawn.
+
+Children inherit the requests at fork and take ``(index, attempt)`` jobs
+over a pipe.  Each replies with the result or a structured
+:class:`~repro.api.result.CompileError`, the request's own exception when it
+pickles, and its trace fragment, which the parent folds into the batch trace
+in batch order.  A :class:`~repro.api.faults.FaultPlan` injects exceptions,
+delays, kills and cache faults at deterministic (request, attempt) points,
+so every recovery path is testable and replayable.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import multiprocessing
 import os
+import pickle
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Iterable
 
+from repro.api.faults import apply_execution_faults, deterministic_backoff, resolve_faults
 from repro.api.pipeline import compile_uncached as _compile
 from repro.api.pipeline import _cache_fault_window
 from repro.api.request import CompileRequest
 from repro.api.result import BatchResult, CompileError, CompileResult
-from repro.obs.trace import Tracer, current_tracer, use_tracer
+from repro.obs.trace import NULL_TRACER, Tracer, current_tracer, use_tracer
 
 #: Recognised per-request failure policies.
 ON_ERROR_POLICIES = ("raise", "collect")
-
-#: Poll interval of the isolated-attempt scheduler (seconds).
-_POLL_SECONDS = 0.02
 
 
 def default_workers() -> int:
     """A sensible worker count for this machine (at least 1)."""
     return max(1, (os.cpu_count() or 2) - 1)
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def _check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
@@ -81,365 +67,241 @@ def _check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
     Bad values fail loudly *before* any work is scheduled -- a batch must
     never be half-run on arguments that were silently coerced.
     """
+
+    def check(value, convert, rule, valid):
+        try:
+            number = convert(value)
+        except (TypeError, ValueError):
+            number = None
+        if number is None or not valid(number):
+            raise ValueError(f"{rule}, got {value!r}")
+        return number
+
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if timeout is not None:
-        try:
-            timeout = float(timeout)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"timeout must be a positive number of seconds or None, "
-                f"got {timeout!r}"
-            ) from None
-        if not timeout > 0:
-            raise ValueError(
-                f"timeout must be a positive number of seconds or None, got {timeout!r}"
-            )
-    try:
-        retries = int(retries)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"retries must be a non-negative integer, got {retries!r}"
-        ) from None
-    if retries < 0:
-        raise ValueError(f"retries must be a non-negative integer, got {retries}")
-    try:
-        backoff = float(backoff)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"backoff must be a non-negative number of seconds, got {backoff!r}"
-        ) from None
-    if backoff < 0:
-        raise ValueError(
-            f"backoff must be a non-negative number of seconds, got {backoff}"
-        )
+        rule = "timeout must be a positive number of seconds or None"
+        timeout = check(timeout, float, rule, lambda seconds: seconds > 0)
+    rule = "retries must be a non-negative integer"
+    retries = check(retries, int, rule, lambda count: count >= 0)
+    rule = "backoff must be a finite non-negative number of seconds"
+    backoff = check(backoff, float, rule, lambda seconds: 0 <= seconds < math.inf)
     if on_error not in ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
-        )
+        raise ValueError(f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}")
     return workers, timeout, retries, backoff
 
 
-def _compile_traced(payload):
-    """Pool worker body under tracing: compile one miss, ship its spans home.
+def _attempt(work, index: int, attempt: int, in_worker: bool):
+    """Run one attempt: ``(result, None)`` or ``(CompileError, exception)``.
 
-    ``payload`` is ``(request, batch index, TraceContext)``.  The worker
-    records into a private child tracer (its request span parents under the
-    batch span named by the context) and returns ``(result, spans,
-    counters)`` -- everything picklable -- so the parent can stitch the
-    fragment back into the one batch trace.
+    ``work`` is the batch's ``(requests, fingerprints, plan)``.  This is the
+    one place a batch fires execution faults; a ``kill`` fault hard-exits a
+    pool child and degrades to an exception in process.
     """
-    request, index, ctx = payload
-    tracer = Tracer(context=ctx)
-    with use_tracer(tracer), tracer.span("request", index=index):
-        result = _compile(request)
-    return result, tracer.spans, tracer.counters
-
-
-# ---------------------------------------------------------------------------
-# Isolated attempt execution (one forked child per attempt)
-# ---------------------------------------------------------------------------
-
-
-def _attempt_child(
-    conn, request, plan, fingerprint, index, attempt, trace_ctx=None
-) -> None:
-    """Worker body: run one attempt, send ``("ok", result)`` or ``("error", e)``.
-
-    Runs in a forked child.  A ``kill`` fault hard-exits before anything is
-    sent; the parent observes the closed pipe / dead process and records a
-    worker crash.  Every exception -- injected or organic -- is reduced to a
-    picklable structured :class:`CompileError` (the request itself is
-    re-attached by the parent, so worker payloads stay small).
-
-    Under tracing (``trace_ctx`` set) the message grows a third element,
-    ``(spans, counters)``, stitched back by the parent -- including on
-    errors, where the partial trace shows which pass died.
-    """
+    requests, fingerprints, plan = work
     try:
-        tracer = Tracer(context=trace_ctx) if trace_ctx is not None else None
-
-        def _trace_payload() -> tuple:
-            if tracer is None:
-                return ()
-            return ((tracer.spans, tracer.counters),)
-
-        try:
-            if plan is not None:
-                from repro.api.faults import apply_execution_faults
-
-                apply_execution_faults(
-                    plan, fingerprint, index, attempt, in_worker=True
-                )
-            if tracer is not None:
-                with use_tracer(tracer), tracer.span(
-                    "request", index=index, attempt=attempt
-                ):
-                    result = _compile(request)
-            else:
-                result = _compile(request)
-            conn.send(("ok", result) + _trace_payload())
-        except BaseException as exc:
-            conn.send(
-                ("error", CompileError.from_exception(exc, attempts=attempt + 1))
-                + _trace_payload()
-            )
-    except BaseException:
-        # The pipe itself failed (parent gone, unpicklable payload...): exit
-        # nonzero so the parent's crash detection still classifies us.
-        os._exit(1)
-    finally:
-        conn.close()
+        if plan is not None:
+            apply_execution_faults(plan, fingerprints[index], index, attempt, in_worker=in_worker)
+        with current_tracer().span("request", index=index, attempt=attempt):
+            return _compile(requests[index]), None
+    except Exception as exc:
+        return CompileError.from_exception(exc, attempts=attempt + 1), exc
 
 
-@dataclass
-class _Job:
-    """One scheduled attempt waiting to start."""
+class _InProcess:
+    """The executor with one slot: each attempt runs on the calling thread."""
 
-    index: int
-    attempt: int
-    ready_at: float  # monotonic time before which the attempt must not start
+    size = 1
+
+    def __init__(self, work):
+        self.work = work
+        self.finished: list[tuple] = []
+
+    @property
+    def running(self) -> int:
+        return len(self.finished)
+
+    def start(self, index: int, attempt: int) -> None:
+        outcome = _attempt(self.work, index, attempt, False)
+        self.finished.append((index, attempt) + outcome)
+
+    def wait(self, until: float) -> list[tuple]:
+        finished, self.finished = self.finished, []
+        return finished
+
+    def close(self) -> None:
+        pass
 
 
-@dataclass
-class _Running:
-    """One in-flight isolated attempt."""
+def _child(conn, inherited, work, trace_ctx) -> None:
+    """A pool child: run ``(index, attempt)`` jobs until ``None`` or EOF.
 
-    index: int
-    attempt: int
-    process: object
-    conn: object
-    deadline: float | None
+    Replies ``(result or CompileError, exception, spans, counters)``.  The
+    request's own exception travels only when it survives pickling.
+    """
+    for end in inherited:
+        end.close()  # the parent's pipe ends, so a dead parent reads as EOF
+    with contextlib.suppress(EOFError):
+        for index, attempt in iter(conn.recv, None):
+            tracer = NULL_TRACER if trace_ctx is None else Tracer(context=trace_ctx)
+            with use_tracer(tracer):
+                value, exc = _attempt(work, index, attempt, True)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = None
+            conn.send((value, exc, tracer.spans, tracer.counters))
 
 
-class _FaultTolerantRunner:
-    """Shared attempt/retry bookkeeping for both execution modes."""
+def _worker_error(message: str, exc_type: str, attempt: int) -> CompileError:
+    return CompileError(
+        f"{message} (attempt {attempt})",
+        phase="worker",
+        exc_type=exc_type,
+        attempts=attempt + 1,
+    )
 
-    def __init__(
-        self,
-        requests,
-        fingerprints,
-        *,
-        timeout,
-        retries,
-        backoff,
-        plan,
-        on_error,
-        collect,
-    ):
-        self.requests = requests
-        self.fingerprints = fingerprints
+
+class _Slot:
+    """One place in the pool: its child (forked on demand) and its attempt."""
+
+    __slots__ = ("process", "conn", "job", "deadline")
+
+    def __init__(self):
+        self.process = self.conn = self.job = None
+        self.deadline = math.inf
+
+
+class _Pool:
+    """``size`` forked children that live for the whole batch.
+
+    A child that times out or dies is reaped and its slot forks a fresh one
+    for its next attempt.  Idle children are stopped by an explicit ``None``:
+    any process forked later (a sibling, or another batch's child) may hold
+    a copy of the parent's pipe end, so closing it is no signal.
+    """
+
+    def __init__(self, size, timeout, work, trace_ctx):
+        methods = multiprocessing.get_all_start_methods()
+        self.context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        self.size = size
+        self.slots = [_Slot() for _ in range(size)]
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.plan = plan
-        self.on_error = on_error
-        self.collect = collect  # callback(index, result) for successes
-        self.tracer = current_tracer()
-        self.trace_ctx = self.tracer.context() if self.tracer.enabled else None
+        self.child_args = (work, trace_ctx)
+        self.fragments: list[tuple] = []  # (index, attempt, spans, counters)
 
-    def _seed_key(self, index: int) -> str:
-        # Backoff is seeded on the request's content address where known
-        # (stable across runs and batch positions), else its batch index.
-        return self.fingerprints[index] or f"request-{index}"
+    @property
+    def running(self) -> int:
+        return sum(slot.job is not None for slot in self.slots)
 
-    def _backoff_seconds(self, index: int, attempt: int) -> float:
-        from repro.api.faults import deterministic_backoff
-
-        return deterministic_backoff(self._seed_key(index), attempt, self.backoff)
-
-    def _finalize_failure(self, index: int, error: CompileError) -> CompileError:
-        error.request = self.requests[index]
-        if self.on_error == "raise":
-            raise error
-        return error
-
-    # -- in-process execution (no timeout, no kill faults) -------------------
-
-    def run_inline(self, misses: list[int], results: list) -> None:
-        for index in misses:
-            outcome = self._attempts_inline(index)
-            if isinstance(outcome, CompileError):
-                results[index] = self._finalize_failure(index, outcome)
-            else:
-                self.collect(index, outcome)
-
-    def _attempts_inline(self, index: int):
-        request = self.requests[index]
-        fingerprint = self.fingerprints[index]
-        error = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self._backoff_seconds(index, attempt))
-            try:
-                if self.plan is not None:
-                    from repro.api.faults import apply_execution_faults
-
-                    apply_execution_faults(
-                        self.plan, fingerprint, index, attempt, in_worker=False
-                    )
-                with self.tracer.span("request", index=index, attempt=attempt):
-                    return _compile(request)
-            except Exception as exc:
-                error = CompileError.from_exception(
-                    exc, attempts=attempt + 1, request=request
-                )
-        return error
-
-    # -- isolated execution (one forked child per attempt) -------------------
-
-    def run_isolated(self, misses: list[int], results: list, pool_size: int) -> None:
-        ctx = _mp_context()
-        pending: deque[_Job] = deque(_Job(index, 0, 0.0) for index in misses)
-        running: list[_Running] = []
-        try:
-            while pending or running:
-                now = time.monotonic()
-                while len(running) < pool_size:
-                    job = next((j for j in pending if j.ready_at <= now), None)
-                    if job is None:
-                        break
-                    pending.remove(job)
-                    running.append(self._start(ctx, job, now))
-                self._wait_for_events(running)
-                for record in list(running):
-                    outcome = self._poll(record)
-                    if outcome is None:
-                        continue
-                    running.remove(record)
-                    kind, value = outcome
-                    if kind == "ok":
-                        self.collect(record.index, value)
-                    elif record.attempt < self.retries:
-                        pending.append(
-                            _Job(
-                                record.index,
-                                record.attempt + 1,
-                                time.monotonic()
-                                + self._backoff_seconds(
-                                    record.index, record.attempt + 1
-                                ),
-                            )
-                        )
-                    else:
-                        results[record.index] = self._finalize_failure(
-                            record.index, value
-                        )
-                if pending and not running:
-                    # every runnable slot is waiting out a backoff window
-                    next_ready = min(job.ready_at for job in pending)
-                    delay = next_ready - time.monotonic()
-                    if delay > 0:
-                        time.sleep(min(delay, _POLL_SECONDS))
-        finally:
-            for record in running:
-                try:
-                    record.process.terminate()
-                    record.process.join(5)
-                    record.conn.close()
-                except Exception:
-                    pass
-
-    def _start(self, ctx, job: _Job, now: float) -> _Running:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_attempt_child,
-            args=(
-                child_conn,
-                self.requests[job.index],
-                self.plan,
-                self.fingerprints[job.index],
-                job.index,
-                job.attempt,
-                self.trace_ctx,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # parent keeps only the read end: EOF == child gone
-        deadline = None if self.timeout is None else now + self.timeout
-        return _Running(job.index, job.attempt, process, parent_conn, deadline)
-
-    def _wait_for_events(self, running: list[_Running]) -> None:
-        if not running:
-            return
-        from multiprocessing.connection import wait as connection_wait
-
-        timeout = _POLL_SECONDS
-        now = time.monotonic()
-        deadlines = [r.deadline for r in running if r.deadline is not None]
-        if deadlines:
-            timeout = max(0.0, min(min(deadlines) - now, _POLL_SECONDS))
-        try:
-            connection_wait([r.conn for r in running], timeout=timeout)
-        except OSError:
-            pass
-
-    def _poll(self, record: _Running):
-        """The finished outcome of one running attempt, or ``None`` if live.
-
-        Returns ``("ok", CompileResult)`` or ``("error", CompileError)``.
-        """
-        message = None
-        if record.conn.poll():
-            try:
-                message = record.conn.recv()
-            except (EOFError, OSError):
-                message = None  # pipe closed mid-send: classify as a crash
-            if message is not None:
-                self._reap(record)
-                kind, value, *extra = message
-                if extra and self.tracer.enabled:
-                    spans, counters = extra[0]
-                    self.tracer.extend(spans, counters)
-                if kind == "ok":
-                    return ("ok", value)
-                value.attempts = record.attempt + 1
-                return ("error", value)
-            exitcode = self._reap(record)
-            return ("error", self._crash_error(record, exitcode))
-        if not record.process.is_alive():
-            exitcode = self._reap(record)
-            return ("error", self._crash_error(record, exitcode))
-        if record.deadline is not None and time.monotonic() > record.deadline:
-            record.process.terminate()
-            self._reap(record)
-            error = CompileError(
-                f"request timed out after {self.timeout:g}s "
-                f"(attempt {record.attempt})",
-                phase="worker",
-                exc_type="Timeout",
-                attempts=record.attempt + 1,
+    def start(self, index: int, attempt: int) -> None:
+        slot = next(slot for slot in self.slots if slot.job is None)
+        if slot.process is None:
+            parent_end, child_end = self.context.Pipe()
+            inherited = [s.conn for s in self.slots if s.conn is not None] + [parent_end]
+            process = self.context.Process(
+                target=_child, args=(child_end, inherited) + self.child_args, daemon=True
             )
-            return ("error", error)
-        return None
+            process.start()
+            child_end.close()
+            slot.process, slot.conn = process, parent_end
+        try:
+            slot.conn.send((index, attempt))
+        except OSError:
+            pass  # the idle child died: ``wait`` reads its EOF as a crash
+        slot.job = (index, attempt)
+        slot.deadline = time.monotonic() + (self.timeout or math.inf)
 
-    def _reap(self, record: _Running):
-        record.process.join(5)
-        exitcode = record.process.exitcode
-        record.conn.close()
+    def wait(self, until: float) -> list[tuple]:
+        """The attempts that finished by ``until``, a deadline or a reply."""
+        from multiprocessing.connection import wait as wait_for_any
+
+        running = [slot for slot in self.slots if slot.job is not None]
+        wake = min([until] + [slot.deadline for slot in running])
+        ready = wait_for_any(
+            [slot.conn for slot in running],
+            None if wake == math.inf else max(0.0, wake - time.monotonic()),
+        )
+        finished = []
+        for slot in running:
+            index, attempt = slot.job
+            if slot.conn in ready:
+                try:
+                    value, exc, spans, counters = slot.conn.recv()
+                except (EOFError, OSError):  # the child died mid-attempt
+                    message = f"worker process died with exit code {self._reap(slot)}"
+                    value, exc = _worker_error(message, "WorkerCrash", attempt), None
+                else:
+                    self.fragments.append((index, attempt, spans, counters))
+            elif time.monotonic() >= slot.deadline:
+                self._reap(slot)
+                message = f"request timed out after {self.timeout:g}s"
+                value, exc = _worker_error(message, "Timeout", attempt), None
+            else:
+                continue
+            slot.job = None
+            finished.append((index, attempt, value, exc))
+        return finished
+
+    def _reap(self, slot: _Slot):
+        """Kill and join the slot's child; the next attempt forks a fresh one."""
+        slot.process.kill()
+        slot.process.join()
+        slot.conn.close()
+        exitcode = slot.process.exitcode
+        slot.process = slot.conn = None
         return exitcode
 
-    def _crash_error(self, record: _Running, exitcode) -> CompileError:
-        return CompileError(
-            f"worker process died with exit code {exitcode} "
-            f"(attempt {record.attempt})",
-            phase="worker",
-            exc_type="WorkerCrash",
-            attempts=record.attempt + 1,
-        )
+    def close(self) -> None:
+        """Stop idle children, kill busy ones, fold the trace in batch order."""
+        live = [slot for slot in self.slots if slot.process is not None]
+        for slot in live:
+            if slot.job is not None:
+                slot.process.kill()
+                continue
+            try:
+                slot.conn.send(None)
+            except OSError:
+                pass
+        for slot in live:
+            slot.process.join()
+            slot.conn.close()
+        tracer = current_tracer()
+        for *_, spans, counters in sorted(self.fragments, key=lambda f: f[:2]):
+            tracer.extend(spans, counters)
 
 
-# ---------------------------------------------------------------------------
-# The public driver
-# ---------------------------------------------------------------------------
+def _schedule(executor, misses: list[int], settle) -> None:
+    """Feed every miss's attempts to ``executor`` until each is settled.
+
+    ``settle(index, attempt, value, exc)`` returns when the request's retry
+    may start, or ``None`` once the request is done.  A retry goes to the
+    front of the queue, and the head waits out its backoff before anything
+    behind it starts.
+    """
+    queue = deque((index, 0, 0.0) for index in misses)
+    try:
+        while queue or executor.running:
+            free = executor.running < executor.size
+            if queue and free and queue[0][2] <= time.monotonic():
+                executor.start(*queue.popleft()[:2])
+                continue
+            if not executor.running:
+                time.sleep(max(0.0, queue[0][2] - time.monotonic()))  # a retry's backoff
+                continue
+            until = queue[0][2] if queue and free else math.inf
+            for index, attempt, value, exc in executor.wait(until):
+                ready_at = settle(index, attempt, value, exc)
+                if ready_at is not None:
+                    queue.appendleft((index, attempt + 1, ready_at))
+    finally:
+        executor.close()
 
 
 def compile_many(
     requests: Iterable[CompileRequest],
     workers: int = 1,
-    chunksize: int | None = None,
     cache=True,
     on_error: str = "raise",
     timeout: float | None = None,
@@ -447,31 +309,33 @@ def compile_many(
     backoff: float = 0.0,
     faults=None,
 ) -> BatchResult:
-    """Compile every request, fanning out across ``workers`` processes.
+    """Compile every request, in process or across ``workers`` forked children.
 
-    ``workers`` must be at least 1: exactly 1 runs serially in-process (no
-    pool, no pickling); any higher count uses a process pool, clamped to the
-    number of requests (extra workers would only sit idle).  Zero or
-    negative counts raise :class:`ValueError` instead of being silently
-    serialised.  Per-request seeding is deterministic -- each request's seed
-    is fixed before scheduling -- so the routed circuits are identical for
-    every worker count.
+    ``workers`` must be at least 1 (zero or negative counts raise
+    :class:`ValueError`).  Misses run in process when one slot is enough
+    (``workers=1`` or a single miss) and no attempt needs isolation,
+    otherwise on a pool of ``min(workers, misses)`` children that live for
+    the whole batch.  The reported ``workers`` is clamped to the request
+    count.  Each request's seed is fixed before scheduling, so the routed
+    circuits are identical for every worker count.
 
     ``cache`` is ``True`` (the process default cache), ``False`` / ``None``
-    (compile everything) or an explicit
-    :class:`~repro.api.cache.CompileCache`; cache hits are filled in the
-    parent process and only the misses are scheduled.
+    (compile everything) or an explicit :class:`~repro.api.cache.CompileCache`;
+    hits are filled in the parent and only the misses are scheduled.
 
-    Fault tolerance (all arguments validated up front; bad values raise
-    :class:`ValueError` before any work is scheduled):
+    Fault tolerance (validated up front: bad values raise :class:`ValueError`
+    before any work is scheduled):
 
     * ``on_error`` -- ``"raise"`` (default) aborts on the first failing
-      request, preserving the historical contract; ``"collect"`` records
-      each failure as a structured :class:`~repro.api.result.CompileError`
-      in its original batch slot and keeps compiling the siblings.
+      request.  A batch with no ``timeout``, ``retries`` or ``faults``
+      re-raises the request's own exception (from a child too, when it
+      pickles); any other batch raises its structured
+      :class:`~repro.api.result.CompileError`.  ``"collect"`` records each
+      failure as a ``CompileError`` in its original batch slot and keeps
+      compiling the siblings.
     * ``timeout`` -- per-request wall-clock bound in seconds (per attempt);
-      enforcing it requires process isolation, so each attempt runs in its
-      own forked child and a hung worker is terminated and reaped.
+      enforcing it requires process isolation, so the batch runs on the
+      pool, and a child past its deadline is killed and replaced.
     * ``retries`` -- extra attempts per failed request (``retries=2`` means
       up to 3 attempts), spaced by the deterministic seeded backoff schedule
       ``backoff * 2**(attempt-1) * jitter(fingerprint, attempt)``.
@@ -484,7 +348,6 @@ def compile_many(
     *other* requests -- each result is a pure function of its request.
     """
     from repro.api.cache import request_fingerprint, resolve_cache
-    from repro.api.faults import resolve_faults
 
     workers, timeout, retries, backoff = _check_batch_options(
         workers, timeout, retries, backoff, on_error
@@ -516,89 +379,42 @@ def compile_many(
                     misses.append(index)
                 else:
                     results[index] = hit
-
-        # ``workers`` semantics are independent of the hit rate: the reported
-        # count is the scheduling capacity (clamped to the request count),
-        # while the pool itself is sized by the actual miss load.
-        effective = min(workers, len(requests) or 1)
-        pool_size = min(workers, len(misses) or 1)
         if tracer.enabled:
-            batch_span.update(
-                {
-                    "cache_hits": len(requests) - len(misses),
-                    "cache_misses": len(misses),
-                }
-            )
+            hits = len(requests) - len(misses)
+            batch_span.update({"cache_hits": hits, "cache_misses": len(misses)})
 
-        # Results are stored as they arrive, so a failing request late in the
-        # batch still leaves every already completed sibling cached for the
-        # retry.
-        def _collect(index: int, result: CompileResult) -> None:
-            results[index] = result
-            if cache_store is not None:
-                cache_store.store(fingerprints[index], result)
+        plain = timeout is None and retries == 0 and plan is None
 
-        fault_tolerant = (
-            on_error == "collect"
-            or timeout is not None
-            or retries > 0
-            or plan is not None
-        )
-        if not fault_tolerant:
-            if pool_size == 1:
-                for index in misses:
-                    with tracer.span("request", index=index):
-                        result = _compile(requests[index])
-                    _collect(index, result)
-            else:
-                if chunksize is None:
-                    chunksize = max(1, len(misses) // (pool_size * 4))
-                with ProcessPoolExecutor(
-                    max_workers=pool_size, mp_context=_mp_context()
-                ) as pool:
-                    if tracer.enabled:
-                        # Workers record into child tracers keyed on the batch
-                        # trace context; pool.map yields in miss order, so the
-                        # stitched span sequence matches a serial run.
-                        ctx = tracer.context()
-                        payloads = [(requests[index], index, ctx) for index in misses]
-                        for index, (result, spans, counters) in zip(
-                            misses,
-                            pool.map(_compile_traced, payloads, chunksize=chunksize),
-                        ):
-                            tracer.extend(spans, counters)
-                            _collect(index, result)
-                    else:
-                        miss_requests = [requests[index] for index in misses]
-                        for index, result in zip(
-                            misses,
-                            pool.map(_compile, miss_requests, chunksize=chunksize),
-                        ):
-                            _collect(index, result)
+        def settle(index, attempt, value, exc):
+            # Results are stored as they arrive, so a failing request late in
+            # the batch still leaves every completed sibling cached.
+            if isinstance(value, CompileResult):
+                results[index] = value
+                if cache_store is not None:
+                    cache_store.store(fingerprints[index], value)
+                return None
+            if attempt < retries:
+                # seeded on the content address where known, else the index
+                seed_key = fingerprints[index] or f"request-{index}"
+                return time.monotonic() + deterministic_backoff(seed_key, attempt + 1, backoff)
+            value.request = requests[index]
+            if on_error == "collect":
+                results[index] = value
+                return None
+            raise exc if plain and exc is not None else value
+
+        work = (requests, fingerprints, plan)
+        pool_size = min(workers, len(misses))
+        if pool_size > 1 or timeout is not None or (plan is not None and plan.has_kills()):
+            ctx = tracer.context() if tracer.enabled else None
+            executor = _Pool(pool_size, timeout, work, ctx)
         else:
-            runner = _FaultTolerantRunner(
-                requests,
-                fingerprints,
-                timeout=timeout,
-                retries=retries,
-                backoff=backoff,
-                plan=plan,
-                on_error=on_error,
-                collect=_collect,
-            )
-            # A wall-clock timeout or a kill fault can only be enforced on an
-            # isolated process; otherwise one worker runs attempts in-process.
-            needs_isolation = timeout is not None or (
-                plan is not None and plan.has_kills()
-            )
-            if pool_size == 1 and not needs_isolation:
-                runner.run_inline(misses, results)
-            else:
-                runner.run_isolated(misses, results, pool_size)
+            executor = _InProcess(work)
+        _schedule(executor, misses, settle)
 
     return BatchResult(
         results=results,
-        workers=effective,
+        workers=min(workers, len(requests) or 1),
         wall_seconds=time.perf_counter() - start,
         cache_hits=len(requests) - len(misses),
         cache_misses=len(misses),
@@ -624,20 +440,11 @@ def compile_sweep(
 
     return compile_many(
         sweep_requests(base, routers=routers, seeds=seeds, circuits=circuits),
-        workers=workers,
-        cache=cache,
-        on_error=on_error,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        faults=faults,
+        workers=workers, cache=cache, on_error=on_error,
+        timeout=timeout, retries=retries, backoff=backoff, faults=faults,
     )
 
 
 __all__ = [
-    "compile_many",
-    "compile_sweep",
-    "default_workers",
-    "CompileResult",
-    "ON_ERROR_POLICIES",
+    "compile_many", "compile_sweep", "default_workers", "CompileResult", "ON_ERROR_POLICIES"
 ]

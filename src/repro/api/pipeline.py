@@ -167,30 +167,27 @@ def compile(  # noqa: A001 - deliberate name
     (the default) injects nothing and costs nothing.
     """
     from repro.api.cache import request_fingerprint, resolve_cache
-    from repro.api.faults import resolve_faults
+    from repro.api.faults import apply_execution_faults, resolve_faults
 
     cache_store = resolve_cache(cache)
     plan = resolve_faults(faults)
     with _cache_fault_window(cache_store, plan):
-        if cache_store is None:
-            fingerprint = request_fingerprint(request) if plan is not None else None
-            return compile_uncached(request, faults=plan, fingerprint=fingerprint)
-        fingerprint = request_fingerprint(request)
-        hit = cache_store.lookup(fingerprint, request)
-        if hit is not None:
-            return hit
-        result = compile_uncached(request, faults=plan, fingerprint=fingerprint)
-        cache_store.store(fingerprint, result)
+        fingerprint = None
+        if cache_store is not None or plan is not None:
+            fingerprint = request_fingerprint(request)
+        if cache_store is not None:
+            hit = cache_store.lookup(fingerprint, request)
+            if hit is not None:
+                return hit
+        if plan is not None:
+            apply_execution_faults(plan, fingerprint, None, 0)
+        result = compile_uncached(request)
+        if cache_store is not None:
+            cache_store.store(fingerprint, result)
         return result
 
 
-def compile_uncached(
-    request: CompileRequest,
-    faults: "FaultPlan | None" = None,
-    fingerprint: str | None = None,
-    attempt: int = 0,
-    in_worker: bool = False,
-) -> CompileResult:
+def compile_uncached(request: CompileRequest) -> CompileResult:
     """Run the full pass pipeline for one request, bypassing every cache.
 
     Any escaping exception is annotated with the failing phase (``request``,
@@ -199,14 +196,6 @@ def compile_uncached(
     """
     phase = "request"
     try:
-        if faults is not None:
-            from repro.api.faults import apply_execution_faults
-
-            phase = "inject"
-            apply_execution_faults(
-                faults, fingerprint, None, attempt, in_worker=in_worker
-            )
-            phase = "request"
         try:
             request.check()
         except ValueError as exc:

@@ -21,10 +21,11 @@ the lookup and the registration, so coalescing has no race window); a bounded
 priority queue (:mod:`repro.serve.queue`) applies explicit backpressure
 (HTTP 429 + ``Retry-After`` when full); ``workers`` asyncio tasks drain the
 queue and run the blocking pipeline in a thread pool via
-``compile_many([request], workers=1, on_error="collect", ...)`` -- which is
-exactly the PR-6 fault-tolerant driver, so per-request timeouts, retries
-with deterministic backoff, worker-crash reaping and fault injection all
-come for free and behave identically to the CLI.
+``compile_many([request], workers=1, on_error="collect", ...)``, so
+per-request timeouts, retries with deterministic backoff, worker-crash
+reaping and fault injection behave identically to the CLI.  A miss compiles
+with the cache off and is stored under the fingerprint admission computed,
+so each served request is fingerprinted and looked up once.
 
 Determinism makes the service semantics simple: a compile result is a pure
 function of its request, so identical in-flight requests legally **coalesce**
@@ -36,6 +37,7 @@ direct :func:`repro.api.compile` call.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import math
@@ -48,6 +50,8 @@ from dataclasses import dataclass, field
 from repro._version import __version__
 from repro.api.batch import compile_many
 from repro.api.cache import CompileCache, request_fingerprint
+from repro.api.faults import resolve_faults
+from repro.api.pipeline import _cache_fault_window
 from repro.api.request import CompileRequest
 from repro.api.result import CompileError, CompileResult
 from repro.api.serialize import result_to_payload
@@ -417,12 +421,10 @@ class CompileService:
             self.metrics.observe("queue_wait", started - enqueued_at)
             try:
                 if job.kind == "batch":
-                    runner = self._run_batch
+                    run = functools.partial(self._run_batch, work)
                 else:
-                    runner = self._run_compile
-                status, response = await loop.run_in_executor(
-                    None, self._run_traced, runner, work, job
-                )
+                    run = functools.partial(self._run_compile, work, job.fingerprint)
+                status, response = await loop.run_in_executor(None, self._run_traced, run, job)
             except Exception as exc:  # the executor call itself failed
                 logger.exception("worker execution failed for %s", job.id)
                 status, response = compile_error_body(CompileError.from_exception(exc))
@@ -435,7 +437,7 @@ class CompileService:
                 self.metrics.increment("failures")
             self.jobs.finish(job, status, response)
 
-    def _run_traced(self, runner, work, job: Job) -> tuple[int, dict]:
+    def _run_traced(self, run, job: Job) -> tuple[int, dict]:
         """Run one job in the executor thread, under a tracer when sinking.
 
         Without ``--trace-out`` this is a plain passthrough (no tracer, no
@@ -445,11 +447,11 @@ class CompileService:
         under a lock -- executor threads share one file.
         """
         if self.config.trace_out is None:
-            return runner(work)
+            return run()
         tracer = Tracer(trace_id=getattr(job, "trace_id", None))
         with use_tracer(tracer):
             with tracer.span("serve.request", kind=job.kind, job=job.id) as span:
-                status, response = runner(work)
+                status, response = run()
                 span.set("status", status)
         with self._trace_lock:
             append_trace(
@@ -459,18 +461,21 @@ class CompileService:
             )
         return status, response
 
-    def _run_compile(self, request: CompileRequest) -> tuple[int, dict]:
-        """Run one compile in the worker thread (the blocking hot path).
+    def _run_compile(self, request: CompileRequest, fingerprint: str) -> tuple[int, dict]:
+        """Compile one admitted miss in the worker thread (the blocking hot path).
 
-        Uses the PR-6 fault-tolerant batch driver for a single request, so
-        the service's ``--timeout``/``--retries``/``--inject-faults`` behave
-        exactly like ``repro-map bench``'s, and every failure arrives as a
-        structured :class:`CompileError` -- never as a dropped connection.
+        Runs ``compile_many`` on the single request, so the service's
+        ``--timeout``/``--retries``/``--inject-faults`` behave exactly like
+        ``repro-map bench``'s, and every failure arrives as a structured
+        :class:`CompileError` -- never as a dropped connection.  Admission
+        already fingerprinted the request and missed the cache, so the
+        compile skips the cache and the result is stored under that
+        fingerprint, inside the plan's cache-fault window.
         """
         batch = compile_many(
             [request],
             workers=1,
-            cache=self.cache,
+            cache=None,
             on_error="collect",
             timeout=self.config.timeout,
             retries=self.config.retries,
@@ -478,10 +483,12 @@ class CompileService:
         )
         outcome = batch.results[0]
         if isinstance(outcome, CompileResult):
+            with _cache_fault_window(self.cache, resolve_faults(self.config.faults)):
+                self.cache.store(fingerprint, outcome)
             self._observe_pass_timings(outcome)
             return 200, {
                 "ok": True,
-                "fingerprint": request_fingerprint(request),
+                "fingerprint": fingerprint,
                 "cached": False,
                 "result": result_to_payload(outcome),
             }

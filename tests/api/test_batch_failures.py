@@ -10,6 +10,8 @@ the batch; and every argument is validated up front with a
 :class:`ValueError` before any work is scheduled.
 """
 
+import os
+
 import pytest
 
 from repro.api import (
@@ -221,6 +223,12 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="backoff must be"):
             compile_many(eight_requests()[:1], backoff=-0.1)
 
+    @pytest.mark.parametrize("backoff", [float("nan"), float("inf")])
+    def test_non_finite_backoff_rejected(self, backoff):
+        # a NaN retry time never comes due; sleeping it raises past "collect"
+        with pytest.raises(ValueError, match="backoff must be"):
+            compile_many(eight_requests()[:1], cache=False, backoff=backoff)
+
     def test_unknown_on_error_policy_rejected(self):
         with pytest.raises(ValueError, match="on_error must be one of"):
             compile_many(eight_requests()[:1], on_error="ignore")
@@ -228,6 +236,52 @@ class TestArgumentValidation:
     def test_bad_workers_still_rejected(self):
         with pytest.raises(ValueError, match="workers must be"):
             compile_many(eight_requests()[:1], workers=0)
+
+
+_FORKS = []
+os.register_at_fork(after_in_parent=lambda: _FORKS.append(1))
+
+
+@pytest.fixture
+def forks():
+    """The number of processes this test has forked so far."""
+    before = len(_FORKS)
+    return lambda: len(_FORKS) - before
+
+
+class TestForksPerBatch:
+    """A batch forks its pool size plus one child per respawn."""
+
+    def test_pool_children_live_for_the_whole_batch(self, forks, clean_serial):
+        batch = compile_many(eight_requests()[:6], workers=2, cache=False, timeout=60)
+        assert forks() == 2
+        for result, reference in zip(batch, clean_serial):
+            assert gates_of(result.routed_circuit) == gates_of(reference.routed_circuit)
+
+    def test_a_killed_child_is_replaced_once(self, forks, clean_serial):
+        plan = FaultPlan().inject(2, "kill", attempt=0)
+        batch = compile_many(
+            eight_requests()[:6], workers=2, cache=False, retries=1, faults=plan
+        )
+        assert forks() == 3
+        assert batch.ok
+        for result, reference in zip(batch, clean_serial):
+            assert gates_of(result.routed_circuit) == gates_of(reference.routed_circuit)
+            assert result.routing.final_layout == reference.routing.final_layout
+
+    def test_a_timed_out_child_is_replaced_for_the_next_request(self, forks):
+        plan = FaultPlan().inject(0, "delay", delay_seconds=5.0)
+        batch = compile_many(
+            eight_requests()[:3],
+            workers=1,
+            cache=False,
+            on_error="collect",
+            timeout=0.5,
+            faults=plan,
+        )
+        assert "timed out" in batch[0].message
+        assert batch[1].ok and batch[2].ok
+        assert forks() == 2
 
 
 class TestBatchResultFailureViews:

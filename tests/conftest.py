@@ -2,12 +2,42 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.hardware.coupling import CouplingGraph
 from repro.hardware.topologies import grid_topology, line_topology, ring_topology
+
+_REPRO_LOGGER = logging.getLogger("repro")
+_SHIPPED_LOGGING = (
+    _REPRO_LOGGER.level,
+    list(_REPRO_LOGGER.handlers),
+    _REPRO_LOGGER.propagate,
+)
+
+
+def _restore_repro_logger() -> None:
+    level, handlers, propagate = _SHIPPED_LOGGING
+    _REPRO_LOGGER.setLevel(level)
+    _REPRO_LOGGER.handlers[:] = handlers
+    _REPRO_LOGGER.propagate = propagate
+
+
+@pytest.fixture(autouse=True)
+def _reset_repro_logger():
+    """Leave the 'repro' logger the way the library ships it: unconfigured.
+
+    ``setup_logging`` (which ``repro.cli.main`` calls) stops propagation and
+    attaches a stderr handler; ``caplog`` in any later test would then see
+    nothing.  Restored before each test too, because a module-scoped
+    fixture may have run ``main`` outside every test.
+    """
+    _restore_repro_logger()
+    yield
+    _restore_repro_logger()
 
 
 @pytest.fixture

@@ -14,18 +14,6 @@ from repro.obs.logging_setup import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _reset_repro_logger():
-    """Leave the 'repro' logger the way the library ships it: unconfigured."""
-    logger = logging.getLogger("repro")
-    saved_level, saved_handlers = logger.level, list(logger.handlers)
-    saved_propagate = logger.propagate
-    yield
-    logger.setLevel(saved_level)
-    logger.handlers[:] = saved_handlers
-    logger.propagate = saved_propagate
-
-
 class TestParseLogSpec:
     def test_bare_level_sets_the_default(self):
         assert parse_log_spec("debug") == (logging.DEBUG, {})

@@ -82,6 +82,21 @@ class TestCompileEndpoint:
         # A cache hit replays the stored payload: identical including timings.
         assert second.body["result"] == first.body["result"]
 
+    def test_a_served_miss_is_looked_up_once(self):
+        """Admission's lookup is the only one: the cache agrees with the service."""
+
+        async def scenario(service):
+            await service.handle("POST", "/v1/compile", {}, make_body())
+            await service.handle("POST", "/v1/compile", {}, make_body())
+            return service.cache.stats, service.cache.info(), service.metrics_payload()
+
+        stats, info, metrics = run(with_service(ServeConfig(), scenario))
+        assert stats["misses"] == 1
+        assert stats["memory_hits"] == 1
+        assert stats["stores"] == 1
+        assert info["hit_rate"] == 0.5
+        assert metrics["cache"]["hit_rate"] == 0.5
+
     def test_malformed_body_is_a_structured_400(self):
         async def scenario(service):
             return await service.handle("POST", "/v1/compile", {}, {"router": "nope"})
