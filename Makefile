@@ -34,10 +34,12 @@ test-cache:
 
 ## Bounded piece-store battery: shard layout + per-shard indexes, max_bytes/
 ## max_entries LRU eviction invariants (including seeded random
-## interleavings), index<->directory crash consistency (torn lines, orphans,
-## stale records), warm==cold bit-for-bit under eviction pressure, readonly
-## fleet mode racing a live writer, and the vanishing-entry-mid-scan
-## regression.
+## interleavings), index<->directory consistency (torn lines, orphans),
+## warm==cold bit-for-bit under eviction pressure, readonly fleet mode racing
+## a live writer, the vanishing-entry-mid-scan regression, and the whole
+## disk-failure battery: torn index, stale index, an entry gone under the
+## reader, read denied, failed write and malformed metadata, each made on
+## disk or by one failing OS call, each degrading to a recomputed miss.
 test-cache-store:
 	$(PYTHON) -m pytest tests/api/test_cache_store.py tests/serve/test_serve_cache.py -q
 
@@ -46,8 +48,7 @@ test-cache-store:
 ## failures (on_error="collect"), timeouts, retries with deterministic seeded
 ## backoff, worker-crash isolation, forks per batch (pool size plus one per
 ## respawn), determinism-under-failure (faulted siblings never perturb clean
-## results), disk-tier failure simulation always degrading to a miss, and
-## child spans stitched into the batch trace span for span
+## results), and child spans stitched into the batch trace span for span
 ## (test_trace_propagation.py).
 test-faults:
 	$(PYTHON) -m pytest tests/api/test_faults.py tests/api/test_batch_failures.py \

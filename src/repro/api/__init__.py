@@ -28,8 +28,8 @@ Contents:
   attempts on a deterministic seeded schedule, and crashed or hung worker
   processes are reaped and retried,
 * :mod:`~repro.api.faults` -- the deterministic fault-injection harness
-  (:class:`~repro.api.faults.FaultPlan`: exceptions, delays, worker kills
-  and cache corruption keyed by request fingerprint + attempt number),
+  (:class:`~repro.api.faults.FaultPlan`: exceptions, delays and worker
+  kills keyed by request fingerprint or batch index + attempt number),
 * :mod:`~repro.api.registry` -- the declarative ``@register_router``
   registry all routers announce themselves to,
 * :mod:`~repro.api.cache` -- the content-addressed compile cache

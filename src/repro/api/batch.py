@@ -29,8 +29,8 @@ over a pipe.  Each replies with the result or a structured
 :class:`~repro.api.result.CompileError`, the request's own exception when it
 pickles, and its trace fragment, which the parent folds into the batch trace
 in batch order.  A :class:`~repro.api.faults.FaultPlan` injects exceptions,
-delays, kills and cache faults at deterministic (request, attempt) points,
-so every recovery path is testable and replayable.
+delays and kills at deterministic (request, attempt) points, so every
+recovery path is testable and replayable.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Iterable
 
 from repro.api.faults import apply_execution_faults, deterministic_backoff, resolve_faults
 from repro.api.pipeline import compile_uncached as _compile
-from repro.api.pipeline import _cache_fault_window
 from repro.api.request import CompileRequest
 from repro.api.result import BatchResult, CompileError, CompileResult
 from repro.obs.trace import NULL_TRACER, Tracer, current_tracer, use_tracer
@@ -340,8 +339,8 @@ def compile_many(
       up to 3 attempts), spaced by the deterministic seeded backoff schedule
       ``backoff * 2**(attempt-1) * jitter(fingerprint, attempt)``.
     * ``faults`` -- a :class:`~repro.api.faults.FaultPlan` (or its parse
-      syntax) injecting exceptions, delays, worker kills and cache faults at
-      deterministic (request, attempt) points.
+      syntax) injecting exceptions, delays and worker kills at deterministic
+      (request, attempt) points.
 
     Successful results are bit-for-bit identical to a clean serial run
     regardless of worker count, timeouts, retries or faults injected into
@@ -361,9 +360,7 @@ def compile_many(
     results: list[CompileResult | CompileError | None] = [None] * len(requests)
     misses: list[int] = []
     fingerprints: list[str | None] = [None] * len(requests)
-    with tracer.span(
-        "batch", requests=len(requests), workers=workers
-    ) as batch_span, _cache_fault_window(cache_store, plan):
+    with tracer.span("batch", requests=len(requests), workers=workers) as batch_span:
         if cache_store is None:
             misses = list(range(len(requests)))
             if plan is not None:

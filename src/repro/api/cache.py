@@ -24,8 +24,9 @@ The disk tier is a bounded, shareable piece store:
   of ``put``/``touch`` records (fingerprint, size, schema version, created
   and last-access stamps, a monotonic access sequence).  The *directory* is
   always the source of truth: index metadata is reconciled against the
-  actual entry files on load, so a torn index line or an index/payload
-  mismatch degrades gracefully and is compacted away on the next write.
+  actual entry files on load, so a torn or malformed index line or an
+  index/payload mismatch degrades gracefully and is compacted away on the
+  next write.
 * **Bounds** -- ``max_bytes``/``max_entries`` cap the store globally; going
   over evicts least-recently-used entries in a deterministic victim order
   (ascending access sequence, fingerprint tie-break) as one batch, with an
@@ -47,24 +48,15 @@ a payload layout change turns older entries into one-time misses; they are
 never read back.  Corrupted, truncated or version-mismatched disk entries are
 logged and treated as misses -- the cache never raises on bad persisted
 state, and caching only ever changes hit rates, never a single routed bit.
-
-That degrade-to-miss contract is testable: a cache constructed with a
-``fault_plan`` (:class:`~repro.api.faults.FaultPlan`) simulates disk-tier
-failures -- ``ENOSPC``/permission-denied on write, torn partial writes,
-post-write corruption, permission-denied on read, torn index appends, stale
-index entries and entries evicted between index read and payload open -- at
-deterministic fingerprint-keyed points, and every one of them must surface
-as a recomputed miss (or an untouched hit), never as an exception reaching
-the caller.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import errno
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import tempfile
@@ -332,6 +324,30 @@ def _check_bound(value, name: str) -> int | None:
     return value
 
 
+def _finite(value) -> bool:
+    """Whether a persisted metadata field is a finite number (not a bool)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` through a sibling temp file and a rename.
+
+    Readers see the old file or the new one, never a partial write; a failed
+    write leaves no temp file behind.
+    """
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 # ---------------------------------------------------------------------------
 # The two-tier store
 # ---------------------------------------------------------------------------
@@ -345,12 +361,6 @@ class CompileCache:
             the memory tier entirely).
         directory: directory of the on-disk tier; ``None`` (the default)
             keeps the cache memory-only.
-        fault_plan: optional :class:`~repro.api.faults.FaultPlan` simulating
-            disk-tier failures (``cache-write-enospc``, ``cache-write-eacces``,
-            ``cache-partial-write``, ``cache-corrupt``, ``cache-read-eacces``,
-            ``cache-torn-index``, ``cache-stale-index``,
-            ``cache-evicted-underfoot``) at fingerprint-keyed points; every
-            simulated failure must degrade to a recomputed miss, never raise.
         max_bytes: global byte bound of the disk tier (LRU eviction keeps the
             store at or below it); ``None`` leaves it unbounded.
         max_entries: global entry-count bound of the disk tier; ``None``
@@ -365,7 +375,6 @@ class CompileCache:
         self,
         max_memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         directory: str | Path | None = None,
-        fault_plan=None,
         *,
         max_bytes: int | None = None,
         max_entries: int | None = None,
@@ -375,7 +384,6 @@ class CompileCache:
             raise ValueError("max_memory_entries must be non-negative")
         self.max_memory_entries = int(max_memory_entries)
         self.directory = Path(directory) if directory is not None else None
-        self.fault_plan = fault_plan
         self.max_bytes = _check_bound(max_bytes, "max_bytes")
         self.max_entries = _check_bound(max_entries, "max_entries")
         self.readonly = bool(readonly)
@@ -388,12 +396,6 @@ class CompileCache:
         self._dirty_shards: set[str] = set()
         self._seq = 0
         self._meta = {"evictions": 0, "evicted_bytes": 0}
-
-    def _injected_faults(self, fingerprint: str) -> frozenset[str]:
-        """The simulated disk-fault kinds scheduled for this fingerprint."""
-        if self.fault_plan is None:
-            return frozenset()
-        return self.fault_plan.cache_fault_kinds_for(fingerprint)
 
     # -- lookups -------------------------------------------------------------
 
@@ -536,17 +538,8 @@ class CompileCache:
         """
         catalog: dict[str, _CatalogEntry] = {}
         self._dirty_shards = set()
-        seq_floor = 0
-        meta = {"evictions": 0, "evicted_bytes": 0}
-        if self.directory is not None and self.directory.is_dir():
-            try:
-                loaded = json.loads(self._meta_path().read_text())
-                if isinstance(loaded, dict):
-                    meta["evictions"] = int(loaded.get("evictions", 0))
-                    meta["evicted_bytes"] = int(loaded.get("evicted_bytes", 0))
-                    seq_floor = int(loaded.get("seq", 0))
-            except (OSError, ValueError, TypeError):
-                pass
+        meta = self._read_meta() or {"evictions": 0, "evicted_bytes": 0, "seq": 0}
+        if self.directory.is_dir():
             for shard, shard_dir in self._scan_shard_dirs():
                 index_meta = self._read_index(shard, shard_dir)
                 for path in self._scan_entry_files(shard_dir):
@@ -568,23 +561,45 @@ class CompileCache:
                     catalog[fingerprint] = _CatalogEntry(
                         fingerprint,
                         stat.st_size,
-                        float(known.get("created") or stat.st_mtime),
-                        int(known.get("seq") or 0),
+                        float(known["created"] or stat.st_mtime),
+                        int(known["seq"]),
                     )
                 if index_meta:
                     # index records whose payloads are gone: stale, compact away
                     self._dirty_shards.add(shard)
-        self._meta = meta
-        self._seq = max(
-            [seq_floor] + [entry.seq for entry in catalog.values()]
-        ) if catalog else seq_floor
+        self._meta = {"evictions": meta["evictions"], "evicted_bytes": meta["evicted_bytes"]}
+        self._seq = max([meta["seq"]] + [entry.seq for entry in catalog.values()])
         return catalog
 
+    def _read_meta(self) -> dict | None:
+        """The ``evictions``, ``evicted_bytes`` and ``seq`` counters of ``_meta.json``.
+
+        ``None`` for a memory-only cache, and when the file is missing,
+        unreadable, or anything but a JSON object whose counters are
+        non-negative integers.
+        """
+        if self.directory is None:
+            return None
+        try:
+            loaded = json.loads(self._meta_path().read_bytes())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(loaded, dict):
+            return None
+        meta = {key: loaded.get(key, 0) for key in ("evictions", "evicted_bytes", "seq")}
+        if all(type(value) is int and value >= 0 for value in meta.values()):
+            return meta
+        return None
+
     def _read_index(self, shard: str, shard_dir: Path) -> dict[str, dict]:
-        """Parse one shard's ``index.jsonl`` tolerantly (last record wins)."""
+        """Parse one shard's ``index.jsonl`` tolerantly (last record wins).
+
+        A line that is not JSON, or a record whose numeric fields are not
+        finite numbers, counts as unreadable and marks the shard dirty.
+        """
         records: dict[str, dict] = {}
         try:
-            text = (shard_dir / INDEX_NAME).read_text()
+            text = (shard_dir / INDEX_NAME).read_text(errors="replace")
         except OSError:
             return records
         torn = 0
@@ -604,13 +619,16 @@ class CompileCache:
             if not isinstance(fingerprint, str):
                 continue
             if record.get("op") == "put":
-                records[fingerprint] = {
-                    "size": record.get("size"),
-                    "created": record.get("created"),
-                    "seq": record.get("seq"),
-                }
+                fields = ("size", "created", "seq")
             elif record.get("op") == "touch" and fingerprint in records:
-                records[fingerprint]["seq"] = record.get("seq")
+                fields = ("seq",)
+            else:
+                continue
+            values = {name: record.get(name) for name in fields}
+            if not all(_finite(value) for value in values.values()):
+                torn += 1
+                continue
+            records.setdefault(fingerprint, {}).update(values)
         if torn:
             logger.warning(
                 "cache index %s/%s has %d unreadable line(s); will compact on next write",
@@ -624,14 +642,9 @@ class CompileCache:
         return self._seq
 
     def _append_index(self, fingerprint: str, record: dict) -> None:
-        """Append one record to the entry's shard index (torn-write fault aware)."""
-        line = _canonical_json(record) + "\n"
-        if "cache-torn-index" in self._injected_faults(fingerprint):
-            # A torn append: the process died mid-write, leaving half a line.
-            line = line[: max(1, len(line) // 2)]
-            self._dirty_shards.add(fingerprint[:2])
+        """Append one record to the entry's shard index."""
         with open(self._index_path(fingerprint[:2]), "a") as handle:
-            handle.write(line)
+            handle.write(_canonical_json(record) + "\n")
 
     def _touch(self, fingerprint: str) -> None:
         """Record a disk hit in the LRU order (writer handles only)."""
@@ -687,19 +700,10 @@ class CompileCache:
                     "seq": entry.seq,
                 }
             )
+            + "\n"
             for entry in entries
         ]
-        fd, tmp_name = tempfile.mkstemp(dir=shard_dir, prefix=".tmp-", suffix=".jsonl")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write("".join(line + "\n" for line in lines))
-            os.replace(tmp_name, self._index_path(shard))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _atomic_write(self._index_path(shard), "".join(lines))
 
     def _compact_dirty_shards(self) -> None:
         for shard in sorted(self._dirty_shards):
@@ -713,19 +717,7 @@ class CompileCache:
             "evicted_bytes": self._meta["evicted_bytes"],
             "seq": self._seq,
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".meta"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(tmp_name, self._meta_path())
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _atomic_write(self._meta_path(), json.dumps(record, sort_keys=True))
 
     def _enforce_bounds(self) -> None:
         """Evict LRU entries (one batch) until the store is within bounds.
@@ -784,17 +776,6 @@ class CompileCache:
     def _disk_get(self, fingerprint: str) -> dict | None:
         path = self._entry_path(fingerprint)
         try:
-            faults = self._injected_faults(fingerprint)
-            if "cache-read-eacces" in faults:
-                raise PermissionError(
-                    errno.EACCES, f"injected read fault for {path.name}"
-                )
-            if "cache-evicted-underfoot" in faults:
-                # The index said the entry exists, but a concurrent eviction
-                # unlinked the payload before we could open it.
-                raise FileNotFoundError(
-                    errno.ENOENT, f"injected eviction under reader for {path.name}"
-                )
             raw = path.read_bytes()
             envelope = json.loads(raw)
         except FileNotFoundError:
@@ -831,15 +812,12 @@ class CompileCache:
             return None
         if self._catalog is not None:
             entry = self._catalog.get(fingerprint)
-            recorded = entry.size if entry is not None else None
-            if "cache-stale-index" in faults and recorded is not None:
-                recorded += 1  # simulate an index record the store outgrew
-            if recorded is not None and recorded != len(raw):
+            if entry is not None and entry.size != len(raw):
                 # The index disagrees with the bytes on disk: distrust both,
                 # recompute, and let the next write reindex the entry.
                 logger.warning(
                     "cache entry %s size %d != indexed %d (stale index); "
-                    "treating as miss", path.name, len(raw), recorded,
+                    "treating as miss", path.name, len(raw), entry.size,
                 )
                 self.stats["stale_index_misses"] += 1
                 entry.size = len(raw)
@@ -854,44 +832,12 @@ class CompileCache:
             "digest": payload_digest(payload),
             "payload": payload,
         }
-        faults = self._injected_faults(fingerprint)
         try:
-            if "cache-write-enospc" in faults:
-                raise OSError(
-                    errno.ENOSPC, f"injected ENOSPC writing {fingerprint[:12]}"
-                )
-            if "cache-write-eacces" in faults:
-                raise PermissionError(
-                    errno.EACCES, f"injected EACCES writing {fingerprint[:12]}"
-                )
             catalog = self._catalog_entries()
             path = self._entry_path(fingerprint)
             path.parent.mkdir(parents=True, exist_ok=True)
             text = json.dumps(envelope, sort_keys=True)
-            if "cache-partial-write" in faults:
-                # A torn write: the process died mid-write without the atomic
-                # temp-file dance, leaving a truncated entry at the final path.
-                path.write_text(text[: len(text) // 2])
-                return
-            # Atomic publish: write to a sibling temp file, then rename over
-            # the final path so readers never observe a truncated entry.
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            if "cache-corrupt" in faults:
-                # Bit rot after a successful write: the entry bytes on disk
-                # no longer parse (distinct from the torn-write shape above).
-                path.write_bytes(b"\x00corrupt\xff{{{")
+            _atomic_write(path, text)
             try:
                 size = path.stat().st_size
             except OSError:
@@ -977,13 +923,8 @@ class CompileCache:
 
     def _persisted_evictions(self) -> tuple[int, int]:
         """Cumulative eviction counters from ``_meta.json`` (tolerant)."""
-        if self.directory is None:
-            return 0, 0
-        try:
-            meta = json.loads(self._meta_path().read_text())
-            return int(meta.get("evictions", 0)), int(meta.get("evicted_bytes", 0))
-        except (OSError, ValueError, TypeError):
-            return self._meta["evictions"], self._meta["evicted_bytes"]
+        meta = self._read_meta() or self._meta
+        return meta["evictions"], meta["evicted_bytes"]
 
     def info(self) -> dict:
         """Flat introspection record (used by ``repro-map cache info``)."""

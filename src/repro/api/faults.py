@@ -1,12 +1,11 @@
 """Deterministic fault injection for the compile pipeline.
 
 Every recovery path in the fault-tolerant batch driver (:mod:`repro.api.batch`)
-and the hardened cache disk tier (:mod:`repro.api.cache`) is driven by a
-:class:`FaultPlan`: a declarative map from *(request, attempt)* to the faults
-that should fire there.  Plans are pure data -- no wall-clock, no RNG -- so a
-failing batch replays bit-for-bit: the same plan against the same requests
-injects the same faults at the same points on every run and for every worker
-count.
+is driven by a :class:`FaultPlan`: a declarative map from *(request, attempt)*
+to the faults that should fire there.  Plans are pure data -- no wall-clock,
+no RNG -- so a failing batch replays bit-for-bit: the same plan against the
+same requests injects the same faults at the same points on every run and for
+every worker count.
 
 Faults are keyed by request **fingerprint** (the canonical content address
 from :func:`repro.api.cache.request_fingerprint`), by batch **index**
@@ -14,28 +13,13 @@ from :func:`repro.api.cache.request_fingerprint`), by batch **index**
 wildcard ``"*"``, and optionally scoped to a single **attempt** number (0 is
 the first try; ``None`` fires on every attempt).
 
-Execution fault kinds (applied in the worker before the pipeline runs):
+Fault kinds, fired before the pipeline runs (in a worker child or in process):
 
 * ``exception``  raise :class:`InjectedFault`,
 * ``delay``      sleep ``delay_seconds`` (drives timeout paths),
 * ``kill``       hard-exit the worker process (``os._exit``), simulating a
   crashed worker; outside a worker process it degrades to an
   :class:`InjectedFault` so the parent process is never killed.
-
-Cache fault kinds (applied by the :class:`~repro.api.cache.CompileCache`
-disk tier; the cache must always degrade to a recomputed miss, never raise):
-
-* ``cache-write-enospc``       the store raises ``OSError(ENOSPC)``,
-* ``cache-write-eacces``       the store raises ``PermissionError``,
-* ``cache-partial-write``      a torn write leaves a truncated entry on disk,
-* ``cache-corrupt``            the persisted entry is garbled after the write,
-* ``cache-read-eacces``        reading the entry raises ``PermissionError``,
-* ``cache-torn-index``         the shard-index append is torn mid-line (the
-  process died half-way through the write),
-* ``cache-stale-index``        the shard index records a size the entry on
-  disk no longer has (verification must fail the read),
-* ``cache-evicted-underfoot``  the entry is unlinked between the index read
-  and the payload open (a concurrent eviction won the race).
 
 The hidden CLI flag ``--inject-faults`` accepts the compact
 :meth:`FaultPlan.parse` syntax ``target:kind[:attempt]``, comma-separated::
@@ -52,27 +36,14 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 #: Exit code a ``kill`` fault terminates the worker process with (mirrors the
 #: conventional SIGKILL shell status so crash handling matches a real kill).
 KILL_EXIT_CODE = 137
 
-#: Fault kinds applied in the execution path (worker / in-process attempt).
-EXECUTION_FAULT_KINDS = ("exception", "delay", "kill")
-#: Fault kinds applied by the cache disk tier.
-CACHE_FAULT_KINDS = (
-    "cache-write-enospc",
-    "cache-write-eacces",
-    "cache-partial-write",
-    "cache-corrupt",
-    "cache-read-eacces",
-    "cache-torn-index",
-    "cache-stale-index",
-    "cache-evicted-underfoot",
-)
 #: Every recognised fault kind.
-FAULT_KINDS = EXECUTION_FAULT_KINDS + CACHE_FAULT_KINDS
+FAULT_KINDS = ("exception", "delay", "kill")
 
 
 class InjectedFault(RuntimeError):
@@ -226,37 +197,9 @@ class FaultPlan:
                     matched.append(spec)
         return tuple(matched)
 
-    def execution_faults_for(
-        self, fingerprint: str | None, index: int | None, attempt: int
-    ) -> tuple[FaultSpec, ...]:
-        return tuple(
-            spec
-            for spec in self.faults_for(fingerprint, index, attempt)
-            if spec.kind in EXECUTION_FAULT_KINDS
-        )
-
-    def cache_faults_for(self, fingerprint: str | None) -> tuple[FaultSpec, ...]:
-        """Cache-tier specs for ``fingerprint`` (attempt-independent)."""
-        matched: list[FaultSpec] = []
-        for key in ((str(fingerprint),) if fingerprint is not None else ()) + ("*",):
-            for spec in self.specs.get(key, ()):
-                if spec.kind in CACHE_FAULT_KINDS:
-                    matched.append(spec)
-        return tuple(matched)
-
-    def cache_fault_kinds_for(self, fingerprint: str | None) -> frozenset[str]:
-        return frozenset(spec.kind for spec in self.cache_faults_for(fingerprint))
-
     def has_kills(self) -> bool:
         return any(
             spec.kind == "kill" for specs in self.specs.values() for spec in specs
-        )
-
-    def has_cache_faults(self) -> bool:
-        return any(
-            spec.kind in CACHE_FAULT_KINDS
-            for specs in self.specs.values()
-            for spec in specs
         )
 
     def __len__(self) -> int:
@@ -264,20 +207,6 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return len(self) > 0
-
-    def scaled(self, delay_seconds: float) -> "FaultPlan":
-        """A copy with every ``delay`` fault stretched to ``delay_seconds``."""
-        return FaultPlan(
-            {
-                key: tuple(
-                    replace(spec, delay_seconds=delay_seconds)
-                    if spec.kind == "delay"
-                    else spec
-                    for spec in specs
-                )
-                for key, specs in self.specs.items()
-            }
-        )
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -316,7 +245,7 @@ def apply_execution_faults(
     only when ``in_worker`` is true; in-process execution degrades it to an
     :class:`InjectedFault` so the caller's interpreter survives.
     """
-    specs = plan.execution_faults_for(fingerprint, index, attempt)
+    specs = plan.faults_for(fingerprint, index, attempt)
     for spec in specs:
         if spec.kind == "delay":
             time.sleep(spec.delay_seconds)

@@ -37,8 +37,6 @@ import hashlib
 import time
 from pathlib import Path
 
-from contextlib import contextmanager
-
 from repro.api.registry import resolve_router
 from repro.api.request import CompileRequest
 from repro.api.result import CompileError, CompileResult
@@ -66,20 +64,6 @@ def _annotate_phase(exc: BaseException, phase: str) -> None:
             exc._compile_phase = phase
         except Exception:
             pass  # extension or slotted exception types just skip the stamp
-
-
-@contextmanager
-def _cache_fault_window(cache_store, plan):
-    """Attach a fault plan's cache faults to ``cache_store`` for one call."""
-    if cache_store is None or plan is None or not plan.has_cache_faults():
-        yield
-        return
-    previous = getattr(cache_store, "fault_plan", None)
-    cache_store.fault_plan = plan
-    try:
-        yield
-    finally:
-        cache_store.fault_plan = previous
 
 
 def load_circuit(
@@ -160,31 +144,29 @@ def compile(  # noqa: A001 - deliberate name
     :class:`~repro.api.cache.CompileCache`.
 
     ``faults`` is the deterministic fault-injection harness
-    (:class:`~repro.api.faults.FaultPlan` or its parse syntax): execution
-    faults fire before the pipeline (attempt 0 -- single calls never retry;
-    use :func:`repro.api.compile_many` for retry semantics) and cache faults
-    are applied to the disk tier for the duration of this call.  ``None``
-    (the default) injects nothing and costs nothing.
+    (:class:`~repro.api.faults.FaultPlan` or its parse syntax): its faults
+    fire before the pipeline, as attempt 0 (single calls never retry; use
+    :func:`repro.api.compile_many` for retry semantics).  ``None`` (the
+    default) injects nothing and costs nothing.
     """
     from repro.api.cache import request_fingerprint, resolve_cache
     from repro.api.faults import apply_execution_faults, resolve_faults
 
     cache_store = resolve_cache(cache)
     plan = resolve_faults(faults)
-    with _cache_fault_window(cache_store, plan):
-        fingerprint = None
-        if cache_store is not None or plan is not None:
-            fingerprint = request_fingerprint(request)
-        if cache_store is not None:
-            hit = cache_store.lookup(fingerprint, request)
-            if hit is not None:
-                return hit
-        if plan is not None:
-            apply_execution_faults(plan, fingerprint, None, 0)
-        result = compile_uncached(request)
-        if cache_store is not None:
-            cache_store.store(fingerprint, result)
-        return result
+    fingerprint = None
+    if cache_store is not None or plan is not None:
+        fingerprint = request_fingerprint(request)
+    if cache_store is not None:
+        hit = cache_store.lookup(fingerprint, request)
+        if hit is not None:
+            return hit
+    if plan is not None:
+        apply_execution_faults(plan, fingerprint, None, 0)
+    result = compile_uncached(request)
+    if cache_store is not None:
+        cache_store.store(fingerprint, result)
+    return result
 
 
 def compile_uncached(request: CompileRequest) -> CompileResult:

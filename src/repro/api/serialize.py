@@ -118,7 +118,7 @@ def circuit_from_payload(payload: dict) -> QuantumCircuit:
                     )
             append(Gate(name, words[start:position], gate_params, label_of(index, "")))
             index += 1
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(f"invalid circuit payload: {exc}") from exc
@@ -165,7 +165,7 @@ def routing_from_payload(payload: dict) -> RoutingResult:
             cost_evaluations=int(payload["cost_evaluations"]),
             metadata=dict(payload["metadata"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(f"invalid routing payload: {exc}") from exc
@@ -282,7 +282,7 @@ def request_from_payload(payload: dict) -> CompileRequest:
             validation=str(payload.get("validation", "none")),
             label=payload.get("label"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(f"invalid request payload: {exc}") from exc
@@ -318,7 +318,7 @@ def result_from_payload(payload: dict, request) -> CompileResult:
             pass_timings={k: float(v) for k, v in payload["pass_timings"].items()},
             metrics=dict(payload["metrics"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(f"invalid result payload: {exc}") from exc

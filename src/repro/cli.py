@@ -456,6 +456,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
     if args.retries < 0:
         raise CompileError("repro-map serve: --retries must be non-negative")
+    _check_cache_bounds(args)
     if args.log_json:
         from repro.obs import setup_logging
 

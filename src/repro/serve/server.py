@@ -50,8 +50,6 @@ from dataclasses import dataclass, field
 from repro._version import __version__
 from repro.api.batch import compile_many
 from repro.api.cache import CompileCache, request_fingerprint
-from repro.api.faults import resolve_faults
-from repro.api.pipeline import _cache_fault_window
 from repro.api.request import CompileRequest
 from repro.api.result import CompileError, CompileResult
 from repro.api.serialize import result_to_payload
@@ -470,7 +468,7 @@ class CompileService:
         :class:`CompileError` -- never as a dropped connection.  Admission
         already fingerprinted the request and missed the cache, so the
         compile skips the cache and the result is stored under that
-        fingerprint, inside the plan's cache-fault window.
+        fingerprint.
         """
         batch = compile_many(
             [request],
@@ -483,8 +481,7 @@ class CompileService:
         )
         outcome = batch.results[0]
         if isinstance(outcome, CompileResult):
-            with _cache_fault_window(self.cache, resolve_faults(self.config.faults)):
-                self.cache.store(fingerprint, outcome)
+            self.cache.store(fingerprint, outcome)
             self._observe_pass_timings(outcome)
             return 200, {
                 "ok": True,

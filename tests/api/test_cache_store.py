@@ -11,8 +11,9 @@ Covers the ISSUE-9 store contract end to end:
   orphan payloads are adopted, dead index records dropped, torn lines
   compacted on the next write,
 * warm==cold bit-for-bit under eviction pressure for ``workers`` in {1, 2},
-* crash consistency via ``FaultPlan`` (torn index append, stale index
-  record, entry evicted under the reader, read-denied shard): every failure
+* crash consistency (torn index, stale index record, entry evicted under
+  the reader, read denied, failed write, malformed metadata): each test
+  builds the state on disk or makes one OS call fail; every failure
   degrades to a recomputed miss, never an exception, and the store
   self-heals on the next write,
 * readonly fleet mode -- a second handle serves hits from a shared warm
@@ -24,9 +25,11 @@ Most tests store one real compiled payload under synthetic fingerprints so
 the battery exercises the store, not the routers.
 """
 
+import errno
 import hashlib
 import json
 import logging
+import os
 import random
 import threading
 from pathlib import Path
@@ -36,11 +39,11 @@ import pytest
 from repro.api import (
     CompileCache,
     CompileRequest,
-    FaultPlan,
     compile as api_compile,
     compile_many,
     compile_uncached,
     default_cache,
+    request_fingerprint,
     set_default_cache,
 )
 from repro.api.cache import (
@@ -408,26 +411,46 @@ class TestWarmEqualsColdUnderEviction:
 
 
 # ---------------------------------------------------------------------------
-# Crash consistency (FaultPlan-driven)
+# Crash consistency: each state is built on disk or by one failing OS call
 # ---------------------------------------------------------------------------
 
 
-class TestCrashConsistency:
-    def test_parse_accepts_the_index_fault_kinds(self):
-        plan = FaultPlan.parse(
-            "*:cache-torn-index,*:cache-stale-index,*:cache-evicted-underfoot"
-        )
-        assert plan.has_cache_faults()
-        assert plan.cache_fault_kinds_for("f" * 64) == {
-            "cache-torn-index", "cache-stale-index", "cache-evicted-underfoot",
-        }
+def entry_path(directory: Path, fingerprint: str) -> Path:
+    return directory / fingerprint[:2] / f"{fingerprint}.json"
 
+
+def write_meta(text: str):
+    def damage(directory: Path, fingerprint: str) -> None:
+        (directory / META_NAME).write_text(text)
+
+    return damage
+
+
+def rewrite_put_record(**fields):
+    def damage(directory: Path, fingerprint: str) -> None:
+        index_path = directory / fingerprint[:2] / INDEX_NAME
+        record = json.loads(index_path.read_text().splitlines()[0])
+        index_path.write_text(json.dumps({**record, **fields}) + "\n")
+
+    return damage
+
+
+def append_to_index(data: bytes):
+    def damage(directory: Path, fingerprint: str) -> None:
+        with open(directory / fingerprint[:2] / INDEX_NAME, "ab") as handle:
+            handle.write(data)
+
+    return damage
+
+
+class TestCrashConsistency:
     def test_torn_index_append_never_raises_and_heals_on_next_write(
         self, tmp_path, result
     ):
-        plan = FaultPlan().inject("*", "cache-torn-index")
-        torn = CompileCache(max_memory_entries=0, directory=tmp_path, fault_plan=plan)
-        torn.store(fp(1), result)  # payload lands, index line is torn
+        CompileCache(max_memory_entries=0, directory=tmp_path).store(fp(1), result)
+        index_path = tmp_path / fp(1)[:2] / INDEX_NAME
+        text = index_path.read_text()
+        index_path.write_text(text[: len(text) // 2])  # the entry's only record, torn
         fresh = CompileCache(max_memory_entries=0, directory=tmp_path)
         # the payload file is the truth: the entry still serves
         assert fresh.lookup(fp(1), request_for()) is not None
@@ -441,13 +464,13 @@ class TestCrashConsistency:
         request = request_for()
         cache = CompileCache(max_memory_entries=0, directory=tmp_path)
         clean = api_compile(request, cache=cache)  # store loads the catalog
-        cache.fault_plan = FaultPlan().inject("*", "cache-stale-index")
+        with open(entry_path(tmp_path, request_fingerprint(request)), "a") as handle:
+            handle.write(" ")  # still parses, digest still matches: only the size moved
         with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
             recomputed = api_compile(request, cache=cache)
-        assert cache.stats["stale_index_misses"] >= 1
+        assert cache.stats["stale_index_misses"] == 1
         assert bits_of(recomputed) == bits_of(clean)
         assert any("stale" in record.message for record in caplog.records)
-        cache.fault_plan = None
         api_compile(request, cache=cache)
         assert cache.stats["disk_hits"] == 1  # healed: the entry hits again
 
@@ -455,33 +478,84 @@ class TestCrashConsistency:
         request = request_for()
         cache = CompileCache(max_memory_entries=0, directory=tmp_path)
         clean = api_compile(request, cache=cache)
-        cache.fault_plan = FaultPlan().inject("*", "cache-evicted-underfoot")
+        entry_path(tmp_path, request_fingerprint(request)).unlink()  # another writer evicted it
         recomputed = api_compile(request, cache=cache)
         assert bits_of(recomputed) == bits_of(clean)
-        cache.fault_plan = None
+        assert cache.stats["misses"] == 2
         api_compile(request, cache=cache)
         assert cache.stats["disk_hits"] == 1
 
-    def test_read_denied_shard_recomputes_identically(self, tmp_path):
+    def test_read_denied_shard_recomputes_identically(self, tmp_path, monkeypatch, caplog):
         request = request_for()
         clean = api_compile(request, cache=False)
-        plan = FaultPlan().inject("*", "cache-read-eacces")
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path, fault_plan=plan)
-        api_compile(request, cache=cache)
-        denied = api_compile(request, cache=cache)
-        assert bits_of(denied) == bits_of(clean)
+        cache = CompileCache(max_memory_entries=0, directory=tmp_path)
+        read_bytes = Path.read_bytes
+
+        def denied(path):
+            # Tests may run as root, which chmod cannot deny: fail the call itself.
+            if tmp_path in path.parents:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
+            api_compile(request, cache=cache)
+            again = api_compile(request, cache=cache)
+        assert bits_of(again) == bits_of(clean)
         assert cache.stats["disk_hits"] == 0 and cache.stats["misses"] == 2
+        assert any("unreadable" in record.message for record in caplog.records)
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES], ids=["enospc", "eacces"])
+    def test_failed_write_leaves_the_memory_tier_only(self, tmp_path, monkeypatch, code):
+        request = request_for()
+        clean = api_compile(request, cache=False)
+        cache = CompileCache(directory=tmp_path)
+        replace = os.replace
+
+        def failing_replace(source, target, **kwargs):
+            if tmp_path in Path(target).parents:
+                raise OSError(code, os.strerror(code), str(target))
+            return replace(source, target, **kwargs)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        first = api_compile(request, cache=cache)  # returns: the failure stays inside
+        second = api_compile(request, cache=cache)
+        assert bits_of(first) == bits_of(clean) == bits_of(second)
+        assert cache.stats["memory_hits"] == 1 and cache.stats["disk_hits"] == 0
+        assert payload_files(tmp_path) == set()
+        assert list(tmp_path.rglob(".tmp-*")) == []
 
     @pytest.mark.parametrize(
-        "kind", ["cache-torn-index", "cache-stale-index", "cache-evicted-underfoot"]
+        "damage",
+        [
+            write_meta("[1, 2]"),
+            write_meta('{"seq": Infinity}'),
+            write_meta('{"evictions": Infinity}'),
+            rewrite_put_record(seq="x"),
+            rewrite_put_record(seq=[1]),
+            rewrite_put_record(created="yesterday"),
+            append_to_index(b"\xff\n"),
+        ],
+        ids=[
+            "meta-not-an-object",
+            "meta-infinite-seq",
+            "meta-infinite-evictions",
+            "index-seq-string",
+            "index-seq-list",
+            "index-created-string",
+            "index-not-utf8",
+        ],
     )
-    def test_index_faults_never_raise_through_compile(self, tmp_path, kind, result):
+    def test_malformed_metadata_never_raises(self, tmp_path, damage):
         request = request_for()
-        plan = FaultPlan().inject("*", kind)
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path, fault_plan=plan)
-        first = api_compile(request, cache=cache)   # must not raise
-        second = api_compile(request, cache=cache)  # must not raise
-        assert bits_of(first) == bits_of(second)
+        clean = api_compile(request, cache=CompileCache(directory=tmp_path))
+        damage(tmp_path, request_fingerprint(request))
+        cache = CompileCache(max_memory_entries=0, directory=tmp_path)
+        first = api_compile(request, cache=cache)
+        second = api_compile(request, cache=cache)
+        assert bits_of(first) == bits_of(clean) == bits_of(second)
+        assert cache.stats["disk_hits"] == 2
+        assert cache.info()["disk_entries"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 """Tests for the deterministic fault-injection harness (:mod:`repro.api.faults`).
 
 Covers the plan algebra (targeting, attempt scoping, parse syntax), the
-seeded backoff schedule, execution-fault application, the hardened cache
-disk tier (every simulated disk failure must degrade to a recomputed miss,
-never an exception) and the CLI/pipeline wiring of ``--inject-faults``.
+seeded backoff schedule, execution-fault application and the CLI/pipeline
+wiring of ``--inject-faults``.  The disk tier's failure battery lives in
+``test_cache_store.py``: each test there builds the degraded state on disk
+or makes one OS call fail.
 """
-
-import logging
 
 import pytest
 
 from repro.api import (
-    CompileCache,
     CompileRequest,
     FaultPlan,
     FaultSpec,
@@ -27,18 +25,15 @@ from repro.hardware.topologies import grid_topology
 GRID = grid_topology(4, 4)
 
 
-def gates_of(circuit):
-    return [(g.name, g.qubits, g.params) for g in circuit]
-
-
 def request_for(seed=0, router="greedy"):
     return CompileRequest(circuit=ghz_circuit(8), backend=GRID, router=router, seed=seed)
 
 
 class TestFaultSpec:
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["explode", "cache-corrupt"])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec(kind="explode")
+            FaultSpec(kind=kind)
 
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError, match="attempt must be non-negative"):
@@ -73,17 +68,6 @@ class TestFaultPlanTargeting:
         plan = FaultPlan().inject(0, "exception", attempt=0)
         assert plan.faults_for(None, 0, 0)
         assert not plan.faults_for(None, 0, 1)
-
-    def test_cache_faults_separated_from_execution_faults(self):
-        plan = (
-            FaultPlan()
-            .inject(0, "exception")
-            .inject(0, "cache-corrupt")
-            .inject("*", "cache-write-enospc")
-        )
-        assert [s.kind for s in plan.execution_faults_for(None, 0, 0)] == ["exception"]
-        assert plan.cache_fault_kinds_for(None) == {"cache-write-enospc"}
-        assert plan.has_cache_faults() and not plan.has_kills()
 
     def test_bad_targets_rejected(self):
         with pytest.raises(ValueError):
@@ -163,80 +147,6 @@ class TestDeterministicBackoff:
             assert 0.5 * envelope <= delay < envelope
 
 
-class TestCacheDiskFaults:
-    """Every simulated disk failure must degrade to a recomputed miss."""
-
-    @pytest.fixture()
-    def request_and_clean(self):
-        request = request_for()
-        return request, api_compile(request, cache=False)
-
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            "cache-write-enospc",
-            "cache-write-eacces",
-            "cache-partial-write",
-            "cache-corrupt",
-            "cache-read-eacces",
-            "cache-stale-index",
-            "cache-evicted-underfoot",
-        ],
-    )
-    def test_disk_fault_degrades_to_recomputed_miss(
-        self, kind, tmp_path, request_and_clean, caplog
-    ):
-        request, clean = request_and_clean
-        plan = FaultPlan().inject("*", kind)
-        # memory tier off so every lookup exercises the faulty disk tier
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path, fault_plan=plan)
-        with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
-            first = api_compile(request, cache=cache)
-            second = api_compile(request, cache=cache)
-        assert gates_of(first.routed_circuit) == gates_of(clean.routed_circuit)
-        assert gates_of(second.routed_circuit) == gates_of(clean.routed_circuit)
-        assert cache.stats["disk_hits"] == 0
-        assert cache.stats["misses"] == 2
-
-    def test_write_faults_leave_no_entry_behind(self, tmp_path, request_and_clean):
-        request, _ = request_and_clean
-        plan = FaultPlan().inject("*", "cache-write-enospc")
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path, fault_plan=plan)
-        api_compile(request, cache=cache)
-        assert not list(tmp_path.glob("*/*.json"))
-
-    def test_partial_write_leaves_truncated_entry(self, tmp_path, request_and_clean):
-        request, _ = request_and_clean
-        plan = FaultPlan().inject("*", "cache-partial-write")
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path, fault_plan=plan)
-        api_compile(request, cache=cache)
-        entries = list(tmp_path.glob("*/*.json"))
-        assert len(entries) == 1
-        with pytest.raises(ValueError):
-            import json
-
-            json.loads(entries[0].read_text())
-
-    def test_fingerprint_scoped_fault_spares_other_entries(self, tmp_path):
-        faulty_request = request_for(seed=0)
-        healthy_request = request_for(seed=1)
-        plan = FaultPlan().inject(faulty_request, "cache-write-enospc")
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path, fault_plan=plan)
-        api_compile(faulty_request, cache=cache)
-        api_compile(healthy_request, cache=cache)
-        api_compile(healthy_request, cache=cache)
-        assert cache.stats["disk_hits"] == 1  # healthy entry round-trips
-        assert len(list(tmp_path.glob("*/*.json"))) == 1
-
-    def test_healthy_cache_unaffected_without_plan(self, tmp_path, request_and_clean):
-        request, clean = request_and_clean
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path)
-        api_compile(request, cache=cache)
-        warm = api_compile(request, cache=cache)
-        assert cache.stats["disk_hits"] == 1
-        assert gates_of(warm.routed_circuit) == gates_of(clean.routed_circuit)
-
-
 class TestCompileFaultWiring:
     def test_compile_applies_execution_faults(self):
         request = request_for()
@@ -247,17 +157,6 @@ class TestCompileFaultWiring:
         request = request_for()
         with pytest.raises(InjectedFault):
             api_compile(request, cache=False, faults="*:exception")
-
-    def test_compile_restores_cache_fault_plan(self, tmp_path):
-        request = request_for()
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path)
-        plan = FaultPlan().inject("*", "cache-write-enospc")
-        api_compile(request, cache=cache, faults=plan)
-        assert cache.fault_plan is None
-        assert not list(tmp_path.glob("*/*.json"))
-        # next call without faults persists normally
-        api_compile(request, cache=cache)
-        assert len(list(tmp_path.glob("*/*.json"))) == 1
 
     def test_compile_rejects_bad_faults_argument(self):
         with pytest.raises(TypeError, match="faults must be"):
@@ -295,3 +194,10 @@ class TestCliFaultInjection:
         captured = capsys.readouterr()
         assert code == 2
         assert "--inject-faults" in captured.err
+
+    def test_map_cache_fault_kind_exits_2(self, capsys):
+        from repro.cli import main
+
+        code = main(["map", "--generate", "ghz:8", "--inject-faults", "*:cache-corrupt"])
+        assert code == 2
+        assert "unknown fault kind 'cache-corrupt'" in capsys.readouterr().err

@@ -157,6 +157,8 @@ class TestCircuitPayload:
             ("params", [0.5], "must be strings"),
             ("kinds", [["h", 1, 0], ["rz", 1, 1], ["cx", -2, 0]], "malformed gate kind"),
             ("labels", [[9, "prep"]], "label"),
+            ("num_qubits", math.inf, "infinity"),
+            ("labels", [[math.inf, "prep"]], "infinity"),
         ],
         ids=[
             "truncated-ops",
@@ -169,6 +171,8 @@ class TestCircuitPayload:
             "params-not-a-string",
             "negative-kind-width",
             "label-past-the-end",
+            "infinite-num-qubits",
+            "infinite-label-index",
         ],
     )
     def test_malformed_table_raises_serialization_error(self, column, value, message):

@@ -87,6 +87,10 @@ class TestRequestPayloadRejections:
         with pytest.raises(SerializationError, match="router_config"):
             request_to_payload(request)
 
+    def test_non_finite_seed_is_rejected(self):
+        with pytest.raises(SerializationError, match="infinity"):
+            request_from_payload(json.loads('{"generate": "ghz:4", "seed": 1e400}'))
+
     def test_version_mismatch_is_rejected(self):
         with pytest.raises(SerializationError, match="version"):
             request_from_payload({"generate": "ghz:4", "version": 999})

@@ -8,6 +8,7 @@ smoke test lives in ``test_http_loopback.py``.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -105,6 +106,18 @@ class TestCompileEndpoint:
         assert response.status == 400
         assert response.body["ok"] is False
         assert "message" in response.body["error"]
+
+    def test_non_finite_seed_is_a_structured_400(self):
+        body = json.loads(
+            '{"generate": "ghz:6", "backend": "sherbrooke", "router": "greedy", "seed": 1e400}'
+        )
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/compile", {}, body)
+
+        response = run(with_service(ServeConfig(), scenario))
+        assert response.status == 400
+        assert "infinity" in response.body["error"]["message"]
 
     def test_malformed_circuit_table_is_a_structured_400(self):
         body = request_to_payload(

@@ -356,6 +356,20 @@ class TestCacheBoundFlags:
         assert code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--cache-max-bytes", "100"], ["--cache-max-entries", "1"],
+                 ["--cache-readonly"]]
+    )
+    def test_serve_bounds_without_cache_dir_exit_2(self, flag, capsys):
+        # rejected before the service is built, so no port is bound
+        assert main(["serve"] + flag) == 2
+        assert "require --cache-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--cache-max-bytes", "--cache-max-entries"])
+    def test_serve_non_positive_bounds_exit_2(self, tmp_path, flag, capsys):
+        assert main(["serve", "--cache-dir", str(tmp_path), flag, "0"]) == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_bounded_map_evicts_and_info_reports_it(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         for seed in range(3):
