@@ -15,11 +15,17 @@ test-fast:
 ## routed outputs under tests/data/golden/ (the required gate for hot-path
 ## changes; regen via tests/routing/test_golden.py --update-golden), plus the
 ## kernel oracles: the incremental A* against a textbook search, the shared
-## delta scorer against re-summation, and Qlosure's M(s) scorer against a
-## brute-force evaluation.  A drifting scorer fails here in seconds.
+## delta scorer against re-summation, Qlosure's M(s) scorer against a
+## brute-force evaluation, and the dependence weights omega against Eq. 1
+## written as a polyhedral relation and its closure (tests/polyhedral/): the
+## DAG's bitset counts, and the weights a Qlosure router holds, on random
+## circuits with barriers and measurements.  A drifting scorer or omega fails
+## here in seconds.
 test-golden:
 	$(PYTHON) -m pytest tests/routing/test_golden.py tests/routing/test_astar_properties.py \
-		tests/routing/test_pair_delta_scorer.py tests/core/test_cost.py -q
+		tests/routing/test_pair_delta_scorer.py tests/core/test_cost.py \
+		tests/affine/test_dependence.py \
+		tests/integration/test_end_to_end.py::TestFullPipeline::test_dependence_weights_feed_the_router -q
 
 ## Compile-cache battery: the Gate record's contract (every cache hit
 ## rebuilds its routed gates through it), serialization round-trip exactness

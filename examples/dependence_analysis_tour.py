@@ -5,27 +5,24 @@ Run with::
     python examples/dependence_analysis_tour.py
 
 This example walks through the paper's pipeline on the motivating circuit of
-Fig. 1: lifting the QASM trace to macro-gates (the QRANE step), building the
-dependence relation and its transitive closure with the polyhedral-lite
-library, computing the dependence weight omega of every gate, and showing how
-those weights steer a SWAP decision.
+Fig. 1: lifting the QASM trace to macro-gates (the QRANE step), reading the
+use map off the gates, counting the dependence relation and its transitive
+closure on the dependence DAG the router uses, computing the dependence
+weight omega of every gate (Eq. 1), and showing how those weights steer a
+SWAP decision.  The tests check the same counts against Eq. 1 written as the
+paper writes it, a polyhedral relation and its closure
+(``tests/polyhedral/``).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.affine.dependence import (
-    DependenceAnalysis,
-    dependence_relation,
-    dependence_weights,
-    use_map,
-)
 from repro.affine.lifter import lift_circuit, lifting_report
 from repro.api import CompileRequest, compile
+from repro.circuit.dag import CircuitDAG
 from repro.core.config import QlosureConfig
 from repro.hardware.coupling import CouplingGraph
-from repro.isl.closure import transitive_closure
 from repro.qasm.loader import circuit_from_qasm
 
 
@@ -57,21 +54,19 @@ def main() -> None:
     print(f"   report: {lifting_report(program)}")
 
     print("\n3) Use map U : [t] -> [q1, q2]")
-    for source, target in sorted(use_map(circuit).pairs()):
-        print(f"   t={source[0]} -> qubits {target}")
+    for time, gate in enumerate(circuit):
+        print(f"   t={time} -> qubits {gate.qubits}")
 
     print("\n4) Dependence relation Rdep and its transitive closure R+")
-    relation = dependence_relation(circuit)
-    closure = transitive_closure(relation)
-    print(f"   |Rdep| = {relation.count()} immediate dependences")
-    print(f"   |R+|   = {closure.count()} transitive dependences")
+    dag = CircuitDAG(circuit)
+    weights = dag.descendant_counts()
+    print(f"   |Rdep| = {len(list(dag.dependence_pairs()))} immediate dependences")
+    print(f"   |R+|   = {sum(weights.values())} transitive dependences")
 
     print("\n5) Dependence weights omega (transitive dependent counts)")
-    weights = dependence_weights(circuit)
-    for time, weight in sorted(weights.items()):
-        print(f"   omega(G{time}) = {weight}")
-    analysis = DependenceAnalysis(circuit)
-    print(f"   most critical gate: G{analysis.critical_gates(top=1)[0]}")
+    for index, weight in weights.items():
+        print(f"   omega(G{index}) = {weight}")
+    print(f"   most critical gate: G{max(weights, key=weights.get)}")
 
     print("\n6) Routing the circuit on the Fig. 1c device")
     request = CompileRequest(circuit=circuit, backend=FIG1_DEVICE, router="qlosure",

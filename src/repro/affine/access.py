@@ -2,20 +2,12 @@
 
 QRANE groups gates whose operands follow a single affine progression in the
 macro-gate's iteration variable ``i``.  :class:`AffineAccess` captures one
-such progression and converts to the polyhedral map representation used by
-the dependence analysis.
+such progression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.isl.affine import AffineExpr
-from repro.isl.basic_map import BasicMap
-from repro.isl.basic_set import BasicSet
-from repro.isl.constraint import Constraint
-from repro.isl.map_ import Map
-from repro.isl.space import Space
 
 
 @dataclass(frozen=True)
@@ -33,17 +25,6 @@ class AffineAccess:
         """True when the access touches the same qubit at every iteration."""
         return self.coefficient == 0
 
-    def to_map(self, trip_count: int, iterator: str = "i", qubit_dim: str = "q") -> Map:
-        """The access as a polyhedral map over the domain ``0 <= i < trip_count``."""
-        space = Space.map_space((iterator,), (qubit_dim,))
-        domain = BasicSet.box(Space.set_space((iterator,)), {iterator: (0, trip_count - 1)})
-        expr = AffineExpr({qubit_dim: 1, iterator: -self.coefficient}, -self.offset)
-        constraints = [Constraint(expr, is_equality=True)]
-        rename = {iterator: iterator}
-        for constraint in domain.constraints:
-            constraints.append(constraint.rename(rename))
-        return Map.from_basic(BasicMap(space, constraints))
-
     @classmethod
     def fit(cls, values: list[int]) -> "AffineAccess | None":
         """Fit an affine progression to a list of qubit indices, if one exists.
@@ -60,14 +41,6 @@ class AffineAccess:
             if current - previous != step:
                 return None
         return cls(step, values[0])
-
-    def extends(self, values: list[int], candidate: int) -> bool:
-        """True when appending ``candidate`` keeps the progression affine."""
-        if not values:
-            return True
-        if len(values) == 1:
-            return True
-        return candidate - values[-1] == self.coefficient
 
     def __repr__(self) -> str:
         if self.coefficient == 0:

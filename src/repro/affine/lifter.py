@@ -17,19 +17,11 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
 
 
-def lift_circuit(
-    circuit: QuantumCircuit,
-    min_group_size: int = 1,
-    skip_barriers: bool = True,
-) -> AffineProgram:
+def lift_circuit(circuit: QuantumCircuit) -> AffineProgram:
     """Lift a circuit into an :class:`~repro.affine.program.AffineProgram`.
 
-    Args:
-        circuit: the input circuit (logical qubits).
-        min_group_size: runs shorter than this are still emitted (as singleton
-            or short statements); the parameter only controls the point at
-            which a run is *named* as a grouped macro-gate for reporting.
-        skip_barriers: drop barrier pseudo-gates from the lifted program.
+    Barriers end the open run and are dropped from the lifted program; every
+    other gate becomes an instance of exactly one macro-gate.
     """
     statements: list[MacroGate] = []
     run_gates: list[tuple[int, Gate]] = []
@@ -67,28 +59,28 @@ def lift_circuit(
             return False
         if gate.num_qubits != first.num_qubits:
             return False
-        for operand in range(first.num_qubits):
-            values = [g.qubits[operand] for _, g in run_gates]
-            candidate = gate.qubits[operand]
-            if len(values) >= 2:
-                step = values[1] - values[0]
-                if candidate - values[-1] != step:
-                    return False
-        # A gate also must not overlap qubits with *other* instances of the
-        # same run in a way that would reorder dependences; consecutive
-        # program order guarantees reconstruction, so no extra check needed.
-        return True
+        if len(run_gates) < 2:
+            return True
+        # Every operand of the run already steps by the difference between its
+        # first two gates, so the candidate only has to keep that step from the
+        # run's last gate.
+        second = run_gates[1][1]
+        last = run_gates[-1][1]
+        return all(
+            candidate - previous == step_to - step_from
+            for candidate, previous, step_from, step_to in zip(
+                gate.qubits, last.qubits, first.qubits, second.qubits
+            )
+        )
 
     position = 0
-    for index, gate in enumerate(circuit.gates):
-        if gate.is_barrier and skip_barriers:
+    for gate in circuit.gates:
+        if gate.is_barrier:
             flush()
             continue
-        if run_can_extend(gate):
-            run_gates.append((position, gate))
-        else:
+        if not run_can_extend(gate):
             flush()
-            run_gates.append((position, gate))
+        run_gates.append((position, gate))
         position += 1
     flush()
 

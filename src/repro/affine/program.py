@@ -15,10 +15,9 @@ class AffineProgram:
     """A circuit lifted into macro-gates plus the residual unlifted gates.
 
     The program preserves enough information to reconstruct the original
-    circuit exactly (``to_circuit``), and exposes the polyhedral views the
-    dependence analysis consumes.  Gates that do not fit any affine group of
-    length >= 2 are kept as singleton macro-gates so that the representation
-    is total.
+    circuit exactly (``to_circuit``).  Gates that do not fit any affine group
+    of length >= 2 are kept as singleton macro-gates so that the
+    representation is total.
     """
 
     num_qubits: int

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.affine.access import AffineAccess
 from repro.circuit.gate import Gate
-from repro.isl.basic_map import BasicMap
-from repro.isl.basic_set import BasicSet
-from repro.isl.map_ import Map
-from repro.isl.set_ import Set
-from repro.isl.space import Space
 
 
 @dataclass
@@ -52,35 +47,6 @@ class MacroGate:
     def gates(self) -> list[Gate]:
         """All concrete gates of the macro-gate in iteration order."""
         return [self.instance_gate(i) for i in range(self.trip_count)]
-
-    # -- polyhedral views -----------------------------------------------------
-
-    def iteration_domain(self) -> Set:
-        """The iteration domain ``{[i] : 0 <= i < trip_count}``."""
-        space = Space.set_space(("i",), self.name)
-        return Set.from_basic(BasicSet.box(space, {"i": (0, self.trip_count - 1)}))
-
-    def access_maps(self) -> tuple[Map, ...]:
-        """Per-operand access relations as polyhedral maps."""
-        return tuple(
-            access.to_map(self.trip_count, "i", "q") for access in self.accesses
-        )
-
-    def schedule_map(self) -> Map:
-        """The schedule ``{[i] -> [start_time + i * time_stride]}``."""
-        space = Space.map_space(("i",), ("t",), self.name)
-        domain = BasicSet.box(Space.set_space(("i",)), {"i": (0, self.trip_count - 1)})
-        from repro.isl.affine import AffineExpr
-        from repro.isl.constraint import Constraint
-
-        constraints = [
-            Constraint(
-                AffineExpr({"t": 1, "i": -self.time_stride}, -self.start_time),
-                is_equality=True,
-            )
-        ]
-        constraints.extend(domain.constraints)
-        return Map.from_basic(BasicMap(space, constraints))
 
     def __len__(self) -> int:
         return self.trip_count

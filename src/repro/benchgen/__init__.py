@@ -9,7 +9,7 @@
   QRAM, QuGAN, Ising, BV, cat state, W state, ...), parameterised by qubit
   count so the 20-81 qubit range of the paper's tables can be reproduced.
 * :mod:`repro.benchgen.random_circuits` -- random circuit generators used by
-  property-based tests.
+  property-based testing.
 """
 
 from repro.benchgen.queko import QuekoCircuit, generate_queko_circuit, queko_dataset

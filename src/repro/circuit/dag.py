@@ -5,7 +5,7 @@ the *immediate* per-qubit predecessor/successor edges (the transitive
 reduction along each qubit timeline), which is sufficient to recover the full
 transitive dependence relation.  The DAG offers the queries the mapper and
 the baselines need: front layer, successors, ASAP levels, descendant counts
-(the paper's dependence weight ``omega``) and topological iteration.
+(the paper's dependence weight ``omega``) and the immediate dependence pairs.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class CircuitDAG:
     def front_layer(self) -> list[int]:
         """Gates with no predecessors (ready to execute)."""
         return [i for i in self._gate_indices if not self._predecessors[i]]
-
-    def topological_order(self) -> list[int]:
-        """A topological order of the gate indices (program order works)."""
-        return list(self._gate_indices)
 
     def asap_levels(self) -> dict[int, int]:
         """Earliest possible level (0-based) of every gate (ASAP schedule)."""

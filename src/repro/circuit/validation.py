@@ -160,7 +160,7 @@ def verify_routing(
     """Full routed-circuit check: connectivity plus dependence preservation.
 
     Raises :class:`RoutingValidationError` when either check fails; returns
-    None on success so it can be used directly in tests.
+    None on success so it can be used directly as a test assertion.
     """
     check_connectivity(routed, edges)
     check_dependence_preservation(original, routed, initial_layout)

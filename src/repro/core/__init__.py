@@ -1,10 +1,11 @@
 """Qlosure: the dependence-driven qubit mapper (the paper's contribution).
 
 The router follows Algorithm 1 of the paper: every gate carries a weight
-``omega``, the number of its transitive dependents (Eq. 1, computed on the
-dependence DAG; :func:`repro.affine.dependence.dependence_weights` is the
-ISL oracle it matches), and the routing loop inserts SWAPs chosen by the
-layered, dependence-weighted cost function ``M(s)`` (Eq. 2).
+``omega``, the number of its transitive dependents (Eq. 1, read from the
+routing engine's own dependence DAG with bitsets; the tests check it against
+the polyhedral form of Eq. 1 under ``tests/polyhedral/``), and the routing
+loop inserts SWAPs chosen by the layered, dependence-weighted cost function
+``M(s)`` (Eq. 2).
 
 Circuits are routed with ``router="qlosure"`` through :mod:`repro.api`,
 which builds the router from the registry.  This subpackage holds the parts:

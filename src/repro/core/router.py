@@ -8,9 +8,7 @@ one (ties broken at random), updating the SABRE-style decay values.
 
 from __future__ import annotations
 
-from repro.affine.dependence import DependenceAnalysis
 from repro.api.registry import register_router
-from repro.circuit.circuit import QuantumCircuit
 from repro.core.config import QlosureConfig
 from repro.core.cost import WindowScorer
 from repro.core.lookahead import build_lookahead
@@ -53,9 +51,13 @@ class QlosureRouter(RoutingEngine):
     # -- engine hooks -----------------------------------------------------------
 
     def on_circuit_start(self, state: RoutingState) -> None:
-        """Precompute the transitive dependence weights ``omega`` once per circuit."""
-        analysis = DependenceAnalysis(state.circuit)
-        self._weights = analysis.weights()
+        """Read the transitive dependence weights ``omega`` (Eq. 1) once per circuit.
+
+        ``omega(g)`` is the number of gates reachable from ``g`` in the
+        engine's dependence DAG, counted with bitsets; the polyhedral form of
+        Eq. 1 is the test oracle these counts are checked against.
+        """
+        self._weights = state.dag.descendant_counts()
         self._decay = DecayTable(state.circuit.num_qubits, self.config.decay_increment)
         self._window_signature = None
         self._window = None
@@ -105,9 +107,3 @@ class QlosureRouter(RoutingEngine):
                 best.append(candidate)
         state.cost_evaluations += len(candidates)
         return best[0] if len(best) == 1 else self._rng.choice(best)
-
-    # -- convenience ------------------------------------------------------------------
-
-    def route(self, circuit: QuantumCircuit, initial_layout=None):
-        """Alias of :meth:`run` using routing terminology."""
-        return self.run(circuit, initial_layout)

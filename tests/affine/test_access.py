@@ -1,7 +1,8 @@
 """Tests for affine qubit access relations."""
 
 from repro.affine.access import AffineAccess
-from repro.isl.counting import card
+from tests.polyhedral.isl.counting import card
+from tests.polyhedral.views import access_map
 
 
 class TestFit:
@@ -41,14 +42,9 @@ class TestEvaluation:
         assert AffineAccess.fit(first_operands) == AffineAccess(1, 0)
         assert AffineAccess.fit(second_operands) == AffineAccess(2, 1)
 
-    def test_extends(self):
-        access = AffineAccess(2, 1)
-        assert access.extends([1, 3], 5)
-        assert not access.extends([1, 3], 6)
-
     def test_to_map_enumerates_accesses(self):
         access = AffineAccess(2, 1)
-        relation = access.to_map(trip_count=4)
+        relation = access_map(access, trip_count=4)
         assert sorted(relation.pairs()) == [
             ((0,), (1,)), ((1,), (3,)), ((2,), (5,)), ((3,), (7,)),
         ]

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.affine.dependence import (
-    DependenceAnalysis,
-    dependence_relation,
-    dependence_weights,
-    use_map,
-)
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
-from repro.isl.closure import transitive_closure
+from repro.circuit.dag import CircuitDAG
+from repro.circuit.gate import Gate
+from tests.polyhedral.dependence import dependence_relation, dependence_weights, use_map
+from tests.polyhedral.isl.closure import transitive_closure
 
 
 class TestUseMap:
@@ -69,11 +66,11 @@ class TestWeights:
     # index; the two coincide on barrier-free circuits.
     def test_isl_and_dag_paths_agree(self):
         for circuit in (random_circuit(6, 40, seed=3), random_circuit(8, 450, seed=1)):
-            assert dependence_weights(circuit) == DependenceAnalysis(circuit).weights()
+            assert dependence_weights(circuit) == CircuitDAG(circuit).descendant_counts()
 
     def test_isl_and_dag_agree_on_qft(self):
         circuit = qft_circuit(5)
-        assert dependence_weights(circuit) == DependenceAnalysis(circuit).weights()
+        assert dependence_weights(circuit) == CircuitDAG(circuit).descendant_counts()
 
     def test_paper_example_weights(self, paper_example_circuit):
         weights = dependence_weights(paper_example_circuit)
@@ -84,25 +81,24 @@ class TestWeights:
 
 
 class TestDependenceAnalysis:
+    """The counts the router and the tour example read off ``CircuitDAG`` are Eq. 1's."""
+
     def test_weights_keyed_by_gate_index(self, paper_example_circuit):
-        analysis = DependenceAnalysis(paper_example_circuit)
-        assert analysis.weight(0) == 3
-        assert analysis.weight(5) == 0
-        assert len(analysis.weights()) == 6
+        # A leading barrier shifts every gate index by one but takes no time step.
+        circuit = QuantumCircuit(6, [Gate("barrier", tuple(range(6))), *paper_example_circuit])
+        weights = CircuitDAG(circuit).descendant_counts()
+        assert sorted(weights) == [1, 2, 3, 4, 5, 6]
+        assert weights == {time + 1: weight for time, weight in dependence_weights(circuit).items()}
+        assert weights[1] == 3 and weights[6] == 0
 
-    def test_critical_gates_ranked_by_weight(self, paper_example_circuit):
-        analysis = DependenceAnalysis(paper_example_circuit)
-        assert analysis.critical_gates(top=1) == [1]
-
-    def test_levels_match_dag(self, paper_example_circuit):
-        analysis = DependenceAnalysis(paper_example_circuit)
-        levels = analysis.levels()
-        assert levels[0] == 0 and levels[2] == 1 and levels[5] == 2
+    def test_relation_size_is_the_dag_edge_count(self, paper_example_circuit):
+        circuits = (paper_example_circuit, qft_circuit(5), random_circuit(6, 40, seed=3))
+        for circuit in circuits:
+            dag_edges = list(CircuitDAG(circuit).dependence_pairs())
+            assert dependence_relation(circuit).count() == len(dag_edges)
+        assert dependence_relation(paper_example_circuit).count() == 7
 
     def test_closure_materialisation(self, paper_example_circuit):
-        analysis = DependenceAnalysis(paper_example_circuit, materialize_closure=True)
-        assert analysis.closure is not None
-        assert analysis.closure.count() >= 6
-
-    def test_closure_not_materialised_by_default(self, paper_example_circuit):
-        assert DependenceAnalysis(paper_example_circuit).closure is None
+        closure = transitive_closure(dependence_relation(paper_example_circuit))
+        descendants = CircuitDAG(paper_example_circuit).descendant_counts()
+        assert closure.count() == sum(descendants.values()) == 10

@@ -4,6 +4,7 @@ from repro.affine.access import AffineAccess
 from repro.affine.lifter import lift_circuit, lifting_report
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.circuit.circuit import QuantumCircuit
+from tests.polyhedral.views import access_maps, iteration_domain, schedule_map
 
 
 class TestGrouping:
@@ -53,6 +54,34 @@ class TestGrouping:
         assert program.macro_gate_count() == 2
         assert program.statements[0].trip_count == 3
 
+    def test_second_gate_sets_the_step_of_each_operand(self):
+        circuit = QuantumCircuit(10)
+        circuit.cx(0, 1)
+        circuit.cx(3, 5)
+        circuit.cx(6, 9)
+        program = lift_circuit(circuit)
+        assert program.macro_gate_count() == 1
+        assert program.statements[0].accesses == (AffineAccess(3, 0), AffineAccess(4, 1))
+
+    def test_step_is_kept_from_the_last_gate_of_the_run(self):
+        circuit = QuantumCircuit(5)
+        for qubit in (0, 2, 4, 2):  # the last gate is one step past the first
+            circuit.h(qubit)
+        program = lift_circuit(circuit)
+        assert [s.trip_count for s in program.statements] == [3, 1]
+        assert program.statements[0].accesses == (AffineAccess(2, 0),)
+
+    def test_constant_operand_extends_a_run(self):
+        circuit = QuantumCircuit(4)
+        for target in (1, 2, 3):
+            circuit.cx(0, target)
+        circuit.rz(0.5, 3)
+        circuit.rz(0.5, 3)
+        program = lift_circuit(circuit)
+        assert [s.trip_count for s in program.statements] == [3, 2]
+        assert program.statements[0].accesses == (AffineAccess(0, 0), AffineAccess(1, 1))
+        assert program.statements[1].accesses == (AffineAccess(0, 3),)
+
     def test_singletons_are_kept(self, paper_example_circuit):
         program = lift_circuit(paper_example_circuit)
         assert program.num_gate_instances == len(paper_example_circuit)
@@ -100,19 +129,19 @@ class TestPolyhedralViews:
     def test_iteration_domain_cardinality(self):
         program = lift_circuit(ghz_circuit(9))
         chain = program.statements[1]
-        assert chain.iteration_domain().count() == 8
+        assert iteration_domain(chain).count() == 8
 
     def test_access_maps_cover_qubits(self):
         program = lift_circuit(ghz_circuit(5))
         chain = program.statements[1]
-        first, second = chain.access_maps()
+        first, second = access_maps(chain)
         assert sorted(p[1][0] for p in first.pairs()) == [0, 1, 2, 3]
         assert sorted(p[1][0] for p in second.pairs()) == [1, 2, 3, 4]
 
     def test_schedule_map_is_affine_in_time(self):
         program = lift_circuit(ghz_circuit(5))
         chain = program.statements[1]
-        schedule = chain.schedule_map()
+        schedule = schedule_map(chain)
         times = sorted(p[1][0] for p in schedule.pairs())
         assert times == [1, 2, 3, 4]
 

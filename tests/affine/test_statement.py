@@ -5,6 +5,7 @@ import pytest
 from repro.affine.access import AffineAccess
 from repro.affine.program import AffineProgram
 from repro.affine.statement import MacroGate
+from tests.polyhedral.views import access_maps, iteration_domain, schedule_map
 
 
 def chain_macro(trip_count: int = 4) -> MacroGate:
@@ -61,16 +62,16 @@ class TestInstances:
 
 class TestPolyhedralViews:
     def test_iteration_domain(self):
-        domain = chain_macro(6).iteration_domain()
+        domain = iteration_domain(chain_macro(6))
         assert domain.count() == 6
 
     def test_access_maps_arity(self):
-        maps = chain_macro(3).access_maps()
+        maps = access_maps(chain_macro(3))
         assert len(maps) == 2
         assert maps[0].count() == 3
 
     def test_schedule_is_injective(self):
-        schedule = chain_macro(4).schedule_map()
+        schedule = schedule_map(chain_macro(4))
         times = [pair[1] for pair in schedule.pairs()]
         assert len(set(times)) == 4
 

@@ -89,6 +89,16 @@ class TestDescendants:
         counts = dag.descendant_counts()
         assert counts == {0: 3, 1: 2, 2: 1, 3: 0}
 
+    def test_descendant_counts_returns_a_fresh_dict(self):
+        # Qlosure keeps the dict for a whole route; writing to it must not
+        # reach the DAG's cached bitsets or a later caller.
+        dag = CircuitDAG(linear_cnot_chain(4))
+        counts = dag.descendant_counts()
+        counts[0] = 99
+        counts.pop(2)
+        assert dag.descendant_counts() == {0: 2, 1: 1, 2: 0}
+        assert dag.descendant_counts() is not dag.descendant_counts()
+
     def test_counts_match_descendant_sets(self, paper_example_circuit):
         dag = CircuitDAG(paper_example_circuit)
         counts = dag.descendant_counts()

@@ -1,17 +1,51 @@
 """End-to-end integration tests: QASM in, routed QASM out, on the paper's back-ends."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.affine.dependence import DependenceAnalysis
 from repro.affine.lifter import lift_circuit
 from repro.analysis.experiments import compare_mappers, qasmbench_table
 from repro.api import CompileRequest, compile
-from repro.benchgen.qasmbench import ghz_circuit, qft_circuit, qugan_circuit
+from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
+from repro.benchgen.random_circuits import random_circuit
+from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gate import Gate
 from repro.circuit.validation import verify_routing
+from repro.core.error_aware import ErrorAwareQlosureRouter
+from repro.core.router import QlosureRouter
 from repro.hardware.backends import ankaa3, sherbrooke
+from repro.hardware.topologies import grid_topology
 from repro.qasm.loader import circuit_from_qasm
 from repro.qasm.writer import circuit_to_qasm
+
+from tests.core.test_lookahead import make_state
+from tests.polyhedral.dependence import dependence_weights
+
+
+@st.composite
+def circuits_with_barriers_and_measures(draw):
+    """A random circuit with barriers (on one qubit or all) and measurements interleaved."""
+    base = draw(
+        st.builds(
+            random_circuit,
+            num_qubits=st.integers(2, 8),
+            num_gates=st.integers(0, 40),
+            two_qubit_fraction=st.floats(0.0, 1.0),
+            seed=st.integers(0, 100_000),
+        )
+    )
+    gates = list(base)
+    everyone = tuple(range(base.num_qubits))
+    for _ in range(draw(st.integers(0, 10))):
+        qubit = draw(st.integers(0, base.num_qubits - 1))
+        gate = draw(
+            st.sampled_from(
+                (Gate("measure", (qubit,)), Gate("barrier", (qubit,)), Gate("barrier", everyone))
+            )
+        )
+        gates.insert(draw(st.integers(0, len(gates))), gate)
+    return QuantumCircuit(base.num_qubits, gates, name="barriers-and-measures")
 
 
 def route_qlosure(circuit, backend):
@@ -47,12 +81,21 @@ class TestFullPipeline:
         result = route_qlosure(circuit, backend)
         assert result.swaps_added >= 1
 
-    def test_dependence_weights_feed_the_router(self):
-        circuit = qugan_circuit(12)
-        analysis = DependenceAnalysis(circuit)
-        assert max(analysis.weights().values()) > 0
-        result = route_qlosure(circuit, ankaa3())
-        assert result.swaps_added >= 0
+    @given(circuits_with_barriers_and_measures())
+    @settings(max_examples=60, deadline=None)
+    def test_dependence_weights_feed_the_router(self, circuit):
+        """The omega Qlosure routes with is Eq. 1, across barriers and measurements.
+
+        The oracle keys omega by time step (barriers take none) and the router
+        by circuit gate index, so the oracle's keys are mapped to the indices
+        of the non-barrier gates.
+        """
+        device = grid_topology(3, 3)
+        gate_indices = [index for index, gate in enumerate(circuit) if not gate.is_barrier]
+        expected = {gate_indices[time]: weight for time, weight in dependence_weights(circuit).items()}
+        for router in (QlosureRouter(device), ErrorAwareQlosureRouter(device)):
+            router.on_circuit_start(make_state(circuit, device))
+            assert router._weights == expected
 
 
 class TestPaperBackendsEndToEnd:

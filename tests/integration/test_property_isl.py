@@ -2,13 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.isl.basic_map import BasicMap
-from repro.isl.basic_set import BasicSet
-from repro.isl.closure import reachable_counts, transitive_closure
-from repro.isl.counting import card
-from repro.isl.map_ import Map
-from repro.isl.set_ import Set
-from repro.isl.space import Space
+from tests.polyhedral.isl.basic_map import BasicMap
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.closure import reachable_counts, transitive_closure
+from tests.polyhedral.isl.counting import card
+from tests.polyhedral.isl.map_ import Map
+from tests.polyhedral.isl.set_ import Set
+from tests.polyhedral.isl.space import Space
 
 
 SET_SPACE = Space.set_space(("i",))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isl.affine import AffineExpr, const, var
+from tests.polyhedral.isl.affine import AffineExpr, const, var
 
 
 class TestConstruction:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.isl.affine import var
-from repro.isl.basic_set import BasicSet, UnboundedSetError
-from repro.isl.constraint import eq, ge, ge_zero, le
-from repro.isl.space import Space
+from tests.polyhedral.isl.affine import var
+from tests.polyhedral.isl.basic_set import BasicSet, UnboundedSetError
+from tests.polyhedral.isl.constraint import eq, ge, ge_zero, le
+from tests.polyhedral.isl.space import Space
 
 
 SPACE_1D = Space.set_space(("i",))

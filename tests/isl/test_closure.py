@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.isl.basic_map import BasicMap
-from repro.isl.basic_set import BasicSet
-from repro.isl.closure import power, reachable_counts, transitive_closure
-from repro.isl.map_ import Map
-from repro.isl.space import Space
+from tests.polyhedral.isl.basic_map import BasicMap
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.closure import power, reachable_counts, transitive_closure
+from tests.polyhedral.isl.map_ import Map
+from tests.polyhedral.isl.space import Space
 
 
 MAP_SPACE = Space.map_space(("i",), ("j",))
@@ -67,10 +67,6 @@ class TestTransitiveClosure:
 
     def test_empty_relation(self):
         assert transitive_closure(Map.empty(MAP_SPACE)).is_empty()
-
-    def test_exact_only_flag(self):
-        with pytest.raises(ValueError):
-            transitive_closure(chain_map(3), exact_only=False)
 
     def test_closure_is_idempotent(self):
         relation = Map.from_pairs(

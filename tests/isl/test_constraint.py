@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.isl.affine import var
-from repro.isl.constraint import Constraint, eq, eq_zero, ge, ge_zero, le
+from tests.polyhedral.isl.affine import var
+from tests.polyhedral.isl.constraint import Constraint, eq, eq_zero, ge, ge_zero, le
 
 
 class TestSatisfaction:

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.isl.affine import var
-from repro.isl.basic_map import BasicMap
-from repro.isl.basic_set import BasicSet
-from repro.isl.constraint import ge, le
-from repro.isl.counting import card, card_map_range_per_domain
-from repro.isl.map_ import Map
-from repro.isl.set_ import Set
-from repro.isl.space import Space
+from tests.polyhedral.isl.affine import var
+from tests.polyhedral.isl.basic_map import BasicMap
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.constraint import ge, le
+from tests.polyhedral.isl.counting import card, card_map_range_per_domain
+from tests.polyhedral.isl.map_ import Map
+from tests.polyhedral.isl.set_ import Set
+from tests.polyhedral.isl.space import Space
 
 
 SPACE_1D = Space.set_space(("i",))

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.isl.basic_map import BasicMap
-from repro.isl.basic_set import BasicSet
-from repro.isl.map_ import Map
-from repro.isl.set_ import Set
-from repro.isl.space import Space
+from tests.polyhedral.isl.basic_map import BasicMap
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.map_ import Map
+from tests.polyhedral.isl.set_ import Set
+from tests.polyhedral.isl.space import Space
 
 
 MAP_SPACE = Space.map_space(("i",), ("j",))

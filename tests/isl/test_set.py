@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.isl.basic_set import BasicSet
-from repro.isl.set_ import Set
-from repro.isl.space import Space
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.set_ import Set
+from tests.polyhedral.isl.space import Space
 
 
 SPACE = Space.set_space(("i",))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isl.space import Space
+from tests.polyhedral.isl.space import Space
 
 
 class TestSetSpace:

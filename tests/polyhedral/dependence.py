@@ -1,34 +1,28 @@
-"""Dependence analysis on the affine representation.
+"""Eq. 1 written the way the paper writes it: the test oracle of omega.
 
-This module implements the paper's Sec. IV/V-B machinery:
+This module builds the paper's Sec. IV/V-B objects with the polyhedral-lite
+library in :mod:`tests.polyhedral.isl`:
 
 * the **use map** ``U : T -> Q x Q`` associating each logical time-step with
   the qubits used by the gate scheduled there,
 * the **dependence relation** ``Rdep`` relating gate instances that share a
-  logical qubit (in schedule order),
-* the **transitive closure** ``R+`` of the dependence relation, and
-* the **dependence weight** ``omega(g)`` = number of transitive dependents of
-  gate ``g``, which drives the Qlosure cost function.
+  logical qubit (in schedule order), and
+* the **dependence weight** ``omega(g)``, the number of instances reachable
+  from ``g`` in the transitive closure ``R+`` of ``Rdep`` (Eq. 1).
 
-Two computation paths are provided and tested against each other:
-
-* :func:`dependence_weights` -- the *ISL oracle*: it materialises ``Rdep`` as
-  a polyhedral map and counts reachable instances through ``isl/`` (exact,
-  Eq. 1 as the paper writes it), and
-* :class:`DependenceAnalysis` -- the *scalable path* the router uses: the
-  same ``omega`` counts computed directly on the immediate-dependence DAG
-  with reverse-topological bitset propagation.  Both give identical weights
-  because the transitive closure of the immediate per-qubit dependence edges
-  equals the transitive closure of the full sharing relation.
+The router computes the same counts another way, on the engine's own
+immediate-dependence DAG with reverse-topological bitset propagation
+(``CircuitDAG.descendant_counts()``).  The tests check that both agree: the
+transitive closure of the immediate per-qubit dependence edges equals the
+transitive closure of the full sharing relation.
 """
 
 from __future__ import annotations
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.dag import CircuitDAG
-from repro.isl.closure import reachable_counts, transitive_closure
-from repro.isl.map_ import Map
-from repro.isl.space import Space
+from tests.polyhedral.isl.closure import reachable_counts
+from tests.polyhedral.isl.map_ import Map
+from tests.polyhedral.isl.space import Space
 
 
 def _gate_instances(circuit: QuantumCircuit) -> list[tuple[int, tuple[int, ...]]]:
@@ -106,8 +100,9 @@ def dependence_weights(circuit: QuantumCircuit) -> dict[int, int]:
 
     ``omega(g)`` is the number of gate instances transitively reachable from
     ``g`` through the dependence relation (Eq. 1 of the paper), computed
-    through the ``isl/`` map library at any circuit size.  The router reads
-    the same counts from :class:`DependenceAnalysis`.
+    through the polyhedral-lite map library at any circuit size.  The router
+    reads the same counts, keyed by gate index, from
+    ``CircuitDAG.descendant_counts()``.
     """
     relation = dependence_relation(circuit, immediate_only=True)
     counts = reachable_counts(relation)
@@ -116,53 +111,3 @@ def dependence_weights(circuit: QuantumCircuit) -> dict[int, int]:
         key = (time, qubits[0], qubits[1]) if len(qubits) >= 2 else (time, qubits[0], qubits[0])
         weights[time] = counts.get(key, 0)
     return weights
-
-
-class DependenceAnalysis:
-    """Bundled dependence information for a circuit.
-
-    The analysis is computed once per circuit and queried by the mapper:
-    ``omega`` weights, the transitive closure (when materialised), ASAP
-    levels, and the immediate-dependence DAG.
-    """
-
-    def __init__(self, circuit: QuantumCircuit, materialize_closure: bool = False):
-        self._circuit = circuit
-        self._dag = CircuitDAG(circuit, include_single_qubit=True)
-        self._weights_by_index = self._dag.descendant_counts()
-        self._closure: Map | None = None
-        if materialize_closure:
-            relation = dependence_relation(circuit, immediate_only=True)
-            self._closure = transitive_closure(relation)
-
-    @property
-    def circuit(self) -> QuantumCircuit:
-        """The analysed circuit."""
-        return self._circuit
-
-    @property
-    def dag(self) -> CircuitDAG:
-        """The immediate-dependence DAG."""
-        return self._dag
-
-    @property
-    def closure(self) -> Map | None:
-        """The transitive dependence relation ``R+`` (when materialised)."""
-        return self._closure
-
-    def weight(self, gate_index: int) -> int:
-        """Dependence weight ``omega`` of the gate at circuit index ``gate_index``."""
-        return self._weights_by_index.get(gate_index, 0)
-
-    def weights(self) -> dict[int, int]:
-        """All weights keyed by circuit gate index."""
-        return dict(self._weights_by_index)
-
-    def critical_gates(self, top: int = 10) -> list[int]:
-        """Gate indices with the largest dependence weights (most critical first)."""
-        ranked = sorted(self._weights_by_index.items(), key=lambda kv: -kv[1])
-        return [index for index, _ in ranked[:top]]
-
-    def levels(self) -> dict[int, int]:
-        """ASAP dependence levels of every gate."""
-        return self._dag.asap_levels()

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.isl.affine import AffineExpr
-from repro.isl.basic_set import BasicSet
-from repro.isl.constraint import Constraint
-from repro.isl.space import Space
+from tests.polyhedral.isl.affine import AffineExpr
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.constraint import Constraint
+from tests.polyhedral.isl.space import Space
 
 
 class BasicMap:

@@ -1,7 +1,7 @@
 """Basic sets: conjunctions of affine constraints over a tuple space.
 
 A :class:`BasicSet` is the integer-point analogue of a convex polyhedron: the
-set of integer tuples in a :class:`~repro.isl.space.Space` that satisfy every
+set of integer tuples in a :class:`~tests.polyhedral.isl.space.Space` that satisfy every
 constraint of a conjunction.  Bounded basic sets can be enumerated exactly,
 which is the mechanism this library uses to provide exact results for the
 operations whose general symbolic form would require a full Presburger
@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.isl.affine import AffineExpr
-from repro.isl.constraint import Constraint
-from repro.isl.space import Space
+from tests.polyhedral.isl.affine import AffineExpr
+from tests.polyhedral.isl.constraint import Constraint
+from tests.polyhedral.isl.space import Space
 
 
 class UnboundedSetError(ValueError):

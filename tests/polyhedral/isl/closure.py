@@ -11,7 +11,7 @@ Two strategies are provided:
 * an **exact finite fixpoint** for bounded relations, computed on the
   explicit pair representation (a graph-reachability computation).
 
-Both return ordinary :class:`~repro.isl.map_.Map` objects, so downstream code
+Both return ordinary :class:`~tests.polyhedral.isl.map_.Map` objects, so downstream code
 does not need to know which strategy was used.
 """
 
@@ -20,11 +20,11 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Iterable
 
-from repro.isl.affine import AffineExpr
-from repro.isl.basic_map import BasicMap
-from repro.isl.constraint import Constraint
-from repro.isl.map_ import Map
-from repro.isl.space import Space
+from tests.polyhedral.isl.affine import AffineExpr
+from tests.polyhedral.isl.basic_map import BasicMap
+from tests.polyhedral.isl.constraint import Constraint
+from tests.polyhedral.isl.map_ import Map
+from tests.polyhedral.isl.space import Space
 
 
 def power(relation: Map, exponent: int) -> Map:
@@ -91,16 +91,13 @@ def _symbolic_translation_closure(relation: Map) -> Map | None:
     return None
 
 
-def transitive_closure(relation: Map, exact_only: bool = True) -> Map:
+def transitive_closure(relation: Map) -> Map:
     """Compute the transitive closure ``R+`` of a relation.
 
     The result relates every point to every point reachable through one or
     more steps of ``relation``.  For bounded relations the computation is
-    exact; ``exact_only`` is accepted for API compatibility with ISL (which
-    may return over-approximations) and must remain True.
+    exact (ISL's closure may over-approximate; this one never does).
     """
-    if not exact_only:
-        raise ValueError("this implementation always computes exact closures")
     symbolic = _symbolic_translation_closure(relation)
     if symbolic is not None:
         return symbolic

@@ -1,7 +1,7 @@
 """Presburger-style affine constraints.
 
 A :class:`Constraint` is either an equality ``expr == 0`` or an inequality
-``expr >= 0`` where ``expr`` is an :class:`~repro.isl.affine.AffineExpr`.
+``expr >= 0`` where ``expr`` is an :class:`~tests.polyhedral.isl.affine.AffineExpr`.
 Conjunctions of constraints define basic sets and basic maps.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.isl.affine import AffineExpr
+from tests.polyhedral.isl.affine import AffineExpr
 
 
 class Constraint:

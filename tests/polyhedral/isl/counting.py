@@ -9,9 +9,9 @@ quasi-polynomial Barvinok evaluation would.
 
 from __future__ import annotations
 
-from repro.isl.basic_set import BasicSet
-from repro.isl.map_ import Map
-from repro.isl.set_ import Set
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.map_ import Map
+from tests.polyhedral.isl.set_ import Set
 
 
 def _box_count(basic: BasicSet) -> int | None:

@@ -1,6 +1,6 @@
 """Integer maps: unions of basic maps with an explicit-pair fast path.
 
-A :class:`Map` is a finite union of :class:`~repro.isl.basic_map.BasicMap`
+A :class:`Map` is a finite union of :class:`~tests.polyhedral.isl.basic_map.BasicMap`
 pieces, optionally augmented with an explicit set of (input, output) pairs.
 The explicit representation is the work-horse for large but finite relations
 such as circuit dependence graphs: operations like composition, application
@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.isl.basic_map import BasicMap
-from repro.isl.basic_set import BasicSet
-from repro.isl.set_ import Set
-from repro.isl.space import Space
+from tests.polyhedral.isl.basic_map import BasicMap
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.set_ import Set
+from tests.polyhedral.isl.space import Space
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 

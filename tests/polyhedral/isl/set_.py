@@ -1,6 +1,6 @@
 """Integer sets: unions of basic sets.
 
-A :class:`Set` is a finite union of :class:`~repro.isl.basic_set.BasicSet`
+A :class:`Set` is a finite union of :class:`~tests.polyhedral.isl.basic_set.BasicSet`
 pieces over a common tuple space.  Operations that are symbolic in ISL but
 require a Presburger solver in general (difference, equality, counting) are
 computed exactly by enumeration, which is always possible for the bounded
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.isl.basic_set import BasicSet
-from repro.isl.space import Space
+from tests.polyhedral.isl.basic_set import BasicSet
+from tests.polyhedral.isl.space import Space
 
 
 class Set:
