@@ -19,11 +19,13 @@ test-fast:
 ## brute-force evaluation, and the dependence weights omega against Eq. 1
 ## written as a polyhedral relation and its closure (tests/polyhedral/): the
 ## DAG's bitset counts, and the weights a Qlosure router holds, on random
-## circuits with barriers and measurements.  A drifting scorer or omega fails
-## here in seconds.
+## circuits with barriers and measurements, plus the routing engine's own
+## tests: the stall record every router reads (SWAPs since progress, last
+## SWAP, decay) and the release valve.  A drifting scorer, omega, stall
+## record or valve fails here in seconds.
 test-golden:
 	$(PYTHON) -m pytest tests/routing/test_golden.py tests/routing/test_astar_properties.py \
-		tests/routing/test_pair_delta_scorer.py tests/core/test_cost.py \
+		tests/routing/test_pair_delta_scorer.py tests/routing/test_engine.py tests/core/test_cost.py \
 		tests/affine/test_dependence.py \
 		tests/integration/test_end_to_end.py::TestFullPipeline::test_dependence_weights_feed_the_router -q
 
@@ -101,14 +103,16 @@ bench:
 ## battery, then the fault-injection suite, then the compile-service suite,
 ## then the benchmark self-test, then tier-1 tests, then a CLI smoke of the
 ## public surface
-## (`repro-map map` routes through repro.api.compile, from a generator spec
-## and from QASM files: its own routed output read back, which holds SWAPs
-## mid-circuit, and a hand-written corpus file with user gates, both verified; `bench --quick` drives
+## (`repro-map map` routes through repro.api.compile, from a generator spec,
+## with a baseline's own bidirectional layout passes, and from QASM files: its
+## own routed output read back, which holds SWAPs mid-circuit, and a
+## hand-written corpus file with user gates, all verified; `bench --quick` drives
 ## the compile_many batch driver on a reduced fixture, run twice against one
 ## --cache-dir so the second run exercises warm disk hits end to end).
 check: test-golden test-cache test-cache-store test-faults test-serve bench-selftest test-obs test
 	$(PYTHON) -m repro map --generate qft:12 --backend ankaa3 --mapper sabre --verify
 	$(PYTHON) -m repro map --generate ghz:10 --mapper qlosure --verify
+	$(PYTHON) -m repro map --generate qft:10 --mapper sabre --bidirectional-passes 1 --verify
 	$(PYTHON) -m repro map --generate qft:10 --no-cache --trace-out $(or $(TMPDIR),/tmp)/repro-check.trace.jsonl
 	$(PYTHON) -m repro map --generate qft:10 --no-cache --output $(or $(TMPDIR),/tmp)/repro-check.qasm
 	$(PYTHON) -m repro map --qasm $(or $(TMPDIR),/tmp)/repro-check.qasm --no-cache --verify

@@ -46,7 +46,6 @@ def lift_circuit(circuit: QuantumCircuit) -> AffineProgram:
                 start_time=start_index,
                 time_stride=1,
                 params=first.params,
-                gate_indices=tuple(index for index, _ in run_gates),
             )
         )
         run_gates.clear()

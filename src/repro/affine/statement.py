@@ -26,7 +26,6 @@ class MacroGate:
     start_time: int
     time_stride: int
     params: tuple[float, ...] = ()
-    gate_indices: tuple[int, ...] = ()
 
     # -- instances ----------------------------------------------------------
 

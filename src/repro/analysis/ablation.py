@@ -45,7 +45,7 @@ def variant_request(
         config, placement, options = QlosureConfig.dependency_weighted(), "identity", {}
     elif variant == "bidirectional":
         config = QlosureConfig.dependency_weighted()
-        placement, options = "bidirectional", {"config": config, "passes": 1}
+        placement, options = "bidirectional", {"passes": 1}
     else:
         raise KeyError(
             f"unknown ablation variant {variant!r}; choose from {ABLATION_VARIANTS}"

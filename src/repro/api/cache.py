@@ -252,6 +252,12 @@ def request_fingerprint(request: CompileRequest) -> str:
     return _fingerprint(request, source)
 
 
+#: Bidirectional passes route with the request's own router; an earlier
+#: strategy of the same name always routed them with Qlosure.  A token of its
+#: own keeps every entry stored for that strategy from answering this one.
+_PLACEMENT_TOKENS = {"bidirectional": "bidirectional:request-router"}
+
+
 def _fingerprint(request: CompileRequest, source: dict) -> str:
     record = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -260,7 +266,7 @@ def _fingerprint(request: CompileRequest, source: dict) -> str:
         "backend": _backend_token(request.backend),
         "router": _router_token(request.router),
         "seed": int(request.seed),
-        "placement": request.placement,
+        "placement": _PLACEMENT_TOKENS.get(request.placement, request.placement),
         "placement_options": _jsonify(request.placement_options),
         "router_config": _jsonify(request.router_config),
         "validation": request.validation,

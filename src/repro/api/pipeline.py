@@ -13,9 +13,11 @@ Pass responsibilities:
   spec), reject gates on more than two qubits and resolve the backend
   coupling graph,
 * ``place``     build the initial layout with the requested strategy
-  (:mod:`repro.core.placement`),
-* ``route``     instantiate the router from the registry and run it -- this
-  pass's timing is the mapping-time trajectory number,
+  (:mod:`repro.core.placement`, or forward/backward passes of the request's
+  own router for ``bidirectional``),
+* ``route``     run the router, which is instantiated from the registry
+  before ``place`` -- this pass's timing is the mapping-time trajectory
+  number,
 * ``validate``  optional connectivity / full semantic check of the routed
   circuit,
 * ``metrics``   derive the flat quality-metric record the evaluation tables
@@ -197,15 +199,17 @@ def compile_uncached(request: CompileRequest) -> CompileResult:
                 coupling = resolve_backend(request.backend)
             timings["load"] = time.perf_counter() - start
 
-            phase = "place"
-            start = time.perf_counter()
-            with tracer.span("place", placement=request.placement):
-                layout = _place(request, circuit, coupling)
-            timings["place"] = time.perf_counter() - start
-
             phase = "route"
             spec = resolve_router(request.router)
             router = spec.make(coupling, seed=request.seed, config=request.router_config)
+
+            phase = "place"
+            start = time.perf_counter()
+            with tracer.span("place", placement=request.placement):
+                layout = _place(request, circuit, coupling, router)
+            timings["place"] = time.perf_counter() - start
+
+            phase = "route"
             start = time.perf_counter()
             with tracer.span("route", router=spec.name) as route_span:
                 routing = router.run(circuit, layout)
@@ -267,15 +271,17 @@ def compile_uncached(request: CompileRequest) -> CompileResult:
         raise
 
 
-def _place(request: CompileRequest, circuit: QuantumCircuit, coupling: CouplingGraph):
+def _place(
+    request: CompileRequest, circuit: QuantumCircuit, coupling: CouplingGraph, router
+):
     from repro.core.placement import initial_layout
 
     try:
-        return initial_layout(
-            circuit, coupling, request.placement, **request.placement_options
-        )
-    except KeyError as exc:
-        raise CompileError(exc.args[0] if exc.args else str(exc)) from exc
+        if request.placement == "bidirectional":
+            return router.bidirectional_layout(
+                circuit, request.placement_options.get("passes", 1)
+            )
+        return initial_layout(circuit, coupling, request.placement)
     except ValueError as exc:
         raise CompileError(f"placement failed: {exc}") from exc
 

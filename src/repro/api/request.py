@@ -46,9 +46,10 @@ class CompileRequest:
         seed: RNG seed for tie-breaking; the same request always produces the
             same routed circuit.
         placement: initial-layout strategy (``identity``, ``greedy`` or
-            ``bidirectional``).
-        placement_options: extra keyword arguments for the placement pass
-            (e.g. ``{"passes": 1}`` for bidirectional).
+            ``bidirectional``: forward/backward passes of the request's own
+            router, built from ``router_config`` and ``seed``).
+        placement_options: ``{}`` or, for ``bidirectional`` only,
+            ``{"passes": n}`` with ``n >= 0`` round trips (default 1).
         router_config: optional config object for config-carrying routers
             (e.g. :class:`~repro.core.config.QlosureConfig` for ``qlosure``);
             overrides ``seed`` when it carries its own.
@@ -82,6 +83,19 @@ class CompileRequest:
                 f"unknown placement strategy {self.placement!r}; "
                 f"choose from {PLACEMENT_STRATEGIES}"
             )
+        options = self.placement_options
+        if options != {} and (
+            self.placement != "bidirectional"
+            or not isinstance(options, dict)
+            or options.keys() != {"passes"}
+        ):
+            raise ValueError(
+                f"placement_options must be {{}} or, for placement='bidirectional', "
+                f"{{'passes': n}}; got {options!r} for placement={self.placement!r}"
+            )
+        passes = options.get("passes", 0)
+        if isinstance(passes, bool) or not isinstance(passes, int) or passes < 0:
+            raise ValueError(f"placement_options['passes'] must be an int >= 0, got {passes!r}")
 
     def with_seed(self, seed: int) -> "CompileRequest":
         """A copy of this request with a different seed."""

@@ -265,6 +265,10 @@ def request_from_payload(payload: dict) -> CompileRequest:
         raise SerializationError(
             "request payload must carry exactly one of generate=, qasm= or circuit="
         )
+    if payload.get("router_config") is not None:
+        raise SerializationError(
+            "router_config must be null on the wire: no router takes a JSON config"
+        )
     circuit = None
     if "circuit" in payload:
         circuit = circuit_from_payload(payload["circuit"])
@@ -278,7 +282,6 @@ def request_from_payload(payload: dict) -> CompileRequest:
             seed=int(payload.get("seed", 0)),
             placement=str(payload.get("placement", "identity")),
             placement_options=dict(payload.get("placement_options") or {}),
-            router_config=payload.get("router_config"),
             validation=str(payload.get("validation", "none")),
             label=payload.get("label"),
         )

@@ -11,13 +11,7 @@ considered with reduced weight.
 from __future__ import annotations
 
 from repro.api.registry import register_router
-from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import (
-    PairDeltaScorer,
-    RouterError,
-    RoutingEngine,
-    RoutingState,
-)
+from repro.routing.engine import PairDeltaScorer, RoutingEngine, RoutingState
 
 
 @register_router(
@@ -35,46 +29,15 @@ class CirqLikeRouter(RoutingEngine):
     #: Maximum number of gates from the next slice taken into account.
     next_slice_size = 8
 
-    def __init__(self, coupling: CouplingGraph, seed: int = 0):
-        super().__init__(coupling, seed)
-        self._last_swap: tuple[int, int] | None = None
-
-    def on_circuit_start(self, state: RoutingState) -> None:
-        self._last_swap = None
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        self._last_swap = None
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        self._last_swap = swap
-
-    def _next_slice(self, state: RoutingState) -> list[int]:
-        """Two-qubit gates that become ready right after the current front layer."""
-        upcoming: list[int] = []
-        is_2q = state.is_2q
-        successors_of = state.dag.successors
-        executed = state.executed
-        for index in sorted(state.front):
-            for successor in successors_of(index):
-                if successor in executed:
-                    continue
-                if is_2q[successor] and successor not in upcoming:
-                    upcoming.append(successor)
-                    if len(upcoming) >= self.next_slice_size:
-                        return upcoming
-        return upcoming
-
     def select_swap(self, state: RoutingState) -> tuple[int, int]:
         candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
         front = state.unresolved_front()
-        upcoming = self._next_slice(state)
+        upcoming = state.upcoming_two_qubit(self.next_slice_size)
 
         front_sum = PairDeltaScorer.for_gates(state, front).swapped_sum
         upcoming_sum = PairDeltaScorer.for_gates(state, upcoming).swapped_sum
         weight = self.next_slice_weight
-        last_swap = self._last_swap
+        last_swap = state.last_swap
 
         best_cost = float("inf")
         best: list[tuple[int, int]] = []

@@ -10,13 +10,7 @@ ablation study.
 from __future__ import annotations
 
 from repro.api.registry import register_router
-from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import (
-    PairDeltaScorer,
-    RouterError,
-    RoutingEngine,
-    RoutingState,
-)
+from repro.routing.engine import PairDeltaScorer, RoutingEngine, RoutingState
 
 
 @register_router(
@@ -29,27 +23,12 @@ class GreedyDistanceRouter(RoutingEngine):
 
     name = "greedy-distance"
 
-    def __init__(self, coupling: CouplingGraph, seed: int = 0):
-        super().__init__(coupling, seed)
-        self._last_swap: tuple[int, int] | None = None
-
-    def on_circuit_start(self, state: RoutingState) -> None:
-        self._last_swap = None
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        self._last_swap = None
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        self._last_swap = swap
-
     def select_swap(self, state: RoutingState) -> tuple[int, int]:
         candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
         front = state.unresolved_front()
 
         front_sum = PairDeltaScorer.for_gates(state, front).swapped_sum
-        last_swap = self._last_swap
+        last_swap = state.last_swap
 
         best_cost = float("inf")
         best: list[tuple[int, int]] = []

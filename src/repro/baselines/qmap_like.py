@@ -66,12 +66,7 @@ from collections import deque
 from itertools import chain
 
 from repro.api.registry import register_router
-from repro.routing.engine import (
-    PairDeltaScorer,
-    RouterError,
-    RoutingEngine,
-    RoutingState,
-)
+from repro.routing.engine import PairDeltaScorer, RoutingEngine, RoutingState
 
 
 @register_router(
@@ -125,8 +120,6 @@ class QmapLikeRouter(RoutingEngine):
 
     def select_swap(self, state: RoutingState) -> tuple[int, int]:
         pairs = state.front_pairs()
-        if not pairs:
-            raise RouterError("qmap-like router stalled with no unresolved front gates")
         distance = state.distance_rows()
         layout = state.layout
         start = layout.phys_of  # read-only during the search (state contract)
@@ -283,8 +276,6 @@ class QmapLikeRouter(RoutingEngine):
         lexicographically first edge on every run.
         """
         candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
         phys_of = state.layout.phys_of
         front_sum = PairDeltaScorer(
             ((phys_of[q1], phys_of[q2]) for q1, q2 in pairs), state.distance_rows()

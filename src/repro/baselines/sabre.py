@@ -9,28 +9,22 @@ candidate SWAPs with the cost::
 
 where ``W < 1`` weighs the look-ahead contribution and the decay factor
 discourages thrashing the same qubit.  ``LightSabreRouter`` uses the same
-cost with the release-valve behaviour of the Qiskit implementation (when the
-same front gate stays blocked for too long, SWAPs are forced along its
-shortest path) which keeps runtimes low on adversarial instances.
+cost and opens the engine's release valve (as the Qiskit implementation
+does: after 12 SWAPs without progress, SWAPs are forced along the shortest
+path of the closest front gate), which keeps runtimes low on adversarial
+instances.
 
 Both layer sums are scored with one
 :class:`~repro.routing.engine.PairDeltaScorer` each, built per stall, so a
 candidate only re-reads the pairs on its two qubits; no tentative layout is
-materialised per candidate, and decay resets are O(1) via the generation
-counter of :class:`~repro.routing.decay.DecayTable`.
+materialised per candidate.  The decay values are the engine's
+``state.decay`` table.
 """
 
 from __future__ import annotations
 
 from repro.api.registry import register_router
-from repro.hardware.coupling import CouplingGraph
-from repro.routing.decay import DecayTable
-from repro.routing.engine import (
-    PairDeltaScorer,
-    RouterError,
-    RoutingEngine,
-    RoutingState,
-)
+from repro.routing.engine import PairDeltaScorer, RoutingEngine, RoutingState
 
 
 @register_router(
@@ -46,35 +40,6 @@ class SabreRouter(RoutingEngine):
     extended_set_size = 20
     #: Weight of the extended layer in the cost function.
     extended_set_weight = 0.5
-    #: Additive decay penalty per SWAP on a qubit.
-    decay_increment = 0.001
-    #: Number of consecutive SWAPs without progress before the release valve opens.
-    release_valve_threshold = 0
-
-    def __init__(self, coupling: CouplingGraph, seed: int = 0):
-        super().__init__(coupling, seed)
-        self._decay = DecayTable(0, self.decay_increment)
-        self._stall_counter = 0
-
-    # -- hooks -------------------------------------------------------------
-
-    def on_circuit_start(self, state: RoutingState) -> None:
-        self._decay = DecayTable(state.circuit.num_qubits, self.decay_increment)
-        self._stall_counter = 0
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        self._decay.reset_all()
-        self._stall_counter = 0
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        logical_at = state.layout.logical_at
-        for physical in swap:
-            logical = logical_at[physical]
-            if logical is not None:
-                self._decay.bump(logical)
-        self._stall_counter += 1
-
-    # -- cost --------------------------------------------------------------
 
     def _extended_set(self, state: RoutingState) -> list[int]:
         """The next ``extended_set_size`` two-qubit gates after the front layer."""
@@ -103,18 +68,7 @@ class SabreRouter(RoutingEngine):
 
     def select_swap(self, state: RoutingState) -> tuple[int, int]:
         front = state.unresolved_front()
-        if not front:
-            raise RouterError("sabre stalled with no unresolved front gates")
-
-        if (
-            self.release_valve_threshold
-            and self._stall_counter >= self.release_valve_threshold
-        ):
-            return self._release_valve_swap(state, front)
-
         candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
         extended = self._extended_set(state)
 
         logical_at = state.layout.logical_at
@@ -123,7 +77,7 @@ class SabreRouter(RoutingEngine):
         front_size = len(front)
         extended_size = len(extended)
         weight = self.extended_set_weight
-        decay_get = self._decay.get
+        decay_get = state.decay.get
 
         best_cost = float("inf")
         best: list[tuple[int, int]] = []
@@ -145,24 +99,13 @@ class SabreRouter(RoutingEngine):
         state.cost_evaluations += len(candidates)
         return best[0] if len(best) == 1 else self._rng.choice(best)
 
-    def _release_valve_swap(
-        self, state: RoutingState, front: list[int]
-    ) -> tuple[int, int]:
-        """Force a SWAP along the shortest path of the most blocked front gate."""
-        target = min(front, key=lambda index: state.gate_distance(index))
-        q1, q2 = state.op_pairs[target]
-        p1 = state.layout.phys_of[q1]
-        p2 = state.layout.phys_of[q2]
-        path = self.coupling.shortest_path(p1, p2)
-        return (min(path[0], path[1]), max(path[0], path[1]))
-
 
 @register_router(
     "lightsabre",
     description="LightSABRE refinement: SABRE cost plus release-valve escapes",
 )
 class LightSabreRouter(SabreRouter):
-    """LightSABRE: SABRE with the release-valve forced-progress mechanism."""
+    """LightSABRE: SABRE with the engine's release valve open after 12 stalled SWAPs."""
 
     name = "lightsabre"
     release_valve_threshold = 12

@@ -9,13 +9,7 @@ reimplements that minimax cost family on the shared routing engine.
 from __future__ import annotations
 
 from repro.api.registry import register_router
-from repro.hardware.coupling import CouplingGraph
-from repro.routing.engine import (
-    PairDeltaScorer,
-    RouterError,
-    RoutingEngine,
-    RoutingState,
-)
+from repro.routing.engine import PairDeltaScorer, RoutingEngine, RoutingState
 
 
 @register_router(
@@ -33,44 +27,15 @@ class TketLikeRouter(RoutingEngine):
     #: Weight of the look-ahead contribution in the tie-breaking sum.
     lookahead_weight = 0.25
 
-    def __init__(self, coupling: CouplingGraph, seed: int = 0):
-        super().__init__(coupling, seed)
-        self._last_swap: tuple[int, int] | None = None
-
-    def on_circuit_start(self, state: RoutingState) -> None:
-        self._last_swap = None
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        self._last_swap = None
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        self._last_swap = swap
-
-    def _upcoming(self, state: RoutingState) -> list[int]:
-        upcoming: list[int] = []
-        is_2q = state.is_2q
-        successors_of = state.dag.successors
-        executed = state.executed
-        for index in sorted(state.front):
-            for successor in successors_of(index):
-                if successor in executed:
-                    continue
-                if is_2q[successor] and successor not in upcoming:
-                    upcoming.append(successor)
-                    if len(upcoming) >= self.lookahead_size:
-                        return upcoming
-        return upcoming
-
     def select_swap(self, state: RoutingState) -> tuple[int, int]:
         candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available")
         front = PairDeltaScorer.for_gates(state, state.unresolved_front())
         front_longest = front.swapped_longest
         front_sum = front.swapped_sum
-        upcoming_sum = PairDeltaScorer.for_gates(state, self._upcoming(state)).swapped_sum
+        upcoming = state.upcoming_two_qubit(self.lookahead_size)
+        upcoming_sum = PairDeltaScorer.for_gates(state, upcoming).swapped_sum
         weight = self.lookahead_weight
-        last_swap = self._last_swap
+        last_swap = state.last_swap
 
         best_key: tuple[float, float] | None = None
         best: list[tuple[int, int]] = []

@@ -42,8 +42,6 @@ class CircuitDAG:
         self._position = {
             index: pos for pos, index in enumerate(self._gate_indices)
         }
-        #: Cached descendant bitsets (lazily built; the DAG is immutable).
-        self._reach_bits: list[int] | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -107,36 +105,32 @@ class CircuitDAG:
 
         Bit ``p`` of ``bitsets[pos]`` is set when the gate at position ``p``
         of :attr:`gate_indices` is a transitive successor of the gate at
-        position ``pos``.  Computed once with reverse-topological
+        position ``pos``.  Computed on each call with reverse-topological
         propagation over position-indexed lists (``reach[pos] |=
-        (1 << succ_pos) | reach[succ_pos]``) and cached -- the DAG is
-        immutable -- so both :meth:`descendant_counts` and
-        :meth:`descendants` are served from the same propagation instead of
-        re-walking edges per query.
+        (1 << succ_pos) | reach[succ_pos]``) and not kept: the bitsets grow
+        quadratically with the gate count, and a route reads them once.
         """
-        if self._reach_bits is None:
-            position = self._position
-            successors = self._successors
-            count = len(self._gate_indices)
-            succ_positions = [
-                [position[succ] for succ in successors[index]]
-                for index in self._gate_indices
-            ]
-            reach = [0] * count
-            for pos in range(count - 1, -1, -1):
-                bits = 0
-                for succ_pos in succ_positions[pos]:
-                    bits |= (1 << succ_pos) | reach[succ_pos]
-                reach[pos] = bits
-            self._reach_bits = reach
-        return self._reach_bits
+        position = self._position
+        successors = self._successors
+        count = len(self._gate_indices)
+        succ_positions = [
+            [position[succ] for succ in successors[index]]
+            for index in self._gate_indices
+        ]
+        reach = [0] * count
+        for pos in range(count - 1, -1, -1):
+            bits = 0
+            for succ_pos in succ_positions[pos]:
+                bits |= (1 << succ_pos) | reach[succ_pos]
+            reach[pos] = bits
+        return reach
 
     def descendant_counts(self) -> dict[int, int]:
         """Number of transitive successors of every gate.
 
         This is the dependence weight ``omega`` of the paper: the popcount
-        of each gate's cached descendant bitset, so that it scales to
-        circuits with tens of thousands of gates.
+        of each gate's descendant bitset, so that it scales to circuits with
+        tens of thousands of gates.
         """
         reach = self._descendant_bitsets()
         return {
@@ -147,8 +141,7 @@ class CircuitDAG:
     def descendants(self, index: int) -> set[int]:
         """The set of transitive successors of a single gate.
 
-        Decoded from the cached bitset (O(result size)), so querying many
-        gates costs one propagation total instead of one graph walk each.
+        Decoded from a fresh bitset propagation (one per call).
         """
         bits = self._descendant_bitsets()[self._position[index]]
         gate_indices = self._gate_indices

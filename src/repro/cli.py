@@ -50,7 +50,6 @@ from repro.api import (
     compile as api_compile,
     load_circuit,
     resolve_backend,
-    resolve_router,
     router_names,
     router_specs,
 )
@@ -201,17 +200,9 @@ def _command_map(args: argparse.Namespace) -> int:
     _check_circuit_source(args)
     placement = "identity"
     placement_options: dict = {}
-    if args.bidirectional_passes > 0:
-        if resolve_router(args.mapper).name != "qlosure":
-            raise CompileError("--bidirectional-passes only applies to the qlosure mapper")
-        from repro.core.config import QlosureConfig
-
+    if args.bidirectional_passes:
         placement = "bidirectional"
-        # The placement passes must route with the same seed as the final run.
-        placement_options = {
-            "config": QlosureConfig(seed=args.seed),
-            "passes": args.bidirectional_passes,
-        }
+        placement_options = {"passes": args.bidirectional_passes}
     request = CompileRequest(
         qasm=args.qasm,
         generate=args.generate,
@@ -545,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     map_parser.add_argument("--seed", type=int, default=0, help="routing RNG seed")
     map_parser.add_argument(
         "--bidirectional-passes", type=int, default=0,
-        help="forward/backward initial-layout passes (qlosure only)",
+        help="forward/backward initial-layout passes of the chosen mapper "
+        "(0: identity layout)",
     )
     map_parser.add_argument("--verify", action="store_true", help="validate the routed circuit")
     map_parser.add_argument("--output", type=Path, help="write the routed circuit as QASM")

@@ -13,8 +13,6 @@ which builds the router from the registry.  This subpackage holds the parts:
 * :class:`~repro.core.router.QlosureRouter` -- the routing engine itself,
 * :class:`~repro.core.config.QlosureConfig` -- tuning knobs and the ablation
   switches used in the paper's Fig. 8 study (``router_config=``),
-* :func:`~repro.core.bidirectional.bidirectional_initial_layout` -- the
-  forward/backward initial-layout search (``placement="bidirectional"``),
 * :class:`~repro.core.error_aware.ErrorAwareQlosureRouter` -- the
   error-weighted variant (the paper's future-work direction).
 """
@@ -23,7 +21,6 @@ from repro.core.config import QlosureConfig
 from repro.core.cost import swap_cost
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.core.router import QlosureRouter
-from repro.core.bidirectional import bidirectional_initial_layout
 from repro.core.placement import greedy_placement, initial_layout, placement_cost
 from repro.core.error_aware import ErrorAwareQlosureRouter
 
@@ -33,7 +30,6 @@ __all__ = [
     "LookaheadWindow",
     "build_lookahead",
     "QlosureRouter",
-    "bidirectional_initial_layout",
     "greedy_placement",
     "initial_layout",
     "placement_cost",

@@ -32,9 +32,8 @@ class QlosureConfig:
         use_decay: multiply the score by the SABRE-style decay factor
             ``max(delta_q1, delta_q2)``.
         decay_increment: additive decay penalty applied to the two logical
-            qubits of a committed SWAP.
-        decay_reset_on_execute: reset all decay values to 1 whenever a
-            two-qubit gate is executed (as in the paper).
+            qubits of a committed SWAP (the routing engine resets every decay
+            value to 1 whenever a two-qubit gate executes, as in the paper).
         lookahead_only_front: restrict the window to the front layer
             (the "distance-only"/window-size-1 ablation).
         seed: RNG seed used for random tie-breaking among equal-cost SWAPs.
@@ -47,7 +46,6 @@ class QlosureConfig:
     use_layer_normalization: bool = True
     use_decay: bool = True
     decay_increment: float = 0.001
-    decay_reset_on_execute: bool = True
     lookahead_only_front: bool = False
     seed: int = 0
 

@@ -2,16 +2,18 @@
 
 The paper uses the identity placement by default (Sec. V-B4) and shows in its
 ablation that a better initial layout (obtained from forward/backward routing
-passes) improves results substantially.  Beyond those two options this module
-provides a cheap *interaction-graph driven* greedy placement that downstream
-users typically want: logical qubits that interact often are placed on
-physically close qubits, seeded from the densest region of the device.
+passes) improves results substantially.  Those passes route with the
+request's own router, so they live on the engine
+(:meth:`repro.routing.engine.RoutingEngine.bidirectional_layout`).  Beyond
+the identity placement this module provides a cheap *interaction-graph
+driven* greedy placement that downstream users typically want: logical
+qubits that interact often are placed on physically close qubits, seeded
+from the densest region of the device.
 
 Available strategies (see :func:`initial_layout`):
 
-* ``"identity"``      -- logical qubit ``i`` on physical qubit ``i`` (paper default),
-* ``"greedy"``        -- interaction-weighted greedy placement,
-* ``"bidirectional"`` -- forward/backward Qlosure passes (paper Fig. 8 variant d).
+* ``"identity"`` -- logical qubit ``i`` on physical qubit ``i`` (paper default),
+* ``"greedy"``   -- interaction-weighted greedy placement.
 """
 
 from __future__ import annotations
@@ -84,28 +86,15 @@ def greedy_placement(circuit: QuantumCircuit, coupling: CouplingGraph) -> Layout
 
 
 def initial_layout(
-    circuit: QuantumCircuit,
-    coupling: CouplingGraph,
-    strategy: str = "identity",
-    **kwargs,
+    circuit: QuantumCircuit, coupling: CouplingGraph, strategy: str = "identity"
 ) -> Layout:
-    """Build an initial layout with the named strategy.
-
-    ``kwargs`` are forwarded to the bidirectional pass (``config``, ``passes``)
-    when that strategy is selected.
-    """
+    """Build an initial layout with the named strategy (``identity`` or ``greedy``)."""
     key = strategy.strip().lower()
     if key == "identity":
         return Layout.trivial(circuit.num_qubits, coupling.num_qubits)
     if key == "greedy":
         return greedy_placement(circuit, coupling)
-    if key == "bidirectional":
-        from repro.core.bidirectional import bidirectional_initial_layout
-
-        return bidirectional_initial_layout(circuit, coupling, **kwargs)
-    raise KeyError(
-        f"unknown placement strategy {strategy!r}; choose identity, greedy or bidirectional"
-    )
+    raise KeyError(f"unknown placement strategy {strategy!r}; choose identity or greedy")
 
 
 def placement_cost(

@@ -3,7 +3,8 @@
 The router plugs the dependence-driven cost function into the shared
 execute-or-swap loop: at every stall it rebuilds the layered look-ahead
 window, scores every candidate SWAP with ``M(s)`` and commits the cheapest
-one (ties broken at random), updating the SABRE-style decay values.
+one (ties broken at random).  The SABRE-style decay values it multiplies in
+are the engine's ``state.decay`` table, bumped by ``config.decay_increment``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from repro.core.config import QlosureConfig
 from repro.core.cost import WindowScorer
 from repro.core.lookahead import build_lookahead
 from repro.hardware.coupling import CouplingGraph
-from repro.routing.decay import DecayTable
-from repro.routing.engine import RouterError, RoutingEngine, RoutingState
+from repro.routing.engine import RoutingEngine, RoutingState
 
 
 @register_router(
@@ -35,11 +35,11 @@ class QlosureRouter(RoutingEngine):
     ):
         self.config = config or QlosureConfig()
         super().__init__(coupling, seed=self.config.seed)
+        self.decay_increment = self.config.decay_increment
         self._lookahead_constant = self.config.effective_lookahead_constant(
             coupling.max_degree()
         )
         self._weights: dict[int, int] = {}
-        self._decay = DecayTable(0, self.config.decay_increment)
         # Look-ahead window memoised by front signature: the window is a
         # function of the front layer and the executed set alone (its size
         # counts distinct *logical* operands, and layering ignores
@@ -58,30 +58,14 @@ class QlosureRouter(RoutingEngine):
         Eq. 1 is the test oracle these counts are checked against.
         """
         self._weights = state.dag.descendant_counts()
-        self._decay = DecayTable(state.circuit.num_qubits, self.config.decay_increment)
         self._window_signature = None
         self._window = None
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        """Reset decay values after a successful two-qubit gate execution."""
-        if self.config.decay_reset_on_execute:
-            self._decay.reset_all()
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        """Penalise the logical qubits that were just moved."""
-        logical_at = state.layout.logical_at
-        for physical in swap:
-            logical = logical_at[physical]
-            if logical is not None:
-                self._decay.bump(logical)
 
     # -- SWAP selection ------------------------------------------------------------
 
     def select_swap(self, state: RoutingState) -> tuple[int, int]:
         """Score every candidate SWAP with ``M(s)`` and return the cheapest."""
         candidates = state.candidate_swaps()
-        if not candidates:
-            raise RouterError("no candidate SWAPs available (disconnected front layer?)")
         signature = state.front_signature()
         if signature != self._window_signature:
             self._window = build_lookahead(
@@ -94,7 +78,7 @@ class QlosureRouter(RoutingEngine):
         else:
             state.heuristic_cache_hits += 1
         window = self._window
-        scorer = WindowScorer(state, window, self._weights, self._decay, self.config)
+        scorer = WindowScorer(state, window, self._weights, state.decay, self.config)
         score = scorer.score
         best_cost = float("inf")
         best: list[tuple[int, int]] = []

@@ -6,7 +6,9 @@ two-qubit gate executes.  An eager reset costs O(num_qubits) per executed
 gate, which dominates routing on easy circuits where nearly every gate
 executes without SWAPs.  :class:`DecayTable` makes the reset lazy: a
 generation counter is bumped instead, and entries written under an older
-generation read as the neutral value 1.0.
+generation read as the neutral value 1.0.  The routing engine keeps one per
+route (``RoutingState.decay``), bumps it on every SWAP and resets it on every
+executed two-qubit gate.
 
 The table satisfies the read-only ``Mapping``-style ``get`` contract the
 window scorer expects, so it can be passed anywhere a ``{qubit: decay}``

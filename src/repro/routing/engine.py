@@ -9,8 +9,16 @@ outer loop, which matches Algorithm 1 of the paper:
    SWAP, which is applied to the layout and appended to the output circuit;
 3. repeat until every gate has been executed.
 
-Concrete routers override :meth:`RoutingEngine.select_swap` (and optionally
-the execution hooks) to implement their SWAP-selection policy.
+Concrete routers override :meth:`RoutingEngine.select_swap` (their cost
+function) and optionally :meth:`RoutingEngine.on_circuit_start`.  Everything
+else about a stall belongs to the engine: the stall record on
+:class:`RoutingState` (``swaps_since_progress``, ``last_swap`` and the
+per-qubit ``decay`` table, all reset when a two-qubit gate executes), the
+release valve that routes the closest blocked front gate along a shortest
+path once ``release_valve_threshold`` SWAPs pass without progress (LightSABRE,
+Zou et al. 2024; 0 means never) and the forward/backward layout search of
+:meth:`RoutingEngine.bidirectional_layout` (SABRE's reverse traversal, Li et
+al. 2019).
 
 Incremental-state contract
 --------------------------
@@ -72,6 +80,7 @@ from repro.circuit.dag import CircuitDAG
 from repro.circuit.gate import Gate
 from repro.hardware.coupling import CouplingGraph
 from repro.obs.trace import current_tracer
+from repro.routing.decay import DecayTable
 from repro.routing.layout import Layout
 from repro.routing.result import RoutingResult
 
@@ -192,7 +201,11 @@ class RoutingState:
     front: set[int] = field(default_factory=set)
     executed: set[int] = field(default_factory=set)
     emitted: list[Gate] = field(default_factory=list)
+    #: The stall record: SWAPs since the last executed two-qubit gate, the
+    #: most recent of them and the decay of the logical qubits they moved.
     swaps_since_progress: int = 0
+    last_swap: tuple[int, int] | None = None
+    decay: DecayTable = field(default_factory=lambda: DecayTable(0))
     cost_evaluations: int = 0
 
     def __post_init__(self):
@@ -362,6 +375,26 @@ class RoutingState:
             self._refresh_front()
         return tuple(self._unresolved)
 
+    def upcoming_two_qubit(self, limit: int) -> list[int]:
+        """Up to ``limit`` two-qubit gates that become ready right after the front layer.
+
+        Unexecuted immediate successors of the front gates, scanned in front
+        order (the next time slice, without the front itself).
+        """
+        upcoming: list[int] = []
+        is_2q = self.is_2q
+        successors_of = self.dag.successors
+        executed = self.executed
+        for index in sorted(self.front):
+            for successor in successors_of(index):
+                if successor in executed:
+                    continue
+                if is_2q[successor] and successor not in upcoming:
+                    upcoming.append(successor)
+                    if len(upcoming) >= limit:
+                        return upcoming
+        return upcoming
+
     def distance_rows(self):
         """Row-view binding of the *current* distance table.
 
@@ -385,6 +418,11 @@ class RoutingEngine:
 
     #: Human-readable router name used in results and benchmark tables.
     name = "base-router"
+    #: Additive decay penalty per SWAP on each logical qubit it moves.
+    decay_increment = 0.001
+    #: SWAPs without an executed two-qubit gate before the release valve
+    #: opens (0 means never).
+    release_valve_threshold = 0
 
     def __init__(self, coupling: CouplingGraph, seed: int = 0):
         if not coupling.is_connected():
@@ -401,12 +439,6 @@ class RoutingEngine:
 
     def on_circuit_start(self, state: RoutingState) -> None:
         """Hook called once before routing starts (pre-computation)."""
-
-    def on_gate_executed(self, state: RoutingState, index: int) -> None:
-        """Hook called after a two-qubit gate has been executed."""
-
-    def on_swap_applied(self, state: RoutingState, swap: tuple[int, int]) -> None:
-        """Hook called after a SWAP has been committed."""
 
     # -- main loop ----------------------------------------------------------------
 
@@ -433,6 +465,7 @@ class RoutingEngine:
             distance=self.coupling.distance_table(),
             pending_predecessors=pending,
             front={index for index, count in pending.items() if count == 0},
+            decay=DecayTable(circuit.num_qubits, self.decay_increment),
         )
         self._rng = random.Random(self.seed)
         self.on_circuit_start(state)
@@ -440,6 +473,7 @@ class RoutingEngine:
         total_gates = len(dag.gate_indices)
         swap_budget = max(10_000, 20 * total_gates + 50 * self.coupling.num_qubits)
         swaps_applied = 0
+        threshold = self.release_valve_threshold
 
         while len(state.executed) < total_gates:
             progressed = self._execute_ready_gates(state)
@@ -447,7 +481,13 @@ class RoutingEngine:
                 break
             if progressed:
                 continue
-            swap = self.select_swap(state)
+            front = state.unresolved_front()
+            if not front:
+                raise RouterError(f"{self.name} stalled with no unresolved front gates")
+            if threshold and state.swaps_since_progress >= threshold:
+                swap = self._release_valve_swap(state, front)
+            else:
+                swap = self.select_swap(state)
             self._apply_swap(state, swap)
             swaps_applied += 1
             if swaps_applied > swap_budget:
@@ -477,6 +517,24 @@ class RoutingEngine:
             runtime_seconds=time.perf_counter() - start_time,
             cost_evaluations=state.cost_evaluations,
         )
+
+    def bidirectional_layout(self, circuit: QuantumCircuit, passes: int) -> Layout:
+        """An initial layout from ``passes`` forward/backward round trips of :meth:`run`.
+
+        Each round trip routes the circuit forward from the current layout
+        (the identity layout at first), then routes the reversed circuit from
+        the forward run's final layout; the backward run's final layout starts
+        the next round trip (SABRE's reverse traversal).  Zero passes give the
+        identity layout.
+        """
+        backward = QuantumCircuit(
+            circuit.num_qubits, reversed(circuit.gates), name=f"{circuit.name}-reversed"
+        )
+        layout = None
+        for _ in range(passes):
+            for direction in (circuit, backward):
+                layout = self.run(direction, layout).final_layout
+        return self._coerce_layout(circuit, layout)
 
     # -- internals -------------------------------------------------------------------
 
@@ -515,7 +573,9 @@ class RoutingEngine:
                 self._emit_gate(state, index)
                 self._retire(state, index)
                 if state.is_2q[index]:
-                    self.on_gate_executed(state, index)
+                    state.swaps_since_progress = 0
+                    state.last_swap = None
+                    state.decay.reset_all()
                 ready = True
                 progressed = True
         return progressed
@@ -541,7 +601,24 @@ class RoutingEngine:
         p1, p2 = swap
         if not state._adjacency[p1 * state._num_physical + p2]:
             raise RouterError(f"{self.name} proposed a SWAP on non-adjacent qubits {swap}")
-        state.layout.swap_physical(p1, p2)
+        layout = state.layout
+        layout.swap_physical(p1, p2)
         state.emitted.append(Gate("swap", (p1, p2)))
         state.note_swap_applied(p1, p2)
-        self.on_swap_applied(state, swap)
+        logical_at = layout.logical_at
+        for physical in swap:
+            logical = logical_at[physical]
+            if logical is not None:
+                state.decay.bump(logical)
+        state.last_swap = swap
+        state.swaps_since_progress += 1
+
+    def _release_valve_swap(
+        self, state: RoutingState, front: list[int]
+    ) -> tuple[int, int]:
+        """The first hop on a shortest path of the closest blocked front gate."""
+        target = min(front, key=state.gate_distance)
+        q1, q2 = state.op_pairs[target]
+        phys_of = state.layout.phys_of
+        path = self.coupling.shortest_path(phys_of[q1], phys_of[q2])
+        return (min(path[0], path[1]), max(path[0], path[1]))

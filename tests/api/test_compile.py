@@ -3,7 +3,8 @@
 The load-bearing guarantee: the unified pipeline produces **gate-for-gate
 identical** routed circuits to driving the router objects by hand (direct
 construction + ``run``, with a hand-built bidirectional layout for the
-placement cases) for every registered router and every seed.
+placement cases) for every registered router and every seed.  A
+bidirectional request runs its forward/backward passes with its own router.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.api import (
     UnknownRouterError,
     compile as api_compile,
     compile_many,
+    resolve_router,
     router_names,
 )
 from repro.baselines.cirq_like import CirqLikeRouter
@@ -27,10 +29,11 @@ from repro.benchgen.queko import generate_queko_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
 from repro.circuit.validation import RoutingValidationError, verify_routing
-from repro.core.bidirectional import bidirectional_initial_layout
 from repro.core.config import QlosureConfig
 from repro.core.router import QlosureRouter
+from repro.hardware.backends import grid_9x9
 from repro.hardware.topologies import grid_topology
+from repro.routing.layout import Layout
 
 GRID = grid_topology(4, 4)
 
@@ -47,6 +50,18 @@ LEGACY_ROUTERS = {
 
 def gates_of(circuit):
     return [(g.name, g.qubits, g.params) for g in circuit]
+
+
+def legacy_bidirectional_layout(router, circuit, passes):
+    """Forward/backward round trips of ``router``, written out as the oracle."""
+    layout = Layout.trivial(circuit.num_qubits, GRID.num_qubits)
+    backward = QuantumCircuit(circuit.num_qubits, reversed(circuit.gates))
+    for _ in range(passes):
+        forward = router.run(circuit, layout)
+        layout = Layout(circuit.num_qubits, GRID.num_qubits, forward.final_layout)
+        reverse = router.run(backward, layout)
+        layout = Layout(circuit.num_qubits, GRID.num_qubits, reverse.final_layout)
+    return layout
 
 
 def fixture_circuits():
@@ -94,7 +109,7 @@ class TestLegacyParity:
     def test_bidirectional_placement_matches_legacy_mapper(self):
         circuit = qft_circuit(8)
         config = QlosureConfig()
-        layout = bidirectional_initial_layout(circuit, GRID, config, 1)
+        layout = legacy_bidirectional_layout(QlosureRouter(GRID, config), circuit, 1)
         legacy = QlosureRouter(GRID, config).run(circuit, layout)
         result = api_compile(
             CompileRequest(
@@ -112,7 +127,7 @@ class TestLegacyParity:
         # final run (what the CLI builds for --seed N --bidirectional-passes)
         circuit = qft_circuit(8)
         config = QlosureConfig(seed=4)
-        layout = bidirectional_initial_layout(circuit, GRID, config, 1)
+        layout = legacy_bidirectional_layout(QlosureRouter(GRID, config), circuit, 1)
         legacy = QlosureRouter(GRID, config).run(circuit, layout)
         result = api_compile(
             CompileRequest(
@@ -121,9 +136,30 @@ class TestLegacyParity:
                 router="qlosure",
                 seed=4,
                 placement="bidirectional",
-                placement_options={"config": config, "passes": 1},
+                placement_options={"passes": 1},
             )
         )
+        assert gates_of(result.routed_circuit) == gates_of(legacy.routed_circuit)
+
+    @pytest.mark.parametrize("name", router_names())
+    def test_bidirectional_placement_runs_the_request_router(self, name):
+        circuit = qft_circuit(8)
+        router = resolve_router(name).make(GRID, seed=3)
+        layout = router.bidirectional_layout(circuit, 1)
+        assert layout.as_list() == legacy_bidirectional_layout(router, circuit, 1).as_list()
+        legacy = router.run(circuit, layout)
+        result = api_compile(
+            CompileRequest(
+                circuit=circuit,
+                backend=GRID,
+                router=name,
+                seed=3,
+                placement="bidirectional",
+                placement_options={"passes": 1},
+            ),
+            cache=False,
+        )
+        assert result.initial_layout == legacy.initial_layout
         assert gates_of(result.routed_circuit) == gates_of(legacy.routed_circuit)
 
     def test_router_aliases_compile_identically(self):
@@ -259,6 +295,69 @@ class TestErrors:
     def test_missing_qasm_file_rejected(self, tmp_path):
         with pytest.raises(CompileError, match="cannot read QASM file"):
             api_compile(CompileRequest(qasm=tmp_path / "missing.qasm", backend=GRID))
+
+    @pytest.mark.parametrize(
+        "placement,options",
+        [
+            ("bidirectional", {"bogus": 1}),
+            ("bidirectional", {"passes": "x"}),
+            ("bidirectional", {"passes": -1}),
+            ("bidirectional", {"passes": True}),
+            ("bidirectional", {"passes": 1.0}),
+            ("bidirectional", {"passes": 1, "config": QlosureConfig()}),
+            ("identity", {"passes": "x"}),
+            ("identity", {"passes": 1}),
+            ("greedy", {"passes": 0}),
+        ],
+    )
+    def test_malformed_placement_options_rejected(self, placement, options):
+        request = CompileRequest(
+            circuit=ghz_circuit(4),
+            backend=GRID,
+            router="sabre",
+            placement=placement,
+            placement_options=options,
+        )
+        with pytest.raises(CompileError, match="placement_options") as caught:
+            api_compile(request, cache=False)
+        assert caught.value.phase == "request"
+
+    def test_router_construction_error_names_the_route_pass(self):
+        # The router is built before the place pass (bidirectional passes
+        # route with it), but failing to build it is still a route failure.
+        request = CompileRequest(
+            circuit=ghz_circuit(4),
+            backend=GRID,
+            router="sabre",
+            router_config=QlosureConfig(),
+            placement="bidirectional",
+        )
+        (error,) = compile_many([request], on_error="collect").errors
+        assert error.phase == "route"
+        assert "does not take a config object" in error.message
+
+
+class TestBidirectionalPlacement:
+    """The forward/backward passes run with the request's own router."""
+
+    @pytest.mark.parametrize("router", ["sabre", "greedy"])
+    def test_backward_pass_of_the_scale_4_fig8_circuit_finishes(self, router):
+        # A Qlosure backward pass on this circuit cycles until the SWAP budget
+        # raises; the passes run with the request's router, so these finish.
+        circuit = generate_queko_circuit(grid_9x9(), 16, seed=208).circuit
+        result = api_compile(
+            CompileRequest(
+                circuit=circuit,
+                backend="sherbrooke",
+                router=router,
+                placement="bidirectional",
+                placement_options={"passes": 1},
+                validation="full",
+            ),
+            cache=False,
+        )
+        assert result.router == router
+        assert result.swaps_added > 0
 
 
 def toffoli_circuit(qubits=(0, 2, 4)) -> QuantumCircuit:

@@ -201,3 +201,18 @@ class TestPinnedFingerprints:
         assert request_fingerprint(request) == (
             "7ac6468702b17935cb95732ed1efd70a6d0396138daa8d55fa3a25ea28905504"
         )
+
+    def test_bidirectional_request(self):
+        # Bidirectional passes route with the request's own router, so the
+        # strategy keys under its own placement token; when the passes always
+        # ran Qlosure, this request keyed fbfe0c99... instead.
+        request = CompileRequest(
+            generate="qft:8",
+            backend="sherbrooke",
+            router="sabre",
+            placement="bidirectional",
+            placement_options={"passes": 1},
+        )
+        assert request_fingerprint(request) == (
+            "7a7f99318104864a23a3c77c2d7c8406d4d7936309efcf1e51c42e7ea19adef2"
+        )

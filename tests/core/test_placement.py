@@ -77,10 +77,6 @@ class TestInitialLayoutDispatch:
         layout = initial_layout(ghz_circuit(4), GRID, "greedy")
         assert len(set(layout.as_list())) == 4
 
-    def test_bidirectional(self):
-        layout = initial_layout(ghz_circuit(4), GRID, "bidirectional", passes=1)
-        assert len(set(layout.as_list())) == 4
-
     def test_unknown_strategy_rejected(self):
         with pytest.raises(KeyError):
             initial_layout(ghz_circuit(4), GRID, "magic")

@@ -5,7 +5,6 @@ from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.validation import verify_routing
-from repro.core.bidirectional import bidirectional_initial_layout, reversed_circuit
 from repro.core.config import QlosureConfig
 from repro.core.router import QlosureRouter
 from repro.hardware.topologies import grid_topology, line_topology
@@ -99,18 +98,13 @@ class TestMapper:
 
 
 class TestBidirectional:
-    def test_reversed_circuit_reverses_gates(self):
-        circuit = ghz_circuit(4)
-        reverse = reversed_circuit(circuit)
-        assert [g.qubits for g in reverse] == [g.qubits for g in circuit][::-1]
-
     def test_zero_passes_is_identity_layout(self):
-        layout = bidirectional_initial_layout(ghz_circuit(5), GRID, passes=0)
+        layout = QlosureRouter(GRID).bidirectional_layout(ghz_circuit(5), passes=0)
         assert layout.as_list() == list(range(5))
 
     def test_layout_is_valid_placement(self):
         circuit = random_circuit(10, 60, seed=4)
-        layout = bidirectional_initial_layout(circuit, GRID, passes=1)
+        layout = QlosureRouter(GRID).bidirectional_layout(circuit, passes=1)
         placed = layout.as_list()
         assert len(set(placed)) == circuit.num_qubits
         assert all(0 <= p < GRID.num_qubits for p in placed)
@@ -119,6 +113,6 @@ class TestBidirectional:
         """A forward/backward pass should help (or at least not badly hurt) QFT routing."""
         circuit = qft_circuit(8)
         trivial = QlosureRouter(GRID).run(circuit).swaps_added
-        improved_layout = bidirectional_initial_layout(circuit, GRID, passes=1)
+        improved_layout = QlosureRouter(GRID).bidirectional_layout(circuit, passes=1)
         improved = QlosureRouter(GRID).run(circuit, improved_layout).swaps_added
         assert improved <= trivial * 1.25

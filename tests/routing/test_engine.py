@@ -4,10 +4,12 @@ import pytest
 
 from repro.baselines.greedy import GreedyDistanceRouter
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.dag import CircuitDAG
+from repro.circuit.gate import Gate
 from repro.circuit.validation import verify_routing
 from repro.hardware.coupling import CouplingGraph
-from repro.hardware.topologies import line_topology
-from repro.routing.engine import RouterError, RoutingEngine
+from repro.hardware.topologies import grid_topology, line_topology
+from repro.routing.engine import RouterError, RoutingEngine, RoutingState
 from repro.routing.layout import Layout
 
 
@@ -105,3 +107,108 @@ class TestStateQueries:
         circuit.cx(1, 2)
         result = GreedyDistanceRouter(line5).run(circuit)
         assert result.swaps_added == 0
+
+
+class RecordingRouter(GreedyDistanceRouter):
+    """Greedy routing that snapshots the engine's stall record at every stall."""
+
+    def __init__(self, coupling, seed=0):
+        super().__init__(coupling, seed)
+        self.stalls = []
+
+    def select_swap(self, state):
+        decay = [state.decay.get(q) for q in range(state.circuit.num_qubits)]
+        self.stalls.append(
+            (state.last_swap, state.swaps_since_progress, decay, state.layout.copy())
+        )
+        return super().select_swap(state)
+
+
+class TestStallRecord:
+    """The engine owns the stall record: last SWAP, SWAPs since progress, decay."""
+
+    def far_pair_then_dependent(self):
+        # cx(0, 3) needs two SWAPs on a line; cx(0, 4) waits for it and is
+        # still far afterwards, so the route stalls again after progress.
+        circuit = QuantumCircuit(5)
+        circuit.cx(0, 3)
+        circuit.cx(0, 4)
+        return circuit
+
+    def test_swap_sets_the_record(self, line5):
+        router = RecordingRouter(line5)
+        router.run(self.far_pair_then_dependent())
+        (last, count, decay, _), (last_after, count_after, decay_after, layout) = (
+            router.stalls[:2]
+        )
+        assert (last, count, decay) == (None, 0, [1.0] * 5)
+        assert last_after is not None and count_after == 1
+        moved = {layout.logical_at[p] for p in last_after}
+        for qubit, value in enumerate(decay_after):
+            assert value == (1.0 + router.decay_increment if qubit in moved else 1.0)
+
+    def test_executed_two_qubit_gate_resets_the_record(self, line5):
+        router = RecordingRouter(line5)
+        result = router.run(self.far_pair_then_dependent())
+        # Two SWAPs bring cx(0, 3) together; the next stall is after it ran.
+        assert [gate.name for gate in result.routed_circuit][:3] == ["swap", "swap", "cx"]
+        last, count, decay, _ = router.stalls[2]
+        assert (last, count, decay) == (None, 0, [1.0] * 5)
+
+    def test_release_valve_routes_along_a_shortest_path(self):
+        class ValveRouter(GreedyDistanceRouter):
+            release_valve_threshold = 1
+            choices = 0
+
+            def select_swap(self, state):
+                self.choices += 1
+                return super().select_swap(state)
+
+        grid = grid_topology(4, 4)
+        circuit = QuantumCircuit(16)
+        circuit.cx(0, 15)
+        router = ValveRouter(grid)
+        result = router.run(circuit)
+        # The cost function picks the first SWAP; the valve picks the rest.
+        assert router.choices == 1
+        swaps = [gate.qubits for gate in result.routed_circuit if gate.is_swap]
+        assert len(swaps) == grid.distance(0, 15) - 1
+        layout = Layout.trivial(16, 16)
+        layout.swap_physical(*swaps[0])
+        for swap in swaps[1:]:
+            path = grid.shortest_path(layout.phys_of[0], layout.phys_of[15])
+            assert swap == (min(path[:2]), max(path[:2]))
+            layout.swap_physical(*swap)
+        verify_routing(circuit, result.routed_circuit, grid.edges(), result.initial_layout)
+
+    def test_stall_without_a_two_qubit_front_gate_raises(self, line5):
+        # A three-qubit gate on far operands is never executable and never
+        # joins the unresolved front, so no SWAP can be chosen for it.
+        circuit = QuantumCircuit(5)
+        circuit.append(Gate("ccx", (0, 2, 4)))
+        with pytest.raises(RouterError, match="no unresolved front gates"):
+            GreedyDistanceRouter(line5).run(circuit)
+
+
+class TestUpcomingTwoQubit:
+    def test_next_slice_in_front_order_up_to_the_limit(self, line5):
+        circuit = QuantumCircuit(5)
+        circuit.cx(0, 1)  # 0: front
+        circuit.cx(2, 3)  # 1: front
+        circuit.h(0)  # 2: single-qubit successor of 0, skipped
+        circuit.cx(1, 2)  # 3: successor of 0 and 1
+        circuit.cx(3, 4)  # 4: successor of 1
+        dag = CircuitDAG(circuit)
+        pending = {index: len(dag.predecessors(index)) for index in dag.gate_indices}
+        state = RoutingState(
+            circuit=circuit,
+            coupling=line5,
+            dag=dag,
+            layout=Layout.trivial(5, 5),
+            distance=line5.distance_table(),
+            pending_predecessors=pending,
+            front={index for index, count in pending.items() if count == 0},
+        )
+        assert state.front == {0, 1}
+        assert state.upcoming_two_qubit(8) == [3, 4]
+        assert state.upcoming_two_qubit(1) == [3]

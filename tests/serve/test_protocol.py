@@ -87,6 +87,15 @@ class TestRequestPayloadRejections:
         with pytest.raises(SerializationError, match="router_config"):
             request_to_payload(request)
 
+    @pytest.mark.parametrize("router", ["qlosure", "sabre"])
+    def test_json_router_config_is_rejected_on_decode(self, router):
+        # No router takes a JSON config, so such a request could only fail
+        # inside the route pass (a 500); it is refused here, at the codec.
+        with pytest.raises(SerializationError, match="router_config"):
+            request_from_payload(
+                {"generate": "ghz:4", "router": router, "router_config": {"seed": 3}}
+            )
+
     def test_non_finite_seed_is_rejected(self):
         with pytest.raises(SerializationError, match="infinity"):
             request_from_payload(json.loads('{"generate": "ghz:4", "seed": 1e400}'))
@@ -135,6 +144,23 @@ class TestDecodeCompileBody:
     def test_invalid_validation_level_rejected_at_admission(self):
         with pytest.raises(ProtocolError, match="validation"):
             decode_compile_body({"generate": "ghz:6", "validation": "paranoid"})
+
+    def test_router_config_rejected_at_admission(self):
+        with pytest.raises(ProtocolError, match="router_config"):
+            decode_compile_body({"generate": "ghz:6", "router_config": {"seed": 1}})
+
+    @pytest.mark.parametrize(
+        "placement,options",
+        [
+            ("bidirectional", {"bogus": 1}),
+            ("bidirectional", {"passes": "x"}),
+            ("identity", {"passes": "x"}),
+        ],
+    )
+    def test_malformed_placement_options_rejected_at_admission(self, placement, options):
+        body = {"generate": "ghz:6", "placement": placement, "placement_options": options}
+        with pytest.raises(ProtocolError, match="placement_options"):
+            decode_compile_body(body)
 
 
 class TestDecodeBatchBody:

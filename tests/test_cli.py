@@ -91,6 +91,14 @@ class TestCommands:
         ) == 0
         assert "tket" in capsys.readouterr().out
 
+    def test_bidirectional_passes_route_with_the_chosen_mapper(self, capsys):
+        code = main(
+            ["map", "--generate", "qft:10", "--mapper", "sabre",
+             "--bidirectional-passes", "1", "--verify", "--no-cache"]
+        )
+        assert code == 0
+        assert "sabre" in capsys.readouterr().out
+
 
 class TestErrorHandling:
     def test_unknown_router_exits_2_with_one_line_message(self, capsys):
@@ -131,6 +139,11 @@ class TestErrorHandling:
         code = main(["map", "--generate", "nosuchfamily:8"])
         assert code == 2
         assert "cannot generate" in capsys.readouterr().err
+
+    def test_negative_bidirectional_passes_exits_2(self, capsys):
+        code = main(["map", "--generate", "ghz:8", "--bidirectional-passes", "-1"])
+        assert code == 2
+        assert "placement_options" in capsys.readouterr().err
 
 
 class TestFailureContract:
