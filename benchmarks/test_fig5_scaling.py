@@ -2,9 +2,10 @@
 
 The paper shows near-linear growth of Qlosure's mapping time with the QOP
 count of QUEKO 54-qubit circuits on all three back-ends.  The benchmark
-measures the same series at reduced scale, timing the route pass of an
-uncached :func:`repro.api.compile` per point, and asserts the linear fit
-explains most of the variance (R^2 >= 0.8).
+measures the same series at reduced scale, timing each point as the fastest
+route pass of three uncached :func:`repro.api.compile` calls (one per sweep
+of the ladder), and asserts the linear fit explains most of the variance
+(R^2 >= 0.8).
 """
 
 from __future__ import annotations

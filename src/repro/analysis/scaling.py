@@ -16,6 +16,10 @@ from repro.api import CompileRequest, compile as api_compile, resolve_router
 from repro.benchgen.queko import generate_queko_circuit
 from repro.hardware.coupling import CouplingGraph
 
+#: Uncached compiles per point.  A point's time is the fastest of them:
+#: other tenants of a shared host only ever add time.
+COMPILES_PER_POINT = 3
+
 
 @dataclass
 class ScalingPoint:
@@ -72,34 +76,49 @@ def mapping_time_scaling(
 ) -> ScalingResult:
     """Measure route-pass time versus QOPs on QUEKO circuits of increasing depth.
 
-    Every point is one uncached :func:`repro.api.compile` of ``router`` (a
-    registry name or alias); its time is the route pass
-    (``CompileResult.route_seconds``), the span ``repro-map bench`` reports.
+    Every point is :data:`COMPILES_PER_POINT` uncached
+    :func:`repro.api.compile` calls of ``router`` (a registry name or alias),
+    one per sweep of the ladder; its time is the fastest of their route
+    passes (``CompileResult.route_seconds``, the span ``repro-map bench``
+    reports).
     """
-    points: list[ScalingPoint] = []
-    for index, depth in enumerate(sorted(depths)):
-        instance = generate_queko_circuit(
-            generation_device, depth, seed=seed * 9973 + index
+    requests = [
+        CompileRequest(
+            circuit=generate_queko_circuit(
+                generation_device, depth, seed=seed * 9973 + index
+            ).circuit,
+            backend=backend,
+            router=router,
         )
-        request = CompileRequest(circuit=instance.circuit, backend=backend, router=router)
-        # Pause the cyclic collector as timeit does: one full collection of a
-        # large host process (tens of ms in a test run) landing inside a
-        # single point would skew the fit.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            result = api_compile(request, cache=False)
-        finally:
-            if collecting:
-                gc.enable()
-        points.append(
-            ScalingPoint(
-                qops=result.metrics["qops"],
-                seconds=result.route_seconds,
-                depth=result.routed_depth,
-                swaps=result.swaps_added,
-            )
+        for index, depth in enumerate(sorted(depths))
+    ]
+    seconds: list[list[float]] = [[] for _ in requests]
+    for _ in range(COMPILES_PER_POINT):
+        # Each round sweeps the whole ladder, so a slow stretch of the host
+        # costs a point at most one of its samples.
+        results = []
+        for request, times in zip(requests, seconds):
+            # Pause the cyclic collector as timeit does: one full collection
+            # of a large host process (tens of ms in a test run) landing
+            # inside a single point would skew the fit.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                result = api_compile(request, cache=False)
+            finally:
+                if collecting:
+                    gc.enable()
+            results.append(result)
+            times.append(result.route_seconds)
+    points = [
+        ScalingPoint(
+            qops=result.metrics["qops"],
+            seconds=min(times),
+            depth=result.routed_depth,
+            swaps=result.swaps_added,
         )
+        for result, times in zip(results, seconds)
+    ]
     slope, intercept, r_squared = _linear_fit(
         [float(p.qops) for p in points], [p.seconds for p in points]
     )

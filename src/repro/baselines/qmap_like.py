@@ -14,14 +14,11 @@ fallback.
 
 The search is *incremental* on the shared routing kernel:
 
-* **Deferred materialisation.**  Queue entries carry ``(parent, swap)``
-  instead of placement copies; a node's flat placement (logical index ->
-  physical qubit) is materialised only when the node is popped, as one list
-  copy plus an O(1) two-entry update through the parent's inverse map.
-  Pushes outnumber pops ~8x on the QUEKO workload (752k pushes, 97k pops,
-  74k expansions over the 54-qubit smoke fixture), so the per-push O(n)
-  copy + O(n) swap scan of the naive formulation disappears from the
-  profile.
+* **Deferred materialisation.**  Queue entries carry ``(parent node,
+  swap)`` instead of placement copies; a node's flat placement (logical
+  index -> physical qubit) is materialised only when the node is popped, as
+  one list copy plus an O(1) two-entry update through the parent's inverse
+  map.
 * **Incremental heuristics.**  Front gates are qubit-disjoint, so each
   search builds one partner table over the front's logical qubits.  A
   child's heuristic is the parent's summed distance plus the change of the
@@ -31,11 +28,25 @@ The search is *incremental* on the shared routing kernel:
   those of a fresh summation, and no node builds an index.  Goal detection
   rides along: an expanded node has every pair at distance >= 2, so a child
   reaches the goal exactly when a touched pair lands at distance 1.
-* **Bucket queue.**  A SWAP moves at most two pairs by one each, so a
-  child's integer estimate lies within ``[f - 1, f + 3]`` of its parent's,
-  and the open list is one FIFO deque per estimate instead of a binary
-  heap.  FIFO order is insertion order, so nodes pop in exactly the
-  ``(f, insertion counter)`` order of the heap formulation.
+* **Partial expansion** (Yoshizumi, Miura & Ishida, AAAI 2000).  A SWAP
+  moves at most two pairs by one each, so a child's integer estimate lies
+  within ``[f - 1, f + 3]`` of its parent's, and the open list is one FIFO
+  deque per estimate.  Expanding a node queues only its *drop children*:
+  the SWAPs on an edge between two front qubits that both step toward their
+  partners, at ``f - 1``, below every queued entry.  For the other children
+  it appends one *marker* to each of the deques ``f`` to ``f + 3``.  The
+  first of a node's markers to pop scores all its candidates; each marker
+  then puts its estimate's children, in candidate order, at the front of
+  its deque.  A marker sits where an eager expansion would have appended
+  those children, and FIFO order is insertion order, so nodes pop in
+  exactly the ``(f, insertion counter)`` order of a binary heap over every
+  child.  A node keeps its front-front edges, which a SWAP changes only
+  when it moves a single front qubit.
+  Over the 54-qubit smoke fixture (2,105 searches), 49k of the 74k
+  expanded nodes have children and 9.9k of those are scored: 107k children
+  are queued and 97k popped, against 752k queued when every expansion
+  scored and queued all its children, and the cost evaluations fall from
+  1.60M to 0.69M.
 * **Candidate lists.**  The root reuses the engine's cached
   :meth:`~repro.routing.engine.RoutingState.candidate_swaps` view; an
   interior node's candidates are the sorted union of the device's
@@ -149,49 +160,95 @@ class QmapLikeRouter(RoutingEngine):
             # Nearly routable: the search provably ends on expansion 2.
             budget = min(budget, self.near_routable_budget)
 
-        # Materialised records of expanded nodes (index 0 = root, borrowing
-        # the live layout views, which the search never mutates).
-        placements: list[list[int]] = [start]
-        inverses: list[list[int | None]] = [layout.logical_at]
         max_length = self.max_sequence_length
-        # Bucket queue (see the module docstring): estimate f = cost + h -
-        # pairs sits at slot f + offset, and every queued f lies within
-        # [f_root - max_length, f_root + 3 * max_length].  Entries: (cost,
-        # summed distance, parent record, swap from parent, first swap of
-        # the sequence, goal flag).
+        # Open list (see "Partial expansion" in the module docstring):
+        # estimate f = cost + h - pairs sits at slot f + offset, and every
+        # queued f lies within [f_root - max_length, f_root + 3 *
+        # max_length].  A slot's deque holds child entries (cost, summed
+        # distance, parent node, swap from parent, first swap of the
+        # sequence, goal flag) and the markers of expanded nodes.
         offset = max_length - (h_root - num_pairs)
         buckets = [deque() for _ in range(4 * max_length + 1)]
-        buckets[max_length].append((0, h_root, 0, None, None, False))
+        buckets[max_length].append((0, h_root, None, None, None, False))
         low = max_length
         queued = 1
         visited: set[tuple[int, ...]] = set()
         expanded = 0
         evaluations = 0
         incident = self.coupling.incident_edges.__getitem__
-        # Slot of the cheapest goal node sitting in the queue.  Any child
-        # generated later with a slot >= this queues behind that goal, and
-        # the search returns at the first goal pop, so enqueueing it would
-        # be dead work; it is evaluated but not enqueued.  On budget
-        # exhaustion the skipped nodes were equally unreachable, so the
-        # fallback decision is untouched.
-        best_goal_slot: int | None = None
 
         while queued and expanded < budget:
             bucket = buckets[low]
             while not bucket:
                 low += 1
                 bucket = buckets[low]
-            cost, h_int, parent, swap, first_swap, is_goal = bucket.popleft()
+            entry = bucket.popleft()
             queued -= 1
-            if swap is None:
+            if entry.__class__ is list:
+                # A marker: its node's children in this slot, in candidate
+                # order.  The first of the node's markers to pop scores them
+                # all.
+                node, cost, h_int, slot, first_swap, runs = entry
+                placement, inverse, _ = node
+                if runs is None:
+                    if placement is start:
+                        candidates = state.candidate_swaps()
+                    else:
+                        footprint = map(placement.__getitem__, front_qubits)
+                        candidates = sorted(set(chain.from_iterable(map(incident, footprint))))
+                    evaluations += len(candidates)
+                    # An expanded node is no goal, so every pair sits at
+                    # distance >= 2: none lies on a candidate edge, and a
+                    # child is a goal exactly when a touched pair lands at
+                    # distance 1.
+                    runs = entry[5] = ([], [], [], [])
+                    next_cost = cost + 1
+                    for candidate in candidates:
+                        a2, b2 = candidate
+                        h_child = h_int
+                        goal = False
+                        mate = partner_get(inverse[a2])
+                        if mate is not None:
+                            other = placement[mate]
+                            new = distance[b2][other]
+                            h_child += new - distance[a2][other]
+                            goal = new == 1
+                        mate = partner_get(inverse[b2])
+                        if mate is not None:
+                            other = placement[mate]
+                            new = distance[a2][other]
+                            h_child += new - distance[b2][other]
+                            if new == 1:
+                                goal = True
+                        # The child's slot minus the node's; the drop
+                        # children (-1) were queued at expansion.
+                        rise = h_child - h_int + 1
+                        if rise >= 0:
+                            runs[rise].append(
+                                (
+                                    next_cost,
+                                    h_child,
+                                    node,
+                                    candidate,
+                                    first_swap if first_swap is not None else candidate,
+                                    goal,
+                                )
+                            )
+                run = runs[low - slot]
+                bucket.extendleft(reversed(run))
+                queued += len(run)
+                continue
+
+            cost, h_int, parent, swap, first_swap, is_goal = entry
+            if parent is None:
                 placement = start
-                inverse = parent_inverse = inverses[0]
+                inverse = layout.logical_at
             else:
-                parent_inverse = inverses[parent]
+                parent_inverse = parent[1]
                 a, b = swap
                 l1 = parent_inverse[a]
                 l2 = parent_inverse[b]
-                placement = list(placements[parent])
+                placement = list(parent[0])
                 if l1 is not None:
                     placement[l1] = b
                 if l2 is not None:
@@ -209,60 +266,63 @@ class QmapLikeRouter(RoutingEngine):
             if cost >= max_length:
                 continue
 
-            if swap is None:
-                record = 0
-                candidates = state.candidate_swaps()
+            # The front-front edges, the only SWAPs that move two pairs.
+            if parent is None:
+                edges = [
+                    edge
+                    for edge in state.candidate_swaps()
+                    if inverse[edge[0]] in partner and inverse[edge[1]] in partner
+                ]
             else:
                 inverse = list(parent_inverse)
                 inverse[a] = l2
                 inverse[b] = l1
-                record = len(placements)
-                placements.append(placement)
-                inverses.append(inverse)
-                footprint = map(placement.__getitem__, front_qubits)
-                candidates = sorted(set(chain.from_iterable(map(incident, footprint))))
-
-            # An expanded node is no goal, so every pair sits at distance
-            # >= 2: none lies on a candidate edge, and a child is a goal
-            # exactly when a touched pair lands at distance 1.
-            next_cost = cost + 1
-            slot_base = next_cost - num_pairs + offset
-            evaluations += len(candidates)
-            for candidate in candidates:
-                a2, b2 = candidate
-                h_child = h_int
-                goal = False
-                mate = partner_get(inverse[a2])
-                if mate is not None:
-                    other = placement[mate]
-                    new = distance[b2][other]
-                    h_child += new - distance[a2][other]
-                    goal = new == 1
-                mate = partner_get(inverse[b2])
-                if mate is not None:
-                    other = placement[mate]
-                    new = distance[a2][other]
-                    h_child += new - distance[b2][other]
-                    if new == 1:
-                        goal = True
-                slot = slot_base + h_child
-                if best_goal_slot is not None and slot >= best_goal_slot:
-                    continue
-                if goal:
-                    best_goal_slot = slot
-                buckets[slot].append(
-                    (
-                        next_cost,
-                        h_child,
-                        record,
-                        candidate,
-                        first_swap if first_swap is not None else candidate,
-                        goal,
+                edges = parent[2]
+                if (l1 in partner) != (l2 in partner):
+                    # A front qubit moved from `left` to `arrived`, which
+                    # held no front qubit.
+                    left, arrived = (a, b) if l1 in partner else (b, a)
+                    edges = sorted(
+                        [edge for edge in edges if left not in edge]
+                        + [
+                            edge
+                            for edge in incident(arrived)
+                            if inverse[edge[0]] in partner and inverse[edge[1]] in partner
+                        ]
                     )
-                )
-                queued += 1
-                if slot < low:
-                    low = slot
+            # What a child materialises from, and the marker that scores
+            # the children: its last field becomes their runs per slot (this
+            # node's slot to slot + 3).  Children reference the node, not the
+            # marker, so a search frees its nodes without a reference cycle.
+            node = (placement, inverse, edges)
+            marker = [node, cost, h_int, low, first_swap, None]
+            # Queue the drop children (both pairs one step closer, one slot
+            # below this node, where every bucket is empty) now, and one
+            # marker per slot the other children can land in.
+            drop = buckets[low - 1]
+            evaluations += len(edges)
+            for edge in edges:
+                a2, b2 = edge
+                other1 = placement[partner[inverse[a2]]]
+                other2 = placement[partner[inverse[b2]]]
+                new1 = distance[b2][other1]
+                new2 = distance[a2][other2]
+                if new1 < distance[a2][other1] and new2 < distance[b2][other2]:
+                    drop.append(
+                        (
+                            cost + 1,
+                            h_int - 2,
+                            node,
+                            edge,
+                            first_swap if first_swap is not None else edge,
+                            new1 == 1 or new2 == 1,
+                        )
+                    )
+            for rise in range(4):
+                buckets[low + rise].append(marker)
+            queued += 4 + len(drop)
+            if drop:
+                low -= 1
         state.cost_evaluations += evaluations
         return self._greedy_fallback(state, pairs)
 

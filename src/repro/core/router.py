@@ -27,6 +27,11 @@ class QlosureRouter(RoutingEngine):
     """Dependence-driven SWAP insertion using the ``M(s)`` cost function."""
 
     name = "qlosure"
+    #: Opens the engine's release valve.  Above the longest run of SWAPs
+    #: without an executed gate on any input that routes without the valve
+    #: (246, a 256-qubit QUEKO circuit), so it only breaks the cycles that
+    #: would otherwise run into the SWAP budget.
+    release_valve_threshold = 300
 
     def __init__(
         self,

@@ -79,7 +79,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import CircuitDAG
 from repro.circuit.gate import Gate
 from repro.hardware.coupling import CouplingGraph
-from repro.obs.trace import current_tracer
+from repro.obs.trace import NULL_TRACER, current_tracer, use_tracer
 from repro.routing.decay import DecayTable
 from repro.routing.layout import Layout
 from repro.routing.result import RoutingResult
@@ -525,15 +525,17 @@ class RoutingEngine:
         (the identity layout at first), then routes the reversed circuit from
         the forward run's final layout; the backward run's final layout starts
         the next round trip (SABRE's reverse traversal).  Zero passes give the
-        identity layout.
+        identity layout.  The passes run under the null tracer, so a trace's
+        ``kernel.*`` counters count only the run that routes the request.
         """
         backward = QuantumCircuit(
             circuit.num_qubits, reversed(circuit.gates), name=f"{circuit.name}-reversed"
         )
         layout = None
-        for _ in range(passes):
-            for direction in (circuit, backward):
-                layout = self.run(direction, layout).final_layout
+        with use_tracer(NULL_TRACER):
+            for _ in range(passes):
+                for direction in (circuit, backward):
+                    layout = self.run(direction, layout).final_layout
         return self._coerce_layout(circuit, layout)
 
     # -- internals -------------------------------------------------------------------

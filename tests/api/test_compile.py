@@ -26,6 +26,7 @@ from repro.baselines.sabre import LightSabreRouter, SabreRouter
 from repro.baselines.tket_like import TketLikeRouter
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
+from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
 from repro.circuit.validation import RoutingValidationError, verify_routing
@@ -33,6 +34,7 @@ from repro.core.config import QlosureConfig
 from repro.core.router import QlosureRouter
 from repro.hardware.backends import grid_9x9
 from repro.hardware.topologies import grid_topology
+from repro.obs.trace import Tracer, use_tracer
 from repro.routing.layout import Layout
 
 GRID = grid_topology(4, 4)
@@ -340,10 +342,10 @@ class TestErrors:
 class TestBidirectionalPlacement:
     """The forward/backward passes run with the request's own router."""
 
-    @pytest.mark.parametrize("router", ["sabre", "greedy"])
+    @pytest.mark.parametrize("router", ["sabre", "greedy", "qlosure"])
     def test_backward_pass_of_the_scale_4_fig8_circuit_finishes(self, router):
-        # A Qlosure backward pass on this circuit cycles until the SWAP budget
-        # raises; the passes run with the request's router, so these finish.
+        # Qlosure's backward pass on this circuit cycles on a few edges until
+        # its release valve opens.
         circuit = generate_queko_circuit(grid_9x9(), 16, seed=208).circuit
         result = api_compile(
             CompileRequest(
@@ -358,6 +360,26 @@ class TestBidirectionalPlacement:
         )
         assert result.router == router
         assert result.swaps_added > 0
+
+    @pytest.mark.parametrize("router", ["sabre", "qlosure", "qmap"])
+    def test_kernel_counters_count_the_final_run_only(self, router):
+        # The passes only choose the layout (the place span times them); the
+        # route pass's kernel.* counters see the final run alone.  The input
+        # holds no SWAP of its own, so every counted SWAP is an added one.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = api_compile(
+                CompileRequest(
+                    circuit=random_circuit(12, 60, seed=3),
+                    backend=GRID,
+                    router=router,
+                    placement="bidirectional",
+                    placement_options={"passes": 1},
+                ),
+                cache=False,
+            )
+        assert result.swaps_added > 0
+        assert tracer.counters["kernel.swaps_applied"] == result.swaps_added
 
 
 def toffoli_circuit(qubits=(0, 2, 4)) -> QuantumCircuit:

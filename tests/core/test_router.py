@@ -2,6 +2,7 @@
 
 from repro.api import CompileRequest, compile
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
+from repro.benchgen.queko import generate_queko_circuit
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.validation import verify_routing
@@ -116,3 +117,31 @@ class TestBidirectional:
         improved_layout = QlosureRouter(GRID).bidirectional_layout(circuit, passes=1)
         improved = QlosureRouter(GRID).run(circuit, improved_layout).swaps_added
         assert improved <= trivial * 1.25
+
+
+class TestReleaseValve:
+    """Inputs on which Qlosure cycled until the SWAP budget raised."""
+
+    def test_high_decay_random_circuit_routes(self):
+        result = compile(
+            CompileRequest(
+                circuit=random_circuit(20, 500, seed=9),
+                backend="ankaa3",
+                router="qlosure",
+                router_config=QlosureConfig.full(decay_increment=0.01),
+                validation="full",
+            ),
+            cache=False,
+        )
+        assert result.swaps_added > 0
+
+    def test_deep_queko_circuit_under_the_identity_placement_routes(self):
+        # Fig. 5 and Tables II-IV route it at REPRO_BENCH_SCALE=10.
+        circuit = generate_queko_circuit(grid_topology(6, 9), 150, seed=5551).circuit
+        result = compile(
+            CompileRequest(
+                circuit=circuit, backend="sherbrooke", router="qlosure", validation="full"
+            ),
+            cache=False,
+        )
+        assert result.swaps_added > 0

@@ -1,8 +1,8 @@
 """Property tests for the incremental QMAP-style A* search.
 
 The A* rewrite (deferred placement materialisation, incremental heuristic
-deltas, goal-aware push pruning, adaptive node budget) is only allowed to
-change *how fast* the search runs, never *what* it commits.  These tests pin
+deltas, partial expansion, adaptive node budget) is only allowed to change
+*how fast* the search runs, never *what* it commits.  These tests pin
 the search-theoretic properties that proof rests on:
 
 * the summed-distance heuristic is admissible -- and exact -- for
@@ -18,7 +18,9 @@ the search-theoretic properties that proof rests on:
 * skipping the search when no goal is within ``max_sequence_length`` SWAPs
   commits exactly the SWAPs the search would have fallen back to;
 * the whole router emits the gates of a textbook A* (binary heap, full
-  placement copies, recomputed heuristic, plain node budget).
+  placement copies, recomputed heuristic, plain node budget), and on a
+  54-qubit fixture circuit, where nearly half the stalls fall back, every
+  search expands the same placements in the same order.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from collections import deque
 
 import pytest
 
+from repro.analysis.perf_trajectory import smoke_fixture
 from repro.baselines.qmap_like import QmapLikeRouter
 from repro.benchgen.queko import generate_queko_circuit
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.validation import verify_routing
+from repro.hardware.backends import sherbrooke
 from repro.hardware.coupling import CouplingGraph
 from repro.hardware.topologies import grid_topology, line_topology
 
@@ -180,7 +184,9 @@ class ReferenceAStarRouter(QmapLikeRouter):
     A binary heap on ``(f, counter)``, a full placement copy per child with
     the summed-distance heuristic recomputed, a closed set on placements,
     the plain node budget (no near-routable tightening, no unreachable-goal
-    skip, no push pruning), and the greedy rule when the budget runs out.
+    skip, no partial expansion), and the greedy rule when the budget runs
+    out.  Each search leaves its expanded placements in
+    :attr:`last_expanded_keys` and whether it fell back in :attr:`fell_back`.
     """
 
     def select_swap(self, state):
@@ -203,11 +209,14 @@ class ReferenceAStarRouter(QmapLikeRouter):
         counter = 1
         closed = set()
         expanded = 0
+        self.last_expanded_keys = []
+        self.fell_back = False
         while frontier and expanded < self.node_budget:
             _, _, cost, placement, first = heapq.heappop(frontier)
             if tuple(placement) in closed:
                 continue
             closed.add(tuple(placement))
+            self.last_expanded_keys.append(tuple(placement))
             expanded += 1
             if cost and any(distance[placement[q1]][placement[q2]] == 1 for q1, q2 in pairs):
                 return first
@@ -218,9 +227,36 @@ class ReferenceAStarRouter(QmapLikeRouter):
                 estimate = cost + 1 + summed(child) - len(pairs)
                 heapq.heappush(frontier, (estimate, counter, cost + 1, child, first or (a, b)))
                 counter += 1
+        self.fell_back = True
         return min(
             candidates(start), key=lambda edge: summed(swapped(start, *edge))
         )
+
+
+class LockstepRouter(RecordingRouter):
+    """Runs :class:`ReferenceAStarRouter` on the state of every stall.
+
+    Asserts that both commit the same SWAP and that every search the
+    incremental router does not skip expands the same placements in the same
+    order.  Counts the stalls, the skipped searches and the reference's
+    fallbacks.
+    """
+
+    def __init__(self, coupling, seed=0):
+        super().__init__(coupling, seed)
+        self.reference = ReferenceAStarRouter(coupling, seed)
+        self.stalls = self.skipped = self.fallbacks = 0
+
+    def select_swap(self, state):
+        swap = super().select_swap(state)
+        keys = self.last_expanded_keys
+        assert self.reference.select_swap(state) == swap
+        if keys:
+            assert keys == self.reference.last_expanded_keys
+        self.stalls += 1
+        self.skipped += not keys
+        self.fallbacks += self.reference.fell_back
+        return swap
 
 
 def _route_gates(router_cls, circuit, coupling, seed=0, **kwargs):
@@ -329,3 +365,20 @@ class TestReferenceSearch:
             assert _route_gates(QmapLikeRouter, circuit, coupling) == _route_gates(
                 ReferenceAStarRouter, circuit, coupling
             )
+
+    def test_lockstep_on_a_fixture_circuit_where_searches_fall_back(self):
+        # The random workloads above are small devices whose searches almost
+        # always find a goal; on 127 qubits nearly half the stalls exhaust
+        # the node budget (or skip the search) and fall back.
+        router = LockstepRouter(sherbrooke())
+        router.run(smoke_fixture()[0].circuit)
+        assert (router.stalls, router.skipped, router.fallbacks) == (241, 32, 109)
+
+    def test_partial_expansion_scores_fewer_candidates(self):
+        # 151,503 cost evaluations when every expansion scored all its
+        # candidates; the count is exact, so it repeats from run to run.
+        circuit = smoke_fixture()[0].circuit
+        counts = [
+            QmapLikeRouter(sherbrooke()).run(circuit).cost_evaluations for _ in range(2)
+        ]
+        assert counts[0] == counts[1] < 151_503
