@@ -20,12 +20,16 @@ test-fast:
 ## written as a polyhedral relation and its closure (tests/polyhedral/): the
 ## DAG's bitset counts, and the weights a Qlosure router holds, on random
 ## circuits with barriers and measurements, plus the routing engine's own
-## tests: the stall record every router reads (SWAPs since progress, last
-## SWAP, decay) and the release valve.  A drifting scorer, omega, stall
-## record or valve fails here in seconds.
+## tests: the choice rule every cost-function router shares, the stall record
+## every router reads (SWAPs since progress, last SWAP, decay) and the release
+## valve, and the stress corpus on which every router must finish, with its
+## own valve threshold and with the valve opening after two SWAPs.  A
+## drifting scorer, omega, choice rule, stall record or valve fails here in
+## seconds.
 test-golden:
 	$(PYTHON) -m pytest tests/routing/test_golden.py tests/routing/test_astar_properties.py \
-		tests/routing/test_pair_delta_scorer.py tests/routing/test_engine.py tests/core/test_cost.py \
+		tests/routing/test_pair_delta_scorer.py tests/routing/test_engine.py \
+		tests/routing/test_stress.py tests/core/test_cost.py \
 		tests/affine/test_dependence.py \
 		tests/integration/test_end_to_end.py::TestFullPipeline::test_dependence_weights_feed_the_router -q
 

@@ -10,7 +10,7 @@ change -- routing is bit-for-bit deterministic per request, independent of
 ``workers`` -- and ``mean_seconds`` is the mapping-time trajectory the
 Table 4 benchmark summarises, while ``wall_seconds`` tracks harness
 throughput (this is where ``workers > 1`` pays off).  Run it via
-``make bench``, ``repro-map bench`` or ``python benchmarks/perf_smoke.py``.
+``make bench`` or ``repro-map bench``.
 """
 
 from __future__ import annotations

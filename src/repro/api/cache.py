@@ -265,7 +265,7 @@ def _fingerprint(request: CompileRequest, source: dict) -> str:
         "source": source,
         "backend": _backend_token(request.backend),
         "router": _router_token(request.router),
-        "seed": int(request.seed),
+        "seed": _jsonify(request.seed),
         "placement": _PLACEMENT_TOKENS.get(request.placement, request.placement),
         "placement_options": _jsonify(request.placement_options),
         "router_config": _jsonify(request.router_config),

@@ -73,6 +73,8 @@ class CompileRequest:
     def check(self) -> None:
         """Raise ``ValueError`` on a structurally invalid request."""
         check_one_source(self.circuit, self.qasm, self.generate)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.validation not in VALIDATION_LEVELS:
             raise ValueError(
                 f"unknown validation level {self.validation!r}; "

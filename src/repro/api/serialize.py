@@ -231,7 +231,7 @@ def request_to_payload(request: CompileRequest) -> dict:
     payload.update(
         backend=str(request.backend),
         router=str(request.router),
-        seed=int(request.seed),
+        seed=request.seed,
         placement=str(request.placement),
         placement_options=_plain_json(request.placement_options, "placement_options"),
         router_config=_plain_json(request.router_config, "router_config"),
@@ -269,6 +269,9 @@ def request_from_payload(payload: dict) -> CompileRequest:
         raise SerializationError(
             "router_config must be null on the wire: no router takes a JSON config"
         )
+    seed = payload.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SerializationError(f"seed must be an integer, got {seed!r}")
     circuit = None
     if "circuit" in payload:
         circuit = circuit_from_payload(payload["circuit"])
@@ -279,7 +282,7 @@ def request_from_payload(payload: dict) -> CompileRequest:
             generate=payload.get("generate"),
             backend=str(payload.get("backend", "sherbrooke")),
             router=str(payload.get("router", "qlosure")),
-            seed=int(payload.get("seed", 0)),
+            seed=seed,
             placement=str(payload.get("placement", "identity")),
             placement_options=dict(payload.get("placement_options") or {}),
             validation=str(payload.get("validation", "none")),

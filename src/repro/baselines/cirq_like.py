@@ -29,8 +29,7 @@ class CirqLikeRouter(RoutingEngine):
     #: Maximum number of gates from the next slice taken into account.
     next_slice_size = 8
 
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        candidates = state.candidate_swaps()
+    def swap_costs(self, state: RoutingState, candidates: list) -> list[float]:
         front = state.unresolved_front()
         upcoming = state.upcoming_two_qubit(self.next_slice_size)
 
@@ -39,8 +38,7 @@ class CirqLikeRouter(RoutingEngine):
         weight = self.next_slice_weight
         last_swap = state.last_swap
 
-        best_cost = float("inf")
-        best: list[tuple[int, int]] = []
+        costs = []
         for candidate in candidates:
             a, b = candidate
             # Scaling the slice sum once rounds differently from weighting
@@ -50,10 +48,5 @@ class CirqLikeRouter(RoutingEngine):
             cost = front_sum(a, b) + weight * upcoming_sum(a, b)
             if candidate == last_swap:
                 cost += 0.5
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best = [candidate]
-            elif abs(cost - best_cost) <= 1e-12:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
+            costs.append(cost)
+        return costs

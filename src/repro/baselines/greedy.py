@@ -23,24 +23,17 @@ class GreedyDistanceRouter(RoutingEngine):
 
     name = "greedy-distance"
 
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        candidates = state.candidate_swaps()
+    def swap_costs(self, state: RoutingState, candidates: list) -> list[float]:
         front = state.unresolved_front()
 
         front_sum = PairDeltaScorer.for_gates(state, front).swapped_sum
         last_swap = state.last_swap
 
-        best_cost = float("inf")
-        best: list[tuple[int, int]] = []
+        costs = []
         for candidate in candidates:
             cost = float(front_sum(*candidate))
             if candidate == last_swap:
                 # Undoing the previous SWAP never makes progress; discourage it.
                 cost += 0.5
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best = [candidate]
-            elif abs(cost - best_cost) <= 1e-12:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
+            costs.append(cost)
+        return costs

@@ -9,7 +9,7 @@ candidate SWAPs with the cost::
 
 where ``W < 1`` weighs the look-ahead contribution and the decay factor
 discourages thrashing the same qubit.  ``LightSabreRouter`` uses the same
-cost and opens the engine's release valve (as the Qiskit implementation
+cost and opens the engine's release valve early (as the Qiskit implementation
 does: after 12 SWAPs without progress, SWAPs are forced along the shortest
 path of the closest front gate), which keeps runtimes low on adversarial
 instances.
@@ -66,9 +66,8 @@ class SabreRouter(RoutingEngine):
             frontier = next_frontier
         return extended
 
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
+    def swap_costs(self, state: RoutingState, candidates: list) -> list[float]:
         front = state.unresolved_front()
-        candidates = state.candidate_swaps()
         extended = self._extended_set(state)
 
         logical_at = state.layout.logical_at
@@ -79,10 +78,8 @@ class SabreRouter(RoutingEngine):
         weight = self.extended_set_weight
         decay_get = state.decay.get
 
-        best_cost = float("inf")
-        best: list[tuple[int, int]] = []
-        for candidate in candidates:
-            a, b = candidate
+        costs = []
+        for a, b in candidates:
             front_cost = front_sum(a, b) / front_size
             extended_cost = 0.0
             if extended_size:
@@ -90,14 +87,8 @@ class SabreRouter(RoutingEngine):
             decay_a = decay_get(logical_at[a], 1.0)
             decay_b = decay_get(logical_at[b], 1.0)
             max_decay = decay_a if decay_a >= decay_b else decay_b
-            cost = max_decay * (front_cost + extended_cost)
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best = [candidate]
-            elif abs(cost - best_cost) <= 1e-12:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
+            costs.append(max_decay * (front_cost + extended_cost))
+        return costs
 
 
 @register_router(

@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--retries", type=int, default=0, metavar="N",
-        help="extra attempts per failed request (deterministic seeded backoff)",
+        help="extra attempts per failed request, run back to back (no backoff)",
     )
     bench_parser.add_argument(
         "--trace-out", type=Path, default=None, metavar="FILE",
@@ -662,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--retries", type=int, default=0, metavar="N",
-        help="extra attempts per failed request (deterministic seeded backoff)",
+        help="extra attempts per failed request, run back to back (no backoff)",
     )
     serve_parser.add_argument(
         "--trace-out", type=Path, default=None, metavar="FILE",

@@ -19,7 +19,7 @@ only moves the gates with an operand on ``a`` or ``b``, so it scores as
 on the two swapped qubits), with no tentative layout materialised.  The
 base is summed layer by layer as the formula reads; the delta form can
 differ from a fresh per-layer summation in the last bits, which the
-router's ``1e-12`` tie tolerance absorbs, so the committed SWAP is the same.
+engine's ``1e-12`` tie tolerance absorbs, so the committed SWAP is the same.
 """
 
 from __future__ import annotations

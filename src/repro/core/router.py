@@ -2,9 +2,10 @@
 
 The router plugs the dependence-driven cost function into the shared
 execute-or-swap loop: at every stall it rebuilds the layered look-ahead
-window, scores every candidate SWAP with ``M(s)`` and commits the cheapest
-one (ties broken at random).  The SABRE-style decay values it multiplies in
-are the engine's ``state.decay`` table, bumped by ``config.decay_increment``.
+window and scores every candidate SWAP with ``M(s)``; the engine commits the
+cheapest one (ties broken at random).  The SABRE-style decay values it
+multiplies in are the engine's ``state.decay`` table, bumped by
+``config.decay_increment``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ class QlosureRouter(RoutingEngine):
     """Dependence-driven SWAP insertion using the ``M(s)`` cost function."""
 
     name = "qlosure"
-    #: Opens the engine's release valve.  Above the longest run of SWAPs
-    #: without an executed gate on any input that routes without the valve
-    #: (246, a 256-qubit QUEKO circuit), so it only breaks the cycles that
-    #: would otherwise run into the SWAP budget.
-    release_valve_threshold = 300
 
     def __init__(
         self,
@@ -68,9 +64,8 @@ class QlosureRouter(RoutingEngine):
 
     # -- SWAP selection ------------------------------------------------------------
 
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        """Score every candidate SWAP with ``M(s)`` and return the cheapest."""
-        candidates = state.candidate_swaps()
+    def swap_costs(self, state: RoutingState, candidates: list) -> list[float]:
+        """Score every candidate SWAP with ``M(s)``."""
         signature = state.front_signature()
         if signature != self._window_signature:
             self._window = build_lookahead(
@@ -84,15 +79,4 @@ class QlosureRouter(RoutingEngine):
             state.heuristic_cache_hits += 1
         window = self._window
         scorer = WindowScorer(state, window, self._weights, state.decay, self.config)
-        score = scorer.score
-        best_cost = float("inf")
-        best: list[tuple[int, int]] = []
-        for candidate in candidates:
-            cost = score(candidate)
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best = [candidate]
-            elif abs(cost - best_cost) <= 1e-12:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
+        return list(map(scorer.score, candidates))

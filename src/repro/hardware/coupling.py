@@ -132,7 +132,7 @@ class CouplingGraph:
                 self._distance_rows.get(source) or bfs_distances(self, source)
                 for source in range(self._num_qubits)
             ]
-            self._distance = FlatDistanceTable(self, rows)
+            self._distance = FlatDistanceTable(rows)
             self._distance_rows.clear()
         return self._distance
 

@@ -6,17 +6,14 @@ needed to make them adjacent plus one, and the quantity every distance-based
 routing cost (including Qlosure's) consumes.
 
 Routing evaluates millions of ``D[p1][p2]`` lookups, so the canonical storage
-is :class:`FlatDistanceTable`: one preallocated row-major ``array('i')``
-buffer built once per coupling graph and shared by every router targeting the
-device.  Row views (plain int lists materialised once from the flat buffer)
-keep the ``table[p1][p2]`` indexing of the original nested-list matrix working
-at full speed, so cost loops can bind ``row = table[p1]`` and hit only list
-indexing in the innermost loop.
+is :class:`FlatDistanceTable`: one int-list row per physical qubit, built once
+per coupling graph and shared by every router targeting the device.  Cost
+loops bind ``row = table[p1]`` (or the :attr:`FlatDistanceTable.rows` list
+itself) and hit only list indexing in the innermost loop.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import TYPE_CHECKING, Iterator
 
@@ -46,38 +43,20 @@ def distance_matrix(graph: "CouplingGraph") -> list[list[int]]:
 
 
 class FlatDistanceTable:
-    """Row-major all-pairs distance table backed by one flat ``array`` buffer.
+    """All-pairs distance table: one int list per source qubit.
 
-    The buffer is preallocated to ``n * n`` signed ints and filled with
-    repeated BFS; it is the single shared copy of ``Dphys`` for a device.
-    ``table[p1][p2]`` indexing (and row binding ``row = table[p1]``) is served
-    from per-row int-list views generated once from the buffer, which is the
-    fastest read path pure Python offers; the flat buffer itself backs
-    ``pair()`` scalar queries, ``tobytes()`` snapshots and cheap sharing
-    across routers.
+    :meth:`CouplingGraph.distance_table` builds it once per device with
+    repeated BFS; it is the single shared copy of ``Dphys``.  ``table[p1][p2]``
+    indexing (and row binding ``row = table[p1]``) reads the row lists, the
+    fastest read path pure Python offers.
     """
 
-    __slots__ = ("num_qubits", "buffer", "rows")
+    __slots__ = ("num_qubits", "rows")
 
-    def __init__(self, graph: "CouplingGraph", rows: list[list[int]] | None = None):
-        n = graph.num_qubits
-        self.num_qubits = n
-        if rows is None:
-            rows = [bfs_distances(graph, source) for source in range(n)]
-        buffer = array("i", bytes(array("i").itemsize * n * n))
-        for source, row in enumerate(rows):
-            buffer[source * n : (source + 1) * n] = array("i", row)
-        self.buffer = buffer
-        #: Per-row int-list views of ``buffer`` (hot-loop read path).
+    def __init__(self, rows: list[list[int]]):
+        self.num_qubits = len(rows)
+        #: One distance list per source qubit (hot-loop read path).
         self.rows = rows
-
-    def pair(self, a: int, b: int) -> int:
-        """Scalar distance lookup straight from the flat buffer."""
-        return self.buffer[a * self.num_qubits + b]
-
-    def tobytes(self) -> bytes:
-        """The raw row-major buffer (for hashing / serialisation)."""
-        return self.buffer.tobytes()
 
     def __getitem__(self, source: int) -> list[int]:
         return self.rows[source]
@@ -90,11 +69,6 @@ class FlatDistanceTable:
 
     def __repr__(self) -> str:
         return f"FlatDistanceTable(qubits={self.num_qubits})"
-
-
-def flat_distance_table(graph: "CouplingGraph") -> FlatDistanceTable:
-    """Build the shared flat distance table for ``graph`` (one BFS per qubit)."""
-    return FlatDistanceTable(graph)
 
 
 def shortest_path(graph: "CouplingGraph", source: int, target: int) -> list[int]:

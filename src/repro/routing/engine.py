@@ -9,16 +9,18 @@ outer loop, which matches Algorithm 1 of the paper:
    SWAP, which is applied to the layout and appended to the output circuit;
 3. repeat until every gate has been executed.
 
-Concrete routers override :meth:`RoutingEngine.select_swap` (their cost
-function) and optionally :meth:`RoutingEngine.on_circuit_start`.  Everything
-else about a stall belongs to the engine: the stall record on
-:class:`RoutingState` (``swaps_since_progress``, ``last_swap`` and the
-per-qubit ``decay`` table, all reset when a two-qubit gate executes), the
-release valve that routes the closest blocked front gate along a shortest
-path once ``release_valve_threshold`` SWAPs pass without progress (LightSABRE,
-Zou et al. 2024; 0 means never) and the forward/backward layout search of
-:meth:`RoutingEngine.bidirectional_layout` (SABRE's reverse traversal, Li et
-al. 2019).
+Concrete routers define :meth:`RoutingEngine.swap_costs` (their cost
+function, one cost per candidate SWAP) and optionally
+:meth:`RoutingEngine.on_circuit_start`.  Everything else about a stall
+belongs to the engine: the SWAP choice of :meth:`RoutingEngine.select_swap`,
+the stall record on :class:`RoutingState` (``swaps_since_progress``,
+``last_swap`` and the per-qubit ``decay`` table, all reset when a two-qubit
+gate executes), the release valve that routes the closest blocked front gate
+along a shortest path once ``release_valve_threshold`` SWAPs pass without
+progress (LightSABRE, Zou et al. 2024) and the forward/backward layout search
+of :meth:`RoutingEngine.bidirectional_layout` (SABRE's reverse traversal, Li
+et al. 2019).  tket's lexicographic key and qmap's A* search are other
+choice rules, so those two routers override ``select_swap`` instead.
 
 Incremental-state contract
 --------------------------
@@ -421,8 +423,11 @@ class RoutingEngine:
     #: Additive decay penalty per SWAP on each logical qubit it moves.
     decay_increment = 0.001
     #: SWAPs without an executed two-qubit gate before the release valve
-    #: opens (0 means never).
-    release_valve_threshold = 0
+    #: opens.  Above any router's longest run of SWAPs without an executed gate
+    #: on any input that routes without the valve (246, Qlosure on a 256-qubit
+    #: QUEKO circuit), so it only breaks the cycles that would otherwise run
+    #: into the SWAP budget.
+    release_valve_threshold = 300
 
     def __init__(self, coupling: CouplingGraph, seed: int = 0):
         if not coupling.is_connected():
@@ -433,9 +438,30 @@ class RoutingEngine:
 
     # -- router-specific policy ------------------------------------------------
 
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        """Pick the SWAP (physical qubit pair) to apply when no gate is executable."""
+    def swap_costs(
+        self, state: RoutingState, candidates: list[tuple[int, int]]
+    ) -> list[float]:
+        """The cost of every candidate SWAP, in candidate order (lower is better)."""
         raise NotImplementedError
+
+    def select_swap(self, state: RoutingState) -> tuple[int, int]:
+        """Pick the SWAP (physical qubit pair) to apply when no gate is executable.
+
+        The cheapest of :meth:`swap_costs` under a running best: a cost more
+        than 1e-12 below it starts a new tie list, one within 1e-12 joins the
+        list, and the engine RNG picks among two or more tied candidates.
+        """
+        candidates = state.candidate_swaps()
+        best_cost = float("inf")
+        best: list[tuple[int, int]] = []
+        for candidate, cost in zip(candidates, self.swap_costs(state, candidates)):
+            if cost < best_cost - 1e-12:
+                best_cost = cost
+                best = [candidate]
+            elif abs(cost - best_cost) <= 1e-12:
+                best.append(candidate)
+        state.cost_evaluations += len(candidates)
+        return best[0] if len(best) == 1 else self._rng.choice(best)
 
     def on_circuit_start(self, state: RoutingState) -> None:
         """Hook called once before routing starts (pre-computation)."""
@@ -473,7 +499,6 @@ class RoutingEngine:
         total_gates = len(dag.gate_indices)
         swap_budget = max(10_000, 20 * total_gates + 50 * self.coupling.num_qubits)
         swaps_applied = 0
-        threshold = self.release_valve_threshold
 
         while len(state.executed) < total_gates:
             progressed = self._execute_ready_gates(state)
@@ -484,7 +509,7 @@ class RoutingEngine:
             front = state.unresolved_front()
             if not front:
                 raise RouterError(f"{self.name} stalled with no unresolved front gates")
-            if threshold and state.swaps_since_progress >= threshold:
+            if state.swaps_since_progress >= self.release_valve_threshold:
                 swap = self._release_valve_swap(state, front)
             else:
                 swap = self.select_swap(state)

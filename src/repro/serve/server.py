@@ -22,8 +22,8 @@ priority queue (:mod:`repro.serve.queue`) applies explicit backpressure
 (HTTP 429 + ``Retry-After`` when full); ``workers`` asyncio tasks drain the
 queue and run the blocking pipeline in a thread pool via
 ``compile_many([request], workers=1, on_error="collect", ...)``, so
-per-request timeouts, retries with deterministic backoff, worker-crash
-reaping and fault injection behave identically to the CLI.  A miss compiles
+per-request timeouts, retries, worker-crash reaping and fault injection
+behave identically to the CLI.  A miss compiles
 with the cache off and is stored under the fingerprint admission computed,
 so each served request is fingerprinted and looked up once.
 
@@ -589,10 +589,11 @@ async def _read_request(reader) -> tuple[str, str, dict, object] | None:
             break
         name, _, value = line.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise ProtocolError("malformed Content-Length header") from None
+            # 1*DIGIT (RFC 9110): int() would also take "-5", "+5" and "1_0".
+            digits = value.strip()
+            if not (digits.isascii() and digits.isdigit()):
+                raise ProtocolError("malformed Content-Length header")
+            content_length = int(digits)
     if content_length > _MAX_BODY_BYTES:
         raise ProtocolError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
     raw_body = await reader.readexactly(content_length) if content_length else b""

@@ -324,6 +324,21 @@ class TestErrors:
             api_compile(request, cache=False)
         assert caught.value.phase == "request"
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True])
+    def test_non_int_seed_rejected_and_never_answers_another_seed(self, seed):
+        # The engine seeds its RNG with the value itself, so seed=1.5 routes
+        # differently from seed=1; it must neither compile nor share 1's entry.
+        from repro.api.cache import CompileCache
+
+        cache = CompileCache()
+        request = CompileRequest(generate="qft:12", backend="ankaa3", router="sabre", seed=1)
+        with pytest.raises(CompileError, match="seed must be an int") as caught:
+            api_compile(request.with_seed(seed), cache=cache)
+        assert caught.value.phase == "request"
+        routed = api_compile(request, cache=cache).routed_circuit.gates
+        assert cache.stats["memory_hits"] == 0
+        assert routed == api_compile(request, cache=False).routed_circuit.gates
+
     def test_router_construction_error_names_the_route_pass(self):
         # The router is built before the place pass (bidirectional passes
         # route with it), but failing to build it is still a route failure.

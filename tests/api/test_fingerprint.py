@@ -60,6 +60,13 @@ class TestSensitivity:
             f"mutating {field!r} must change the fingerprint"
         )
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True])
+    def test_non_int_seed_keys_apart_from_its_integer_part(self, seed):
+        base = base_request()
+        assert request_fingerprint(base.with_seed(seed)) != request_fingerprint(
+            base.with_seed(int(seed))
+        )
+
     def test_qasm_source_content_changes_the_fingerprint(self, tmp_path):
         path = tmp_path / "bell.qasm"
         path.write_text(BELL_QASM)

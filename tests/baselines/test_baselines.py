@@ -68,8 +68,12 @@ class TestSabreSpecifics:
         assert result.swaps_added > 0
 
     def test_lightsabre_release_valve_configured(self):
-        assert LightSabreRouter.release_valve_threshold > 0
-        assert SabreRouter.release_valve_threshold == 0
+        # LightSABRE opens the valve early as part of its algorithm; every
+        # other router keeps the engine's default.
+        assert LightSabreRouter.release_valve_threshold == 12
+        for router_cls in ALL_ROUTERS:
+            if router_cls is not LightSabreRouter:
+                assert router_cls.release_valve_threshold == 300
 
     def test_decay_reset_on_execution(self, line5):
         router = SabreRouter(line5)

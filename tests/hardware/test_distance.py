@@ -3,13 +3,7 @@
 import pytest
 
 from repro.hardware.coupling import CouplingGraph
-from repro.hardware.distance import (
-    FlatDistanceTable,
-    bfs_distances,
-    distance_matrix,
-    flat_distance_table,
-    shortest_path,
-)
+from repro.hardware.distance import bfs_distances, distance_matrix, shortest_path
 from repro.hardware.topologies import grid_topology, line_topology
 
 
@@ -50,23 +44,14 @@ class TestBfsDistances:
 class TestFlatDistanceTable:
     def test_matches_nested_matrix(self):
         grid = grid_topology(3, 4)
-        table = flat_distance_table(grid)
+        table = grid.distance_table()
         nested = distance_matrix(grid)
-        n = grid.num_qubits
-        for a in range(n):
+        for a in range(grid.num_qubits):
             assert table[a] == nested[a]
-            for b in range(n):
-                assert table.pair(a, b) == nested[a][b]
-
-    def test_flat_buffer_is_row_major(self):
-        line = line_topology(4)
-        table = FlatDistanceTable(line)
-        assert list(table.buffer) == [d for row in distance_matrix(line) for d in row]
-        assert len(table.tobytes()) == table.buffer.itemsize * 16
 
     def test_iteration_and_len(self):
         line = line_topology(3)
-        table = flat_distance_table(line)
+        table = line.distance_table()
         assert len(table) == 3
         assert [row[0] for row in table] == [0, 1, 2]
 

@@ -1,5 +1,7 @@
 """Tests for the shared routing engine."""
 
+import random
+
 import pytest
 
 from repro.baselines.greedy import GreedyDistanceRouter
@@ -24,7 +26,7 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             router.run(QuantumCircuit(6))
 
-    def test_abstract_select_swap(self, line5):
+    def test_abstract_swap_costs(self, line5):
         engine = RoutingEngine(line5)
         circuit = QuantumCircuit(3)
         circuit.cx(0, 2)
@@ -107,6 +109,58 @@ class TestStateQueries:
         circuit.cx(1, 2)
         result = GreedyDistanceRouter(line5).run(circuit)
         assert result.swaps_added == 0
+
+
+class FixedCostRouter(RoutingEngine):
+    """The engine's choice rule over one fixed cost per candidate."""
+
+    def __init__(self, coupling, costs, seed=0):
+        super().__init__(coupling, seed)
+        self.costs = costs
+
+    def swap_costs(self, state, candidates):
+        assert len(candidates) == len(self.costs)
+        return list(self.costs)
+
+
+class TestChoiceRule:
+    """``select_swap``: a running-best argmin with a 1e-12 tie tolerance."""
+
+    def stalled_state(self, line5):
+        # cx(0, 2) on a line under the identity layout: the candidate SWAPs
+        # are the three edges touching physical qubits 0 and 2.
+        circuit = QuantumCircuit(5)
+        circuit.cx(0, 2)
+        dag = CircuitDAG(circuit)
+        state = RoutingState(
+            circuit=circuit,
+            coupling=line5,
+            dag=dag,
+            layout=Layout.trivial(5, 5),
+            distance=line5.distance_table(),
+            pending_predecessors={0: 0},
+            front={0},
+        )
+        assert state.candidate_swaps() == [(0, 1), (1, 2), (2, 3)]
+        return state
+
+    def test_near_tie_chain_keeps_only_the_last_link(self, line5):
+        # 1.0 - 0.6e-12 ties with 1.0; 1.0 - 1.2e-12 is below 1.0 by more
+        # than the tolerance and starts a new tie list.  "Global minimum,
+        # then everything within 1e-12 of it" would keep two candidates.
+        router = FixedCostRouter(line5, [1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12])
+        state = self.stalled_state(line5)
+        rng_state = router._rng.getstate()
+        assert router.select_swap(state) == (2, 3)
+        assert router._rng.getstate() == rng_state
+        assert state.cost_evaluations == 3
+
+    def test_exact_ties_are_broken_by_the_engine_rng(self, line5):
+        router = FixedCostRouter(line5, [2.0, 1.0, 1.0], seed=5)
+        state = self.stalled_state(line5)
+        expected = random.Random(5).choice([(1, 2), (2, 3)])
+        assert router.select_swap(state) == expected
+        assert router._rng.getstate() != random.Random(5).getstate()
 
 
 class RecordingRouter(GreedyDistanceRouter):

@@ -134,6 +134,20 @@ class TestServedParity:
         assert status == 200
         assert "counters" in metrics and "cache" in metrics
 
+    @pytest.mark.parametrize("length", ["-5", "abc", "1_0"])
+    def test_bad_content_length_is_a_400(self, server, length):
+        connection = http.client.HTTPConnection("127.0.0.1", server._port, timeout=60)
+        try:
+            connection.putrequest("POST", "/v1/compile")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(json.dumps(compile_body()).encode())
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "Content-Length" in body["error"]["message"]
+
     def test_unknown_path_is_404_over_http(self, server):
         status, body, _ = server.request("GET", "/nope")
         assert status == 404

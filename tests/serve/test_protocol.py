@@ -97,8 +97,13 @@ class TestRequestPayloadRejections:
             )
 
     def test_non_finite_seed_is_rejected(self):
-        with pytest.raises(SerializationError, match="infinity"):
+        with pytest.raises(SerializationError, match="seed must be an integer"):
             request_from_payload(json.loads('{"generate": "ghz:4", "seed": 1e400}'))
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "3"])
+    def test_non_integer_seed_is_rejected(self, seed):
+        with pytest.raises(SerializationError, match="seed must be an integer"):
+            request_from_payload({"generate": "ghz:4", "seed": seed})
 
     def test_version_mismatch_is_rejected(self):
         with pytest.raises(SerializationError, match="version"):

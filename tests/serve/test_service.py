@@ -117,7 +117,7 @@ class TestCompileEndpoint:
 
         response = run(with_service(ServeConfig(), scenario))
         assert response.status == 400
-        assert "infinity" in response.body["error"]["message"]
+        assert "seed must be an integer" in response.body["error"]["message"]
 
     def test_malformed_circuit_table_is_a_structured_400(self):
         body = request_to_payload(
