@@ -294,6 +294,7 @@ def _metrics(
     routing,
     timings: dict[str, float],
 ) -> dict:
+    routed_depth = routing.routed_depth  # one depth pass over the routed circuit
     return {
         "circuit": request.label or circuit.name,
         "backend": coupling.name,
@@ -305,8 +306,8 @@ def _metrics(
         "two_qubit_gates": two_qubit_gate_count(circuit),
         "initial_depth": routing.original_depth,
         "swaps": routing.swaps_added,
-        "routed_depth": routing.routed_depth,
-        "depth_overhead": routing.depth_overhead,
+        "routed_depth": routed_depth,
+        "depth_overhead": routed_depth - routing.original_depth,
         "cost_evaluations": routing.cost_evaluations,
         "runtime_seconds": round(timings["route"], 6),
     }

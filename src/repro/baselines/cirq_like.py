@@ -29,9 +29,12 @@ class CirqLikeRouter(RoutingEngine):
     #: Maximum number of gates from the next slice taken into account.
     next_slice_size = 8
 
+    def on_front_layer(self, state: RoutingState) -> None:
+        self._upcoming = state.upcoming_two_qubit(self.next_slice_size)
+
     def swap_costs(self, state: RoutingState, candidates: list) -> list[float]:
         front = state.unresolved_front()
-        upcoming = state.upcoming_two_qubit(self.next_slice_size)
+        upcoming = self._upcoming
 
         front_sum = PairDeltaScorer.for_gates(state, front).swapped_sum
         upcoming_sum = PairDeltaScorer.for_gates(state, upcoming).swapped_sum

@@ -14,11 +14,11 @@ does: after 12 SWAPs without progress, SWAPs are forced along the shortest
 path of the closest front gate), which keeps runtimes low on adversarial
 instances.
 
-Both layer sums are scored with one
-:class:`~repro.routing.engine.PairDeltaScorer` each, built per stall, so a
-candidate only re-reads the pairs on its two qubits; no tentative layout is
-materialised per candidate.  The decay values are the engine's
-``state.decay`` table.
+The extended set is built once per front layer (``on_front_layer``).  Both
+layer sums are scored with one :class:`~repro.routing.engine.PairDeltaScorer`
+each, built per stall, so a candidate only re-reads the pairs on its two
+qubits; no tentative layout is materialised per candidate.  The decay values
+are the engine's ``state.decay`` table.
 """
 
 from __future__ import annotations
@@ -66,9 +66,12 @@ class SabreRouter(RoutingEngine):
             frontier = next_frontier
         return extended
 
+    def on_front_layer(self, state: RoutingState) -> None:
+        self._extended = self._extended_set(state)
+
     def swap_costs(self, state: RoutingState, candidates: list) -> list[float]:
         front = state.unresolved_front()
-        extended = self._extended_set(state)
+        extended = self._extended
 
         logical_at = state.layout.logical_at
         front_sum = PairDeltaScorer.for_gates(state, front).swapped_sum

@@ -27,13 +27,15 @@ class TketLikeRouter(RoutingEngine):
     #: Weight of the look-ahead contribution in the tie-breaking sum.
     lookahead_weight = 0.25
 
+    def on_front_layer(self, state: RoutingState) -> None:
+        self._upcoming = state.upcoming_two_qubit(self.lookahead_size)
+
     def select_swap(self, state: RoutingState) -> tuple[int, int]:
         candidates = state.candidate_swaps()
         front = PairDeltaScorer.for_gates(state, state.unresolved_front())
         front_longest = front.swapped_longest
         front_sum = front.swapped_sum
-        upcoming = state.upcoming_two_qubit(self.lookahead_size)
-        upcoming_sum = PairDeltaScorer.for_gates(state, upcoming).swapped_sum
+        upcoming_sum = PairDeltaScorer.for_gates(state, self._upcoming).swapped_sum
         weight = self.lookahead_weight
         last_swap = state.last_swap
 

@@ -28,17 +28,20 @@ class CircuitDAG:
             for idx, gate in enumerate(gates)
             if not gate.is_barrier and (include_single_qubit or gate.is_two_qubit)
         ]
-        self._successors: dict[int, list[int]] = {i: [] for i in self._gate_indices}
-        self._predecessors: dict[int, list[int]] = {i: [] for i in self._gate_indices}
+        successors: dict[int, list[int]] = {i: [] for i in self._gate_indices}
+        predecessors: dict[int, list[int]] = {i: [] for i in self._gate_indices}
         last_on_qubit: dict[int, int] = {}
         for idx in self._gate_indices:
             for qubit in gates[idx].qubits:
                 if qubit in last_on_qubit:
                     prev = last_on_qubit[qubit]
-                    if idx not in self._successors[prev]:
-                        self._successors[prev].append(idx)
-                        self._predecessors[idx].append(prev)
+                    if idx not in successors[prev]:
+                        successors[prev].append(idx)
+                        predecessors[idx].append(prev)
                 last_on_qubit[qubit] = idx
+        # Frozen once: the neighbour queries hand out these tuples uncopied.
+        self._successors = {i: tuple(s) for i, s in successors.items()}
+        self._predecessors = {i: tuple(p) for i, p in predecessors.items()}
         self._position = {
             index: pos for pos, index in enumerate(self._gate_indices)
         }
@@ -65,11 +68,11 @@ class CircuitDAG:
 
     def successors(self, index: int) -> tuple[int, ...]:
         """Immediate successors (gates that depend directly on ``index``)."""
-        return tuple(self._successors[index])
+        return self._successors[index]
 
     def predecessors(self, index: int) -> tuple[int, ...]:
         """Immediate predecessors of ``index``."""
-        return tuple(self._predecessors[index])
+        return self._predecessors[index]
 
     # -- classic DAG queries -------------------------------------------------
 

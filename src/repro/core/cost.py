@@ -11,15 +11,16 @@ the front layer, ``omega_g`` the transitive dependence weight (at least 1),
 of the logical qubits the SWAP moves.  The ablation switches in
 :class:`~repro.core.config.QlosureConfig` disable individual factors.
 
-:class:`WindowScorer` computes the layer sum ``base`` once per stall and
-indexes every window gate by its two physical operands, with its weight
-``w = omega_g / (l * |G_l|)`` and current distance.  A candidate ``(a, b)``
-only moves the gates with an operand on ``a`` or ``b``, so it scores as
-``(base + sum w * (new - old)) * max(delta)`` over those entries: O(gates
-on the two swapped qubits), with no tentative layout materialised.  The
-base is summed layer by layer as the formula reads; the delta form can
-differ from a fresh per-layer summation in the last bits, which the
-engine's ``1e-12`` tie tolerance absorbs, so the committed SWAP is the same.
+:class:`WindowScorer` lives for one look-ahead window (one front layer).  It
+lists the window's gates once, with their weight ``w = omega_g / (l * |G_l|)``,
+indexed by *logical* operand; :meth:`WindowScorer.rebase` reads their current
+distances and sums ``base`` layer by layer, as the formula reads, once per
+stall.  A candidate ``(a, b)`` only moves the gates with an operand on ``a``
+or ``b``, so it scores as ``(base + sum w * (new - old)) * max(delta)`` over
+the entries of the two logical qubits there: O(gates on the two swapped
+qubits), with no tentative layout materialised.  The delta form can differ
+from a fresh per-layer summation in the last bits, which the engine's
+``1e-12`` tie tolerance absorbs, so the committed SWAP is the same.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def tentative_physical(
 
 
 class WindowScorer:
-    """Incremental evaluator of ``M(s)`` over a fixed look-ahead window."""
+    """``M(s)`` over one look-ahead window; :meth:`rebase` at each stall, then score."""
 
     def __init__(
         self,
@@ -58,40 +59,54 @@ class WindowScorer:
     ):
         self._state = state
         self._decay = decay if config.use_decay else None
-        distance = self._distance = state.distance_rows()
-        # Physical qubit -> ``(other endpoint, w, old distance)`` per window
-        # gate on it, where ``w`` is the gate's term weight in the layer sum.
-        # The distances are memoised at build time -- the scorer lives for
-        # exactly one stall, during which the layout is frozen.
-        touching: defaultdict[int, list[tuple[int, float, int]]] = defaultdict(list)
-        phys_of = state.layout.phys_of
+        self._normalize = normalize = config.use_layer_normalization
         op_pairs = state.op_pairs
         use_weights = config.use_dependence_weights
         use_discount = config.use_layer_discount
-        normalize = config.use_layer_normalization
         weights_get = weights.get
-        base = 0.0
+        # Per layer, ``(q1, q2, factor)`` per gate; per logical qubit,
+        # ``(other operand, w, slot)`` per window gate on it, where ``w`` is
+        # the gate's term weight in the layer sum and ``slot`` its position.
+        layers: list[list[tuple[int, int, float]]] = []
+        partners: defaultdict[int, list[tuple[int, float, int]]] = defaultdict(list)
+        slot = 0
         for layer_index, layer in enumerate(window.layers, start=1):
             if not layer:
                 continue
             size = len(layer)
-            gamma = 0.0
+            gates = []
             for gate_index in layer:
                 q1, q2 = op_pairs[gate_index]
-                p1 = phys_of[q1]
-                p2 = phys_of[q2]
                 omega = weights_get(gate_index, 0) if use_weights else 1
                 factor = float(omega) if omega > 1 else 1.0
                 if use_discount:
                     factor /= layer_index
-                old = distance[p1][p2]
-                gamma += factor * old
+                gates.append((q1, q2, factor))
                 w = factor / size if normalize else factor
-                touching[p1].append((p2, w, old))
-                touching[p2].append((p1, w, old))
-            base += gamma / size if normalize else gamma
+                partners[q1].append((q2, w, slot))
+                partners[q2].append((q1, w, slot))
+                slot += 1
+            layers.append(gates)
+        self._layers = layers
+        self._partners = partners
+
+    def rebase(self) -> None:
+        """Read the window's distances under the current layout (once per stall)."""
+        state = self._state
+        distance = self._distance = state.distance_rows()
+        phys_of = self._phys_of = state.layout.phys_of
+        self._logical_at = state.layout.logical_at
+        normalize = self._normalize
+        old = self._old = []
+        base = 0.0
+        for gates in self._layers:
+            gamma = 0.0
+            for q1, q2, factor in gates:
+                current = distance[phys_of[q1]][phys_of[q2]]
+                old.append(current)
+                gamma += factor * current
+            base += gamma / len(gates) if normalize else gamma
         self._base = base
-        self._touching = touching
 
     def base_score(self) -> float:
         """The layer-sum part of the score under the *current* mapping (no SWAP)."""
@@ -100,27 +115,33 @@ class WindowScorer:
     def score(self, swap: tuple[int, int]) -> float:
         """Evaluate ``M(swap)`` against the window."""
         p1, p2 = swap
-        touching = self._touching
+        partners = self._partners
+        phys_of = self._phys_of
+        old = self._old
+        logical_at = self._logical_at
+        q1 = logical_at[p1]
+        q2 = logical_at[p2]
         delta = 0.0
-        entries = touching.get(p1)
+        entries = partners.get(q1)
         if entries:
             row = self._distance[p2]
-            for other, w, old in entries:
+            for other, w, slot in entries:
+                other = phys_of[other]
                 if other != p2:
-                    delta += w * (row[other] - old)
-        entries = touching.get(p2)
+                    delta += w * (row[other] - old[slot])
+        entries = partners.get(q2)
         if entries:
             row = self._distance[p1]
-            for other, w, old in entries:
+            for other, w, slot in entries:
+                other = phys_of[other]
                 if other != p1:
-                    delta += w * (row[other] - old)
+                    delta += w * (row[other] - old[slot])
         layer_sum = self._base + delta
         decay = self._decay
         if decay is None:
             return layer_sum
-        logical_at = self._state.layout.logical_at
-        d1 = decay.get(logical_at[p1], 1.0)
-        d2 = decay.get(logical_at[p2], 1.0)
+        d1 = decay.get(q1, 1.0)
+        d2 = decay.get(q2, 1.0)
         return (d1 if d1 >= d2 else d2) * layer_sum
 
 
@@ -135,7 +156,9 @@ def swap_cost(
     """Evaluate the composite cost ``M(s)`` of a single candidate SWAP.
 
     Convenience wrapper over :class:`WindowScorer` for callers scoring one
-    candidate at a time (tests, documentation examples); the router uses a
-    shared scorer per stall for efficiency.
+    candidate at a time (tests, documentation examples); the router keeps
+    one scorer per window for efficiency.
     """
-    return WindowScorer(state, window, weights, decay, config).score(swap)
+    scorer = WindowScorer(state, window, weights, decay, config)
+    scorer.rebase()
+    return scorer.score(swap)

@@ -11,7 +11,6 @@ the window (they still participate in the dependence structure).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.routing.engine import RoutingState
@@ -67,50 +66,41 @@ def build_lookahead(
     is one plus the maximum layer of its in-window predecessors.
     """
     is_2q = state.is_2q
-    front_two_qubit = [index for index in sorted(state.front) if is_2q[index]]
+    front = sorted(state.front)
+    front_two_qubit = [index for index in front if is_2q[index]]
     if front_only or not front_two_qubit:
         return LookaheadWindow([front_two_qubit] if front_two_qubit else [])
 
     target = window_size(state, lookahead_constant, cap)
-    level: dict[int, int] = {}  # window gate -> layer
-    collected_two_qubit = 0
+    collected_two_qubit = len(front_two_qubit)
+    layers = [front_two_qubit]
 
-    # Seed with every unexecuted front gate (level 1).
-    queue: deque[int] = deque()
-    for index in sorted(state.front):
-        level[index] = 1
-        queue.append(index)
-        if is_2q[index]:
-            collected_two_qubit += 1
-
-    # Expand in topological order while the two-qubit budget lasts.  A
-    # successor's unexecuted predecessors are counted by the engine already
-    # (``pending_predecessors``); window gates are unexecuted, so their
-    # successors are too.
+    # Expand layer by layer while the two-qubit budget lasts.  A gate joins
+    # once its last unexecuted predecessor (``pending_predecessors``) is in the
+    # window, one layer below it: layers expand in order, so that one is the
+    # deepest.
     pending = state.pending_predecessors
     successors_of = state.dag.successors
-    predecessors_of = state.dag.predecessors
     remaining_preds: dict[int, int] = {}
-    while queue and collected_two_qubit < target:
-        current = queue.popleft()
-        for successor in successors_of(current):
-            if successor in level:
-                continue
-            remaining = remaining_preds.get(successor, pending[successor]) - 1
-            remaining_preds[successor] = remaining
-            if remaining > 0:
-                continue
-            level[successor] = 1 + max(
-                (level[p] for p in predecessors_of(successor) if p in level), default=0
-            )
-            queue.append(successor)
-            if is_2q[successor]:
-                collected_two_qubit += 1
-                if collected_two_qubit >= target:
-                    break
-
-    layers: dict[int, list[int]] = {}
-    for index, lvl in level.items():
-        if is_2q[index]:
-            layers.setdefault(lvl, []).append(index)
-    return LookaheadWindow([sorted(layers[lvl]) for lvl in sorted(layers)])
+    frontier = front
+    while frontier and collected_two_qubit < target:
+        next_frontier: list[int] = []
+        layer: list[int] = []
+        for current in frontier:
+            for successor in successors_of(current):
+                remaining = remaining_preds.get(successor, pending[successor]) - 1
+                remaining_preds[successor] = remaining
+                if remaining > 0:
+                    continue
+                next_frontier.append(successor)
+                if is_2q[successor]:
+                    layer.append(successor)
+                    collected_two_qubit += 1
+                    if collected_two_qubit >= target:
+                        break
+            if collected_two_qubit >= target:
+                break
+        if layer:
+            layers.append(sorted(layer))
+        frontier = next_frontier
+    return LookaheadWindow(layers)

@@ -1,11 +1,11 @@
 """The Qlosure routing engine (Algorithm 1 of the paper).
 
 The router plugs the dependence-driven cost function into the shared
-execute-or-swap loop: at every stall it rebuilds the layered look-ahead
-window and scores every candidate SWAP with ``M(s)``; the engine commits the
-cheapest one (ties broken at random).  The SABRE-style decay values it
-multiplies in are the engine's ``state.decay`` table, bumped by
-``config.decay_increment``.
+execute-or-swap loop: once per front layer it builds the layered look-ahead
+window and the window's scorer, and at every stall of that layer it scores
+every candidate SWAP with ``M(s)``; the engine commits the cheapest one
+(ties broken at random).  The SABRE-style decay values it multiplies in are
+the engine's ``state.decay`` table, bumped by ``config.decay_increment``.
 """
 
 from __future__ import annotations
@@ -41,13 +41,7 @@ class QlosureRouter(RoutingEngine):
             coupling.max_degree()
         )
         self._weights: dict[int, int] = {}
-        # Look-ahead window memoised by front signature: the window is a
-        # function of the front layer and the executed set alone (its size
-        # counts distinct *logical* operands, and layering ignores
-        # connectivity), both frozen while a stall episode commits SWAPs, so
-        # consecutive stalls on the same front reuse it verbatim.
-        self._window_signature: tuple[int, ...] | None = None
-        self._window = None
+        self._scorer: WindowScorer | None = None
 
     # -- engine hooks -----------------------------------------------------------
 
@@ -59,24 +53,27 @@ class QlosureRouter(RoutingEngine):
         Eq. 1 is the test oracle these counts are checked against.
         """
         self._weights = state.dag.descendant_counts()
-        self._window_signature = None
-        self._window = None
+
+    def on_front_layer(self, state: RoutingState) -> None:
+        """Build the layer's look-ahead window and its ``M(s)`` scorer.
+
+        The window's size counts the front's operands and its layering ignores
+        connectivity, so SWAPs leave it unchanged for the rest of the layer.
+        """
+        window = build_lookahead(
+            state,
+            self._lookahead_constant,
+            cap=self.config.max_lookahead_gates,
+            front_only=self.config.lookahead_only_front,
+        )
+        self._scorer = WindowScorer(
+            state, window, self._weights, state.decay, self.config
+        )
 
     # -- SWAP selection ------------------------------------------------------------
 
     def swap_costs(self, state: RoutingState, candidates: list) -> list[float]:
         """Score every candidate SWAP with ``M(s)``."""
-        signature = state.front_signature()
-        if signature != self._window_signature:
-            self._window = build_lookahead(
-                state,
-                self._lookahead_constant,
-                cap=self.config.max_lookahead_gates,
-                front_only=self.config.lookahead_only_front,
-            )
-            self._window_signature = signature
-        else:
-            state.heuristic_cache_hits += 1
-        window = self._window
-        scorer = WindowScorer(state, window, self._weights, state.decay, self.config)
+        scorer = self._scorer
+        scorer.rebase()
         return list(map(scorer.score, candidates))

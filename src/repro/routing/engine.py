@@ -11,7 +11,9 @@ outer loop, which matches Algorithm 1 of the paper:
 
 Concrete routers define :meth:`RoutingEngine.swap_costs` (their cost
 function, one cost per candidate SWAP) and optionally
-:meth:`RoutingEngine.on_circuit_start`.  Everything else about a stall
+:meth:`RoutingEngine.on_circuit_start` and
+:meth:`RoutingEngine.on_front_layer`, where a router builds its look-ahead
+once per front layer.  Everything else about a stall
 belongs to the engine: the SWAP choice of :meth:`RoutingEngine.select_swap`,
 the stall record on :class:`RoutingState` (``swaps_since_progress``,
 ``last_swap`` and the per-qubit ``decay`` table, all reset when a two-qubit
@@ -47,21 +49,24 @@ on every query.  Heuristics plugged into the engine must respect these rules:
   qubit operands of gate ``i`` (``None`` for single-qubit gates and
   barriers) and ``state.is_2q[i]`` flags exactly-two-qubit gates; cost loops
   should consume these instead of re-reading ``Gate`` objects.
-* **Per-layer memoisation.**  :meth:`RoutingState.front_pairs` returns the
-  *logical* operand pairs of the unresolved front gates as a cached list
-  (same order as :meth:`RoutingState.unresolved_front`), and
-  :meth:`RoutingState.front_signature` a hashable key identifying the
-  current front layer.  Search-based heuristics should key any
-  memoisation that must survive a committed SWAP (layouts change, the
-  front layer does not) on the signature instead of recomputing
-  per-layer tables from scratch.
+* **Per-layer memoisation.**  A *front layer* lasts from the first stall
+  after a gate executes to the next executed gate.  SWAPs change neither the
+  front nor the executed set, so routers build a look-ahead from them
+  (Qlosure's window, SABRE's extended set, cirq's and tket's next slice) in
+  :meth:`RoutingEngine.on_front_layer`, called before the layer's first SWAP
+  choice.  For a router that overrides it, each later stall that reaches
+  ``select_swap`` counts as a ``heuristic_cache_hits``.
+  :meth:`RoutingState.front_pairs` caches the *logical* operand pairs of the
+  unresolved front gates.
 * **Delta scoring.**  Distance-sum costs score candidates with a
   :class:`PairDeltaScorer` built once per stall from the current physical
   operand pairs: a SWAP ``(a, b)`` only moves the pairs with an endpoint on
   ``a`` or ``b``, so each candidate costs O(pairs on two qubits) instead of
   a re-summation of the whole front and look-ahead.  Integer distances make
   the delta sum equal to a fresh summation, so the committed SWAP is the
-  same.
+  same.  Qlosure's :class:`~repro.core.cost.WindowScorer` indexes its
+  window by logical qubit once per layer and re-reads the distances once
+  per stall.
 
 Replaying the same seed against the same circuit and device reproduces the
 emitted gate sequence bit for bit: caches only memoise what the non-cached
@@ -365,18 +370,6 @@ class RoutingState:
             self._refresh_front()
         return self._front_pairs
 
-    def front_signature(self) -> tuple[int, ...]:
-        """Hashable identity of the current front layer (memoisation key).
-
-        Two states with equal signatures have the same unresolved gates in
-        the same order; per-layer tables (heuristic rows, candidate
-        expansions) keyed on the signature stay valid across the SWAPs
-        committed while the layer is being resolved.
-        """
-        if self._front_dirty:
-            self._refresh_front()
-        return tuple(self._unresolved)
-
     def upcoming_two_qubit(self, limit: int) -> list[int]:
         """Up to ``limit`` two-qubit gates that become ready right after the front layer.
 
@@ -466,6 +459,13 @@ class RoutingEngine:
     def on_circuit_start(self, state: RoutingState) -> None:
         """Hook called once before routing starts (pre-computation)."""
 
+    def on_front_layer(self, state: RoutingState) -> None:
+        """Hook called before the first SWAP choice of each front layer.
+
+        The front and the executed set stay fixed until the next gate
+        executes, so a look-ahead built here serves every stall of the layer.
+        """
+
     # -- main loop ----------------------------------------------------------------
 
     def run(
@@ -499,12 +499,16 @@ class RoutingEngine:
         total_gates = len(dag.gate_indices)
         swap_budget = max(10_000, 20 * total_gates + 50 * self.coupling.num_qubits)
         swaps_applied = 0
+        # A router without a per-layer look-ahead reuses nothing at a stall.
+        memoises = type(self).on_front_layer is not RoutingEngine.on_front_layer
+        layer_started = False
 
         while len(state.executed) < total_gates:
             progressed = self._execute_ready_gates(state)
             if len(state.executed) >= total_gates:
                 break
             if progressed:
+                layer_started = False
                 continue
             front = state.unresolved_front()
             if not front:
@@ -512,6 +516,11 @@ class RoutingEngine:
             if state.swaps_since_progress >= self.release_valve_threshold:
                 swap = self._release_valve_swap(state, front)
             else:
+                if not layer_started:
+                    self.on_front_layer(state)
+                    layer_started = True
+                elif memoises:
+                    state.heuristic_cache_hits += 1
                 swap = self.select_swap(state)
             self._apply_swap(state, swap)
             swaps_applied += 1

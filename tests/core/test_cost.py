@@ -4,16 +4,27 @@ import random
 
 import pytest
 
+from repro.analysis.perf_trajectory import smoke_fixture
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.config import QlosureConfig
 from repro.core.cost import WindowScorer, swap_cost, tentative_physical
+from repro.core.error_aware import ErrorAwareQlosureRouter
 from repro.core.lookahead import LookaheadWindow, build_lookahead
+from repro.core.router import QlosureRouter
+from repro.hardware.backends import sherbrooke
 from repro.hardware.topologies import line_topology
 from repro.routing.layout import Layout
 
 from tests.core.test_lookahead import make_state
 from tests.routing.test_astar_properties import random_connected_coupling
+
+
+def scorer_at(state, window, weights, decay, config) -> WindowScorer:
+    """A scorer for ``window``, re-based at the state's current layout."""
+    scorer = WindowScorer(state, window, weights, decay, config)
+    scorer.rebase()
+    return scorer
 
 
 def blocked_cnot_state(num_qubits: int = 5):
@@ -97,8 +108,8 @@ class TestLayerFactors:
         config_without = QlosureConfig(
             use_decay=False, use_dependence_weights=False, use_layer_discount=False
         )
-        scorer_with = WindowScorer(state, window, {}, {}, config_with)
-        scorer_without = WindowScorer(state, window, {}, {}, config_without)
+        scorer_with = scorer_at(state, window, {}, {}, config_with)
+        scorer_without = scorer_at(state, window, {}, {}, config_without)
         # Discounting only shrinks the second layer's contribution.
         assert scorer_with.base_score() < scorer_without.base_score()
 
@@ -113,8 +124,8 @@ class TestLayerFactors:
         config_raw = QlosureConfig(
             use_decay=False, use_dependence_weights=False, use_layer_normalization=False
         )
-        normalized = WindowScorer(state, window, {}, {}, config_norm).base_score()
-        raw = WindowScorer(state, window, {}, {}, config_raw).base_score()
+        normalized = scorer_at(state, window, {}, {}, config_norm).base_score()
+        raw = scorer_at(state, window, {}, {}, config_raw).base_score()
         assert normalized == pytest.approx(raw / 2)
 
 
@@ -130,7 +141,7 @@ class TestWindowScorer:
         weights = {0: 3, 1: 2, 2: 1}
         decay = {q: 1.0 + 0.01 * q for q in range(7)}
         config = QlosureConfig()
-        scorer = WindowScorer(state, window, weights, decay, config)
+        scorer = scorer_at(state, window, weights, decay, config)
         for candidate in state.candidate_swaps():
             direct = swap_cost(state, candidate, window, weights, decay, config)
             assert scorer.score(candidate) == pytest.approx(direct)
@@ -139,9 +150,22 @@ class TestWindowScorer:
         state = blocked_cnot_state(6)
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=False)
-        scorer = WindowScorer(state, window, {0: 1}, {}, config)
+        scorer = scorer_at(state, window, {0: 1}, {}, config)
         # A swap between empty far-away qubits leaves every window gate alone.
         assert scorer.score((2, 3)) == pytest.approx(scorer.base_score())
+
+    def test_rebase_follows_the_layout(self):
+        state = blocked_cnot_state(6)
+        window = build_lookahead(state, lookahead_constant=3)
+        config = QlosureConfig(use_decay=False)
+        scorer = scorer_at(state, window, {0: 1}, {}, config)
+        assert scorer.base_score() == 5.0
+        state.layout.swap_physical(0, 1)
+        # The index is per window; the distances are read per stall.
+        assert scorer.base_score() == 5.0
+        scorer.rebase()
+        assert scorer.base_score() == 4.0
+        assert scorer.score((1, 2)) == 3.0
 
 
 #: Every ablation of the cost, and each factor switched off on its own.
@@ -224,10 +248,68 @@ class TestScorerOracle:
             for logical in range(state.circuit.num_qubits)
         }
         scorer = WindowScorer(state, window, weights, decay, config)
-        assert scorer.base_score() == pytest.approx(
-            brute_force_layer_sum(state, None, window, weights, config), rel=1e-12
-        )
-        for a, b in state.coupling.edges():
-            for swap in ((a, b), (b, a)):
-                expected = brute_force_cost(state, swap, window, weights, decay, config)
-                assert scorer.score(swap) == pytest.approx(expected, rel=1e-12)
+        edges = state.coupling.edges()
+        # One scorer for the window: re-based after SWAPs, as at the later
+        # stalls of a front layer.
+        for stall in range(3):
+            if stall:
+                state.layout.swap_physical(*rng.choice(edges))
+            scorer.rebase()
+            assert scorer.base_score() == pytest.approx(
+                brute_force_layer_sum(state, None, window, weights, config), rel=1e-12
+            )
+            for a, b in edges:
+                for swap in ((a, b), (b, a)):
+                    expected = brute_force_cost(state, swap, window, weights, decay, config)
+                    assert scorer.score(swap) == pytest.approx(expected, rel=1e-12)
+
+
+def lockstep(router_class):
+    """``router_class`` checking its layer's scorer against a fresh one at every stall.
+
+    At each stall the router scores the candidates with the scorer its
+    ``on_front_layer`` built at the layer's first stall, then builds a second
+    scorer at the current stall through the same hook and asserts equal
+    costs.  ``reused`` counts the stalls whose scorer was built earlier.
+    """
+
+    class Lockstep(router_class):
+        stalls = reused = 0
+
+        def swap_costs(self, state, candidates):
+            costs = super().swap_costs(state, candidates)
+            layer_scorer = self._scorer
+            self.on_front_layer(state)
+            fresh = super().swap_costs(state, candidates)
+            self._scorer = layer_scorer
+            assert costs == fresh
+            self.stalls += 1
+            self.reused = state.heuristic_cache_hits
+            return costs
+
+    return Lockstep
+
+
+class TestLayerScorerLockstep:
+    """A scorer kept for its whole front layer scores like one built per stall."""
+
+    @pytest.mark.parametrize("variant", sorted(ORACLE_CONFIGS))
+    def test_random_couplings(self, variant):
+        rng = random.Random(len(variant))
+        stalls = reused = 0
+        for trial in range(12):
+            device = random_connected_coupling(rng.randint(5, 14), rng)
+            circuit = random_circuit(
+                rng.randint(3, device.num_qubits), rng.randint(20, 80), seed=trial
+            )
+            router = lockstep(QlosureRouter)(device, ORACLE_CONFIGS[variant])
+            router.run(circuit)
+            stalls += router.stalls
+            reused += router.reused
+        assert reused > 0 and stalls > reused
+
+    @pytest.mark.parametrize("router_class", [QlosureRouter, ErrorAwareQlosureRouter])
+    def test_fixture(self, router_class):
+        router = lockstep(router_class)(sherbrooke())
+        router.run(smoke_fixture()[2].circuit)
+        assert router.reused > 0

@@ -1,11 +1,20 @@
 """Tests for look-ahead window construction."""
 
+import pytest
+
+from repro.analysis.perf_trajectory import smoke_fixture
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import CircuitDAG
+from repro.core.config import QlosureConfig
 from repro.core.lookahead import LookaheadWindow, build_lookahead, window_size
+from repro.core.router import QlosureRouter
+from repro.hardware.backends import sherbrooke
 from repro.hardware.coupling import CouplingGraph
 from repro.routing.engine import RoutingState
 from repro.routing.layout import Layout
+
+from tests.core import lookahead_oracle
+from tests.routing.test_stress import stress_corpus
 
 
 def make_state(circuit: QuantumCircuit, device: CouplingGraph) -> RoutingState:
@@ -106,3 +115,44 @@ class TestWindowContainer:
         assert window.num_gates == 3
         assert window.num_layers == 2
         assert list(iter(window)) == [[3, 4], [7]]
+
+
+#: ``(lookahead constant, cap)`` windows checked at every stall besides the
+#: router's own: a one-gate-per-qubit window, a wide one and a capped one.
+EXTRA_WINDOWS = ((1, 512), (8, 512), (20, 6))
+
+
+class OracleCheckedQlosure(QlosureRouter):
+    """Qlosure comparing ``build_lookahead`` with the oracle at every stall."""
+
+    def __init__(self, coupling, config=None):
+        super().__init__(coupling, config)
+        self.stalls = 0
+
+    def swap_costs(self, state, candidates):
+        own = (self._lookahead_constant, self.config.max_lookahead_gates)
+        for constant, cap in (own, *EXTRA_WINDOWS):
+            expected = lookahead_oracle.build_lookahead(state, constant, cap)
+            assert build_lookahead(state, constant, cap).layers == expected.layers
+        front_only = lookahead_oracle.build_lookahead(state, 1, front_only=True)
+        assert build_lookahead(state, 1, front_only=True).layers == front_only.layers
+        self.stalls += 1
+        return super().swap_costs(state, candidates)
+
+
+class TestWindowOracle:
+    """The one-pass builder against the reference construction, stall by stall."""
+
+    def test_random_couplings(self):
+        stalls = 0
+        for coupling, circuit in stress_corpus(cases=30, seed=77):
+            router = OracleCheckedQlosure(coupling, QlosureConfig(seed=3))
+            router.run(circuit)
+            stalls += router.stalls
+        assert stalls > 100
+
+    @pytest.mark.parametrize("instance", range(6))
+    def test_fixture(self, instance):
+        router = OracleCheckedQlosure(sherbrooke())
+        router.run(smoke_fixture()[instance].circuit)
+        assert router.stalls > 0

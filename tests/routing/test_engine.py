@@ -4,15 +4,24 @@ import random
 
 import pytest
 
+from repro.analysis.perf_trajectory import smoke_fixture
+from repro.baselines.cirq_like import CirqLikeRouter
 from repro.baselines.greedy import GreedyDistanceRouter
+from repro.baselines.qmap_like import QmapLikeRouter
+from repro.baselines.sabre import LightSabreRouter, SabreRouter
+from repro.baselines.tket_like import TketLikeRouter
+from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import CircuitDAG
 from repro.circuit.gate import Gate
 from repro.circuit.validation import verify_routing
+from repro.hardware.backends import sherbrooke
 from repro.hardware.coupling import CouplingGraph
 from repro.hardware.topologies import grid_topology, line_topology
 from repro.routing.engine import RouterError, RoutingEngine, RoutingState
 from repro.routing.layout import Layout
+
+from tests.routing.test_stress import stress_corpus
 
 
 class TestEngineBasics:
@@ -242,6 +251,115 @@ class TestStallRecord:
         circuit.append(Gate("ccx", (0, 2, 4)))
         with pytest.raises(RouterError, match="no unresolved front gates"):
             GreedyDistanceRouter(line5).run(circuit)
+
+
+class LayerRecordingRouter(GreedyDistanceRouter):
+    """Greedy routing that logs the per-layer hook and every SWAP choice.
+
+    Each entry is ``(event, gates executed so far)``.
+    """
+
+    def __init__(self, coupling, seed=0):
+        super().__init__(coupling, seed)
+        self.events = []
+        self.state = None
+
+    def on_front_layer(self, state):
+        self.events.append(("layer", len(state.executed)))
+
+    def select_swap(self, state):
+        self.events.append(("choice", len(state.executed)))
+        self.state = state
+        return super().select_swap(state)
+
+
+class TestFrontLayerHook:
+    """``on_front_layer`` runs once per front layer; later stalls count as hits."""
+
+    def test_hook_runs_before_the_first_choice_of_each_layer(self, line5):
+        circuit = QuantumCircuit(5)
+        circuit.cx(0, 3)
+        circuit.cx(0, 4)
+        circuit.cx(1, 4)
+        router = LayerRecordingRouter(line5)
+        router.run(circuit)
+        events = router.events
+        assert events[0][0] == "layer"
+        for previous, (event, executed) in zip(events, events[1:]):
+            # A layer starts exactly when a gate has executed since the last stall.
+            assert (event == "layer") == (executed != previous[1])
+            if event == "layer":
+                assert previous[0] == "choice"
+        layers = sum(event == "layer" for event, _ in events)
+        choices = sum(event == "choice" for event, _ in events)
+        assert layers >= 2 and choices > layers
+        assert router.state.heuristic_cache_hits == choices - layers
+
+    def test_release_valve_stalls_are_not_counted(self):
+        class ValveRouter(LayerRecordingRouter):
+            release_valve_threshold = 1
+
+        grid = grid_topology(4, 4)
+        circuit = QuantumCircuit(16)
+        circuit.cx(0, 15)
+        router = ValveRouter(grid)
+        result = router.run(circuit)
+        assert result.swaps_added > 1
+        assert router.events == [("layer", 0), ("choice", 0)]
+        assert router.state.heuristic_cache_hits == 0
+
+    @pytest.mark.parametrize("router_class", [GreedyDistanceRouter, QmapLikeRouter])
+    def test_routers_without_a_layer_lookahead_count_no_hits(self, router_class):
+        class Probe(router_class):
+            def select_swap(self, state):
+                self.state = state
+                return super().select_swap(state)
+
+        router = Probe(grid_topology(3, 4))
+        router.run(random_circuit(12, 60, seed=5))
+        assert router.state.heuristic_cache_hits == 0
+
+
+#: Router class -> (its memoised look-ahead attribute, a fresh build of it).
+LAYER_LOOKAHEADS = {
+    SabreRouter: ("_extended", lambda router, state: router._extended_set(state)),
+    LightSabreRouter: ("_extended", lambda router, state: router._extended_set(state)),
+    CirqLikeRouter: (
+        "_upcoming",
+        lambda router, state: state.upcoming_two_qubit(router.next_slice_size),
+    ),
+    TketLikeRouter: (
+        "_upcoming",
+        lambda router, state: state.upcoming_two_qubit(router.lookahead_size),
+    ),
+}
+
+
+class TestLayerLookaheads:
+    """The look-ahead a router builds per front layer equals a per-stall build."""
+
+    @pytest.mark.parametrize(
+        "router_class", list(LAYER_LOOKAHEADS), ids=lambda cls: cls.__name__
+    )
+    def test_memoised_set_equals_a_fresh_build_at_every_stall(self, router_class):
+        attribute, fresh = LAYER_LOOKAHEADS[router_class]
+
+        class Checking(router_class):
+            hits = 0
+
+            def select_swap(self, state):
+                assert getattr(self, attribute) == fresh(self, state)
+                self.hits = state.heuristic_cache_hits
+                return super().select_swap(state)
+
+        workloads = stress_corpus(cases=20, seed=31)
+        workloads.append((sherbrooke(), smoke_fixture()[2].circuit))
+        hits = 0
+        for coupling, circuit in workloads:
+            router = Checking(coupling, seed=1)
+            router.run(circuit)
+            hits += router.hits
+        assert hits > 0
 
 
 class TestUpcomingTwoQubit:
