@@ -38,7 +38,7 @@ test-golden:
 		tests/integration/test_end_to_end.py::TestFullPipeline::test_dependence_weights_feed_the_router -q
 
 ## Compile-cache battery: the Gate record's contract (every cache hit
-## rebuilds its routed gates through it), serialization round-trip exactness
+## builds each distinct routed gate through it), serialization round-trip exactness
 ## (golden-hash oracle) and the pinned version-2 gate table, fingerprint
 ## sensitivity and pinned cache keys, warm-vs-cold bit-for-bit determinism
 ## and bad-disk-entry robustness.  Fast (~5 s); runs in `make check` right

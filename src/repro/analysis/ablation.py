@@ -86,10 +86,10 @@ def ablation_study(
     for variant in variants:
         for instance in circuits:
             mapped = api_compile(variant_request(variant, backend, instance.circuit))
-            raw[variant].append((mapped.swaps_added, mapped.routed_depth))
+            raw[variant].append((mapped.swaps_added, mapped.metrics["routed_depth"]))
             result.per_circuit.setdefault(instance.name, {})[variant] = {
                 "swaps": mapped.swaps_added,
-                "depth": mapped.routed_depth,
+                "depth": mapped.metrics["routed_depth"],
             }
     for variant, values in raw.items():
         result.per_variant[variant] = {

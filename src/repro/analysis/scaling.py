@@ -114,7 +114,7 @@ def mapping_time_scaling(
         ScalingPoint(
             qops=result.metrics["qops"],
             seconds=min(times),
-            depth=result.routed_depth,
+            depth=result.metrics["routed_depth"],
             swaps=result.swaps_added,
         )
         for result, times in zip(results, seconds)

@@ -51,11 +51,11 @@ def _run_config(
             )
         )
         swaps.append(result.swaps_added)
-        depths.append(result.routed_depth)
+        depths.append(result.metrics["routed_depth"])
         runtimes.append(result.route_seconds)
         per_circuit[name] = {
             "swaps": result.swaps_added,
-            "depth": result.routed_depth,
+            "depth": result.metrics["routed_depth"],
             "runtime": round(result.route_seconds, 4),
         }
     return SweepResult(

@@ -443,8 +443,8 @@ class CompileCache:
 
     # -- stores --------------------------------------------------------------
 
-    def store(self, fingerprint: str, result: CompileResult) -> None:
-        """Serialize ``result`` and store it under ``fingerprint`` in every tier.
+    def store(self, fingerprint: str, result: CompileResult) -> dict:
+        """Store ``result``'s payload under ``fingerprint`` in every tier; return it (read-only).
 
         A ``qasm=`` result compiled in this process is stored under the
         fingerprint of the bytes its load pass parsed instead: ``fingerprint``
@@ -460,6 +460,7 @@ class CompileCache:
             self._disk_put(fingerprint, payload)
         self.stats["stores"] += 1
         current_tracer().count("cache.stores")
+        return payload
 
     def put(self, result: CompileResult) -> str:
         """Store ``result`` under its own request fingerprint."""

@@ -217,7 +217,6 @@ def compile_uncached(request: CompileRequest) -> CompileResult:
                     route_span.update(
                         {
                             "swaps": routing.swaps_added,
-                            "routed_depth": routing.routed_depth,
                             "cost_evaluations": routing.cost_evaluations,
                         }
                     )
@@ -244,6 +243,7 @@ def compile_uncached(request: CompileRequest) -> CompileResult:
             timings["metrics"] = time.perf_counter() - start
 
             if tracer.enabled:
+                route_span.set("routed_depth", metrics["routed_depth"])
                 compile_span.update(
                     {
                         "router": spec.name,

@@ -170,6 +170,7 @@ class CompileResult:
 
     @property
     def routed_depth(self) -> int:
+        """A full depth pass per read; ``metrics["routed_depth"]`` holds the same number."""
         return self.routing.routed_depth
 
     @property
@@ -285,7 +286,7 @@ class BatchResult:
         for router, items in grouped.items():
             table[router] = {
                 "mean_swaps": round(statistics.mean(r.swaps_added for r in items), 2),
-                "mean_depth": round(statistics.mean(r.routed_depth for r in items), 2),
+                "mean_depth": round(statistics.mean(r.metrics["routed_depth"] for r in items), 2),
                 "mean_seconds": round(statistics.mean(r.route_seconds for r in items), 4),
                 "total_seconds": round(sum(r.route_seconds for r in items), 4),
                 "mean_cost_evaluations": round(

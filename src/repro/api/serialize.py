@@ -8,10 +8,10 @@ distinct ``[name, n_qubits, n_params]`` gate kinds, one space-separated
 ``ops`` string holding each gate's kind code followed by its qubits, one
 space-separated ``params`` string of ``repr``-exact floats in gate order, and
 ``[gate_index, label]`` pairs for labelled gates only.  Decoding is one
-pass over the ``split()`` columns: each gate's operand and parameter words
-go unconverted into the one checked :class:`~repro.circuit.gate.Gate`
-constructor, which parses them, and the gate then passes the circuit's
-qubit-range check -- no QASM lexer or parser.  A payload round-trip
+pass over the ``split()`` columns: each *distinct* gate goes once through
+the one checked :class:`~repro.circuit.gate.Gate` constructor and the
+circuit's qubit-range check, and its repeats share that immutable object
+-- no QASM lexer or parser.  A payload round-trip
 reproduces the routed gate sequence bit for bit, labels, operand-less
 barriers and non-finite parameters included (the invariant the golden
 harness enforces; ``tests/data/payload-v2.json`` pins the layout; see
@@ -45,16 +45,26 @@ class SerializationError(ValueError):
 
 
 def circuit_to_payload(circuit: QuantumCircuit) -> dict:
-    """Encode a circuit as a JSON-safe columnar gate table."""
+    """Encode a circuit as a JSON-safe columnar gate table.
+
+    The ``ops`` token of each distinct parameter-free gate is written once.
+    """
     codes: dict[tuple[str, int, int], int] = {}
+    tokens: dict[tuple[str, tuple[int, ...]], str] = {}
     ops: list[str] = []
     params: list[str] = []
     labels: list[list] = []
     for index, gate in enumerate(circuit):
-        kind = (gate.name, len(gate.qubits), len(gate.params))
-        ops.append(str(codes.setdefault(kind, len(codes))))
-        ops.extend(map(str, gate.qubits))
-        params.extend(map(repr, gate.params))
+        name, qubits, values = gate.name, gate.qubits, gate.params
+        token = None if values else tokens.get((name, qubits))
+        if token is None:
+            code = codes.setdefault((name, len(qubits), len(values)), len(codes))
+            token = " ".join([str(code), *map(str, qubits)])
+            if values:
+                params.extend(map(repr, values))
+            else:
+                tokens[name, qubits] = token
+        ops.append(token)
         if gate.label:
             labels.append([index, gate.label])
     return {
@@ -70,12 +80,12 @@ def circuit_to_payload(circuit: QuantumCircuit) -> dict:
 def circuit_from_payload(payload: dict) -> QuantumCircuit:
     """Rebuild a circuit from :func:`circuit_to_payload` output.
 
-    One pass over the split ``ops`` and ``params`` columns.  Each gate's
-    operand and parameter words go unconverted into :class:`Gate`, whose
-    constructor turns them into ``int``/``float`` once and rejects repeated
-    operands, and every gate then goes through
-    :meth:`QuantumCircuit.append` and its qubit-range check: the checks of a
-    hand-built circuit.  Any malformed column raises
+    One pass over the ``int`` ``ops`` column and the split ``params``
+    column.  A gate is keyed by its kind code, operands, parameter *words*
+    (``-0.0 == 0.0`` and ``nan != nan`` as floats) and label.  A key's first
+    position builds the gate through :class:`Gate`, which rejects repeated
+    operands, and :meth:`QuantumCircuit.check_qubits`; its later positions
+    hold that same object.  Any malformed column raises
     :class:`SerializationError`.
     """
     try:
@@ -94,20 +104,22 @@ def circuit_from_payload(payload: dict) -> QuantumCircuit:
         labels = {int(index): str(label) for index, label in payload["labels"]}
         label_of = labels.get
         circuit = QuantumCircuit(int(payload["num_qubits"]), name=str(payload["name"]))
-        append = circuit.append
-        words = ops.split()
-        values = params.split()
-        end, available = len(words), len(values)
-        position = cursor = index = 0
+        check = circuit.check_qubits
+        numbers = tuple(map(int, ops.split()))
+        values = tuple(params.split())
+        end, available, known = len(numbers), len(values), len(kinds)
+        gates: list[Gate] = []
+        built: dict[tuple, Gate] = {}
+        position = cursor = 0
         while position < end:
-            code = int(words[position])
-            if not 0 <= code < len(kinds):
+            code = numbers[position]
+            if not 0 <= code < known:
                 raise SerializationError(f"unknown gate kind code {code}")
             name, width, arity = kinds[code]
-            start = position + 1
-            position = start + width
-            if position > end:
+            stop = position + 1 + width
+            if stop > end:
                 raise SerializationError("ops column is truncated")
+            key = numbers[position:stop]
             gate_params = ()
             if arity:
                 gate_params = values[cursor : cursor + arity]
@@ -116,16 +128,24 @@ def circuit_from_payload(payload: dict) -> QuantumCircuit:
                     raise SerializationError(
                         "params column is shorter than its gate kinds require"
                     )
-            append(Gate(name, words[start:position], gate_params, label_of(index, "")))
-            index += 1
+                key += gate_params
+            label = label_of(len(gates), "")
+            if label:
+                key += (label,)
+            gate = built.get(key)
+            if gate is None:
+                gate = built[key] = check(Gate(name, key[1 : 1 + width], gate_params, label))
+            gates.append(gate)
+            position = stop
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(f"invalid circuit payload: {exc}") from exc
     if cursor != available:
         raise SerializationError("params column is longer than its gate kinds require")
-    if any(not 0 <= index < len(circuit) for index in labels):
+    if any(not 0 <= index < len(gates) for index in labels):
         raise SerializationError("a label names a gate the table does not hold")
+    circuit._extend_checked(gates)
     return circuit
 
 

@@ -40,12 +40,20 @@ class QuantumCircuit:
 
     def append(self, gate: Gate) -> None:
         """Append a gate, validating its qubit indices."""
+        self._gates.append(self.check_qubits(gate))
+
+    def check_qubits(self, gate: Gate) -> Gate:
+        """Return ``gate``; raise ``ValueError`` if an operand is not a qubit of the circuit."""
         for qubit in gate.qubits:
             if not 0 <= qubit < self._num_qubits:
                 raise ValueError(
                     f"gate {gate!r} references qubit {qubit} outside [0, {self._num_qubits})"
                 )
-        self._gates.append(gate)
+        return gate
+
+    def _extend_checked(self, gates: list[Gate]) -> None:
+        # Internal: the caller passed each distinct gate through check_qubits().
+        self._gates.extend(gates)
 
     def extend(self, gates: Iterable[Gate]) -> None:
         """Append several gates."""

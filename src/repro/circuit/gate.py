@@ -2,7 +2,7 @@
 
 :class:`Gate` is a hand-written ``__slots__`` record, not a frozen
 dataclass, because gate construction sits on every hot producer of gates: a
-cache hit rebuilds every routed gate from its gate table, the route pass
+cache hit builds each distinct gate of its gate table once, the route pass
 emits one gate per executed gate and SWAP, and full validation recovers the
 logical circuit gate by gate.  A frozen dataclass would pay seven
 ``object.__setattr__`` calls per gate (four in ``__init__``, three in
@@ -84,7 +84,7 @@ class Gate:
 
     The constructor normalises its arguments: the name is lower-cased,
     operands go through ``int()`` and parameters through ``float()``, so the
-    gate-table decoder hands it unparsed words.  Gates are immutable:
+    gate-table decoder hands it unparsed parameter words.  Gates are immutable:
     assigning or deleting an attribute raises
     :class:`dataclasses.FrozenInstanceError`.
     """

@@ -467,8 +467,8 @@ class CompileService:
         ``repro-map bench``'s, and every failure arrives as a structured
         :class:`CompileError` -- never as a dropped connection.  Admission
         already fingerprinted the request and missed the cache, so the
-        compile skips the cache and the result is stored under that
-        fingerprint.
+        compile skips the cache, the result is stored under that
+        fingerprint, and the response carries the payload the store encoded.
         """
         batch = compile_many(
             [request],
@@ -481,13 +481,15 @@ class CompileService:
         )
         outcome = batch.results[0]
         if isinstance(outcome, CompileResult):
-            self.cache.store(fingerprint, outcome)
+            payload = self.cache.store(fingerprint, outcome)
+            if payload is None:  # a subclass's store() that returns nothing
+                payload = result_to_payload(outcome)
             self._observe_pass_timings(outcome)
             return 200, {
                 "ok": True,
                 "fingerprint": fingerprint,
                 "cached": False,
-                "result": result_to_payload(outcome),
+                "result": payload,
             }
         return compile_error_body(outcome)
 

@@ -21,6 +21,7 @@ from repro.api import (
     compile_uncached,
     default_cache,
     request_fingerprint,
+    result_to_payload,
     set_default_cache,
 )
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
@@ -232,6 +233,15 @@ class TestTiers:
         api_compile(request, cache=cache)
         assert len(cache) == 0
         assert cache.stats["disk_hits"] == 1
+
+    def test_store_returns_the_payload_it_stored(self, tmp_path):
+        request = CompileRequest(circuit=ghz_circuit(6), backend=GRID, router="greedy")
+        result = compile_uncached(request)
+        fingerprint = request_fingerprint(request)
+        payload = CompileCache(directory=tmp_path).store(fingerprint, result)
+        assert payload == result_to_payload(result)
+        entry = tmp_path / fingerprint[:2] / f"{fingerprint}.json"
+        assert json.loads(entry.read_text())["payload"] == payload
 
     def test_disk_hit_promotes_into_memory(self, tmp_path):
         request = CompileRequest(circuit=ghz_circuit(6), backend=GRID, router="greedy")

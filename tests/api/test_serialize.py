@@ -16,6 +16,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
     CompileRequest,
@@ -63,6 +64,11 @@ def gates_of(circuit):
     return [(g.name, g.qubits, g.params, g.label) for g in circuit]
 
 
+def distinct_gates(circuit):
+    """The distinct gates by the decoder's key: parameters as their ``repr`` words."""
+    return {(g.name, g.qubits, tuple(map(repr, g.params)), g.label) for g in circuit}
+
+
 CIRCUIT_NAMES = sorted(golden_circuits())
 
 
@@ -98,6 +104,9 @@ class TestRoundTripEveryRouter:
         assert rebuilt.backend_name == result.backend_name
         assert rebuilt.circuit_name == result.circuit_name
         assert rebuilt.request is result.request
+        # One decoded object per distinct gate, shared by its positions.
+        routed = rebuilt.routed_circuit
+        assert len({id(gate) for gate in routed}) == len(distinct_gates(routed))
 
     def test_rebuilt_circuit_matches_golden_snapshot(self, circuit_name, router):
         """The golden swap/gate hashes must hold for the *deserialized* circuit."""
@@ -184,6 +193,120 @@ class TestCircuitPayload:
         payload[column] = value
         with pytest.raises(SerializationError, match=message):
             circuit_from_payload(payload)
+
+
+class TestSharedGates:
+    """The decoder builds each distinct gate once; its repeats are that object."""
+
+    def _decoded(self, *gates):
+        return list(circuit_from_payload(circuit_to_payload(QuantumCircuit(3, gates))))
+
+    def test_equal_gates_decode_to_one_object(self):
+        first, _, again, flipped = self._decoded(
+            Gate("cx", (0, 1)), Gate("h", (2,)), Gate("cx", (0, 1)), Gate("cx", (1, 0))
+        )
+        assert again is first
+        assert flipped is not first and flipped.qubits == (1, 0)
+
+    def test_signed_zeros_stay_distinct(self):
+        negative, positive, negative_again = self._decoded(
+            Gate("rz", (0,), (-0.0,)), Gate("rz", (0,), (0.0,)), Gate("rz", (0,), (-0.0,))
+        )
+        assert positive is not negative and negative_again is negative
+        assert repr(negative.params) == "(-0.0,)"
+        assert repr(positive.params) == "(0.0,)"
+
+    def test_labelled_repeat_is_not_its_unlabelled_twin(self):
+        plain, tagged, plain_again, tagged_again = self._decoded(
+            Gate("cx", (0, 1)),
+            Gate("cx", (0, 1), label="tag"),
+            Gate("cx", (0, 1)),
+            Gate("cx", (0, 1), label="tag"),
+        )
+        assert tagged is not plain
+        assert (plain.label, tagged.label) == ("", "tag")
+        assert plain_again is plain and tagged_again is tagged
+
+    def test_nan_gate_keeps_its_repr(self):
+        first, second = self._decoded(Gate("rz", (1,), (math.nan,)), Gate("rz", (1,), (math.nan,)))
+        assert second is first
+        assert repr(first.params) == "(nan,)"
+
+    @pytest.mark.parametrize("ops", ["0 1 3 0 1 3", "0 1 2 0 1 3 0 1 3"], ids=["first", "later"])
+    def test_out_of_range_first_occurrence_raises(self, ops):
+        payload = circuit_to_payload(QuantumCircuit(3, [Gate("cx", (1, 2))]))
+        payload["ops"] = ops
+        with pytest.raises(SerializationError, match="outside"):
+            circuit_from_payload(payload)
+
+    def test_repeated_operand_gate_raises(self):
+        payload = circuit_to_payload(QuantumCircuit(3, [Gate("cx", (1, 2))]))
+        payload["ops"] = "0 1 2 0 1 1 0 1 1"
+        with pytest.raises(SerializationError, match="repeated qubit operands"):
+            circuit_from_payload(payload)
+
+
+#: Gate kinds of the round-trip property, ``(name, width, arity)``; a barrier
+#: takes any width from none to every qubit.
+PROPERTY_KINDS = [
+    ("h", 1, 0),
+    ("measure", 1, 0),
+    ("cx", 2, 0),
+    ("swap", 2, 0),
+    ("ccx", 3, 0),
+    ("rz", 1, 1),
+    ("cp", 2, 1),
+    ("u3", 1, 3),
+    ("barrier", None, 0),
+]
+PROPERTY_PARAMETERS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), st.floats()
+)
+
+
+@st.composite
+def repeating_circuits(draw):
+    """A circuit that repeats a few distinct gates, some repeats labelled."""
+    num_qubits = draw(st.integers(3, 6))
+    pool = []
+    for name, width, arity in draw(st.lists(st.sampled_from(PROPERTY_KINDS), min_size=1, max_size=6)):
+        if width is None:
+            width = draw(st.integers(0, num_qubits))
+        qubits = draw(st.permutations(range(num_qubits)))[:width]
+        params = draw(st.lists(PROPERTY_PARAMETERS, min_size=arity, max_size=arity))
+        pool.append(Gate(name, qubits, params))
+    positions = st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(["", "", "tag", "a b"]))
+    circuit = QuantumCircuit(num_qubits, name="property")
+    for index, label in draw(st.lists(positions, max_size=40)):
+        gate = pool[index]
+        circuit.append(Gate(gate.name, gate.qubits, gate.params, label) if label else gate)
+    return circuit
+
+
+class TestGateTableProperty:
+    @given(repeating_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_is_exact_both_ways(self, circuit):
+        payload = json.loads(json.dumps(circuit_to_payload(circuit)))
+        rebuilt = circuit_from_payload(payload)
+        # repr, because nan != nan
+        assert repr(gates_of(rebuilt)) == repr(gates_of(circuit))
+        assert circuit_to_payload(rebuilt) == payload
+        assert len({id(gate) for gate in rebuilt}) == len(distinct_gates(circuit))
+
+    @given(repeating_circuits())
+    @settings(max_examples=100, deadline=None)
+    def test_table_follows_the_layout(self, circuit):
+        """Kinds in first-appearance order, then one code and its qubits per gate."""
+        payload = circuit_to_payload(circuit)
+        kinds = list(dict.fromkeys((g.name, len(g.qubits), len(g.params)) for g in circuit))
+        assert payload["kinds"] == [list(kind) for kind in kinds]
+        assert payload["ops"] == " ".join(
+            " ".join(map(str, [kinds.index((g.name, len(g.qubits), len(g.params))), *g.qubits]))
+            for g in circuit
+        )
+        assert payload["params"] == " ".join(repr(p) for g in circuit for p in g.params)
+        assert payload["labels"] == [[i, g.label] for i, g in enumerate(circuit) if g.label]
 
 
 #: The gates ``tests/data/payload-v2.json`` holds, as ``(name, qubits, params, label)``.

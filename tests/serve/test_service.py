@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import CompileRequest, FaultPlan, compile_many
 from repro.api import compile as api_compile
-from repro.api.cache import request_fingerprint
+from repro.api.cache import CompileCache, request_fingerprint
 from repro.api.serialize import request_to_payload, result_to_payload
 from repro.benchgen.qasmbench import ghz_circuit
 from repro.circuit.circuit import QuantumCircuit
@@ -49,8 +49,8 @@ def normalize(result_payload: dict) -> dict:
     return payload
 
 
-async def with_service(config, scenario):
-    service = CompileService(config)
+async def with_service(config, scenario, cache=None):
+    service = CompileService(config, cache=cache)
     await service.start()
     try:
         return await scenario(service)
@@ -97,6 +97,43 @@ class TestCompileEndpoint:
         assert stats["stores"] == 1
         assert info["hit_rate"] == 0.5
         assert metrics["cache"]["hit_rate"] == 0.5
+
+    def test_a_served_miss_is_encoded_once(self, monkeypatch):
+        """The response carries the payload the cache store encoded."""
+        import repro.api.cache as api_cache
+        import repro.serve.server as serve_server
+
+        encoded = []
+
+        def counting(result):
+            encoded.append(result)
+            return result_to_payload(result)
+
+        monkeypatch.setattr(api_cache, "result_to_payload", counting)
+        monkeypatch.setattr(serve_server, "result_to_payload", counting)
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/compile", {}, make_body())
+
+        response = run(with_service(ServeConfig(), scenario))
+        assert response.body["cached"] is False
+        assert len(encoded) == 1
+        assert response.body["result"] == result_to_payload(encoded[0])
+
+    def test_a_cache_whose_store_returns_nothing_still_answers(self):
+        """A CompileCache subclass may override store() without returning the payload."""
+
+        class QuietCache(CompileCache):
+            def store(self, fingerprint, result):
+                super().store(fingerprint, result)
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/compile", {}, make_body())
+
+        response = run(with_service(ServeConfig(), scenario, cache=QuietCache()))
+        request = CompileRequest(generate="ghz:6", backend="ankaa3", router="greedy", seed=0)
+        direct = result_to_payload(api_compile(request, cache=False))
+        assert normalize(response.body["result"]) == normalize(direct)
 
     def test_malformed_body_is_a_structured_400(self):
         async def scenario(service):
