@@ -20,7 +20,7 @@ test-fast:
 ## written as a polyhedral relation and its closure (tests/polyhedral/): the
 ## DAG's bitset counts, and the weights a Qlosure router holds, on random
 ## circuits with barriers and measurements, plus the routing engine's own
-## tests: the choice rule every cost-function router shares, the stall record
+## tests: the choice rule every router but qmap shares, the stall record
 ## every router reads (SWAPs since progress, last SWAP, decay), the release
 ## valve and the per-layer hook, and the stress corpus on which every router
 ## must finish, with its own valve threshold and with the valve opening after
@@ -28,13 +28,16 @@ test-fast:
 ## checked at every stall: Qlosure's window against the reference builder
 ## (tests/core/lookahead_oracle.py), its window scorer against one built at
 ## that stall, and the extended set and next slices of sabre, cirq and tket
-## against a fresh build.  A drifting scorer, window, omega, choice rule,
-## stall record or valve fails here in seconds.
+## against a fresh build.  tests/baselines/test_tket_oracle.py checks tket's
+## cost function against its lexicographic (longest, total) rule, re-summed
+## in tests/baselines/tket_oracle.py: at every stall of the golden and stress
+## routes the engine's tie list equals the rule's.  A drifting scorer, window,
+## omega, choice rule, stall record or valve fails here in seconds.
 test-golden:
 	$(PYTHON) -m pytest tests/routing/test_golden.py tests/routing/test_astar_properties.py \
 		tests/routing/test_pair_delta_scorer.py tests/routing/test_engine.py \
 		tests/routing/test_stress.py tests/core/test_cost.py tests/core/test_lookahead.py \
-		tests/affine/test_dependence.py \
+		tests/baselines/test_tket_oracle.py tests/affine/test_dependence.py \
 		tests/integration/test_end_to_end.py::TestFullPipeline::test_dependence_weights_feed_the_router -q
 
 ## Compile-cache battery: the Gate record's contract (every cache hit

@@ -35,10 +35,6 @@ class AffineProgram:
         """Total number of gate instances across all macro-gates."""
         return sum(s.trip_count for s in self.statements)
 
-    def macro_gate_count(self) -> int:
-        """Number of macro-gates (statements)."""
-        return len(self.statements)
-
     def compression_ratio(self) -> float:
         """Gate instances per macro-gate (higher means more regular structure)."""
         if not self.statements:
@@ -55,22 +51,6 @@ class AffineProgram:
                 )
         timeline.sort(key=lambda item: item[0])
         return QuantumCircuit(self.num_qubits, (gate for _, gate in timeline), self.name)
-
-    def instance_timeline(self) -> list[tuple[int, str, int, tuple[int, ...]]]:
-        """All gate instances as (time, statement name, iteration, qubits) tuples."""
-        timeline = []
-        for statement in self.statements:
-            for iteration in range(statement.trip_count):
-                timeline.append(
-                    (
-                        statement.instance_time(iteration),
-                        statement.name,
-                        iteration,
-                        statement.instance_qubits(iteration),
-                    )
-                )
-        timeline.sort(key=lambda item: item[0])
-        return timeline
 
     def __repr__(self) -> str:
         return (

@@ -29,19 +29,6 @@ class BenchScale:
         """The QUEKO depth ladder at the current scale (paper ladder: 100..900)."""
         return [max(4, int(round(depth * self.scale))) for depth in base]
 
-    def medium_large_split(self, depths: list[int]) -> tuple[list[int], list[int]]:
-        """Split a depth ladder into the paper's Medium / Large classes."""
-        midpoint = sorted(depths)[len(depths) // 2]
-        medium = [d for d in depths if d <= midpoint]
-        large = [d for d in depths if d > midpoint]
-        if not large:
-            large = medium[-1:]
-        return medium, large
-
-    def qasmbench_sizes(self, base: tuple[int, ...] = (20, 28, 40, 54)) -> list[int]:
-        """Qubit counts of the QASMBench sweep at the current scale (capped at 81)."""
-        return [min(81, max(8, int(round(size * min(self.scale, 2.0))))) for size in base]
-
 
 def bench_scale() -> BenchScale:
     """Read the benchmark scale from the environment."""

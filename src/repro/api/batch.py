@@ -59,7 +59,7 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-def _check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
+def check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
     """Validate the fault-tolerance arguments; raise ``ValueError`` early.
 
     Returns the normalized ``(workers, timeout, retries, backoff)`` tuple.
@@ -67,25 +67,23 @@ def _check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
     never be half-run on arguments that were silently coerced.
     """
 
-    def check(value, convert, rule, valid):
-        try:
-            number = convert(value)
-        except (TypeError, ValueError):
-            number = None
-        if number is None or not valid(number):
+    def check(value, kind, rule, valid):
+        # A bool is an int, but True is neither a count nor a duration.
+        if isinstance(value, bool) or not isinstance(value, kind) or not valid(value):
             raise ValueError(f"{rule}, got {value!r}")
-        return number
+        return value
 
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    rule = "workers must be at least 1 (an int)"
+    workers = check(workers, int, rule, lambda count: count >= 1)
     if timeout is not None:
         rule = "timeout must be a positive number of seconds or None"
-        timeout = check(timeout, float, rule, lambda seconds: seconds > 0)
+        timeout = float(check(timeout, (int, float), rule, lambda seconds: seconds > 0))
     rule = "retries must be a non-negative integer"
     retries = check(retries, int, rule, lambda count: count >= 0)
     rule = "backoff must be a finite non-negative number of seconds"
-    backoff = check(backoff, float, rule, lambda seconds: 0 <= seconds < math.inf)
+    backoff = float(
+        check(backoff, (int, float), rule, lambda seconds: 0 <= seconds < math.inf)
+    )
     if on_error not in ON_ERROR_POLICIES:
         raise ValueError(f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}")
     return workers, timeout, retries, backoff
@@ -348,7 +346,7 @@ def compile_many(
     """
     from repro.api.cache import request_fingerprint, resolve_cache
 
-    workers, timeout, retries, backoff = _check_batch_options(
+    workers, timeout, retries, backoff = check_batch_options(
         workers, timeout, retries, backoff, on_error
     )
     plan = resolve_faults(faults)

@@ -30,8 +30,7 @@ class TketLikeRouter(RoutingEngine):
     def on_front_layer(self, state: RoutingState) -> None:
         self._upcoming = state.upcoming_two_qubit(self.lookahead_size)
 
-    def select_swap(self, state: RoutingState) -> tuple[int, int]:
-        candidates = state.candidate_swaps()
+    def swap_costs(self, state: RoutingState, candidates: list) -> list[float]:
         front = PairDeltaScorer.for_gates(state, state.unresolved_front())
         front_longest = front.swapped_longest
         front_sum = front.swapped_sum
@@ -39,20 +38,17 @@ class TketLikeRouter(RoutingEngine):
         weight = self.lookahead_weight
         last_swap = state.last_swap
 
-        best_key: tuple[float, float] | None = None
-        best: list[tuple[int, int]] = []
+        costs = []
         for candidate in candidates:
             a, b = candidate
-            longest = front_longest(a, b)
-            # Exact: the sums are integers and the weight is a power of two.
             total = front_sum(a, b) + weight * upcoming_sum(a, b)
             if candidate == last_swap:
                 total += 0.5
-            key = (float(longest), total)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = [candidate]
-            elif key == best_key:
-                best.append(candidate)
-        state.cost_evaluations += len(candidates)
-        return best[0] if len(best) == 1 else self._rng.choice(best)
+            # The key (longest, total) as one float.  ``longest`` is an
+            # integer no larger than the device diameter, and ``total`` is a
+            # non-negative multiple of 0.25 (integer sums, a power-of-two
+            # weight) far below 2**32.  So the cost is exact, orders and ties
+            # like the tuple, and distinct costs differ by at least 0.25, far
+            # outside the engine's 1e-12 tie tolerance.
+            costs.append(front_longest(a, b) * 2**32 + total)
+        return costs

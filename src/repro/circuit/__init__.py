@@ -6,8 +6,9 @@ This subpackage provides the circuit substrate the mapper operates on:
 * :class:`~repro.circuit.circuit.QuantumCircuit` -- an ordered gate list over
   logical qubits with convenience builders,
 * :class:`~repro.circuit.dag.CircuitDAG` -- the gate dependence DAG with
-  front-layer / descendant / level queries,
-* :mod:`~repro.circuit.metrics` -- depth, gate-count and swap-count metrics,
+  successor, descendant and level queries,
+* :mod:`~repro.circuit.metrics` -- gate-count, swap-count and depth-overhead
+  metrics,
 * :mod:`~repro.circuit.validation` -- routed-circuit correctness checking
   (connectivity and dependence preservation).
 """
@@ -16,10 +17,8 @@ from repro.circuit.gate import Gate
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import CircuitDAG
 from repro.circuit.metrics import (
-    circuit_depth,
     two_qubit_gate_count,
     swap_count,
-    gate_counts,
     total_operations,
 )
 from repro.circuit.validation import (
@@ -33,10 +32,8 @@ __all__ = [
     "Gate",
     "QuantumCircuit",
     "CircuitDAG",
-    "circuit_depth",
     "two_qubit_gate_count",
     "swap_count",
-    "gate_counts",
     "total_operations",
     "RoutingValidationError",
     "check_connectivity",

@@ -138,13 +138,6 @@ class QuantumCircuit:
         """All gates acting on exactly two qubits, in program order."""
         return [g for g in self._gates if g.is_two_qubit]
 
-    def used_qubits(self) -> set[int]:
-        """Indices of qubits touched by at least one gate."""
-        used: set[int] = set()
-        for gate in self._gates:
-            used.update(gate.qubits)
-        return used
-
     def count_ops(self) -> Counter:
         """Gate-name histogram."""
         return Counter(g.name for g in self._gates)

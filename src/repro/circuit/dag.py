@@ -76,10 +76,6 @@ class CircuitDAG:
 
     # -- classic DAG queries -------------------------------------------------
 
-    def front_layer(self) -> list[int]:
-        """Gates with no predecessors (ready to execute)."""
-        return [i for i in self._gate_indices if not self._predecessors[i]]
-
     def asap_levels(self) -> dict[int, int]:
         """Earliest possible level (0-based) of every gate (ASAP schedule)."""
         levels: dict[int, int] = {}
@@ -160,10 +156,6 @@ class CircuitDAG:
         for index, successors in self._successors.items():
             for succ in successors:
                 yield index, succ
-
-    def critical_path_length(self) -> int:
-        """Length (in gates) of the longest dependence chain."""
-        return self.depth()
 
     def __repr__(self) -> str:
         return f"CircuitDAG(gates={self.num_nodes()}, depth={self.depth()})"

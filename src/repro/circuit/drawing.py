@@ -54,11 +54,3 @@ def draw_circuit(circuit: QuantumCircuit, max_columns: int = 80) -> str:
         for row in rows:
             row.append(" ...")
     return "\n".join("".join(row) for row in rows)
-
-
-def drawing_summary(circuit: QuantumCircuit) -> str:
-    """A one-line header to print above a drawing."""
-    return (
-        f"{circuit.name}: {circuit.num_qubits} qubits, {len(circuit)} gates, "
-        f"depth {circuit.depth()}"
-    )

@@ -174,10 +174,6 @@ class Gate:
         """Return a copy of the gate with qubit indices remapped."""
         return Gate(self.name, [mapping[q] for q in self.qubits], self.params, self.label)
 
-    def with_qubits(self, qubits: Sequence[int]) -> "Gate":
-        """Return a copy of the gate acting on different qubits."""
-        return Gate(self.name, qubits, self.params, self.label)
-
     def __repr__(self) -> str:
         operands = ", ".join(f"q[{q}]" for q in self.qubits)
         if self.params:

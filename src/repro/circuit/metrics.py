@@ -1,21 +1,14 @@
 """Circuit quality metrics used throughout the evaluation.
 
-The two headline metrics of the paper are the circuit depth (critical path of
-the gate DAG) and the number of inserted SWAP gates; this module also exposes
-the helper counts used by the benchmark tables (two-qubit gate count, total
-quantum operations, per-gate histograms).
+The two headline metrics of the paper are the circuit depth
+(:meth:`QuantumCircuit.depth`) and the number of inserted SWAP gates; this
+module also exposes the helper counts used by the benchmark tables (two-qubit
+gate count, total quantum operations, depth overhead and depth factor).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.circuit.circuit import QuantumCircuit
-
-
-def circuit_depth(circuit: QuantumCircuit) -> int:
-    """Depth of the circuit (longest per-qubit chain of gates)."""
-    return circuit.depth()
 
 
 def two_qubit_gate_count(circuit: QuantumCircuit) -> int:
@@ -26,11 +19,6 @@ def two_qubit_gate_count(circuit: QuantumCircuit) -> int:
 def swap_count(circuit: QuantumCircuit) -> int:
     """Number of SWAP gates in the circuit."""
     return sum(1 for gate in circuit if gate.is_swap)
-
-
-def gate_counts(circuit: QuantumCircuit) -> Counter:
-    """Histogram of gate names."""
-    return circuit.count_ops()
 
 
 def total_operations(circuit: QuantumCircuit) -> int:
@@ -52,10 +40,3 @@ def depth_factor(routed_depth: int, reference_depth: int) -> float:
     if reference_depth <= 0:
         raise ValueError("reference depth must be positive")
     return routed_depth / reference_depth
-
-
-def swap_ratio(baseline_swaps: int, qlosure_swaps: int) -> float:
-    """Baseline SWAPs divided by Qlosure SWAPs (Table III; > 1 favours Qlosure)."""
-    if qlosure_swaps <= 0:
-        return float("inf") if baseline_swaps > 0 else 1.0
-    return baseline_swaps / qlosure_swaps

@@ -18,20 +18,17 @@ which builds the router from the registry.  This subpackage holds the parts:
 """
 
 from repro.core.config import QlosureConfig
-from repro.core.cost import swap_cost
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.core.router import QlosureRouter
-from repro.core.placement import greedy_placement, initial_layout, placement_cost
+from repro.core.placement import greedy_placement, initial_layout
 from repro.core.error_aware import ErrorAwareQlosureRouter
 
 __all__ = [
     "QlosureConfig",
-    "swap_cost",
     "LookaheadWindow",
     "build_lookahead",
     "QlosureRouter",
     "greedy_placement",
     "initial_layout",
-    "placement_cost",
     "ErrorAwareQlosureRouter",
 ]

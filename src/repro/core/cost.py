@@ -33,19 +33,6 @@ from repro.core.lookahead import LookaheadWindow
 from repro.routing.engine import RoutingState
 
 
-def tentative_physical(
-    state: RoutingState, logical: int, swap: tuple[int, int]
-) -> int:
-    """Physical location of ``logical`` under the tentative mapping ``phi o s``."""
-    current = state.layout.phys_of[logical]
-    p1, p2 = swap
-    if current == p1:
-        return p2
-    if current == p2:
-        return p1
-    return current
-
-
 class WindowScorer:
     """``M(s)`` over one look-ahead window; :meth:`rebase` at each stall, then score."""
 
@@ -108,10 +95,6 @@ class WindowScorer:
             base += gamma / len(gates) if normalize else gamma
         self._base = base
 
-    def base_score(self) -> float:
-        """The layer-sum part of the score under the *current* mapping (no SWAP)."""
-        return self._base
-
     def score(self, swap: tuple[int, int]) -> float:
         """Evaluate ``M(swap)`` against the window."""
         p1, p2 = swap
@@ -143,22 +126,3 @@ class WindowScorer:
         d1 = decay.get(q1, 1.0)
         d2 = decay.get(q2, 1.0)
         return (d1 if d1 >= d2 else d2) * layer_sum
-
-
-def swap_cost(
-    state: RoutingState,
-    swap: tuple[int, int],
-    window: LookaheadWindow,
-    weights: Mapping[int, int],
-    decay,
-    config: QlosureConfig,
-) -> float:
-    """Evaluate the composite cost ``M(s)`` of a single candidate SWAP.
-
-    Convenience wrapper over :class:`WindowScorer` for callers scoring one
-    candidate at a time (tests, documentation examples); the router keeps
-    one scorer per window for efficiency.
-    """
-    scorer = WindowScorer(state, window, weights, decay, config)
-    scorer.rebase()
-    return scorer.score(swap)

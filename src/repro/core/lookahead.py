@@ -27,11 +27,6 @@ class LookaheadWindow:
     layers: list[list[int]] = field(default_factory=list)
 
     @property
-    def num_layers(self) -> int:
-        """Number of dependence-distance layers in the window."""
-        return len(self.layers)
-
-    @property
     def num_gates(self) -> int:
         """Total number of gates across all layers."""
         return sum(len(layer) for layer in self.layers)

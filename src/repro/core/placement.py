@@ -95,19 +95,3 @@ def initial_layout(
     if key == "greedy":
         return greedy_placement(circuit, coupling)
     raise KeyError(f"unknown placement strategy {strategy!r}; choose identity or greedy")
-
-
-def placement_cost(
-    circuit: QuantumCircuit, coupling: CouplingGraph, layout: Layout
-) -> int:
-    """Total interaction-weighted distance of a placement (lower is better).
-
-    This is the classic static objective used to compare initial placements:
-    ``sum over two-qubit gates of D[phi(q1), phi(q2)]``.
-    """
-    matrix = coupling.distance_matrix()
-    total = 0
-    for gate in circuit:
-        if gate.is_two_qubit:
-            total += matrix[layout.physical(gate.qubits[0])][layout.physical(gate.qubits[1])]
-    return total

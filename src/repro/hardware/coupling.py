@@ -115,10 +115,6 @@ class CouplingGraph:
         """Maximum degree over all qubits (used to size the look-ahead window)."""
         return max((len(around) for around in self._neighbors), default=0)
 
-    def are_adjacent(self, a: int, b: int) -> bool:
-        """True when qubits ``a`` and ``b`` are directly coupled."""
-        return self._adjacency[a * self._num_qubits + b] == 1
-
     def is_connected(self) -> bool:
         """True when every qubit is reachable from qubit 0 (cached BFS row)."""
         return -1 not in self.distance_row(0)

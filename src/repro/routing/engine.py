@@ -21,8 +21,8 @@ gate executes), the release valve that routes the closest blocked front gate
 along a shortest path once ``release_valve_threshold`` SWAPs pass without
 progress (LightSABRE, Zou et al. 2024) and the forward/backward layout search
 of :meth:`RoutingEngine.bidirectional_layout` (SABRE's reverse traversal, Li
-et al. 2019).  tket's lexicographic key and qmap's A* search are other
-choice rules, so those two routers override ``select_swap`` instead.
+et al. 2019).  qmap's A* search is another choice rule, so qmap alone
+overrides ``select_swap``.
 
 Incremental-state contract
 --------------------------
@@ -38,13 +38,12 @@ on every query.  Heuristics plugged into the engine must respect these rules:
   immutable snapshots valid until the next mutation and never modify them in
   place.
 * **Mutate through the engine.**  The layout and the front set must only be
-  changed through the engine loop (gate retirement, committed SWAPs), which
-  routes every mutation through :meth:`RoutingState.note_gate_retired` /
-  :meth:`RoutingState.note_swap_applied`.  A heuristic that speculatively
-  mutates ``state.layout`` must call :meth:`RoutingState.mark_front_dirty`
-  afterwards -- better, it should score tentative placements arithmetically
-  (see :func:`repro.core.cost.tentative_physical`) and never touch the
-  shared layout at all.
+  changed through the engine loop, which calls
+  :meth:`RoutingState.mark_front_dirty` when a gate retires and
+  :meth:`RoutingState.note_swap_applied` when a SWAP is committed.  A
+  heuristic that speculatively mutates ``state.layout`` must call
+  :meth:`RoutingState.mark_front_dirty` afterwards -- better, it should score
+  candidates arithmetically and never touch the shared layout at all.
 * **Precomputed operand arrays.**  ``state.op_pairs[i]`` holds the two
   qubit operands of gate ``i`` (``None`` for single-qubit gates and
   barriers) and ``state.is_2q[i]`` flags exactly-two-qubit gates; cost loops
@@ -245,25 +244,10 @@ class RoutingState:
         """The gate at circuit index ``index``."""
         return self.circuit[index]
 
-    def is_executable(self, index: int) -> bool:
-        """True when the gate's operands are adjacent under the current layout."""
-        pair = self.op_pairs[index]
-        if pair is None:
-            return True
-        phys_of = self.layout.phys_of
-        return (
-            self._adjacency[phys_of[pair[0]] * self._num_physical + phys_of[pair[1]]]
-            == 1
-        )
-
     # -- cached front-layer views -------------------------------------------
 
     def mark_front_dirty(self) -> None:
         """Invalidate the cached front-layer views (rebuilt lazily on next read)."""
-        self._front_dirty = True
-
-    def note_gate_retired(self, index: int) -> None:
-        """Record a front-set change: the cached views must be rebuilt."""
         self._front_dirty = True
 
     def note_swap_applied(self, p1: int, p2: int) -> None:
@@ -401,11 +385,11 @@ class RoutingState:
         distance = self.distance
         return getattr(distance, "rows", distance)
 
-    def gate_distance(self, index: int, layout: Layout | None = None) -> int:
+    def gate_distance(self, index: int) -> int:
         """Distance between the physical operands of a two-qubit gate."""
-        layout = layout or self.layout
         q1, q2 = self.op_pairs[index]
-        return self.distance[layout.phys_of[q1]][layout.phys_of[q2]]
+        phys_of = self.layout.phys_of
+        return self.distance[phys_of[q1]][phys_of[q2]]
 
 
 class RoutingEngine:
@@ -631,7 +615,7 @@ class RoutingEngine:
             pending[successor] -= 1
             if pending[successor] == 0:
                 front.add(successor)
-        state.note_gate_retired(index)
+        state.mark_front_dirty()
 
     def _apply_swap(self, state: RoutingState, swap: tuple[int, int]) -> None:
         p1, p2 = swap

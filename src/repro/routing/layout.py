@@ -64,13 +64,6 @@ class Layout:
         """The identity layout ``q_i -> p_i`` used by default in the paper."""
         return cls(num_logical, num_physical)
 
-    @classmethod
-    def from_physical_order(
-        cls, physical_qubits: Sequence[int], num_physical: int
-    ) -> "Layout":
-        """Place logical qubit ``i`` on ``physical_qubits[i]``."""
-        return cls(len(physical_qubits), num_physical, list(physical_qubits))
-
     def copy(self) -> "Layout":
         """An independent copy of the layout."""
         clone = Layout.__new__(Layout)
@@ -110,10 +103,6 @@ class Layout:
         """Logical qubit hosted at ``physical``, or None when unoccupied."""
         return self._logical_at[physical]
 
-    def is_occupied(self, physical: int) -> bool:
-        """True when a logical qubit currently sits on ``physical``."""
-        return self._logical_at[physical] is not None
-
     def as_dict(self) -> dict[int, int]:
         """The placement as a logical -> physical dictionary."""
         return {q: self._phys_of[q] for q in range(self._num_logical)}
@@ -121,10 +110,6 @@ class Layout:
     def as_list(self) -> list[int]:
         """The placement as a list indexed by logical qubit."""
         return list(self._phys_of)
-
-    def occupied_physical(self) -> set[int]:
-        """The set of physical qubits currently hosting logical state."""
-        return {p for p, logical in enumerate(self._logical_at) if logical is not None}
 
     # -- mutation ----------------------------------------------------------------
 

@@ -82,10 +82,6 @@ class BoundedPriorityQueue:
                 raise
         return heapq.heappop(self._heap)[2]
 
-    def get_nowait(self):
-        """Dequeue immediately; raises ``IndexError`` on an empty queue."""
-        return heapq.heappop(self._heap)[2]
-
     def _wake_one(self) -> None:
         while self._getters:
             future = self._getters.popleft()

@@ -48,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro._version import __version__
-from repro.api.batch import compile_many
+from repro.api.batch import check_batch_options, compile_many
 from repro.api.cache import CompileCache, request_fingerprint
 from repro.api.request import CompileRequest
 from repro.api.result import CompileError, CompileResult
@@ -92,14 +92,11 @@ class ServeConfig:
     trace_out: str | None = None
 
     def check(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        # Every served miss hands timeout and retries to compile_many: a value
+        # it would reject fails here, at start, and not at each miss.
+        check_batch_options(self.workers, self.timeout, self.retries, 0.0, "collect")
         if self.queue_size < 1:
             raise ValueError(f"queue size must be at least 1, got {self.queue_size}")
-        if self.timeout is not None and not self.timeout > 0:
-            raise ValueError("timeout must be a positive number of seconds or None")
-        if self.retries < 0:
-            raise ValueError(f"retries must be non-negative, got {self.retries}")
         if self.cache_dir is None and (
             self.cache_max_bytes is not None
             or self.cache_max_entries is not None
@@ -545,7 +542,6 @@ _STATUS_REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -571,13 +567,21 @@ def _encode_response(response: Response) -> bytes:
     return ("\r\n".join(headers) + "\r\n\r\n").encode() + body
 
 
+async def _read_line(reader) -> bytes:
+    """One request or header line; one longer than the stream limit is malformed."""
+    try:
+        return await reader.readline()
+    except ValueError:  # the line overran the StreamReader's limit
+        raise ProtocolError("HTTP request line or header line too long") from None
+
+
 async def _read_request(reader) -> tuple[str, str, dict, object] | None:
     """Parse one HTTP/1.1 request: ``(method, path, query, json_body)``.
 
     Returns ``None`` on a cleanly closed connection; raises
     :class:`ProtocolError` on anything malformed.
     """
-    request_line = await reader.readline()
+    request_line = await _read_line(reader)
     if not request_line:
         return None
     try:
@@ -586,7 +590,7 @@ async def _read_request(reader) -> tuple[str, str, dict, object] | None:
         raise ProtocolError("malformed HTTP request line") from None
     content_length = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")

@@ -16,14 +16,14 @@ class TestGrouping:
         circuit.cx(2, 5)
         circuit.cx(3, 7)
         program = lift_circuit(circuit)
-        assert program.macro_gate_count() == 1
+        assert len(program) == 1
         statement = program.statements[0]
         assert statement.trip_count == 4
         assert statement.accesses == (AffineAccess(1, 0), AffineAccess(2, 1))
 
     def test_ghz_chain_is_one_macro_gate_plus_hadamard(self):
         program = lift_circuit(ghz_circuit(10))
-        assert program.macro_gate_count() == 2
+        assert len(program) == 2
         names = [s.gate_name for s in program.statements]
         assert names == ["h", "cx"]
         assert program.statements[1].trip_count == 9
@@ -34,7 +34,7 @@ class TestGrouping:
         circuit.cx(1, 2)
         circuit.cz(2, 3)
         program = lift_circuit(circuit)
-        assert program.macro_gate_count() == 2
+        assert len(program) == 2
 
     def test_parameter_change_breaks_run(self):
         circuit = QuantumCircuit(3)
@@ -42,7 +42,7 @@ class TestGrouping:
         circuit.rz(0.5, 1)
         circuit.rz(0.7, 2)
         program = lift_circuit(circuit)
-        assert program.macro_gate_count() == 2
+        assert len(program) == 2
 
     def test_non_affine_operand_breaks_run(self):
         circuit = QuantumCircuit(8)
@@ -51,7 +51,7 @@ class TestGrouping:
         circuit.cx(2, 3)
         circuit.cx(5, 7)  # breaks both progressions
         program = lift_circuit(circuit)
-        assert program.macro_gate_count() == 2
+        assert len(program) == 2
         assert program.statements[0].trip_count == 3
 
     def test_second_gate_sets_the_step_of_each_operand(self):
@@ -60,7 +60,7 @@ class TestGrouping:
         circuit.cx(3, 5)
         circuit.cx(6, 9)
         program = lift_circuit(circuit)
-        assert program.macro_gate_count() == 1
+        assert len(program) == 1
         assert program.statements[0].accesses == (AffineAccess(3, 0), AffineAccess(4, 1))
 
     def test_step_is_kept_from_the_last_gate_of_the_run(self):
@@ -107,11 +107,6 @@ class TestReconstruction:
         original = ghz_circuit(12)
         rebuilt = lift_circuit(original).to_circuit()
         assert rebuilt == original
-
-    def test_instance_timeline_is_sorted(self):
-        program = lift_circuit(ghz_circuit(6))
-        times = [t for t, *_ in program.instance_timeline()]
-        assert times == sorted(times)
 
     def test_compression_ratio(self):
         program = lift_circuit(ghz_circuit(20))

@@ -80,7 +80,7 @@ class TestAffineProgram:
     def test_program_statistics(self):
         program = AffineProgram(5, [chain_macro(4)])
         assert program.num_gate_instances == 4
-        assert program.macro_gate_count() == 1
+        assert len(program) == 1
         assert program.compression_ratio() == 4.0
 
     def test_empty_program_ratio(self):

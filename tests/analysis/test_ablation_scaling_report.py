@@ -93,14 +93,6 @@ class TestBenchScale:
         assert BenchScale(1.0, 2).queko_depths((20, 40)) == [20, 40]
         assert BenchScale(0.5, 2).queko_depths((20, 40)) == [10, 20]
 
-    def test_medium_large_split(self):
-        medium, large = BenchScale(1.0, 2).medium_large_split([10, 20, 30, 40])
-        assert medium == [10, 20, 30] and large == [40]
-
-    def test_qasmbench_sizes_capped(self):
-        sizes = BenchScale(10.0, 2).qasmbench_sizes((20, 54))
-        assert max(sizes) <= 81
-
 
 class TestReport:
     def test_format_table_alignment(self):

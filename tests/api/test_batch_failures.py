@@ -237,6 +237,24 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="workers must be"):
             compile_many(eight_requests()[:1], workers=0)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("workers", 2.5),
+            ("workers", True),
+            ("workers", "2"),
+            ("retries", 2.5),
+            ("retries", True),
+            ("retries", "3"),
+            ("timeout", True),
+            ("timeout", "30"),
+            ("backoff", True),
+        ],
+    )
+    def test_no_argument_is_coerced(self, option, value):
+        with pytest.raises(ValueError, match=f"{option} must be"):
+            compile_many(eight_requests()[:1], cache=False, **{option: value})
+
 
 _FORKS = []
 os.register_at_fork(after_in_parent=lambda: _FORKS.append(1))

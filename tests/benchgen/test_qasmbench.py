@@ -50,7 +50,7 @@ class TestFamilies:
 
     def test_w_state_touches_all_qubits(self):
         circuit = w_state_circuit(7)
-        assert circuit.used_qubits() == set(range(7))
+        assert {q for gate in circuit for q in gate.qubits} == set(range(7))
 
     def test_ising_is_nearest_neighbour(self):
         circuit = ising_circuit(10, steps=2)
@@ -71,7 +71,7 @@ class TestFamilies:
 
     def test_qram_only_uses_declared_qubits(self):
         circuit = qram_circuit(20)
-        assert max(circuit.used_qubits()) < 20
+        assert max(q for gate in circuit for q in gate.qubits) < 20
 
     def test_adder_decomposed_to_two_qubit_gates(self):
         circuit = adder_circuit(16)

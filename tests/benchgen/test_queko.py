@@ -18,7 +18,8 @@ class TestGeneration:
         # Every two-qubit gate must act on coupled qubits under the hidden layout.
         for gate in unscrambled:
             if gate.is_two_qubit:
-                assert GRID.are_adjacent(*gate.qubits)
+                a, b = gate.qubits
+                assert b in GRID.neighbors(a)
         assert unscrambled.depth() == instance.optimal_depth
 
     def test_depth_equals_target(self):

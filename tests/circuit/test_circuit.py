@@ -92,11 +92,6 @@ class TestViews:
         circuit.cz(1, 2)
         assert len(circuit.two_qubit_gates()) == 2
 
-    def test_used_qubits(self):
-        circuit = QuantumCircuit(5)
-        circuit.cx(1, 3)
-        assert circuit.used_qubits() == {1, 3}
-
     def test_count_ops(self):
         circuit = QuantumCircuit(2)
         circuit.h(0)

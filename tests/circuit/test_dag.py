@@ -15,7 +15,7 @@ class TestStructure:
     def test_paper_example_dependences(self, paper_example_circuit):
         dag = CircuitDAG(paper_example_circuit)
         # G0=cx(0,1), G1=cx(2,3), G2=cx(1,2), G3=cx(3,5), G4=cx(0,2), G5=cx(1,5)
-        assert set(dag.front_layer()) == {0, 1}
+        assert set(dag.layers()[0]) == {0, 1}
         assert set(dag.successors(0)) == {2, 4}  # shares q1 with G2, q0 with G4
         assert set(dag.successors(1)) == {2, 3}
         assert set(dag.predecessors(2)) == {0, 1}
@@ -23,7 +23,7 @@ class TestStructure:
 
     def test_chain_is_fully_sequential(self):
         dag = CircuitDAG(linear_cnot_chain(5))
-        assert dag.front_layer() == [0]
+        assert dag.layers()[0] == [0]
         assert dag.depth() == 4
 
     def test_independent_gates_all_in_front(self):
@@ -32,7 +32,7 @@ class TestStructure:
         circuit.cx(2, 3)
         circuit.cx(4, 5)
         dag = CircuitDAG(circuit)
-        assert len(dag.front_layer()) == 3
+        assert len(dag.layers()[0]) == 3
         assert dag.depth() == 1
 
     def test_barriers_are_excluded(self):
@@ -74,13 +74,11 @@ class TestLevels:
     def test_depth_matches_circuit_two_qubit_depth(self, paper_example_circuit):
         dag = CircuitDAG(paper_example_circuit)
         assert dag.depth() == 3
-        assert dag.critical_path_length() == 3
 
     def test_empty_circuit(self):
         dag = CircuitDAG(QuantumCircuit(2))
         assert dag.depth() == 0
         assert dag.layers() == []
-        assert dag.front_layer() == []
 
 
 class TestDescendants:

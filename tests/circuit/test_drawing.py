@@ -2,7 +2,7 @@
 
 from repro.benchgen.qasmbench import ghz_circuit
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.drawing import draw_circuit, drawing_summary
+from repro.circuit.drawing import draw_circuit
 
 
 class TestDrawCircuit:
@@ -55,9 +55,3 @@ class TestDrawCircuit:
         drawing = draw_circuit(ghz_circuit(5))
         lengths = {len(line) for line in drawing.splitlines()}
         assert len(lengths) == 1
-
-
-class TestSummary:
-    def test_summary_mentions_counts(self):
-        summary = drawing_summary(ghz_circuit(6))
-        assert "6 qubits" in summary and "6 gates" in summary

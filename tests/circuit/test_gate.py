@@ -71,8 +71,8 @@ class TestTransformation:
         gate = cx(0, 2).remap([10, 11, 12])
         assert gate.qubits == (10, 12)
 
-    def test_with_qubits(self):
-        gate = Gate("rz", (0,), (0.5,)).with_qubits((3,))
+    def test_remap_keeps_the_parameters(self):
+        gate = Gate("rz", (0,), (0.5,)).remap({0: 3})
         assert gate.qubits == (3,)
         assert gate.params == (0.5,)
 

@@ -4,12 +4,9 @@ import pytest
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.metrics import (
-    circuit_depth,
     depth_factor,
     depth_overhead,
-    gate_counts,
     swap_count,
-    swap_ratio,
     total_operations,
     two_qubit_gate_count,
 )
@@ -28,18 +25,11 @@ def sample() -> QuantumCircuit:
 
 
 class TestCounts:
-    def test_depth(self, sample):
-        assert circuit_depth(sample) == sample.depth()
-
     def test_two_qubit_count(self, sample):
         assert two_qubit_gate_count(sample) == 3
 
     def test_swap_count(self, sample):
         assert swap_count(sample) == 1
-
-    def test_gate_counts(self, sample):
-        counts = gate_counts(sample)
-        assert counts["cx"] == 2 and counts["swap"] == 1
 
     def test_total_operations_excludes_barriers(self, sample):
         assert total_operations(sample) == 5
@@ -60,10 +50,3 @@ class TestRatios:
     def test_depth_factor_rejects_zero_reference(self):
         with pytest.raises(ValueError):
             depth_factor(10, 0)
-
-    def test_swap_ratio(self):
-        assert swap_ratio(20, 10) == 2.0
-
-    def test_swap_ratio_zero_reference(self):
-        assert swap_ratio(0, 0) == 1.0
-        assert swap_ratio(5, 0) == float("inf")

@@ -8,7 +8,7 @@ from repro.analysis.perf_trajectory import smoke_fixture
 from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.config import QlosureConfig
-from repro.core.cost import WindowScorer, swap_cost, tentative_physical
+from repro.core.cost import WindowScorer
 from repro.core.error_aware import ErrorAwareQlosureRouter
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.core.router import QlosureRouter
@@ -25,6 +25,17 @@ def scorer_at(state, window, weights, decay, config) -> WindowScorer:
     scorer = WindowScorer(state, window, weights, decay, config)
     scorer.rebase()
     return scorer
+
+
+def tentative_physical(state, logical: int, swap: tuple[int, int]) -> int:
+    """Physical location of ``logical`` under the tentative mapping ``phi o s``."""
+    current = state.layout.phys_of[logical]
+    p1, p2 = swap
+    if current == p1:
+        return p2
+    if current == p2:
+        return p1
+    return current
 
 
 def blocked_cnot_state(num_qubits: int = 5):
@@ -52,32 +63,32 @@ class TestSwapCost:
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=False)
         weights = {0: 5}
-        helpful = swap_cost(state, (0, 1), window, weights, {}, config)
-        useless = swap_cost(state, (1, 2), window, weights, {}, config)
+        helpful = scorer_at(state, window, weights, {}, config).score((0, 1))
+        useless = scorer_at(state, window, weights, {}, config).score((1, 2))
         assert helpful < useless
 
     def test_weights_scale_contribution(self):
         state = blocked_cnot_state()
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=False)
-        low = swap_cost(state, (1, 2), window, {0: 1}, {}, config)
-        high = swap_cost(state, (1, 2), window, {0: 10}, {}, config)
+        low = scorer_at(state, window, {0: 1}, {}, config).score((1, 2))
+        high = scorer_at(state, window, {0: 10}, {}, config).score((1, 2))
         assert high == pytest.approx(10 * low)
 
     def test_weights_ignored_when_disabled(self):
         state = blocked_cnot_state()
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=False, use_dependence_weights=False)
-        a = swap_cost(state, (1, 2), window, {0: 1}, {}, config)
-        b = swap_cost(state, (1, 2), window, {0: 10}, {}, config)
+        a = scorer_at(state, window, {0: 1}, {}, config).score((1, 2))
+        b = scorer_at(state, window, {0: 10}, {}, config).score((1, 2))
         assert a == pytest.approx(b)
 
     def test_decay_multiplies_score(self):
         state = blocked_cnot_state()
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=True)
-        without_decay = swap_cost(state, (0, 1), window, {0: 1}, {0: 1.0, 1: 1.0}, config)
-        with_decay = swap_cost(state, (0, 1), window, {0: 1}, {0: 1.5, 1: 1.0}, config)
+        without_decay = scorer_at(state, window, {0: 1}, {0: 1.0, 1: 1.0}, config).score((0, 1))
+        with_decay = scorer_at(state, window, {0: 1}, {0: 1.5, 1: 1.0}, config).score((0, 1))
         assert with_decay == pytest.approx(1.5 * without_decay)
 
     def test_decay_of_unoccupied_location_defaults_to_one(self):
@@ -88,7 +99,7 @@ class TestSwapCost:
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=True)
         # Physical qubit 3 hosts no logical qubit.
-        cost = swap_cost(state, (2, 3), window, {0: 1}, {0: 2.0, 1: 2.0, 2: 2.0}, config)
+        cost = scorer_at(state, window, {0: 1}, {0: 2.0, 1: 2.0, 2: 2.0}, config).score((2, 3))
         assert cost > 0
 
 
@@ -103,7 +114,7 @@ class TestLayerFactors:
     def test_layer_discount_reduces_later_layer_influence(self):
         state = self._two_layer_state()
         window = build_lookahead(state, lookahead_constant=5)
-        assert window.num_layers == 2
+        assert len(window.layers) == 2
         config_with = QlosureConfig(use_decay=False, use_dependence_weights=False)
         config_without = QlosureConfig(
             use_decay=False, use_dependence_weights=False, use_layer_discount=False
@@ -111,7 +122,7 @@ class TestLayerFactors:
         scorer_with = scorer_at(state, window, {}, {}, config_with)
         scorer_without = scorer_at(state, window, {}, {}, config_without)
         # Discounting only shrinks the second layer's contribution.
-        assert scorer_with.base_score() < scorer_without.base_score()
+        assert scorer_with._base < scorer_without._base
 
     def test_layer_normalization_divides_by_layer_size(self):
         device = line_topology(8)
@@ -124,8 +135,8 @@ class TestLayerFactors:
         config_raw = QlosureConfig(
             use_decay=False, use_dependence_weights=False, use_layer_normalization=False
         )
-        normalized = scorer_at(state, window, {}, {}, config_norm).base_score()
-        raw = scorer_at(state, window, {}, {}, config_raw).base_score()
+        normalized = scorer_at(state, window, {}, {}, config_norm)._base
+        raw = scorer_at(state, window, {}, {}, config_raw)._base
         assert normalized == pytest.approx(raw / 2)
 
 
@@ -143,7 +154,7 @@ class TestWindowScorer:
         config = QlosureConfig()
         scorer = scorer_at(state, window, weights, decay, config)
         for candidate in state.candidate_swaps():
-            direct = swap_cost(state, candidate, window, weights, decay, config)
+            direct = scorer_at(state, window, weights, decay, config).score(candidate)
             assert scorer.score(candidate) == pytest.approx(direct)
 
     def test_unrelated_swap_keeps_base_score(self):
@@ -152,19 +163,19 @@ class TestWindowScorer:
         config = QlosureConfig(use_decay=False)
         scorer = scorer_at(state, window, {0: 1}, {}, config)
         # A swap between empty far-away qubits leaves every window gate alone.
-        assert scorer.score((2, 3)) == pytest.approx(scorer.base_score())
+        assert scorer.score((2, 3)) == pytest.approx(scorer._base)
 
     def test_rebase_follows_the_layout(self):
         state = blocked_cnot_state(6)
         window = build_lookahead(state, lookahead_constant=3)
         config = QlosureConfig(use_decay=False)
         scorer = scorer_at(state, window, {0: 1}, {}, config)
-        assert scorer.base_score() == 5.0
+        assert scorer._base == 5.0
         state.layout.swap_physical(0, 1)
         # The index is per window; the distances are read per stall.
-        assert scorer.base_score() == 5.0
+        assert scorer._base == 5.0
         scorer.rebase()
-        assert scorer.base_score() == 4.0
+        assert scorer._base == 4.0
         assert scorer.score((1, 2)) == 3.0
 
 
@@ -255,7 +266,7 @@ class TestScorerOracle:
             if stall:
                 state.layout.swap_physical(*rng.choice(edges))
             scorer.rebase()
-            assert scorer.base_score() == pytest.approx(
+            assert scorer._base == pytest.approx(
                 brute_force_layer_sum(state, None, window, weights, config), rel=1e-12
             )
             for a, b in edges:

@@ -62,7 +62,7 @@ class TestLayers:
         circuit.cx(2, 7)   # depends on the second
         state = make_state(circuit, grid4x4)
         window = build_lookahead(state, lookahead_constant=5)
-        assert window.num_layers == 3
+        assert len(window.layers) == 3
         assert window.layers[0] == [0]
         assert window.layers[1] == [1]
         assert window.layers[2] == [2]
@@ -71,7 +71,7 @@ class TestLayers:
         circuit = chain_circuit(8)
         state = make_state(circuit, grid4x4)
         window = build_lookahead(state, lookahead_constant=5, front_only=True)
-        assert window.num_layers == 1
+        assert len(window.layers) == 1
 
     def test_single_qubit_gates_are_not_scored(self, grid4x4):
         circuit = QuantumCircuit(6)
@@ -113,7 +113,7 @@ class TestWindowContainer:
         window = LookaheadWindow([[3, 4], [7]])
         assert window.gates() == [3, 4, 7]
         assert window.num_gates == 3
-        assert window.num_layers == 2
+        assert len(window.layers) == 2
         assert list(iter(window)) == [[3, 4], [7]]
 
 

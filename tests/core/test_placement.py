@@ -4,17 +4,26 @@ import pytest
 
 from repro.benchgen.qasmbench import ghz_circuit, qaoa_circuit
 from repro.circuit.circuit import QuantumCircuit
-from repro.core.placement import (
-    greedy_placement,
-    initial_layout,
-    interaction_graph,
-    placement_cost,
-)
+from repro.core.placement import greedy_placement, initial_layout, interaction_graph
 from repro.hardware.topologies import grid_topology, line_topology
 from repro.routing.layout import Layout
 
 
 GRID = grid_topology(4, 4)
+
+
+def placement_cost(circuit, coupling, layout) -> int:
+    """Total interaction-weighted distance of a placement (lower is better).
+
+    The classic static objective for comparing initial placements:
+    ``sum over two-qubit gates of D[phi(q1), phi(q2)]``.
+    """
+    matrix = coupling.distance_matrix()
+    return sum(
+        matrix[layout.physical(gate.qubits[0])][layout.physical(gate.qubits[1])]
+        for gate in circuit
+        if gate.is_two_qubit
+    )
 
 
 class TestInteractionGraph:

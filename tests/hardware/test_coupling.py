@@ -26,11 +26,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_adjacency(self, line5):
-        assert line5.are_adjacent(0, 1)
-        assert line5.are_adjacent(1, 0)
-        assert not line5.are_adjacent(0, 2)
-
     def test_neighbors_sorted(self, grid3x3):
         assert grid3x3.neighbors(4) == [1, 3, 5, 7]
 
@@ -78,7 +73,7 @@ class TestDistances:
         assert path[0] == 0 and path[-1] == 8
         assert len(path) == grid3x3.distance(0, 8) + 1
         for a, b in zip(path, path[1:]):
-            assert grid3x3.are_adjacent(a, b)
+            assert b in grid3x3.neighbors(a)
 
     @pytest.mark.parametrize("pair, outside", [((0, 500), 500), ((500, 0), 500), ((-1, 3), -1)])
     def test_shortest_path_rejects_qubits_outside_the_graph(self, pair, outside):
@@ -94,9 +89,7 @@ class TestSubgraph:
     def test_subgraph_reindexes(self, grid3x3):
         sub = grid3x3.subgraph([0, 1, 3, 4])
         assert sub.num_qubits == 4
-        assert sub.are_adjacent(0, 1)
-        assert sub.are_adjacent(0, 2)
-        assert not sub.are_adjacent(0, 3)
+        assert sub.neighbors(0) == [1, 2]
 
     def test_subgraph_drops_external_edges(self, line5):
         sub = line5.subgraph([0, 2, 4])

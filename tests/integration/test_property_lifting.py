@@ -97,7 +97,7 @@ class TestLiftingProperties:
     @settings(max_examples=40, deadline=None)
     def test_macro_gate_count_never_exceeds_gate_count(self, circuit):
         program = lift_circuit(circuit)
-        assert program.macro_gate_count() <= max(len(circuit), 1)
+        assert len(program) <= max(len(circuit), 1)
         assert program.num_gate_instances == len(circuit)
 
     @given(circuit_strategy)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.analysis.perf_trajectory import smoke_fixture
+from repro.api.registry import router_specs
 from repro.baselines.cirq_like import CirqLikeRouter
 from repro.baselines.greedy import GreedyDistanceRouter
 from repro.baselines.qmap_like import QmapLikeRouter
@@ -170,6 +171,12 @@ class TestChoiceRule:
         expected = random.Random(5).choice([(1, 2), (2, 3)])
         assert router.select_swap(state) == expected
         assert router._rng.getstate() != random.Random(5).getstate()
+
+    def test_only_qmap_has_its_own_choice_rule(self):
+        specs = {spec.name: spec.factory for spec in router_specs()}
+        assert specs.pop("qmap").select_swap is not RoutingEngine.select_swap
+        for name, factory in specs.items():
+            assert factory.select_swap is RoutingEngine.select_swap, name
 
 
 class RecordingRouter(GreedyDistanceRouter):

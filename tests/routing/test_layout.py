@@ -25,10 +25,6 @@ class TestConstruction:
         layout = Layout(3, 5, [4, 0, 2])
         assert layout.as_dict() == {0: 4, 1: 0, 2: 2}
 
-    def test_from_physical_order(self):
-        layout = Layout.from_physical_order([2, 0, 1], 4)
-        assert layout.physical(0) == 2
-
     def test_duplicate_physical_rejected(self):
         with pytest.raises(ValueError):
             Layout(2, 4, {0: 1, 1: 1})
@@ -52,7 +48,7 @@ class TestSwaps:
         layout = Layout.trivial(2, 4)
         layout.swap_physical(1, 3)
         assert layout.physical(1) == 3
-        assert not layout.is_occupied(1)
+        assert layout.logical(1) is None
 
     def test_swap_two_empty_is_noop(self):
         layout = Layout.trivial(1, 4)
@@ -65,17 +61,13 @@ class TestSwaps:
         layout.swap_physical(0, 4)
         assert layout.as_list() == [0, 1, 2]
 
-    def test_occupied_physical(self):
-        layout = Layout.trivial(2, 5)
-        assert layout.occupied_physical() == {0, 1}
-
 
 class TestAssignAndCopy:
     def test_assign_moves_logical_qubit(self):
         layout = Layout.trivial(2, 4)
         layout.assign(0, 3)
         assert layout.physical(0) == 3
-        assert not layout.is_occupied(0)
+        assert layout.logical(0) is None
 
     def test_assign_to_occupied_rejected(self):
         layout = Layout.trivial(2, 4)

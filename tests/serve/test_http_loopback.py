@@ -148,6 +148,25 @@ class TestServedParity:
         assert response.status == 400
         assert "Content-Length" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "path, headers",
+        [("/" + "a" * 70_000, {}), ("/healthz", {"X-Long": "a" * 70_000})],
+        ids=["request-line", "header-line"],
+    )
+    def test_over_long_line_is_a_400(self, server, path, headers):
+        connection = http.client.HTTPConnection("127.0.0.1", server._port, timeout=60)
+        try:
+            connection.putrequest("GET", path)
+            for name, value in headers.items():
+                connection.putheader(name, value)
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "too long" in body["error"]["message"]
+
     def test_unknown_path_is_404_over_http(self, server):
         status, body, _ = server.request("GET", "/nope")
         assert status == 404

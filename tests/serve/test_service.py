@@ -457,3 +457,6 @@ class TestConfigValidation:
             CompileService(ServeConfig(timeout=0))
         with pytest.raises(ValueError):
             CompileService(ServeConfig(retries=-1))
+        for coerced in ({"workers": 2.5}, {"retries": True}, {"retries": 2.5}, {"timeout": True}):
+            with pytest.raises(ValueError):
+                CompileService(ServeConfig(**coerced))
