@@ -73,12 +73,13 @@ test-faults:
 	$(PYTHON) -m pytest tests/api/test_faults.py tests/api/test_batch_failures.py \
 		tests/api/test_batch.py tests/obs/test_trace_propagation.py -q
 
-## Compile-service suite: queue ordering/backpressure, wire codecs and error
-## mapping, handler-level service semantics (coalescing, jobs, drain, fault
-## injection through the service path), plus one loopback HTTP smoke proving
-## served-vs-direct bit-for-bit parity, single-execution coalescing,
-## 429 + Retry-After and drain-exits-0.  Fast (~15 s); no ports are bound
-## except by the loopback tests (ephemeral, 127.0.0.1 only).
+## Compile-service suite: wire codecs and error mapping, handler-level
+## service semantics (priority order through the service, a full queue's 429
+## for compiles and batches, coalescing, jobs and their retention bound, drain
+## with queued work, fault injection through the service path), plus one loopback HTTP smoke proving served-vs-direct
+## bit-for-bit parity, single-execution coalescing, 429 + Retry-After,
+## bounded request and header lines, and drain-exits-0.  Fast (~15 s); no
+## ports are bound except by the loopback tests (ephemeral, 127.0.0.1 only).
 test-serve:
 	$(PYTHON) -m pytest tests/serve -q
 

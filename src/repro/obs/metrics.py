@@ -1,10 +1,8 @@
 """Unified telemetry primitives: counters and fixed-bucket histograms.
 
-This is the *one* metrics implementation shared by the whole stack:
-``repro.serve`` registers its service counters/latency histograms on a
-:class:`MetricsRegistry` (its old private ``Histogram`` was folded in here),
-and trace exporters reuse :meth:`MetricsRegistry.snapshot` for the counter
-sections of trace files.
+``repro.serve`` registers its service counters and latency histograms on a
+:class:`MetricsRegistry`.  Trace files do not go through it: the exporters
+in :mod:`repro.obs.export` write a tracer's own counters.
 
 Two renderings of the same registry:
 
@@ -14,8 +12,11 @@ Two renderings of the same registry:
   (``GET /metrics?format=prometheus``): cumulative ``le``-labelled buckets,
   ``_sum``/``_count`` series, ``# TYPE`` comments, sanitised metric names.
 
-All mutation is single-writer per registry (the service mutates on its
-event-loop thread; see :mod:`repro.serve.server`), so there are no locks.
+There are no locks.  The service writes its counters and its ``queue_wait``
+and ``total`` histograms on its event-loop thread, but the per-pass
+``pass_*`` histograms from executor threads (``_run_compile`` and
+``_run_batch`` in :mod:`repro.serve.server`), so with ``workers > 1`` two
+threads can observe into one histogram at once.
 """
 
 from __future__ import annotations

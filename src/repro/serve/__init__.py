@@ -24,7 +24,6 @@ from repro.serve.protocol import (
     decode_compile_body,
     error_body,
 )
-from repro.serve.queue import BoundedPriorityQueue, QueueFull
 from repro.serve.server import (
     CompileService,
     Response,
@@ -39,8 +38,6 @@ __all__ = [
     "Response",
     "run_server",
     "serve_forever",
-    "BoundedPriorityQueue",
-    "QueueFull",
     "Job",
     "JobTable",
     "JOB_STATES",

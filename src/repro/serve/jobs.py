@@ -25,8 +25,8 @@ from collections import OrderedDict
 #: Recognised job states, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed")
 
-#: Default number of *finished* jobs retained for ``GET /v1/jobs/<id>``.
-DEFAULT_FINISHED_CAPACITY = 1024
+#: Number of *finished* jobs retained for ``GET /v1/jobs/<id>``.
+FINISHED_CAPACITY = 1024
 
 
 class Job:
@@ -39,6 +39,7 @@ class Job:
         self.kind = kind  # "compile" | "batch"
         self.state = "queued"
         self.coalesced = 0  # waiters attached beyond the originating request
+        self.trace_id: str | None = None  # set when the job is queued
         self.future: asyncio.Future = asyncio.get_running_loop().create_future()
         self.response: dict | None = None  # the finished body (result or error)
         self.status: int | None = None  # the finished HTTP status
@@ -74,17 +75,11 @@ class Job:
 class JobTable:
     """Sequential job ids, bounded retention, fingerprint-keyed coalescing."""
 
-    def __init__(self, finished_capacity: int = DEFAULT_FINISHED_CAPACITY):
-        if finished_capacity < 1:
-            raise ValueError("finished_capacity must be at least 1")
-        self.finished_capacity = int(finished_capacity)
+    def __init__(self):
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._by_fingerprint: dict[str, Job] = {}
         self._next_id = 0
         self._finished: OrderedDict[str, None] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._jobs)
 
     def create(self, fingerprint: str | None, priority: int, kind: str = "compile") -> Job:
         self._next_id += 1
@@ -113,7 +108,7 @@ class JobTable:
         if job.fingerprint is not None and self._by_fingerprint.get(job.fingerprint) is job:
             del self._by_fingerprint[job.fingerprint]
         self._finished[job.id] = None
-        while len(self._finished) > self.finished_capacity:
+        while len(self._finished) > FINISHED_CAPACITY:
             evicted, _ = self._finished.popitem(last=False)
             self._jobs.pop(evicted, None)
 

@@ -17,9 +17,10 @@ daemon speaking JSON over HTTP:
 
 Architecture: admission is synchronous on the event-loop thread (decode ->
 fingerprint -> cache lookup -> coalesce-or-enqueue, with no await between
-the lookup and the registration, so coalescing has no race window); a bounded
-priority queue (:mod:`repro.serve.queue`) applies explicit backpressure
-(HTTP 429 + ``Retry-After`` when full); ``workers`` asyncio tasks drain the
+the lookup and the registration, so coalescing has no race window); one
+bounded :class:`asyncio.PriorityQueue` holds admitted jobs, lower priority
+values first and ties in arrival order, and a full queue is explicit
+backpressure (HTTP 429 + ``Retry-After``); ``workers`` asyncio tasks drain the
 queue and run the blocking pipeline in a thread pool via
 ``compile_many([request], workers=1, on_error="collect", ...)``, so
 per-request timeouts, retries, worker-crash reaping and fault injection
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import json
 import logging
 import math
@@ -64,12 +66,8 @@ from repro.serve.protocol import (
     decode_compile_body,
     error_body,
 )
-from repro.serve.queue import BoundedPriorityQueue, QueueFull
 
 logger = logging.getLogger(__name__)
-
-#: Poll interval of the drain watcher (seconds).
-_DRAIN_POLL_SECONDS = 0.02
 
 
 @dataclass
@@ -95,8 +93,10 @@ class ServeConfig:
         # Every served miss hands timeout and retries to compile_many: a value
         # it would reject fails here, at start, and not at each miss.
         check_batch_options(self.workers, self.timeout, self.retries, 0.0, "collect")
-        if self.queue_size < 1:
-            raise ValueError(f"queue size must be at least 1, got {self.queue_size}")
+        # The only guard: asyncio.PriorityQueue treats a bound below 1 as no bound.
+        size = self.queue_size
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(f"queue size must be at least 1 (an int), got {size!r}")
         if self.cache_dir is None and (
             self.cache_max_bytes is not None
             or self.cache_max_entries is not None
@@ -143,7 +143,10 @@ class CompileService:
             )
         self.metrics = MetricsRegistry()
         self.jobs = JobTable()
-        self.queue = BoundedPriorityQueue(self.config.queue_size)
+        # Entries are (priority, arrival, (job, work, enqueued_at)).  Built
+        # once, here: it binds to the first event loop that waits on it.
+        self.queue = asyncio.PriorityQueue(self.config.queue_size)
+        self._arrivals = itertools.count()
         self.draining = False
         self.started = time.monotonic()
         self._workers: list[asyncio.Task] = []
@@ -280,20 +283,9 @@ class CompileService:
             self.metrics.increment("coalesced")
         else:
             job = self.jobs.create(fingerprint, priority, kind="compile")
-            job.trace_id = trace_id or new_trace_id()
-            try:
-                self.queue.put_nowait((job, request, time.monotonic()), priority)
-            except QueueFull:
-                self.jobs.finish(job, 429, error_body("queue full", kind="Backpressure"))
-                self.metrics.increment("rejected_busy")
-                return Response(
-                    429,
-                    error_body(
-                        f"compile queue full ({self.queue.maxsize} entries); retry later",
-                        kind="Backpressure",
-                    ),
-                    headers={"Retry-After": str(self._retry_after_seconds())},
-                )
+            rejected = self._enqueue(job, request, trace_id)
+            if rejected is not None:
+                return rejected
         if not wait:
             return Response(202, {"ok": True, "job": job.payload()})
         status, response = await asyncio.shield(job.future)
@@ -313,10 +305,20 @@ class CompileService:
             self.metrics.increment("rejected_draining")
             return Response(503, error_body("server is draining; not accepting new work"))
         job = self.jobs.create(None, priority, kind="batch")
+        rejected = self._enqueue(job, requests, trace_id)
+        if rejected is not None:
+            return rejected
+        status, response = await asyncio.shield(job.future)
+        return Response(status, response)
+
+    def _enqueue(self, job: Job, work, trace_id: str | None) -> Response | None:
+        """Queue a new job; on a full queue, fail it and return the 429."""
         job.trace_id = trace_id or new_trace_id()
         try:
-            self.queue.put_nowait((job, requests, time.monotonic()), priority)
-        except QueueFull:
+            self.queue.put_nowait(
+                (job.priority, next(self._arrivals), (job, work, time.monotonic()))
+            )
+        except asyncio.QueueFull:
             self.jobs.finish(job, 429, error_body("queue full", kind="Backpressure"))
             self.metrics.increment("rejected_busy")
             return Response(
@@ -327,8 +329,7 @@ class CompileService:
                 ),
                 headers={"Retry-After": str(self._retry_after_seconds())},
             )
-        status, response = await asyncio.shield(job.future)
-        return Response(status, response)
+        return None
 
     def handle_job(self, job_id: str) -> Response:
         self.metrics.increment("job_lookups")
@@ -410,27 +411,32 @@ class CompileService:
     async def _worker_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            job, work, enqueued_at = await self.queue.get()
-            job.state = "running"
-            started = time.monotonic()
-            self.metrics.observe("queue_wait", started - enqueued_at)
+            _, _, (job, work, enqueued_at) = await self.queue.get()
             try:
-                if job.kind == "batch":
-                    run = functools.partial(self._run_batch, work)
+                job.state = "running"
+                started = time.monotonic()
+                self.metrics.observe("queue_wait", started - enqueued_at)
+                try:
+                    if job.kind == "batch":
+                        run = functools.partial(self._run_batch, work)
+                    else:
+                        run = functools.partial(self._run_compile, work, job.fingerprint)
+                    status, response = await loop.run_in_executor(
+                        None, self._run_traced, run, job
+                    )
+                except Exception as exc:  # the executor call itself failed
+                    logger.exception("worker execution failed for %s", job.id)
+                    status, response = compile_error_body(CompileError.from_exception(exc))
+                elapsed = time.monotonic() - started
+                self._recent_seconds.append(elapsed)
+                self.metrics.observe("total", elapsed)
+                if status < 400:
+                    self.metrics.increment("executions")
                 else:
-                    run = functools.partial(self._run_compile, work, job.fingerprint)
-                status, response = await loop.run_in_executor(None, self._run_traced, run, job)
-            except Exception as exc:  # the executor call itself failed
-                logger.exception("worker execution failed for %s", job.id)
-                status, response = compile_error_body(CompileError.from_exception(exc))
-            elapsed = time.monotonic() - started
-            self._recent_seconds.append(elapsed)
-            self.metrics.observe("total", elapsed)
-            if status < 400:
-                self.metrics.increment("executions")
-            else:
-                self.metrics.increment("failures")
-            self.jobs.finish(job, status, response)
+                    self.metrics.increment("failures")
+                self.jobs.finish(job, status, response)
+            finally:
+                self.queue.task_done()
 
     def _run_traced(self, run, job: Job) -> tuple[int, dict]:
         """Run one job in the executor thread, under a tracer when sinking.
@@ -443,7 +449,7 @@ class CompileService:
         """
         if self.config.trace_out is None:
             return run()
-        tracer = Tracer(trace_id=getattr(job, "trace_id", None))
+        tracer = Tracer(trace_id=job.trace_id)
         with use_tracer(tracer):
             with tracer.span("serve.request", kind=job.kind, job=job.id) as span:
                 status, response = run()
@@ -526,8 +532,7 @@ class CompileService:
 
     async def _watch_drain(self) -> None:
         """Resolve the shutdown event once every admitted job has finished."""
-        while self.queue.qsize() or self.jobs.in_flight_count():
-            await asyncio.sleep(_DRAIN_POLL_SECONDS)
+        await self.queue.join()
         self._shutdown.set()
 
 
@@ -536,6 +541,8 @@ class CompileService:
 # ---------------------------------------------------------------------------
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Header lines one request may carry (the bound ``http.client`` applies).
+_MAX_HEADER_LINES = 100
 _STATUS_REASONS = {
     200: "OK",
     202: "Accepted",
@@ -589,10 +596,14 @@ async def _read_request(reader) -> tuple[str, str, dict, object] | None:
     except ValueError:
         raise ProtocolError("malformed HTTP request line") from None
     content_length = 0
+    header_lines = 0
     while True:
         line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
+        header_lines += 1
+        if header_lines > _MAX_HEADER_LINES:
+            raise ProtocolError(f"HTTP request has more than {_MAX_HEADER_LINES} header lines")
         name, _, value = line.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
             # 1*DIGIT (RFC 9110): int() would also take "-5", "+5" and "1_0".

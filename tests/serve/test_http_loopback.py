@@ -167,6 +167,24 @@ class TestServedParity:
         assert response.status == 400
         assert "too long" in body["error"]["message"]
 
+    @pytest.mark.parametrize("count, status", [(100, 200), (101, 400)])
+    def test_header_lines_are_bounded(self, server, count, status):
+        # Short lines, so the whole request fits in the server's read buffer
+        # and the 400 is read before the connection closes.
+        connection = http.client.HTTPConnection("127.0.0.1", server._port, timeout=60)
+        try:
+            connection.putrequest("GET", "/healthz", skip_host=True, skip_accept_encoding=True)
+            for index in range(count):
+                connection.putheader(f"X-Header-{index}", "v")
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == status
+        if status == 400:
+            assert "100 header lines" in body["error"]["message"]
+
     def test_unknown_path_is_404_over_http(self, server):
         status, body, _ = server.request("GET", "/nope")
         assert status == 404

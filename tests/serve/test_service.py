@@ -2,16 +2,19 @@
 
 Every test drives :meth:`CompileService.handle` directly inside a fresh
 event loop -- the socket-free entry point the HTTP front-end also calls --
-so the whole service contract (coalescing, caching, jobs, drain, fault
-injection) is exercised without binding a single port.  The one loopback
-smoke test lives in ``test_http_loopback.py``.
+so the whole service contract (priority order, coalescing, caching, jobs,
+drain, fault injection) is exercised without binding a single port.  The
+one loopback smoke test lives in ``test_http_loopback.py``.
 """
 
 import asyncio
 import json
+import threading
+import time
 
 import pytest
 
+import repro.serve.jobs as serve_jobs
 from repro.api import CompileRequest, FaultPlan, compile_many
 from repro.api import compile as api_compile
 from repro.api.cache import CompileCache, request_fingerprint
@@ -56,6 +59,72 @@ async def with_service(config, scenario, cache=None):
         return await scenario(service)
     finally:
         await service.stop()
+
+
+#: The seed whose compile a :class:`HeldService` holds in its worker thread.
+HELD_SEED = 0
+
+
+class HeldService(CompileService):
+    """A service that holds the compile of ``HELD_SEED`` until released.
+
+    ``seeds`` records the order in which jobs reach the worker thread: a
+    compile as its seed, a batch as the tuple of its seeds.
+    """
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.seeds = []
+        self.holding = threading.Event()
+        self.release = threading.Event()
+
+    def _run_compile(self, request, fingerprint):
+        self.seeds.append(request.seed)
+        if request.seed == HELD_SEED:
+            self.holding.set()
+            self.release.wait(timeout=60)
+        return super()._run_compile(request, fingerprint)
+
+    def _run_batch(self, requests):
+        self.seeds.append(tuple(request.seed for request in requests))
+        return super()._run_batch(requests)
+
+
+async def with_held_service(config, scenario):
+    service = HeldService(config)
+    await service.start()
+    try:
+        return await scenario(service)
+    finally:
+        service.release.set()
+        await service.stop()
+
+
+async def until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached")
+        await asyncio.sleep(0.005)
+
+
+def batch_body(seeds, **extra):
+    return {"requests": [make_body(seed=seed) for seed in seeds], **extra}
+
+
+def post(service, body):
+    """Post ``body`` to ``/v1/batch`` if it is a batch, else to ``/v1/compile``."""
+    path = "/v1/batch" if "requests" in body else "/v1/compile"
+    return asyncio.ensure_future(service.handle("POST", path, {}, body))
+
+
+async def queue_behind_held(service, bodies):
+    """Start the held compile, then queue each body behind it."""
+    held = post(service, make_body(seed=HELD_SEED))
+    await until(service.holding.is_set)
+    waiting = [post(service, body) for body in bodies]
+    await until(lambda: service.queue.qsize() == len(bodies))
+    return held, waiting
 
 
 class TestCompileEndpoint:
@@ -239,6 +308,126 @@ class TestCoalescing:
         assert coalesced == 0
 
 
+class TestPriorityOrder:
+    def test_lower_priority_runs_first_and_ties_run_in_arrival_order(self):
+        async def scenario(service):
+            held, waiting = await queue_behind_held(
+                service,
+                [
+                    make_body(seed=seed, priority=priority)
+                    for seed, priority in ((1, 5), (2, 0), (3, 5), (4, -1))
+                ],
+            )
+            service.release.set()
+            responses = await asyncio.wait_for(asyncio.gather(held, *waiting), timeout=60)
+            return responses, service.seeds
+
+        responses, seeds = run(with_held_service(ServeConfig(workers=1), scenario))
+        assert [r.status for r in responses] == [200] * 5
+        assert seeds == [HELD_SEED, 4, 2, 1, 3]
+
+    def test_equal_priorities_run_in_arrival_order(self):
+        async def scenario(service):
+            held, waiting = await queue_behind_held(
+                service, [make_body(seed=seed) for seed in (3, 1, 4, 2)]
+            )
+            service.release.set()
+            responses = await asyncio.wait_for(asyncio.gather(held, *waiting), timeout=60)
+            return responses, service.seeds
+
+        responses, seeds = run(with_held_service(ServeConfig(workers=1), scenario))
+        assert [r.status for r in responses] == [200] * 5
+        assert seeds == [HELD_SEED, 3, 1, 4, 2]
+
+    def test_a_batch_takes_its_place_in_the_same_order(self):
+        # A batch is one queue entry with the batch-wide priority.
+        async def scenario(service):
+            held, waiting = await queue_behind_held(
+                service,
+                [
+                    make_body(seed=1),
+                    batch_body((2, 3), priority=-1),
+                    make_body(seed=4, priority=-1),
+                    batch_body((5, 6)),
+                ],
+            )
+            service.release.set()
+            responses = await asyncio.wait_for(asyncio.gather(held, *waiting), timeout=60)
+            return responses, service.seeds
+
+        responses, seeds = run(with_held_service(ServeConfig(workers=1), scenario))
+        assert [r.status for r in responses] == [200] * 5
+        assert seeds == [HELD_SEED, (2, 3), 4, 1, (5, 6)]
+
+
+class TestWorkers:
+    def test_each_worker_takes_its_own_job(self):
+        # Two held compiles that differ only in their router: with two
+        # workers both run at once, and nothing is left on the queue.
+        async def scenario(service):
+            held = [
+                post(service, make_body(seed=HELD_SEED, router=router))
+                for router in ("greedy", "sabre")
+            ]
+            await until(lambda: service.jobs.running_count() == 2)
+            depth = service.queue.qsize()
+            service.release.set()
+            responses = await asyncio.wait_for(asyncio.gather(*held), timeout=60)
+            return depth, responses, service.seeds
+
+        depth, responses, seeds = run(with_held_service(ServeConfig(workers=2), scenario))
+        assert depth == 0
+        assert [r.status for r in responses] == [200, 200]
+        assert seeds == [HELD_SEED, HELD_SEED]
+
+
+class TestBackpressure:
+    """A full queue answers 429 with ``Retry-After`` and runs nothing more."""
+
+    @pytest.mark.parametrize(
+        "body", [make_body(seed=2), batch_body((2, 3))], ids=["compile", "batch"]
+    )
+    def test_full_queue_is_a_429_with_retry_after(self, body):
+        async def scenario(service):
+            held, waiting = await queue_behind_held(service, [make_body(seed=1)])
+            rejected = await post(service, body)
+            depth = service.queue.qsize()
+            service.release.set()
+            responses = await asyncio.wait_for(asyncio.gather(held, *waiting), timeout=60)
+            return rejected, depth, responses, service
+
+        rejected, depth, responses, service = run(
+            with_held_service(ServeConfig(workers=1, queue_size=1), scenario)
+        )
+        assert rejected.status == 429
+        assert rejected.body["ok"] is False
+        assert rejected.body["error"]["error"] == "Backpressure"
+        assert "queue full (1 entries)" in rejected.body["error"]["message"]
+        assert int(rejected.headers["Retry-After"]) >= 1
+        assert depth == 1
+        assert [r.status for r in responses] == [200, 200]
+        assert service.seeds == [HELD_SEED, 1]
+        assert service.metrics.counter("rejected_busy") == 1
+        assert service.jobs.counts()["failed"] == 1
+
+    def test_a_rejected_request_is_admitted_once_the_queue_has_room(self):
+        async def scenario(service):
+            held, waiting = await queue_behind_held(service, [make_body(seed=1)])
+            rejected = await post(service, make_body(seed=2))
+            service.release.set()
+            await asyncio.wait_for(asyncio.gather(held, *waiting), timeout=60)
+            retried = await asyncio.wait_for(post(service, make_body(seed=2)), timeout=60)
+            return rejected, retried, service.seeds
+
+        rejected, retried, seeds = run(
+            with_held_service(ServeConfig(workers=1, queue_size=1), scenario)
+        )
+        assert rejected.status == 429
+        assert retried.status == 200
+        assert retried.body["cached"] is False
+        assert seeds == [HELD_SEED, 1, 2]
+
+
 class TestJobs:
     def test_async_job_lifecycle(self):
         async def scenario(service):
@@ -273,6 +462,49 @@ class TestJobs:
             return a.body["job"]["id"], b.body["job"]["id"]
 
         assert run(with_service(ServeConfig(), scenario)) == ("job-000001", "job-000002")
+
+
+class TestJobRetention:
+    def test_finished_jobs_beyond_the_bound_are_evicted_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(serve_jobs, "FINISHED_CAPACITY", 2)
+
+        async def scenario(service):
+            async def submit(seed):
+                response = await service.handle(
+                    "POST", "/v1/compile", {"async": "1"}, make_body(seed=seed)
+                )
+                return response.body["job"]["id"] if response.status == 202 else response.status
+
+            async def state(job_id):
+                response = await service.handle("GET", f"/v1/jobs/{job_id}", {}, None)
+                return response.body["job"]["state"] if response.status == 200 else response.status
+
+            async def settle(job_id):
+                while await state(job_id) not in ("done", "failed"):
+                    await asyncio.sleep(0.005)
+
+            first = await submit(1)
+            await settle(first)
+            second = await submit(2)
+            await settle(second)
+            running = await submit(HELD_SEED)
+            await until(service.holding.is_set)
+            queued = await submit(3)
+            # The queue is full: the 429's job finishes at admission and
+            # pushes the oldest finished job out.
+            rejected = await submit(4)
+            during = [await state(job_id) for job_id in (first, second, running, queued)]
+            service.release.set()
+            await settle(queued)
+            after = [await state(job_id) for job_id in (second, running, queued)]
+            return rejected, during, after
+
+        rejected, during, after = run(
+            with_held_service(ServeConfig(workers=1, queue_size=1), scenario)
+        )
+        assert rejected == 429
+        assert during == [404, "done", "running", "queued"]
+        assert after == [404, "done", "done"]
 
 
 class TestBatchEndpoint:
@@ -332,6 +564,26 @@ class TestDrain:
 
         first, second = run(with_service(ServeConfig(), scenario))
         assert first.status == second.status == 202
+
+    def test_drain_waits_for_running_and_queued_jobs(self):
+        async def scenario(service):
+            held, waiting = await queue_behind_held(service, [make_body(seed=s) for s in (1, 2)])
+            drain = await service.handle("POST", "/admin/drain", {}, None)
+            shutdown = asyncio.ensure_future(service.wait_for_shutdown())
+            await asyncio.sleep(0.2)
+            shut_while_held = shutdown.done()
+            service.release.set()
+            await asyncio.wait_for(shutdown, timeout=60)
+            responses = await asyncio.wait_for(asyncio.gather(held, *waiting), timeout=60)
+            return drain, shut_while_held, responses
+
+        drain, shut_while_held, responses = run(
+            with_held_service(ServeConfig(workers=1), scenario)
+        )
+        assert drain.status == 202
+        assert drain.body["pending"] == 3
+        assert shut_while_held is False
+        assert [r.status for r in responses] == [200] * 3
 
 
 class TestHealthzAndMetrics:
@@ -457,6 +709,14 @@ class TestConfigValidation:
             CompileService(ServeConfig(timeout=0))
         with pytest.raises(ValueError):
             CompileService(ServeConfig(retries=-1))
-        for coerced in ({"workers": 2.5}, {"retries": True}, {"retries": 2.5}, {"timeout": True}):
+        for coerced in (
+            {"workers": 2.5},
+            {"retries": True},
+            {"retries": 2.5},
+            {"timeout": True},
+            {"queue_size": 2.5},
+            {"queue_size": True},
+            {"queue_size": "3"},
+        ):
             with pytest.raises(ValueError):
                 CompileService(ServeConfig(**coerced))
