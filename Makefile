@@ -40,12 +40,15 @@ test-golden:
 		tests/baselines/test_tket_oracle.py tests/affine/test_dependence.py \
 		tests/integration/test_end_to_end.py::TestFullPipeline::test_dependence_weights_feed_the_router -q
 
-## Compile-cache battery: the Gate record's contract (every cache hit
-## builds each distinct routed gate through it), serialization round-trip exactness
-## (golden-hash oracle) and the pinned version-2 gate table, fingerprint
-## sensitivity and pinned cache keys, warm-vs-cold bit-for-bit determinism
-## and bad-disk-entry robustness.  Fast (~5 s); runs in `make check` right
-## after the golden snapshots, before the slow suite.
+## Compile-cache battery: the Gate record's contract (a disk hit, and a
+## memory hit's routed circuit on its first read, build each distinct routed
+## gate through it), serialization round-trip exactness (golden-hash oracle)
+## and the pinned version-2 gate table, the stored circuit a memory hit
+## returns (equal to the eager decode, encoding back to its table until read),
+## where hits decode (counted by wrapping the codec), fingerprint sensitivity
+## and pinned cache keys, warm-vs-cold bit-for-bit determinism and
+## bad-disk-entry robustness.  Fast (~5 s); runs in `make check` right after
+## the golden snapshots, before the slow suite.
 test-cache:
 	$(PYTHON) -m pytest tests/circuit/test_gate.py tests/api/test_serialize.py \
 		tests/api/test_fingerprint.py tests/api/test_cache.py \
@@ -76,10 +79,14 @@ test-faults:
 ## Compile-service suite: wire codecs and error mapping, handler-level
 ## service semantics (priority order through the service, a full queue's 429
 ## for compiles and batches, coalescing, jobs and their retention bound, drain
-## with queued work, fault injection through the service path), plus one loopback HTTP smoke proving served-vs-direct
+## with queued work, fault injection through the service path, served hits on
+## /v1/compile and /v1/batch sending the stored gate table with no codec call
+## counted), plus one loopback HTTP smoke proving served-vs-direct
 ## bit-for-bit parity, single-execution coalescing, 429 + Retry-After,
-## bounded request and header lines, and drain-exits-0.  Fast (~15 s); no
-## ports are bound except by the loopback tests (ephemeral, 127.0.0.1 only).
+## bounded request and header lines, a rejected request's 400 read intact
+## after a bounded discard of its unread bytes, and drain-exits-0.  Fast
+## (~15 s); no ports are bound except by the loopback tests (ephemeral,
+## 127.0.0.1 only).
 test-serve:
 	$(PYTHON) -m pytest tests/serve -q
 

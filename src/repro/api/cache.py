@@ -41,9 +41,9 @@ The disk tier is a bounded, shareable piece store:
   model.
 
 Both tiers store the *serialized* payload (:mod:`repro.api.serialize`: the
-routed circuit as a columnar gate table) and rehydrate on every hit, so a
-cached result is always a fresh object built through the same round-trip the
-test battery pins as exact.  Every fingerprint embeds the payload version, so
+routed circuit as a columnar gate table); a disk hit decodes it in the
+lookup and a memory hit on first use, through the round-trip the test
+battery pins as exact.  Every fingerprint embeds the payload version, so
 a payload layout change turns older entries into one-time misses; they are
 never read back.  Corrupted, truncated or version-mismatched disk entries are
 logged and treated as misses -- the cache never raises on bad persisted
@@ -408,10 +408,12 @@ class CompileCache:
     def lookup(self, fingerprint: str, request: CompileRequest) -> CompileResult | None:
         """The cached result for ``fingerprint``, or ``None`` on a miss.
 
-        Hits rehydrate the stored payload into a fresh :class:`CompileResult`
-        carrying the caller's ``request``.  Any undecodable entry (corrupt
-        JSON, truncated file, schema or payload version mismatch, integrity
-        digest or index size mismatch) is logged and counted as a miss; this
+        Hits rebuild the stored payload into a fresh :class:`CompileResult`
+        carrying the caller's ``request``; a memory hit's routed circuit
+        reads its table (which :meth:`store` wrote or a disk hit decoded) on
+        first use.  A disk hit decodes here, so any undecodable entry
+        (corrupt JSON, truncated file, schema or payload version mismatch,
+        integrity digest or index size mismatch) is a logged miss; this
         method never raises on bad cache state.
         """
         payload = self._memory_get(fingerprint)
@@ -421,7 +423,7 @@ class CompileCache:
             tier = "disk"
         if payload is not None:
             try:
-                result = result_from_payload(payload, request)
+                result = result_from_payload(payload, request, lazy=(tier == "memory"))
             except SerializationError as exc:
                 logger.warning("cache entry %s undecodable (%s); treating as miss",
                                fingerprint[:12], exc)

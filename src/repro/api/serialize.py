@@ -17,6 +17,10 @@ barriers and non-finite parameters included (the invariant the golden
 harness enforces; ``tests/data/payload-v2.json`` pins the layout; see
 ``tests/api/test_serialize.py``).
 
+A memory-tier cache hit reads its result with ``lazy=True``: the routed
+circuit decodes the stored table on first use and, unread, encodes back to a
+copy of it, so a served hit neither decodes nor re-encodes a gate table.
+
 The request itself is *not* serialized: payloads are only ever addressed by
 the request fingerprint (:func:`repro.api.cache.request_fingerprint`), and a
 cache hit re-attaches the caller's live request object.  That keeps device
@@ -25,6 +29,7 @@ coupling graphs and in-memory circuits out of the payload entirely.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -48,7 +53,13 @@ def circuit_to_payload(circuit: QuantumCircuit) -> dict:
     """Encode a circuit as a JSON-safe columnar gate table.
 
     The ``ops`` token of each distinct parameter-free gate is written once.
+    A stored circuit never read nor renamed returns a copy of its table.
     """
+    if isinstance(circuit, _StoredCircuit) and "_gates" not in vars(circuit):
+        table = circuit._table
+        if circuit.name == table["name"]:  # new lists: an edit must not reach the cache
+            kinds, labels = table["kinds"], table["labels"]
+            return dict(table, kinds=[*map(list, kinds)], labels=[*map(list, labels)])
     codes: dict[tuple[str, int, int], int] = {}
     tokens: dict[tuple[str, tuple[int, ...]], str] = {}
     ops: list[str] = []
@@ -149,6 +160,24 @@ def circuit_from_payload(payload: dict) -> QuantumCircuit:
     return circuit
 
 
+class _StoredCircuit(QuantumCircuit):
+    """A circuit read from a stored gate table, decoded on its first use.
+
+    Every method reads ``self._gates``; a malformed table raises there.
+    """
+
+    def __init__(self, table: dict):
+        try:  # circuit_from_payload's checks on the header
+            header = QuantumCircuit(int(table["num_qubits"]), name=str(table["name"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SerializationError(f"invalid circuit payload: {exc}") from exc
+        self._table, self._num_qubits, self.name = table, header.num_qubits, header.name
+
+    @functools.cached_property
+    def _gates(self) -> list[Gate]:
+        return circuit_from_payload(self._table)._gates
+
+
 def _layout_to_payload(layout: dict) -> dict:
     # JSON object keys are strings; store them as such and restore ints on read.
     return {str(logical): int(physical) for logical, physical in layout.items()}
@@ -172,11 +201,12 @@ def routing_to_payload(routing: RoutingResult) -> dict:
     }
 
 
-def routing_from_payload(payload: dict) -> RoutingResult:
-    """Rebuild a routing result from :func:`routing_to_payload` output."""
+def routing_from_payload(payload: dict, *, lazy: bool = False) -> RoutingResult:
+    """Rebuild a routing result; ``lazy`` decodes the routed circuit on first use."""
+    read_circuit = _StoredCircuit if lazy else circuit_from_payload
     try:
         return RoutingResult(
-            routed_circuit=circuit_from_payload(payload["routed_circuit"]),
+            routed_circuit=read_circuit(payload["routed_circuit"]),
             initial_layout=_layout_from_payload(payload["initial_layout"]),
             final_layout=_layout_from_payload(payload["final_layout"]),
             original_depth=int(payload["original_depth"]),
@@ -327,8 +357,11 @@ def result_to_payload(result: CompileResult) -> dict:
     }
 
 
-def result_from_payload(payload: dict, request) -> CompileResult:
-    """Rebuild a compile result, re-attaching the caller's live ``request``."""
+def result_from_payload(payload: dict, request, *, lazy: bool = False) -> CompileResult:
+    """Rebuild a compile result, re-attaching the caller's live ``request``.
+
+    ``lazy`` is :func:`routing_from_payload`'s.
+    """
     try:
         version = payload["version"]
         if version != PAYLOAD_VERSION:
@@ -337,7 +370,7 @@ def result_from_payload(payload: dict, request) -> CompileResult:
             )
         return CompileResult(
             request=request,
-            routing=routing_from_payload(payload["routing"]),
+            routing=routing_from_payload(payload["routing"], lazy=lazy),
             router=str(payload["router"]),
             backend_name=str(payload["backend_name"]),
             circuit_name=str(payload["circuit_name"]),

@@ -2,15 +2,15 @@
 
 :class:`Gate` is a hand-written ``__slots__`` record, not a frozen
 dataclass, because gate construction sits on every hot producer of gates: a
-cache hit builds each distinct gate of its gate table once, the route pass
-emits one gate per executed gate and SWAP, and full validation recovers the
-logical circuit gate by gate.  A frozen dataclass would pay seven
-``object.__setattr__`` calls per gate (four in ``__init__``, three in
-``__post_init__``); the record normalises with builtins and writes its four
-slots directly, at about half the cost.  It keeps the dataclass contract:
-value equality and hashing over the four fields,
-:class:`dataclasses.FrozenInstanceError` on assignment and deletion, and
-pickling (through ``__reduce__``, i.e. through the checked constructor).
+disk cache hit, or a memory hit's first read, builds each distinct gate of
+its gate table once, the route pass emits one gate per executed gate and
+SWAP, and full validation recovers the logical circuit gate by gate.  A
+frozen dataclass would pay seven ``object.__setattr__`` calls per gate (four
+in ``__init__``, three in ``__post_init__``); the record normalises with
+builtins and writes its four slots directly, at about half the cost.  It
+keeps the dataclass contract: value equality and hashing over the four
+fields, :class:`dataclasses.FrozenInstanceError` on assignment and deletion,
+and pickling (through ``__reduce__``, i.e. through the checked constructor).
 """
 
 from __future__ import annotations

@@ -26,7 +26,10 @@ queue and run the blocking pipeline in a thread pool via
 per-request timeouts, retries, worker-crash reaping and fault injection
 behave identically to the CLI.  A miss compiles
 with the cache off and is stored under the fingerprint admission computed,
-so each served request is fingerprinted and looked up once.
+so each served request is fingerprinted and looked up once.  A memory-tier
+hit (``/v1/compile``, or ``/v1/batch`` through ``compile_many``) answers with
+the stored gate table, neither decoded nor re-encoded.  A malformed request's
+400 is followed by a half-close and a bounded discard of its unread bytes.
 
 Determinism makes the service semantics simple: a compile result is a pure
 function of its request, so identical in-flight requests legally **coalesce**
@@ -543,6 +546,10 @@ class CompileService:
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Header lines one request may carry (the bound ``http.client`` applies).
 _MAX_HEADER_LINES = 100
+#: Bounds on the unread bytes dropped after a 400: a close on unread bytes
+#: resets the connection, and the client may lose the 400.
+_DISCARD_BYTES = 4 * 1024 * 1024
+_DISCARD_SECONDS = 2.0
 _STATUS_REASONS = {
     200: "OK",
     202: "Accepted",
@@ -628,6 +635,12 @@ async def _read_request(reader) -> tuple[str, str, dict, object] | None:
     return method.upper(), urllib.parse.unquote(path), query, body
 
 
+async def _discard_input(reader, remaining: int) -> None:
+    """Read and drop up to ``remaining`` bytes, until EOF."""
+    while remaining > 0 and (chunk := await reader.read(min(remaining, 64 * 1024))):
+        remaining -= len(chunk)
+
+
 async def run_server(
     config: ServeConfig,
     service: CompileService | None = None,
@@ -648,6 +661,7 @@ async def run_server(
         if task is not None:
             connections.add(task)
             task.add_done_callback(connections.discard)
+        rejected = False
         try:
             parsed = await _read_request(reader)
             if parsed is None:
@@ -656,6 +670,7 @@ async def run_server(
             response = await service.handle(method, path, query, body)
         except ProtocolError as exc:
             response = Response(400, error_body(str(exc)))
+            rejected = True
         except (asyncio.IncompleteReadError, ConnectionError):
             return
         except Exception as exc:  # never let a handler bug drop a connection
@@ -666,7 +681,10 @@ async def run_server(
         try:
             writer.write(_encode_response(response))
             await writer.drain()
-        except ConnectionError:
+            if rejected:  # the client reads the 400, then EOF
+                writer.write_eof()
+                await asyncio.wait_for(_discard_input(reader, _DISCARD_BYTES), _DISCARD_SECONDS)
+        except (OSError, asyncio.TimeoutError):  # gone, or still sending
             pass
         finally:
             try:

@@ -24,6 +24,7 @@ from repro.api import (
     result_to_payload,
     set_default_cache,
 )
+from repro.api.cache import payload_digest
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
@@ -168,7 +169,7 @@ class TestBadDiskEntries:
     @pytest.mark.parametrize(
         "corruption",
         ["garbage", "truncated", "schema_mismatch", "payload_version_mismatch",
-         "fingerprint_mismatch", "not_an_object"],
+         "fingerprint_mismatch", "not_an_object", "gate_table_under_its_digest"],
     )
     def test_bad_entry_is_a_logged_miss_and_recomputes_identically(
         self, tmp_path, caplog, corruption
@@ -191,6 +192,11 @@ class TestBadDiskEntries:
             path.write_text(json.dumps(envelope))
         elif corruption == "not_an_object":
             path.write_text(json.dumps([1, 2, 3]))
+        elif corruption == "gate_table_under_its_digest":
+            # A disk hit decodes inside lookup, before it counts as a hit.
+            envelope["payload"]["routing"]["routed_circuit"]["ops"] += " 99"
+            envelope["digest"] = payload_digest(envelope["payload"])
+            path.write_text(json.dumps(envelope))
         recomputed = self._recompute(tmp_path, request, caplog)
         assert bits_of(recomputed) == bits_of(original)
         if corruption != "fingerprint_mismatch":
@@ -251,6 +257,29 @@ class TestTiers:
         api_compile(request, cache=cache)
         assert cache.stats["disk_hits"] == 1
         assert cache.stats["memory_hits"] == 1
+
+    def test_a_memory_hit_decodes_its_gate_table_on_first_read(self, codec_calls):
+        request = CompileRequest(circuit=ghz_circuit(8), backend=GRID, router="sabre")
+        cache = CompileCache()
+        cold = api_compile(request, cache=cache)
+        hit = cache.lookup(request_fingerprint(request), request)
+        assert cache.stats["memory_hits"] == 1
+        assert hit.metrics == cold.metrics
+        assert codec_calls.decodes == 0
+        assert gates_of(hit.routed_circuit) == gates_of(cold.routed_circuit)
+        assert hit.swaps_added == cold.swaps_added
+        assert codec_calls.decodes == 1
+
+    def test_a_disk_hit_decodes_its_gate_table_in_lookup(self, tmp_path, codec_calls):
+        request = CompileRequest(circuit=ghz_circuit(8), backend=GRID, router="sabre")
+        cold = api_compile(request, cache=CompileCache(directory=tmp_path))
+        cache = CompileCache(directory=tmp_path)
+        decodes = codec_calls.decodes
+        hit = cache.lookup(request_fingerprint(request), request)
+        assert cache.stats["disk_hits"] == 1
+        assert codec_calls.decodes == decodes + 1
+        assert gates_of(hit.routed_circuit) == gates_of(cold.routed_circuit)
+        assert codec_calls.decodes == decodes + 1
 
     def test_info_and_clear(self, tmp_path):
         cache = CompileCache(directory=tmp_path)

@@ -13,6 +13,7 @@ independent oracle: a rebuilt circuit must still hash to the snapshot a
 import hashlib
 import json
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,12 @@ from repro.api import (
     result_to_payload,
     router_names,
 )
+from repro.analysis.perf_trajectory import smoke_requests
 from repro.api.serialize import circuit_from_payload, circuit_to_payload
 from repro.benchgen.qasmbench import qft_circuit
 from repro.benchgen.queko import generate_queko_circuit
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.dag import CircuitDAG
 from repro.circuit.gate import Gate
 from repro.hardware.topologies import grid_topology
 
@@ -364,3 +367,165 @@ class TestResultPayload:
         del payload["routing"]
         with pytest.raises(SerializationError):
             result_from_payload(payload, None)
+
+
+#: The routers of the benchmark's ``serve-mix`` pool.
+SERVE_MIX_ROUTERS = ("sabre", "qlosure", "greedy")
+#: The ``serve-mix`` pool: every family and size, every router.
+SERVE_MIX_POOL = [
+    CompileRequest(
+        generate=f"{family}:{size}", backend="sherbrooke", router=router, seed=0,
+        validation="full",
+    )
+    for family in ("qft", "qaoa", "ising", "adder")
+    for size in (16, 32)
+    for router in SERVE_MIX_ROUTERS
+]
+
+
+@pytest.fixture(scope="module")
+def stored_payloads():
+    """Result payloads of the pinned 54-qubit fixture and the ``serve-mix`` pool."""
+    fixture = [request for request in smoke_requests() if request.router in SERVE_MIX_ROUTERS]
+    return [
+        result_to_payload(compile_uncached(request)) for request in fixture + SERVE_MIX_POOL
+    ]
+
+
+def stored_circuit(payload):
+    """The routed circuit of ``payload``, read the way a memory-tier hit reads it."""
+    return result_from_payload(payload, None, lazy=True).routed_circuit
+
+
+def unread(circuit) -> bool:
+    return "_gates" not in vars(circuit)
+
+
+def dag_view(circuit):
+    dag = CircuitDAG(circuit)
+    return [dag.successors(index) for index in dag.gate_indices], dag.descendant_counts()
+
+
+#: What a caller may do first with a routed circuit, each compared to the eager decode.
+FIRST_READS = {
+    "gates": lambda circuit: [repr(gate) for gate in circuit],
+    "len": len,
+    "depth": lambda circuit: circuit.depth(),
+    "count_ops": lambda circuit: circuit.count_ops(),
+    "copy": lambda circuit: circuit.copy(),
+    "pickle": lambda circuit: pickle.loads(pickle.dumps(circuit)),
+    "dag": dag_view,
+    "equality": lambda circuit: circuit,
+}
+
+
+class TestStoredCircuit:
+    """A memory-tier hit's routed circuit reads its gate table on first use."""
+
+    def test_lazy_decode_equals_the_eager_one(self, stored_payloads):
+        for payload in stored_payloads:
+            eager = result_from_payload(payload, None).routed_circuit
+            for name, read in FIRST_READS.items():
+                circuit = stored_circuit(payload)
+                assert unread(circuit)
+                assert (circuit.name, circuit.num_qubits) == (eager.name, eager.num_qubits)
+                assert read(circuit) == read(eager), name
+
+    def test_an_unread_circuit_encodes_to_a_copy_of_its_table(self, stored_payloads):
+        for payload in stored_payloads:
+            table = payload["routing"]["routed_circuit"]
+            circuit = stored_circuit(payload)
+            encoded = circuit_to_payload(circuit)
+            assert encoded == table
+            assert encoded is not table
+            assert encoded["kinds"] is not table["kinds"]
+            assert encoded["labels"] is not table["labels"]
+            assert unread(circuit)
+            encoded["kinds"][0][0] = "edited"
+            encoded["labels"].append([0, "edited"])
+            assert encoded != table
+            assert circuit_to_payload(circuit) == table
+            assert result_to_payload(result_from_payload(payload, None, lazy=True)) == payload
+
+    def test_a_read_circuit_goes_through_the_encoder(self, stored_payloads):
+        for payload in stored_payloads:
+            table = payload["routing"]["routed_circuit"]
+            circuit = stored_circuit(payload)
+            assert len(circuit) > 0
+            encoded = circuit_to_payload(circuit)
+            assert encoded == table
+            assert encoded["ops"] is not table["ops"]  # built again, not shared
+
+    def test_an_appended_gate_is_in_the_payload(self, stored_payloads):
+        for payload in stored_payloads:
+            gates = len(stored_circuit(payload))
+            circuit = stored_circuit(payload)
+            circuit.append(Gate("h", (0,), label="appended"))
+            rebuilt = circuit_from_payload(circuit_to_payload(circuit))
+            assert len(rebuilt) == gates + 1
+            assert rebuilt[-1] == Gate("h", (0,), label="appended")
+
+    def test_a_new_name_is_in_the_payload(self, stored_payloads):
+        for payload in stored_payloads:
+            table = payload["routing"]["routed_circuit"]
+            circuit = stored_circuit(payload)
+            circuit.name = "renamed"
+            encoded = circuit_to_payload(circuit)
+            assert encoded["name"] == "renamed"
+            assert {**encoded, "name": table["name"]} == table
+
+    def test_the_pinned_table_decodes_and_re_encodes_unchanged(self):
+        table = json.loads(PINNED_PAYLOAD.read_text())
+        result = result_to_payload(
+            compile_uncached(CompileRequest(generate="ghz:4", backend=grid_topology(2, 2)))
+        )
+        result["routing"]["routed_circuit"] = table
+        assert circuit_to_payload(stored_circuit(result)) == table
+        circuit = stored_circuit(result)
+        assert (circuit.name, circuit.num_qubits) == ("pinned-v2", 3)
+        assert repr(gates_of(circuit)) == repr(PINNED_GATES)
+        assert circuit_to_payload(circuit) == table
+
+
+#: Malformed routed gate tables, ``(column, value, message)``.
+MALFORMED_TABLES = [
+    ("ops", "0 0 1 1 2 1", "truncated"),
+    ("ops", "0 0 1 1 3 1 2", "unknown gate kind code 3"),
+    ("ops", "0 3 1 1 2 1 2", "outside"),
+    ("params", "0.5 0.25", "longer"),
+    ("ops", [0, 0, 1, 1, 2, 1, 2], "must be strings"),
+    ("kinds", [["h", 1, 0], ["rz", 1, 1], ["cx", -2, 0]], "malformed gate kind"),
+    ("labels", [[9, "prep"]], "label"),
+]
+
+
+class TestStoredCircuitErrors:
+    def _payload(self, column, value):
+        circuit = QuantumCircuit(3, name="tiny")
+        circuit.h(0)
+        circuit.rz(0.5, 1)
+        circuit.cx(1, 2)
+        payload = result_to_payload(
+            compile_uncached(CompileRequest(circuit=circuit, backend=grid_topology(2, 2)))
+        )
+        payload["routing"]["routed_circuit"] = {
+            **circuit_to_payload(circuit), column: value
+        }
+        return payload
+
+    @pytest.mark.parametrize("column, value, message", MALFORMED_TABLES)
+    def test_a_malformed_table_raises_on_first_read(self, column, value, message):
+        payload = self._payload(column, value)
+        with pytest.raises(SerializationError, match=message):
+            result_from_payload(payload, None)
+        result = result_from_payload(payload, None, lazy=True)
+        for _ in range(2):  # a failed read is not cached
+            with pytest.raises(SerializationError, match=message):
+                len(result.routed_circuit)
+
+    @pytest.mark.parametrize("value, message", [(math.inf, "infinity"), (0, "at least one qubit")])
+    def test_a_malformed_qubit_count_raises_at_call_time(self, value, message):
+        payload = self._payload("num_qubits", value)
+        for lazy in (False, True):
+            with pytest.raises(SerializationError, match=message):
+                result_from_payload(payload, None, lazy=lazy)

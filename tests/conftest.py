@@ -98,3 +98,47 @@ def ghz8() -> QuantumCircuit:
 def qft6() -> QuantumCircuit:
     """A 6-qubit QFT circuit."""
     return qft_circuit(6)
+
+
+class CodecCalls:
+    """Gate-table codec calls, counted by wrapping the module-level names.
+
+    ``decodes`` counts :func:`repro.api.serialize.circuit_from_payload`
+    calls.  A :func:`~repro.api.serialize.circuit_to_payload` call counts in
+    ``encodes`` when it ran the encoder, which iterates the circuit and so
+    leaves its gates read, and in ``copies`` when it handed back the stored
+    table of a circuit whose gates were never read.
+    """
+
+    def __init__(self):
+        self.decodes = 0
+        self.encodes = 0
+        self.copies = 0
+
+    def counts(self) -> tuple[int, int, int]:
+        return self.decodes, self.encodes, self.copies
+
+
+@pytest.fixture
+def codec_calls(monkeypatch) -> CodecCalls:
+    """Count gate-table decodes and encodes for the rest of the test."""
+    import repro.api.serialize as serialize
+
+    calls = CodecCalls()
+    decode, encode = serialize.circuit_from_payload, serialize.circuit_to_payload
+
+    def counting_decode(payload):
+        calls.decodes += 1
+        return decode(payload)
+
+    def counting_encode(circuit):
+        payload = encode(circuit)
+        if "_gates" in vars(circuit):
+            calls.encodes += 1
+        else:
+            calls.copies += 1
+        return payload
+
+    monkeypatch.setattr(serialize, "circuit_from_payload", counting_decode)
+    monkeypatch.setattr(serialize, "circuit_to_payload", counting_encode)
+    return calls

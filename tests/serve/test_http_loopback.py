@@ -16,11 +16,13 @@ service acceptance properties end to end, over actual sockets:
 
 import http.client
 import json
+import socket
 import threading
 import time
 
 import pytest
 
+import repro.serve.server as serve_server
 from repro.api import CompileRequest, FaultPlan
 from repro.api import compile as api_compile
 from repro.api.cache import request_fingerprint
@@ -169,8 +171,6 @@ class TestServedParity:
 
     @pytest.mark.parametrize("count, status", [(100, 200), (101, 400)])
     def test_header_lines_are_bounded(self, server, count, status):
-        # Short lines, so the whole request fits in the server's read buffer
-        # and the 400 is read before the connection closes.
         connection = http.client.HTTPConnection("127.0.0.1", server._port, timeout=60)
         try:
             connection.putrequest("GET", "/healthz", skip_host=True, skip_accept_encoding=True)
@@ -184,6 +184,72 @@ class TestServedParity:
         assert response.status == status
         if status == 400:
             assert "100 header lines" in body["error"]["message"]
+
+    @staticmethod
+    def _send_then_read(server, request):
+        with socket.create_connection(("127.0.0.1", server._port), timeout=60) as client:
+            client.sendall(request)
+            chunks = []
+            while chunk := client.recv(65536):
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        return head, json.loads(body)
+
+    def test_20000_header_lines_read_their_400(self, server):
+        # 20,000 header lines (about 370 KB): closing on them unread resets
+        # the connection under the 400.
+        request = b"GET /healthz HTTP/1.1\r\n" + b"".join(
+            b"X-Header-%d: v\r\n" % index for index in range(20_000)
+        ) + b"\r\n"
+        head, body = self._send_then_read(server, request)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "100 header lines" in body["error"]["message"]
+
+    def test_a_rejected_request_is_read_to_its_end_within_the_byte_bound(
+        self, server, monkeypatch
+    ):
+        # 16 MiB more than loopback's socket buffers hold: a server that
+        # stops reading makes the client's send fail before it reads the 400.
+        monkeypatch.setattr(serve_server, "_DISCARD_BYTES", 64 * 1024 * 1024)
+        request = b"GET /healthz HTTP/1.1\r\n" + b"X-Header: v\r\n" * 101
+        head, body = self._send_then_read(server, request + b"x" * (16 * 1024 * 1024))
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "100 header lines" in body["error"]["message"]
+
+    @pytest.mark.parametrize("pace", ["flood", "trickle"])
+    def test_a_client_that_keeps_sending_is_closed_within_the_bound(
+        self, server, monkeypatch, pace
+    ):
+        # A flood passes the byte bound at once; a trickle never reaches it,
+        # so the time bound (shortened here) closes the connection.  Once the
+        # server has closed, the client's next sends fail.
+        if pace == "trickle":
+            monkeypatch.setattr(serve_server, "_DISCARD_SECONDS", 0.5)
+        bound = serve_server._DISCARD_SECONDS
+        chunk = b"X-Filler: v\r\n" * (1 if pace == "trickle" else 5000)
+        stop = threading.Event()
+        closed = []
+
+        def send():
+            try:
+                client.sendall(b"GET /healthz HTTP/1.1\r\n" + b"X-Header: v\r\n" * 101)
+                while not stop.is_set():
+                    client.sendall(chunk)
+                    if pace == "trickle":
+                        time.sleep(0.01)
+            except OSError:
+                closed.append(time.monotonic())
+
+        with socket.create_connection(("127.0.0.1", server._port), timeout=30) as client:
+            sender = threading.Thread(target=send)
+            started = time.monotonic()
+            sender.start()
+            sender.join(timeout=bound + 10.0)
+            stop.set()
+            sender.join(timeout=30)
+        assert not sender.is_alive()
+        assert closed, "the server kept reading past its bounds"
+        assert closed[0] - started < bound + 2.0
 
     def test_unknown_path_is_404_over_http(self, server):
         status, body, _ = server.request("GET", "/nope")

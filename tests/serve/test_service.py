@@ -189,6 +189,22 @@ class TestCompileEndpoint:
         assert len(encoded) == 1
         assert response.body["result"] == result_to_payload(encoded[0])
 
+    def test_a_served_hit_sends_the_stored_table_without_decoding_or_encoding(
+        self, codec_calls
+    ):
+        async def scenario(service):
+            miss = await service.handle("POST", "/v1/compile", {}, make_body())
+            counts = codec_calls.counts()
+            hit = await service.handle("POST", "/v1/compile", {}, make_body())
+            return miss, counts, hit
+
+        miss, (decodes, encodes, copies), hit = run(with_service(ServeConfig(), scenario))
+        assert (miss.body["cached"], hit.body["cached"]) == (False, True)
+        assert codec_calls.counts() == (decodes, encodes, copies + 1)
+        assert json.dumps(hit.body["result"], sort_keys=True) == json.dumps(
+            miss.body["result"], sort_keys=True
+        )
+
     def test_a_cache_whose_store_returns_nothing_still_answers(self):
         """A CompileCache subclass may override store() without returning the payload."""
 
@@ -524,6 +540,24 @@ class TestBatchEndpoint:
         direct = compile_many(requests, cache=False)
         for slot, expected in zip(response.body["results"], direct.results):
             assert normalize(slot["result"]) == normalize(result_to_payload(expected))
+
+    def test_a_batch_of_hits_sends_the_stored_tables_without_decoding_or_encoding(
+        self, codec_calls
+    ):
+        body = {"requests": [make_body(seed=s) for s in range(3)]}
+
+        async def scenario(service):
+            misses = await service.handle("POST", "/v1/batch", {}, body)
+            counts = codec_calls.counts()
+            hits = await service.handle("POST", "/v1/batch", {}, body)
+            return misses, counts, hits
+
+        misses, (decodes, encodes, copies), hits = run(with_service(ServeConfig(), scenario))
+        assert hits.body["summary"]["cache"] == {"hits": 3, "misses": 0}
+        assert codec_calls.counts() == (decodes, encodes, copies + 3)
+        assert json.dumps(hits.body["results"], sort_keys=True) == json.dumps(
+            misses.body["results"], sort_keys=True
+        )
 
     def test_batch_rejects_malformed_entries_with_400(self):
         async def scenario(service):
