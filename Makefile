@@ -58,10 +58,13 @@ test-cache:
 ## max_entries LRU eviction invariants (including seeded random
 ## interleavings), index<->directory consistency (torn lines, orphans),
 ## warm==cold bit-for-bit under eviction pressure, readonly fleet mode racing
-## a live writer, the vanishing-entry-mid-scan regression, and the whole
-## disk-failure battery: torn index, stale index, an entry gone under the
-## reader, read denied, failed write and malformed metadata, each made on
-## disk or by one failing OS call, each degrading to a recomputed miss.
+## a live writer, the vanishing-entry-mid-scan regression, two threads
+## storing 300 entries each into one 20-entry handle while a third looks up
+## (TestConcurrencyStress::test_threads_share_one_bounded_handle: no raise,
+## catalog == directory), and the whole disk-failure battery: torn index,
+## stale index, an entry gone under the reader, read denied, failed write and
+## malformed metadata, each made on disk or by one failing OS call, each
+## degrading to a recomputed miss.
 test-cache-store:
 	$(PYTHON) -m pytest tests/api/test_cache_store.py tests/serve/test_serve_cache.py -q
 
@@ -81,7 +84,9 @@ test-faults:
 ## for compiles and batches, coalescing, jobs and their retention bound, drain
 ## with queued work, fault injection through the service path, served hits on
 ## /v1/compile and /v1/batch sending the stored gate table with no codec call
-## counted), plus one loopback HTTP smoke proving served-vs-direct
+## counted, 150 concurrent distinct misses on two workers and a 5-entry disk
+## cache each answering 200 (TestConcurrentBoundedMisses in
+## test_serve_cache.py)), plus one loopback HTTP smoke proving served-vs-direct
 ## bit-for-bit parity, single-execution coalescing, 429 + Retry-After,
 ## bounded request and header lines, a rejected request's 400 read intact
 ## after a bounded discard of its unread bytes, and drain-exits-0.  Fast

@@ -15,11 +15,9 @@ throughput (this is where ``workers > 1`` pays off).  Run it via
 
 from __future__ import annotations
 
-import json
 import platform
-from pathlib import Path
 
-from repro.api import CompileRequest, compile_many
+from repro.api import CompileCache, CompileRequest, compile_many
 from repro.benchgen.queko import generate_queko_circuit
 from repro.hardware.backends import sherbrooke
 from repro.hardware.topologies import grid_topology
@@ -80,73 +78,48 @@ def run_perf_smoke(
     rounds: int = 1,
     workers: int = 1,
     quick: bool = False,
-    cache: bool = True,
-    cache_dir=None,
-    cache_max_bytes=None,
-    cache_max_entries=None,
-    cache_readonly: bool = False,
+    cache: CompileCache | None = None,
     timeout=None,
     retries: int = 0,
     faults=None,
 ) -> dict:
     """Route the pinned fixture with every router; return the trajectory record.
 
-    The compile cache is consulted only when ``cache_dir`` names a
-    persistent store (a *private* disk-backed
-    :class:`~repro.api.cache.CompileCache`, so the process default cache is
-    never polluted by benchmark traffic): requests within one run are all
-    distinct, so a fresh in-memory cache could never hit and would only tax
-    the measurement with serialization.  A re-run against the same
-    ``cache_dir`` answers from the store, replaying the pass timings
-    recorded when the entries were written -- ``mean_seconds`` stays a
-    routing-time trajectory either way.  The ``cache`` section of the record
-    is informational and is ignored by the :func:`quality_regressions`
-    drift gate.
+    ``cache`` is the store the batch consults, or ``None`` for none.
+    ``repro-map bench`` passes one only for ``--cache-dir``: a *private*
+    disk-backed :class:`~repro.api.cache.CompileCache`, so the process
+    default cache is never polluted by benchmark traffic.  Requests within
+    one run are all distinct, so a fresh in-memory cache could never hit
+    and would only tax the measurement with serialization.  A re-run
+    against the same directory answers from the store, replaying the pass
+    timings recorded when the entries were written -- ``mean_seconds``
+    stays a routing-time trajectory either way.  The ``cache`` section of
+    the record is informational and is ignored by the
+    :func:`quality_regressions` drift gate.
 
     Failures, by contrast, always gate: the batch runs under
     ``on_error="collect"`` and every failed request is recorded in the
     ``failures`` section -- :func:`quality_regressions` refuses a partially
     failed record outright, so a crashed or timed-out request can never
     slip through the ``--compare`` drift gate disguised as a healthy run.
-    ``timeout``/``retries``/``faults`` pass straight through to
-    :func:`repro.api.compile_many` (the ``faults`` hook is how the
-    fault-injection tests drive this code path end to end).
+    ``workers``/``timeout``/``retries``/``faults`` pass straight through to
+    :func:`repro.api.compile_many`, which validates them (the ``faults``
+    hook is how the fault-injection tests drive this code path end to end).
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if not cache and cache_dir is not None:
-        raise ValueError("cache_dir has no effect with caching disabled")
-    if cache_dir is None and (
-        cache_max_bytes is not None or cache_max_entries is not None or cache_readonly
-    ):
-        raise ValueError(
-            "cache_max_bytes/cache_max_entries/cache_readonly require cache_dir"
-        )
-    from repro.api.cache import CompileCache
-
-    cache_store = (
-        CompileCache(
-            directory=cache_dir,
-            max_bytes=cache_max_bytes,
-            max_entries=cache_max_entries,
-            readonly=cache_readonly,
-        )
-        if (cache and cache_dir is not None)
-        else None
-    )
     backend = sherbrooke()
     requests = smoke_requests(backend, rounds=rounds, quick=quick)
     batch = compile_many(
         requests,
         workers=workers,
-        cache=cache_store,
+        cache=cache,
         on_error="collect",
         timeout=timeout,
         retries=retries,
         faults=faults,
     )
+    directory = getattr(cache, "directory", None)
     record: dict = {
         "benchmark": "routing-perf-smoke",
         "backend": backend.name,
@@ -164,15 +137,15 @@ def run_perf_smoke(
         # Informational only -- quality_regressions must never gate on cache
         # behaviour (hit rates move without the routed bits changing).
         "cache": {
-            "enabled": cache_store is not None,
-            "dir": str(cache_dir) if cache_dir is not None else None,
+            "enabled": cache is not None,
+            "dir": str(directory) if directory is not None else None,
             "hits": batch.cache_hits,
             "misses": batch.cache_misses,
-            "max_bytes": cache_max_bytes,
-            "max_entries": cache_max_entries,
-            "readonly": bool(cache_readonly),
-            "evictions": cache_store.stats["evictions"] if cache_store else 0,
-            "evicted_bytes": cache_store.stats["evicted_bytes"] if cache_store else 0,
+            "max_bytes": getattr(cache, "max_bytes", None),
+            "max_entries": getattr(cache, "max_entries", None),
+            "readonly": getattr(cache, "readonly", False),
+            "evictions": cache.stats["evictions"] if cache is not None else 0,
+            "evicted_bytes": cache.stats["evicted_bytes"] if cache is not None else 0,
         },
         # Unlike the cache section this one DOES gate: quality_regressions
         # rejects any record with a non-empty failures list.
@@ -181,39 +154,6 @@ def run_perf_smoke(
         ],
         "routers": batch.per_router(),
     }
-    return record
-
-
-def write_perf_smoke(
-    output: Path | str = "BENCH_routing.json",
-    rounds: int = 1,
-    workers: int = 1,
-    quick: bool = False,
-    cache: bool = True,
-    cache_dir=None,
-    cache_max_bytes=None,
-    cache_max_entries=None,
-    cache_readonly: bool = False,
-    timeout=None,
-    retries: int = 0,
-    faults=None,
-) -> dict:
-    """Run the smoke workload and write the JSON trajectory record."""
-    record = run_perf_smoke(
-        rounds=rounds,
-        workers=workers,
-        quick=quick,
-        cache=cache,
-        cache_dir=cache_dir,
-        cache_max_bytes=cache_max_bytes,
-        cache_max_entries=cache_max_entries,
-        cache_readonly=cache_readonly,
-        timeout=timeout,
-        retries=retries,
-        faults=faults,
-    )
-    path = Path(output)
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record
 
 

@@ -66,7 +66,6 @@ from repro.api.batch import (
     ON_ERROR_POLICIES,
     compile_many,
     compile_sweep,
-    default_workers,
 )
 from repro.api.faults import (
     FAULT_KINDS,
@@ -104,7 +103,6 @@ __all__ = [
     "compile_uncached",
     "compile_many",
     "compile_sweep",
-    "default_workers",
     "ON_ERROR_POLICIES",
     "FAULT_KINDS",
     "FaultPlan",

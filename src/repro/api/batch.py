@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
-import os
 import pickle
 import time
 from collections import deque
@@ -52,11 +51,6 @@ from repro.obs.trace import NULL_TRACER, Tracer, current_tracer, use_tracer
 
 #: Recognised per-request failure policies.
 ON_ERROR_POLICIES = ("raise", "collect")
-
-
-def default_workers() -> int:
-    """A sensible worker count for this machine (at least 1)."""
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 def check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
@@ -440,6 +434,4 @@ def compile_sweep(
     )
 
 
-__all__ = [
-    "compile_many", "compile_sweep", "default_workers", "CompileResult", "ON_ERROR_POLICIES"
-]
+__all__ = ["compile_many", "compile_sweep", "CompileResult", "ON_ERROR_POLICIES"]

@@ -39,6 +39,11 @@ The disk tier is a bounded, shareable piece store:
   warm store can be mounted into many ``repro-serve`` workers without write
   contention.  The single-writer/many-reader split is the supported sharing
   model.
+* **Threads** -- one handle may serve many threads (the compile service
+  looks up on its event loop and stores from executor threads).  One lock
+  guards the disk tier's writer state and files, another the memory tier
+  and ``stats``, so a memory hit never waits on disk IO; neither is held
+  across an encode or a decode.
 
 Both tiers store the *serialized* payload (:mod:`repro.api.serialize`: the
 routed circuit as a columnar gate table); a disk hit decodes it in the
@@ -60,6 +65,7 @@ import math
 import os
 import re
 import tempfile
+import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -291,8 +297,9 @@ class _CatalogEntry:
 
     ``size`` is the actual payload file size (the directory is truth);
     ``seq`` is the monotonic last-access sequence driving LRU eviction
-    (deterministic: no wall-clock comparisons), ``created`` a wall-clock
-    stamp for the age histogram only.
+    (deterministic: no wall-clock comparisons), ``created`` the wall-clock
+    time of the first store, kept only in the shard index (the age
+    histogram reads each file's ``st_mtime``).
     """
 
     fingerprint: str
@@ -397,6 +404,10 @@ class CompileCache:
             raise ValueError("readonly=True requires a cache directory")
         self._memory: OrderedDict[str, dict] = OrderedDict()
         self.stats = _fresh_stats()
+        # Guards _memory and stats; taken inside _disk_lock, never around it.
+        self._memory_lock = threading.Lock()
+        # Guards the catalog, dirty shards, sequence, _meta and every disk write.
+        self._disk_lock = threading.Lock()
         # Writer-side disk catalog, built lazily on the first disk write/hit.
         self._catalog: dict[str, _CatalogEntry] | None = None
         self._dirty_shards: set[str] = set()
@@ -427,15 +438,16 @@ class CompileCache:
             except SerializationError as exc:
                 logger.warning("cache entry %s undecodable (%s); treating as miss",
                                fingerprint[:12], exc)
-                self._memory.pop(fingerprint, None)
+                with self._memory_lock:
+                    self._memory.pop(fingerprint, None)
             else:
-                self.stats[f"{tier}_hits"] += 1
+                self._count(f"{tier}_hits")
                 current_tracer().count(f"cache.{tier}_hits")
                 if tier == "disk":
                     self._memory_put(fingerprint, payload)
                     self._touch(fingerprint)
                 return result
-        self.stats["misses"] += 1
+        self._count("misses")
         current_tracer().count("cache.misses")
         return None
 
@@ -460,7 +472,7 @@ class CompileCache:
         self._memory_put(fingerprint, payload)
         if self.directory is not None and not self.readonly:
             self._disk_put(fingerprint, payload)
-        self.stats["stores"] += 1
+        self._count("stores")
         current_tracer().count("cache.stores")
         return payload
 
@@ -472,19 +484,25 @@ class CompileCache:
 
     # -- memory tier ---------------------------------------------------------
 
+    def _count(self, name: str, amount: int = 1) -> None:
+        with self._memory_lock:
+            self.stats[name] += amount
+
     def _memory_get(self, fingerprint: str) -> dict | None:
-        payload = self._memory.get(fingerprint)
-        if payload is not None:
-            self._memory.move_to_end(fingerprint)
+        with self._memory_lock:
+            payload = self._memory.get(fingerprint)
+            if payload is not None:
+                self._memory.move_to_end(fingerprint)
         return payload
 
     def _memory_put(self, fingerprint: str, payload: dict) -> None:
         if self.max_memory_entries == 0:
             return
-        self._memory[fingerprint] = payload
-        self._memory.move_to_end(fingerprint)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
+        with self._memory_lock:
+            self._memory[fingerprint] = payload
+            self._memory.move_to_end(fingerprint)
+            while len(self._memory) > self.max_memory_entries:
+                self._memory.popitem(last=False)
 
     # -- disk layout ---------------------------------------------------------
 
@@ -660,20 +678,20 @@ class CompileCache:
         if self.readonly or self.directory is None:
             return
         try:
-            catalog = self._catalog_entries()
-            entry = catalog.get(fingerprint)
-            if entry is None:
-                return
-            entry.seq = self._next_seq()
-            self._append_index(
-                fingerprint,
-                {
-                    "op": "touch",
-                    "fp": fingerprint,
-                    "seq": entry.seq,
-                    "ts": round(time.time(), 3),
-                },
-            )
+            with self._disk_lock:
+                entry = self._catalog_entries().get(fingerprint)
+                if entry is None:
+                    return
+                entry.seq = self._next_seq()
+                self._append_index(
+                    fingerprint,
+                    {
+                        "op": "touch",
+                        "fp": fingerprint,
+                        "seq": entry.seq,
+                        "ts": round(time.time(), 3),
+                    },
+                )
         except OSError as exc:
             logger.warning("cannot record cache access for %s (%s)",
                            fingerprint[:12], exc)
@@ -764,11 +782,13 @@ class CompileCache:
             except OSError:
                 pass  # already gone: the bound still holds
             del catalog[entry.fingerprint]
-            self._memory.pop(entry.fingerprint, None)
             shards.add(entry.shard)
             freed += entry.size
-        self.stats["evictions"] += len(victims)
-        self.stats["evicted_bytes"] += freed
+        with self._memory_lock:
+            for entry in victims:
+                self._memory.pop(entry.fingerprint, None)
+            self.stats["evictions"] += len(victims)
+            self.stats["evicted_bytes"] += freed
         current_tracer().count("cache.evictions", len(victims))
         self._meta["evictions"] += len(victims)
         self._meta["evicted_bytes"] += freed
@@ -817,22 +837,22 @@ class CompileCache:
                 "cache entry %s failed integrity verification; treating as miss",
                 path.name,
             )
-            self.stats["integrity_misses"] += 1
+            self._count("integrity_misses")
             return None
-        if self._catalog is not None:
-            entry = self._catalog.get(fingerprint)
-            if entry is not None and entry.size != len(raw):
-                # The index disagrees with the bytes on disk: distrust both,
-                # recompute, and let the next write reindex the entry.
-                logger.warning(
-                    "cache entry %s size %d != indexed %d (stale index); "
-                    "treating as miss", path.name, len(raw), entry.size,
-                )
-                self.stats["stale_index_misses"] += 1
-                entry.size = len(raw)
-                self._dirty_shards.add(fingerprint[:2])
-                return None
-        return payload
+        with self._disk_lock:
+            entry = self._catalog.get(fingerprint) if self._catalog is not None else None
+            if entry is None or entry.size == len(raw):
+                return payload
+            # The index disagrees with the bytes on disk: distrust both,
+            # recompute, and let the next write reindex the entry.
+            logger.warning(
+                "cache entry %s size %d != indexed %d (stale index); "
+                "treating as miss", path.name, len(raw), entry.size,
+            )
+            entry.size = len(raw)
+            self._dirty_shards.add(fingerprint[:2])
+        self._count("stale_index_misses")
+        return None
 
     def _disk_put(self, fingerprint: str, payload: dict) -> None:
         envelope = {
@@ -841,33 +861,34 @@ class CompileCache:
             "digest": payload_digest(payload),
             "payload": payload,
         }
+        text = json.dumps(envelope, sort_keys=True)
         try:
-            catalog = self._catalog_entries()
-            path = self._entry_path(fingerprint)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(envelope, sort_keys=True)
-            _atomic_write(path, text)
-            try:
-                size = path.stat().st_size
-            except OSError:
-                size = len(text)
-            previous = catalog.get(fingerprint)
-            created = previous.created if previous is not None else time.time()
-            seq = self._next_seq()
-            catalog[fingerprint] = _CatalogEntry(fingerprint, size, created, seq)
-            self._append_index(
-                fingerprint,
-                {
-                    "op": "put",
-                    "fp": fingerprint,
-                    "size": size,
-                    "schema": CACHE_SCHEMA_VERSION,
-                    "created": round(created, 3),
-                    "seq": seq,
-                },
-            )
-            self._compact_dirty_shards()
-            self._enforce_bounds()
+            with self._disk_lock:
+                catalog = self._catalog_entries()
+                path = self._entry_path(fingerprint)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                _atomic_write(path, text)
+                try:
+                    size = path.stat().st_size
+                except OSError:
+                    size = len(text)
+                previous = catalog.get(fingerprint)
+                created = previous.created if previous is not None else time.time()
+                seq = self._next_seq()
+                catalog[fingerprint] = _CatalogEntry(fingerprint, size, created, seq)
+                self._append_index(
+                    fingerprint,
+                    {
+                        "op": "put",
+                        "fp": fingerprint,
+                        "size": size,
+                        "schema": CACHE_SCHEMA_VERSION,
+                        "created": round(created, 3),
+                        "seq": seq,
+                    },
+                )
+                self._compact_dirty_shards()
+                self._enforce_bounds()
         except OSError as exc:
             logger.warning("cannot persist cache entry %s (%s); memory tier only",
                            fingerprint[:12], exc)
@@ -938,8 +959,10 @@ class CompileCache:
     def info(self) -> dict:
         """Flat introspection record (used by ``repro-map cache info``)."""
         disk = self.disk_stats()
-        hits = self.stats["memory_hits"] + self.stats["disk_hits"]
-        lookups = hits + self.stats["misses"]
+        with self._memory_lock:
+            stats = dict(self.stats)
+        hits = stats["memory_hits"] + stats["disk_hits"]
+        lookups = hits + stats["misses"]
         return {
             "schema": CACHE_SCHEMA_VERSION,
             "memory_entries": len(self._memory),
@@ -957,7 +980,7 @@ class CompileCache:
             "disk_oldest_age_seconds": disk["oldest_age_seconds"],
             "disk_newest_age_seconds": disk["newest_age_seconds"],
             "hit_rate": round(hits / lookups, 4) if lookups else None,
-            "stats": dict(self.stats),
+            "stats": stats,
         }
 
     def clear(self) -> dict:
@@ -966,34 +989,36 @@ class CompileCache:
         A ``readonly`` handle only clears its memory tier -- the shared disk
         store is left untouched.
         """
-        removed = {"memory_entries": len(self._memory), "disk_entries": 0}
-        self._memory.clear()
+        with self._memory_lock:
+            removed = {"memory_entries": len(self._memory), "disk_entries": 0}
+            self._memory.clear()
         if self.readonly:
             return removed
-        for path in self._disk_entries():
-            try:
-                path.unlink()
-            except OSError as exc:
-                logger.warning("cannot remove cache entry %s (%s)", path.name, exc)
-            else:
-                removed["disk_entries"] += 1
-        if self.directory is not None and self.directory.is_dir():
-            for _, shard_dir in self._scan_shard_dirs():
+        with self._disk_lock:
+            for path in self._disk_entries():
                 try:
-                    (shard_dir / INDEX_NAME).unlink()
+                    path.unlink()
+                except OSError as exc:
+                    logger.warning("cannot remove cache entry %s (%s)", path.name, exc)
+                else:
+                    removed["disk_entries"] += 1
+            if self.directory is not None and self.directory.is_dir():
+                for _, shard_dir in self._scan_shard_dirs():
+                    try:
+                        (shard_dir / INDEX_NAME).unlink()
+                    except OSError:
+                        pass
+                    try:
+                        shard_dir.rmdir()
+                    except OSError:
+                        pass  # non-empty (a concurrent writer) or already gone
+                try:
+                    self._meta_path().unlink()
                 except OSError:
                     pass
-                try:
-                    shard_dir.rmdir()
-                except OSError:
-                    pass  # non-empty (a concurrent writer) or already gone
-            try:
-                self._meta_path().unlink()
-            except OSError:
-                pass
-        self._catalog = None
-        self._dirty_shards = set()
-        self._meta = {"evictions": 0, "evicted_bytes": 0}
+            self._catalog = None
+            self._dirty_shards = set()
+            self._meta = {"evictions": 0, "evicted_bytes": 0}
         return removed
 
     def __len__(self) -> int:

@@ -23,7 +23,7 @@ router modules themselves import :func:`register_router` from here).
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 #: Modules whose import registers the built-in routers (in listing order).
@@ -58,7 +58,6 @@ class RouterSpec:
     config_class: type | None = None
     description: str = ""
     kind: str = "baseline"
-    extras: dict = field(default_factory=dict)
 
     @property
     def all_names(self) -> tuple[str, ...]:
@@ -125,7 +124,6 @@ def register_router(
     config_class: type | None = None,
     description: str = "",
     kind: str = "baseline",
-    **extras,
 ) -> Callable:
     """Class decorator registering a router under ``name`` (plus ``aliases``).
 
@@ -141,7 +139,6 @@ def register_router(
             config_class=config_class,
             description=description,
             kind=kind,
-            extras=dict(extras),
         )
         _register_spec(spec)
         cls.router_spec = spec

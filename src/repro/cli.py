@@ -39,6 +39,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.api import (
@@ -103,7 +104,7 @@ def _make_cache(args: argparse.Namespace) -> CompileCache | bool:
     Returns ``False`` (caching disabled), a disk-backed :class:`CompileCache`
     for an explicit ``--cache-dir`` (optionally bounded or read-only), or
     ``True`` (the process default cache, in-memory unless ``REPRO_CACHE_DIR``
-    is set).
+    is set).  ``bench`` uses only the disk-backed cache.
     """
     if not args.cache:
         if args.cache_dir is not None:
@@ -169,21 +170,29 @@ def _parse_faults(args: argparse.Namespace) -> FaultPlan | None:
         raise CompileError(f"--inject-faults: {exc}") from exc
 
 
-def _start_tracer(args: argparse.Namespace):
-    """A recording tracer when ``--trace-out`` was given, else ``None``."""
-    if getattr(args, "trace_out", None) is None:
-        return None
-    from repro.obs import Tracer
+def _check_run_options(args: argparse.Namespace, command: str) -> None:
+    """Validate ``--workers``, ``--timeout`` and ``--retries`` (``bench`` and ``serve``)."""
+    if args.workers < 1:
+        raise CompileError(f"repro-map {command}: --workers must be at least 1")
+    if args.timeout is not None and not args.timeout > 0:
+        raise CompileError(
+            f"repro-map {command}: --timeout must be a positive number of seconds"
+        )
+    if args.retries < 0:
+        raise CompileError(f"repro-map {command}: --retries must be non-negative")
 
-    return Tracer()
 
-
-def _write_cli_trace(args: argparse.Namespace, tracer, command: str) -> None:
-    """Flush a command's recorded trace to the ``--trace-out`` JSONL sink."""
-    if tracer is None:
+@contextmanager
+def _tracing(args: argparse.Namespace, command: str):
+    """Record the block under a tracer and write it to ``--trace-out``, when given."""
+    if args.trace_out is None:
+        yield
         return
-    from repro.obs import write_trace
+    from repro.obs import Tracer, use_tracer, write_trace
 
+    tracer = Tracer()
+    with use_tracer(tracer):
+        yield
     count = write_trace(
         args.trace_out,
         tracer,
@@ -215,31 +224,24 @@ def _command_map(args: argparse.Namespace) -> int:
     )
     cache = _make_cache(args)
     faults = _parse_faults(args)
-    tracer = _start_tracer(args)
-    if tracer is not None:
-        from repro.obs import use_tracer
-
-        with use_tracer(tracer):
-            result = api_compile(request, cache=cache, faults=faults)
-    else:
+    with _tracing(args, "map"):
         result = api_compile(request, cache=cache, faults=faults)
-    metrics = result.metrics
-    print(
-        f"circuit      : {metrics['circuit']} "
-        f"({metrics['num_qubits']} qubits, {metrics['num_gates']} gates)"
-    )
-    print(f"backend      : {metrics['backend']}")
-    print(f"mapper       : {result.router}")
-    print(f"swaps added  : {metrics['swaps']}")
-    print(f"depth        : {metrics['initial_depth']} -> {metrics['routed_depth']}")
-    print(f"mapping time : {result.route_seconds:.3f} s (pipeline {result.total_seconds:.3f} s)")
-    if isinstance(cache, CompileCache):
-        hit = cache.stats["memory_hits"] + cache.stats["disk_hits"] > 0
-        print(f"cache        : {'hit' if hit else 'miss'} ({cache.directory})")
-    if args.output:
-        write_qasm_file(result.routed_circuit, args.output)
-        print(f"routed QASM  : {args.output}")
-    _write_cli_trace(args, tracer, "map")
+        metrics = result.metrics
+        print(
+            f"circuit      : {metrics['circuit']} "
+            f"({metrics['num_qubits']} qubits, {metrics['num_gates']} gates)"
+        )
+        print(f"backend      : {metrics['backend']}")
+        print(f"mapper       : {result.router}")
+        print(f"swaps added  : {metrics['swaps']}")
+        print(f"depth        : {metrics['initial_depth']} -> {metrics['routed_depth']}")
+        print(f"mapping time : {result.route_seconds:.3f} s (pipeline {result.total_seconds:.3f} s)")
+        if isinstance(cache, CompileCache):
+            hit = cache.stats["memory_hits"] + cache.stats["disk_hits"] > 0
+            print(f"cache        : {'hit' if hit else 'miss'} ({cache.directory})")
+        if args.output:
+            write_qasm_file(result.routed_circuit, args.output)
+            print(f"routed QASM  : {args.output}")
     return 0
 
 
@@ -309,22 +311,13 @@ def _command_bench(args: argparse.Namespace) -> int:
     from repro.analysis.perf_trajectory import (
         quality_regressions,
         render_trajectory,
-        write_perf_smoke,
+        run_perf_smoke,
     )
 
     if args.rounds < 1:
         raise CompileError("repro-map bench: --rounds must be at least 1")
-    if args.workers < 1:
-        raise CompileError("repro-map bench: --workers must be at least 1")
-    if args.timeout is not None and not args.timeout > 0:
-        raise CompileError(
-            "repro-map bench: --timeout must be a positive number of seconds"
-        )
-    if args.retries < 0:
-        raise CompileError("repro-map bench: --retries must be non-negative")
-    if not args.cache and args.cache_dir is not None:
-        raise CompileError("--no-cache and --cache-dir are mutually exclusive")
-    _check_cache_bounds(args)
+    _check_run_options(args, "bench")
+    cache = _make_cache(args)
     baseline = None
     if args.compare is not None:
         try:
@@ -333,33 +326,19 @@ def _command_bench(args: argparse.Namespace) -> int:
             raise CompileError(
                 f"repro-map bench: --compare: cannot read baseline {args.compare}: {exc}"
             ) from exc
-    tracer = _start_tracer(args)
-    if tracer is not None:
-        from repro.obs import use_tracer
-
-        install = use_tracer(tracer)
-    else:
-        from contextlib import nullcontext
-
-        install = nullcontext()
-    with install:
-        record = write_perf_smoke(
-            args.output,
+    with _tracing(args, "bench"):
+        record = run_perf_smoke(
             rounds=args.rounds,
             workers=args.workers,
             quick=args.quick,
-            cache=args.cache,
-            cache_dir=args.cache_dir,
-            cache_max_bytes=args.cache_max_bytes,
-            cache_max_entries=args.cache_max_entries,
-            cache_readonly=args.cache_readonly,
+            cache=cache if isinstance(cache, CompileCache) else None,
             timeout=args.timeout,
             retries=args.retries,
             faults=_parse_faults(args),
         )
-    print(render_trajectory(record))
-    print(f"\nwrote {args.output}")
-    _write_cli_trace(args, tracer, "bench")
+        args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print(render_trajectory(record))
+        print(f"\nwrote {args.output}")
     failures = record.get("failures", [])
     if failures:
         # A partially-failed run must never look like a healthy trajectory.
@@ -437,16 +416,9 @@ def _command_cache_info(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve.server import ServeConfig, serve_forever
 
-    if args.workers < 1:
-        raise CompileError("repro-map serve: --workers must be at least 1")
+    _check_run_options(args, "serve")
     if args.queue_size < 1:
         raise CompileError("repro-map serve: --queue-size must be at least 1")
-    if args.timeout is not None and not args.timeout > 0:
-        raise CompileError(
-            "repro-map serve: --timeout must be a positive number of seconds"
-        )
-    if args.retries < 0:
-        raise CompileError("repro-map serve: --retries must be non-negative")
     _check_cache_bounds(args)
     if args.log_json:
         from repro.obs import setup_logging

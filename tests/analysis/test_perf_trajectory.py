@@ -15,6 +15,7 @@ from repro.analysis.perf_trajectory import (
     render_trajectory,
     run_perf_smoke,
 )
+from repro.api import CompileCache
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ def quick_record():
 class TestCacheFieldsNeverGate:
     def test_record_carries_cache_counters(self, quick_record):
         cache = quick_record["cache"]
-        # no cache_dir: nothing persistent to hit, so no store is consulted
+        # no cache: nothing persistent to hit, so no store is consulted
         assert cache["enabled"] is False
         assert cache["hits"] == 0
         assert cache["misses"] == sum(
@@ -62,8 +63,8 @@ class TestCacheFieldsNeverGate:
 
 class TestCachedRunsKeepTheTrajectoryHonest:
     def test_warm_disk_run_replays_identical_quality_and_timings(self, tmp_path, quick_record):
-        cold = run_perf_smoke(quick=True, cache_dir=tmp_path)
-        warm = run_perf_smoke(quick=True, cache_dir=tmp_path)
+        cold = run_perf_smoke(quick=True, cache=CompileCache(directory=tmp_path))
+        warm = run_perf_smoke(quick=True, cache=CompileCache(directory=tmp_path))
         assert warm["cache"]["hits"] == cold["cache"]["misses"] > 0
         assert warm["cache"]["misses"] == 0
         # Replayed pass timings keep mean_seconds a routing-time trajectory:
@@ -72,7 +73,7 @@ class TestCachedRunsKeepTheTrajectoryHonest:
         assert quality_regressions(warm, cold) == []
 
     def test_cache_disabled_run_matches_quality(self, quick_record):
-        uncached = run_perf_smoke(quick=True, cache=False)
+        uncached = run_perf_smoke(quick=True, cache=None)
         assert uncached["cache"]["enabled"] is False
         assert quality_regressions(uncached, quick_record) == []
 
@@ -82,9 +83,9 @@ class TestRendering:
         assert "cache off" in render_trajectory(quick_record)
 
     def test_render_mentions_cache_counters_for_disk_runs(self, tmp_path):
-        record = run_perf_smoke(quick=True, cache_dir=tmp_path)
+        record = run_perf_smoke(quick=True, cache=CompileCache(directory=tmp_path))
         assert "cache 0 hit(s)" in render_trajectory(record)
-        warm = run_perf_smoke(quick=True, cache_dir=tmp_path)
+        warm = run_perf_smoke(quick=True, cache=CompileCache(directory=tmp_path))
         assert "cache 7 hit(s) / 0 miss(es)" in render_trajectory(warm)
 
     def test_render_handles_records_without_cache_section(self, quick_record):

@@ -18,6 +18,9 @@ Covers the ISSUE-9 store contract end to end:
   self-heals on the next write,
 * readonly fleet mode -- a second handle serves hits from a shared warm
   directory without ever writing, racing a live writer's evictions,
+* threads -- two writers and a reader sharing one bounded handle, as the
+  compile service shares its cache, never raise and leave the catalog
+  equal to the directory,
 * the vanishing-entry regression -- ``disk_stats``/``clear`` tolerate
   entries unlinked between scan and stat (a concurrent ``clear``).
 
@@ -27,10 +30,12 @@ the battery exercises the store, not the routers.
 
 import errno
 import hashlib
+import itertools
 import json
 import logging
 import os
 import random
+import sys
 import threading
 from pathlib import Path
 
@@ -656,6 +661,55 @@ class TestConcurrencyStress:
         assert not errors
         assert hits > 0  # the race actually exercised the read path
         assert writer.disk_stats()["entries"] <= 3
+
+    def test_threads_share_one_bounded_handle(self, tmp_path, result, caplog):
+        """The compile service stores from executor threads while its event
+        loop looks up, all on one handle: two threads each storing 300
+        distinct entries into a 20-entry store, and a third looking up, must
+        neither raise nor leave the catalog apart from the directory."""
+        cache = CompileCache(directory=tmp_path, max_entries=20)
+        errors: list[Exception] = []
+        writers_done = threading.Event()
+
+        def write(first):
+            try:
+                for index in range(first, first + 300):
+                    cache.store(fp(index), result)
+            except Exception as exc:  # pragma: no cover - failure evidence
+                errors.append(exc)
+
+        def read():
+            # One lookup per pause: a reader that held on to the GIL would
+            # stall each writer at every file operation.
+            keys = itertools.cycle(range(0, 600, 7))
+            try:
+                while not writers_done.wait(0.0005):
+                    cache.lookup(fp(next(keys)), request_for())
+            except Exception as exc:  # pragma: no cover - failure evidence
+                errors.append(exc)
+
+        writers = [threading.Thread(target=write, args=(first,)) for first in (0, 300)]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-update far more often
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
+                reader.start()
+                for thread in writers:
+                    thread.start()
+                for thread in writers:
+                    thread.join(timeout=120)
+                writers_done.set()
+                reader.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in (*writers, reader))
+        assert errors == []
+        assert cache.stats["stores"] == 600
+        on_disk = payload_files(tmp_path)
+        assert len(on_disk) == 20
+        assert set(CompileCache(directory=tmp_path)._catalog_entries()) == on_disk
+        assert not any("cannot persist" in record.message for record in caplog.records)
 
     def test_writer_handoff_stays_bounded_and_deterministic(self, tmp_path, result):
         """The single-writer contract allows *sequential* handoff: a fresh

@@ -124,6 +124,27 @@ class TestServeUnderEvictionPressure:
         assert replay["cached"] is True
 
 
+class TestConcurrentBoundedMisses:
+    def test_distinct_misses_on_two_workers_all_answer_200(self, tmp_path):
+        """Two executor threads store and evict in one bounded cache while
+        the event loop looks up: every miss still answers 200."""
+        bodies = [make_body(seed=seed, generate="ghz:4") for seed in range(150)]
+        config = ServeConfig(
+            workers=2,
+            queue_size=len(bodies),
+            cache_dir=str(tmp_path / "cache"),
+            cache_max_entries=5,
+        )
+
+        async def scenario(service):
+            return await asyncio.gather(
+                *(service.handle("POST", "/v1/compile", {}, body) for body in bodies)
+            )
+
+        responses = run(with_service(config, scenario))
+        assert [response.status for response in responses] == [200] * len(bodies)
+
+
 class TestReadonlyService:
     def test_readonly_service_serves_warm_hits_without_writing(self, tmp_path):
         body = make_body()
