@@ -72,9 +72,10 @@ test-cache-store:
 ## contract: worker-count determinism (test_batch.py), structured per-request
 ## failures (on_error="collect"), timeouts, retries with deterministic seeded
 ## backoff, worker-crash isolation, forks per batch (pool size plus one per
-## respawn), determinism-under-failure (faulted siblings never perturb clean
-## results), and child spans stitched into the batch trace span for span
-## (test_trace_propagation.py).
+## respawn; a child replies with the result's payload, which the parent
+## rebuilds without decoding), determinism-under-failure (faulted siblings
+## never perturb clean results), and child spans stitched into the batch
+## trace span for span (test_trace_propagation.py).
 test-faults:
 	$(PYTHON) -m pytest tests/api/test_faults.py tests/api/test_batch_failures.py \
 		tests/api/test_batch.py tests/obs/test_trace_propagation.py -q
@@ -84,16 +85,23 @@ test-faults:
 ## for compiles and batches, coalescing, jobs and their retention bound, drain
 ## with queued work, fault injection through the service path, served hits on
 ## /v1/compile and /v1/batch sending the stored gate table with no codec call
-## counted, 150 concurrent distinct misses on two workers and a 5-entry disk
-## cache each answering 200 (TestConcurrentBoundedMisses in
-## test_serve_cache.py)), plus one loopback HTTP smoke proving served-vs-direct
-## bit-for-bit parity, single-execution coalescing, 429 + Retry-After,
-## bounded request and header lines, a rejected request's 400 read intact
-## after a bounded discard of its unread bytes, and drain-exits-0.  Fast
-## (~15 s); no ports are bound except by the loopback tests (ephemeral,
-## 127.0.0.1 only).
+## counted, served misses with no encode and one table copy each, a circuit
+## wider than its backend answering 400, 150 concurrent distinct misses on two
+## workers and a 5-entry disk cache each answering 200
+## (TestConcurrentBoundedMisses in test_serve_cache.py)), the service's
+## forked compile children (test_serve_pool.py: misses compile in children
+## forked once per service plus one per timeout, a client reads EOF while a
+## child lives, and no child outlives run_server), plus one loopback HTTP
+## smoke proving served-vs-direct bit-for-bit parity, single-execution
+## coalescing, 429 + Retry-After, bounded request and header lines, a
+## rejected request's 400 read intact after a bounded discard of its unread
+## bytes, and drain-exits-0.  Runs in Python's development mode with
+## ResourceWarning and unraisable exceptions as errors, so an unclosed socket
+## or pipe fails the suite.  Fast (~15 s); no ports are bound except by the
+## loopback tests (ephemeral, 127.0.0.1 only).
 test-serve:
-	$(PYTHON) -m pytest tests/serve -q
+	$(PYTHON) -X dev -m pytest tests/serve -q -W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning
 
 ## Observability suite: span recording/propagation, cross-process batch
 ## stitching, JSONL/Chrome exporters, trace CLI, Prometheus exposition,

@@ -18,19 +18,27 @@ policy stay in the parent, which hands each attempt to one of two executors:
 * **in process**, on the calling thread, when one slot is enough
   (``workers=1`` or a single miss) and no attempt needs isolation.  A
   request's retries then run back to back, sleeping the backoff in between;
-* otherwise a **pool** of ``min(workers, misses)`` forked children that live
-  for the whole batch.  Only a separate process can enforce a ``timeout`` or
-  survive a ``kill`` fault: a child that runs past its deadline or dies is
-  reaped, and its slot forks a fresh one for its next attempt.  A batch
-  therefore forks its pool size plus one child per respawn.
+* otherwise slots of a **pool** of forked children.  A batch forks
+  ``min(workers, misses)`` children that live for the batch.  The compile
+  service (:mod:`repro.serve`) runs every served miss on slots of one pool
+  that lives as long as the service.  Only a separate process can enforce a
+  ``timeout`` or survive a ``kill`` fault: a child that runs past its
+  deadline or dies is reaped, and its slot forks a fresh one for its next
+  attempt.  A pool therefore forks its size plus one child per respawn.
 
-Children inherit the requests at fork and take ``(index, attempt)`` jobs
-over a pipe.  Each replies with the result or a structured
-:class:`~repro.api.result.CompileError`, the request's own exception when it
-pickles, and its trace fragment, which the parent folds into the batch trace
-in batch order.  A :class:`~repro.api.faults.FaultPlan` injects exceptions,
-delays and kills at deterministic (request, attempt) points, so every
-recovery path is testable and replayable.
+A child takes jobs over a pipe, each carrying its request, fingerprint,
+fault plan and trace context, so one child serves any number of calls.  It
+replies with the result's payload (the cache's codec) and the digest of the
+QASM bytes it loaded, or with a structured
+:class:`~repro.api.result.CompileError` and the request's own exception when
+that pickles, plus its trace fragment, which the parent folds into the batch
+trace in batch order.  The parent rebuilds the result around the payload
+with the gate table undecoded, so storing or sending it copies the table
+and the parent encodes nothing.  A child first drops every socket it
+inherited but its own pipe end, so a connection its parent closes reaches
+EOF at the client.  A :class:`~repro.api.faults.FaultPlan` injects
+exceptions, delays and kills at deterministic (request, attempt) points, so
+every recovery path is testable and replayable.
 """
 
 from __future__ import annotations
@@ -38,7 +46,10 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
+import os
 import pickle
+import stat
+import threading
 import time
 from collections import deque
 from typing import Iterable
@@ -47,6 +58,7 @@ from repro.api.faults import apply_execution_faults, deterministic_backoff, reso
 from repro.api.pipeline import compile_uncached as _compile
 from repro.api.request import CompileRequest
 from repro.api.result import BatchResult, CompileError, CompileResult
+from repro.api.serialize import result_from_payload, result_to_payload
 from repro.obs.trace import NULL_TRACER, Tracer, current_tracer, use_tracer
 
 #: Recognised per-request failure policies.
@@ -83,19 +95,23 @@ def check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
     return workers, timeout, retries, backoff
 
 
-def _attempt(work, index: int, attempt: int, in_worker: bool):
+def _job(work, index: int, attempt: int) -> tuple:
+    """Attempt ``attempt`` of request ``index`` of ``work``, as :func:`_attempt` takes it."""
+    requests, fingerprints, plan = work
+    return index, attempt, requests[index], fingerprints[index], plan
+
+
+def _attempt(index: int, attempt: int, request, fingerprint, plan, in_worker: bool):
     """Run one attempt: ``(result, None)`` or ``(CompileError, exception)``.
 
-    ``work`` is the batch's ``(requests, fingerprints, plan)``.  This is the
-    one place a batch fires execution faults; a ``kill`` fault hard-exits a
-    pool child and degrades to an exception in process.
+    This is the one place a batch fires execution faults; a ``kill`` fault
+    hard-exits a pool child and degrades to an exception in process.
     """
-    requests, fingerprints, plan = work
     try:
         if plan is not None:
-            apply_execution_faults(plan, fingerprints[index], index, attempt, in_worker=in_worker)
+            apply_execution_faults(plan, fingerprint, index, attempt, in_worker=in_worker)
         with current_tracer().span("request", index=index, attempt=attempt):
-            return _compile(requests[index]), None
+            return _compile(request), None
     except Exception as exc:
         return CompileError.from_exception(exc, attempts=attempt + 1), exc
 
@@ -114,7 +130,7 @@ class _InProcess:
         return len(self.finished)
 
     def start(self, index: int, attempt: int) -> None:
-        outcome = _attempt(self.work, index, attempt, False)
+        outcome = _attempt(*_job(self.work, index, attempt), in_worker=False)
         self.finished.append((index, attempt) + outcome)
 
     def wait(self, until: float) -> list[tuple]:
@@ -125,19 +141,46 @@ class _InProcess:
         pass
 
 
-def _child(conn, inherited, work, trace_ctx) -> None:
-    """A pool child: run ``(index, attempt)`` jobs until ``None`` or EOF.
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every socket descriptor but ``keep`` and the standard streams at ``/dev/null``.
 
-    Replies ``(result or CompileError, exception, spans, counters)``.  The
-    request's own exception travels only when it survives pickling.
+    A forked child holds a copy of every socket its parent had open: a
+    server's listener and client connections, and the pipe ends of the
+    parent and of sibling children.  A connection stays open while any copy
+    does, so a client whose connection the parent closed would read no EOF
+    until the child exits, and a child lives as long as its pool.  ``dup2``
+    drops the copy but keeps the descriptor number taken, so a socket object
+    inherited from the parent never closes a file the child opens later.
     """
-    for end in inherited:
-        end.close()  # the parent's pipe ends, so a dead parent reads as EOF
+    listing = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir(listing):
+            fd = int(name)
+            if fd > 2 and fd not in (keep, null):
+                with contextlib.suppress(OSError):
+                    if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                        os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
+def _child(conn) -> None:
+    """A pool child: run jobs until ``None`` or EOF.
+
+    A job is :func:`_attempt`'s arguments plus a trace context.  The reply is
+    ``(outcome, exception, spans, counters)``: the outcome is the result's
+    ``(payload, source_digest)`` or a ``CompileError``, and the request's own
+    exception travels only when it survives pickling.
+    """
+    _drop_inherited_sockets(conn.fileno())
     with contextlib.suppress(EOFError):
-        for index, attempt in iter(conn.recv, None):
+        for *job, trace_ctx in iter(conn.recv, None):
             tracer = NULL_TRACER if trace_ctx is None else Tracer(context=trace_ctx)
             with use_tracer(tracer):
-                value, exc = _attempt(work, index, attempt, True)
+                value, exc = _attempt(*job, in_worker=True)
+            if isinstance(value, CompileResult):
+                value = result_to_payload(value), value.source_digest
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:
@@ -155,7 +198,7 @@ def _worker_error(message: str, exc_type: str, attempt: int) -> CompileError:
 
 
 class _Slot:
-    """One place in the pool: its child (forked on demand) and its attempt."""
+    """One place in a pool: its child (forked on demand) and its attempt."""
 
     __slots__ = ("process", "conn", "job", "deadline")
 
@@ -165,21 +208,109 @@ class _Slot:
 
 
 class _Pool:
-    """``size`` forked children that live for the whole batch.
+    """Forked children that run attempts, one at a time each.
 
-    A child that times out or dies is reaped and its slot forks a fresh one
-    for its next attempt.  Idle children are stopped by an explicit ``None``:
-    any process forked later (a sibling, or another batch's child) may hold
-    a copy of the parent's pipe end, so closing it is no signal.
+    A pool outlives the calls that use it.  A call leases slots, and a
+    leased slot forks its child at its first attempt.  A child that times
+    out or dies is reaped, and its slot forks a fresh one for its next
+    attempt.  So a pool forks its size plus one child per respawn.
+    Released slots queue behind the free ones, so calls one after another
+    go round every slot.
+
+    Forks, reaps and stops take one lock, so :meth:`close` may run on
+    another thread while slots are leased: it kills busy children, stops
+    idle ones and joins them all, and a leased slot's next attempt raises.
+    Idle children are stopped by an explicit ``None``: any process forked
+    later may hold a copy of the parent's pipe end, so closing it is no
+    signal.
     """
 
-    def __init__(self, size, timeout, work, trace_ctx):
+    def __init__(self, size: int):
         methods = multiprocessing.get_all_start_methods()
         self.context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        self.size = size
         self.slots = [_Slot() for _ in range(size)]
+        self._free = deque(self.slots)
+        self._lock = threading.Condition()
+        self._closed = False
+
+    def lease(self, count: int) -> list[_Slot]:
+        """``count`` slots, once that many are free."""
+        with self._lock:
+            self._lock.wait_for(lambda: self._closed or len(self._free) >= count)
+            self._check_open()
+            return [self._free.popleft() for _ in range(count)]
+
+    def release(self, slots: list[_Slot]) -> None:
+        """Return leased slots; a busy slot's child is reaped first."""
+        with self._lock:
+            for slot in slots:
+                if slot.process is not None and (slot.job is not None or self._closed):
+                    self.reap(slot)
+            self._free.extend(slots)
+            self._lock.notify_all()
+
+    def start(self, slot: _Slot, job: tuple, deadline: float) -> None:
+        """Send ``job``, :func:`_attempt`'s ``(index, attempt, ...)`` and a trace context."""
+        with self._lock:
+            self._check_open()
+            if slot.process is None:
+                parent_end, child_end = self.context.Pipe()
+                slot.process = self.context.Process(target=_child, args=(child_end,), daemon=True)
+                slot.process.start()
+                child_end.close()
+                slot.conn = parent_end
+            try:
+                slot.conn.send(job)
+            except OSError:
+                pass  # the idle child died: ``wait`` reads its EOF as a crash
+            slot.job, slot.deadline = job[:2], deadline
+
+    def reap(self, slot: _Slot):
+        """Kill and join the slot's child; return its exit code."""
+        with self._lock:
+            slot.process.kill()
+            slot.process.join()
+            slot.conn.close()
+            exitcode = slot.process.exitcode
+            slot.process = slot.conn = slot.job = None
+        return exitcode
+
+    def close(self) -> None:
+        """Kill busy children and stop idle ones, then join them all.
+
+        A leased slot keeps its pipe end until its call releases it.
+        """
+        with self._lock:
+            self._closed = True
+            self._lock.notify_all()
+            live = [slot for slot in self.slots if slot.process is not None]
+            for slot in live:
+                if slot.job is not None:
+                    slot.process.kill()
+                    continue
+                with contextlib.suppress(OSError):
+                    slot.conn.send(None)
+            for slot in live:
+                slot.process.join()
+            for slot in self._free:
+                if slot.process is not None:
+                    self.reap(slot)
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("the compile pool is closed")
+
+
+class _Leased:
+    """The executor of one call on slots leased from a pool."""
+
+    def __init__(self, pool: _Pool, size: int, timeout, work, trace_ctx):
+        self.pool = pool
+        self.slots = pool.lease(size)
+        self.size = size
         self.timeout = timeout
-        self.child_args = (work, trace_ctx)
+        self.work = work
+        self.trace_ctx = trace_ctx
         self.fragments: list[tuple] = []  # (index, attempt, spans, counters)
 
     @property
@@ -188,21 +319,8 @@ class _Pool:
 
     def start(self, index: int, attempt: int) -> None:
         slot = next(slot for slot in self.slots if slot.job is None)
-        if slot.process is None:
-            parent_end, child_end = self.context.Pipe()
-            inherited = [s.conn for s in self.slots if s.conn is not None] + [parent_end]
-            process = self.context.Process(
-                target=_child, args=(child_end, inherited) + self.child_args, daemon=True
-            )
-            process.start()
-            child_end.close()
-            slot.process, slot.conn = process, parent_end
-        try:
-            slot.conn.send((index, attempt))
-        except OSError:
-            pass  # the idle child died: ``wait`` reads its EOF as a crash
-        slot.job = (index, attempt)
-        slot.deadline = time.monotonic() + (self.timeout or math.inf)
+        deadline = time.monotonic() + (self.timeout or math.inf)
+        self.pool.start(slot, _job(self.work, index, attempt) + (self.trace_ctx,), deadline)
 
     def wait(self, until: float) -> list[tuple]:
         """The attempts that finished by ``until``, a deadline or a reply."""
@@ -221,12 +339,14 @@ class _Pool:
                 try:
                     value, exc, spans, counters = slot.conn.recv()
                 except (EOFError, OSError):  # the child died mid-attempt
-                    message = f"worker process died with exit code {self._reap(slot)}"
+                    message = f"worker process died with exit code {self.pool.reap(slot)}"
                     value, exc = _worker_error(message, "WorkerCrash", attempt), None
                 else:
                     self.fragments.append((index, attempt, spans, counters))
+                    if not isinstance(value, CompileError):
+                        value = self._result(index, *value)
             elif time.monotonic() >= slot.deadline:
-                self._reap(slot)
+                self.pool.reap(slot)
                 message = f"request timed out after {self.timeout:g}s"
                 value, exc = _worker_error(message, "Timeout", attempt), None
             else:
@@ -235,29 +355,15 @@ class _Pool:
             finished.append((index, attempt, value, exc))
         return finished
 
-    def _reap(self, slot: _Slot):
-        """Kill and join the slot's child; the next attempt forks a fresh one."""
-        slot.process.kill()
-        slot.process.join()
-        slot.conn.close()
-        exitcode = slot.process.exitcode
-        slot.process = slot.conn = None
-        return exitcode
+    def _result(self, index: int, payload: dict, source_digest) -> CompileResult:
+        """A child's reply as a result whose gate table decodes on first read."""
+        result = result_from_payload(payload, self.work[0][index], lazy=True)
+        result.source_digest = source_digest
+        return result
 
     def close(self) -> None:
-        """Stop idle children, kill busy ones, fold the trace in batch order."""
-        live = [slot for slot in self.slots if slot.process is not None]
-        for slot in live:
-            if slot.job is not None:
-                slot.process.kill()
-                continue
-            try:
-                slot.conn.send(None)
-            except OSError:
-                pass
-        for slot in live:
-            slot.process.join()
-            slot.conn.close()
+        """Release the slots and fold the trace in batch order."""
+        self.pool.release(self.slots)
         tracer = current_tracer()
         for *_, spans, counters in sorted(self.fragments, key=lambda f: f[:2]):
             tracer.extend(spans, counters)
@@ -338,6 +444,20 @@ def compile_many(
     regardless of worker count, timeouts, retries or faults injected into
     *other* requests -- each result is a pure function of its request.
     """
+    return _compile_many(requests, workers, cache, on_error, timeout, retries, backoff, faults)[0]
+
+
+def _compile_many(
+    requests, workers, cache, on_error, timeout, retries, backoff, faults, pool=None
+) -> tuple[BatchResult, list]:
+    """:func:`compile_many`, plus the payload the cache stored for each request.
+
+    With a ``pool`` (the compile service's), every miss runs on
+    ``min(workers, misses)`` of its slots, leased for this call.  Without
+    one, a batch runs in process or forks a pool of its own.  The payloads
+    are those ``store`` returned, ``None`` for a request it stored nothing
+    for.
+    """
     from repro.api.cache import request_fingerprint, resolve_cache
 
     workers, timeout, retries, backoff = check_batch_options(
@@ -350,6 +470,7 @@ def compile_many(
     tracer = current_tracer()
 
     results: list[CompileResult | CompileError | None] = [None] * len(requests)
+    payloads: list[dict | None] = [None] * len(requests)
     misses: list[int] = []
     fingerprints: list[str | None] = [None] * len(requests)
     with tracer.span("batch", requests=len(requests), workers=workers) as batch_span:
@@ -380,7 +501,7 @@ def compile_many(
             if isinstance(value, CompileResult):
                 results[index] = value
                 if cache_store is not None:
-                    cache_store.store(fingerprints[index], value)
+                    payloads[index] = cache_store.store(fingerprints[index], value)
                 return None
             if attempt < retries:
                 # seeded on the content address where known, else the index
@@ -393,21 +514,30 @@ def compile_many(
             raise exc if plain and exc is not None else value
 
         work = (requests, fingerprints, plan)
-        pool_size = min(workers, len(misses))
-        if pool_size > 1 or timeout is not None or (plan is not None and plan.has_kills()):
-            ctx = tracer.context() if tracer.enabled else None
-            executor = _Pool(pool_size, timeout, work, ctx)
-        else:
-            executor = _InProcess(work)
-        _schedule(executor, misses, settle)
+        size = min(workers, len(misses))
+        own_pool = None
+        if pool is None and (
+            size > 1 or timeout is not None or (plan is not None and plan.has_kills())
+        ):
+            pool = own_pool = _Pool(size)
+        try:
+            if pool is None:
+                _schedule(_InProcess(work), misses, settle)
+            elif misses:
+                ctx = tracer.context() if tracer.enabled else None
+                _schedule(_Leased(pool, size, timeout, work, ctx), misses, settle)
+        finally:
+            if own_pool is not None:
+                own_pool.close()
 
-    return BatchResult(
+    batch = BatchResult(
         results=results,
         workers=min(workers, len(requests) or 1),
         wall_seconds=time.perf_counter() - start,
         cache_hits=len(requests) - len(misses),
         cache_misses=len(misses),
     )
+    return batch, payloads
 
 
 def compile_sweep(

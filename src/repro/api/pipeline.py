@@ -10,8 +10,8 @@ function of the request: same request, same bits.
 Pass responsibilities:
 
 * ``load``      materialise the circuit (in-memory / QASM file / generator
-  spec), reject gates on more than two qubits and resolve the backend
-  coupling graph,
+  spec), reject gates on more than two qubits, resolve the backend
+  coupling graph and reject a circuit wider than it,
 * ``place``     build the initial layout with the requested strategy
   (:mod:`repro.core.placement`, or forward/backward passes of the request's
   own router for ``bidirectional``),
@@ -197,6 +197,11 @@ def compile_uncached(request: CompileRequest) -> CompileResult:
                 circuit = load_circuit(request.circuit, request.qasm, request.generate)
                 _check_routable(circuit)
                 coupling = resolve_backend(request.backend)
+                if circuit.num_qubits > coupling.num_qubits:
+                    raise CompileError(
+                        f"circuit has {circuit.num_qubits} qubits but backend "
+                        f"{coupling.name} has only {coupling.num_qubits} physical qubits"
+                    )
             timings["load"] = time.perf_counter() - start
 
             phase = "route"

@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=1,
-        help="concurrent compile workers draining the request queue",
+        help="compile processes: forked at the first miss, they live as long as the server",
     )
     serve_parser.add_argument(
         "--queue-size", type=int, default=64,
@@ -630,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-request wall-clock bound per attempt (enforced by worker isolation)",
+        help="per-request wall-clock bound per attempt (a compile process past it is "
+        "killed and replaced)",
     )
     serve_parser.add_argument(
         "--retries", type=int, default=0, metavar="N",

@@ -11,6 +11,7 @@ or drive the socket-free core directly:
     # inside an event loop:
     #   await service.start()
     #   response = await service.handle("POST", "/v1/compile", {}, payload)
+    #   await service.stop()  # stops the forked compile children too
 
 Stdlib-only by design (asyncio + json); see :mod:`repro.serve.server` for
 the endpoint list and architecture notes.

@@ -20,16 +20,22 @@ fingerprint -> cache lookup -> coalesce-or-enqueue, with no await between
 the lookup and the registration, so coalescing has no race window); one
 bounded :class:`asyncio.PriorityQueue` holds admitted jobs, lower priority
 values first and ties in arrival order, and a full queue is explicit
-backpressure (HTTP 429 + ``Retry-After``); ``workers`` asyncio tasks drain the
-queue and run the blocking pipeline in a thread pool via
-``compile_many([request], workers=1, on_error="collect", ...)``, so
-per-request timeouts, retries, worker-crash reaping and fault injection
-behave identically to the CLI.  A miss compiles
-with the cache off and is stored under the fingerprint admission computed,
-so each served request is fingerprinted and looked up once.  A memory-tier
-hit (``/v1/compile``, or ``/v1/batch`` through ``compile_many``) answers with
-the stored gate table, neither decoded nor re-encoded.  A malformed request's
-400 is followed by a half-close and a bounded discard of its unread bytes.
+backpressure (HTTP 429 + ``Retry-After``).  ``workers`` asyncio tasks drain the
+queue.  Each runs its job on an executor thread, through ``compile_many``'s
+scheduler (``on_error="collect"``), so per-request timeouts, retries,
+worker-crash reaping and fault injection behave identically to the CLI.
+Every miss compiles in one of ``workers`` forked children that live as long
+as the service (:mod:`repro.api.batch`'s pool, forked at the first miss):
+the executor thread waits on the child's pipe, which releases the GIL, so
+no compile holds up the event loop.  ``timeout`` kills and replaces a child.
+The child replies with the result's payload; the server process stores it
+and answers with the stored payload, so it encodes no miss.  A
+``/v1/compile`` miss compiles with the cache off and is stored under the
+fingerprint admission computed, so each served request is fingerprinted
+and looked up once.  A memory-tier hit (``/v1/compile``, or ``/v1/batch``
+through ``compile_many``) answers with the stored gate table, neither
+decoded nor re-encoded.  A malformed request's 400 is followed by a
+half-close and a bounded discard of its unread bytes.
 
 Determinism makes the service semantics simple: a compile result is a pure
 function of its request, so identical in-flight requests legally **coalesce**
@@ -53,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro._version import __version__
-from repro.api.batch import check_batch_options, compile_many
+from repro.api.batch import _compile_many, _Pool, check_batch_options
 from repro.api.cache import CompileCache, request_fingerprint
 from repro.api.request import CompileRequest
 from repro.api.result import CompileError, CompileResult
@@ -79,6 +85,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8653
+    #: Worker tasks, and the forked compile children their misses run in.
     workers: int = 1
     queue_size: int = 64
     cache_dir: str | None = None
@@ -159,6 +166,8 @@ class CompileService:
         self._recent_seconds: deque[float] = deque(maxlen=32)
         #: Serialises trace-sink appends across executor threads.
         self._trace_lock = threading.Lock()
+        #: The forked children every miss compiles in, one per worker.
+        self._pool = _Pool(self.config.workers)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -172,7 +181,10 @@ class CompileService:
         ]
 
     async def stop(self) -> None:
-        """Cancel the worker tasks and the drain watcher."""
+        """Cancel the worker tasks and the drain watcher, then stop the children.
+
+        A child still compiling is killed; every child is joined.
+        """
         tasks = list(self._workers)
         if self._drain_watcher is not None:
             tasks.append(self._drain_watcher)
@@ -185,6 +197,7 @@ class CompileService:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
+        self._pool.close()
 
     async def wait_for_shutdown(self) -> None:
         await self._shutdown.wait()
@@ -465,26 +478,26 @@ class CompileService:
             )
         return status, response
 
-    def _run_compile(self, request: CompileRequest, fingerprint: str) -> tuple[int, dict]:
-        """Compile one admitted miss in the worker thread (the blocking hot path).
-
-        Runs ``compile_many`` on the single request, so the service's
-        ``--timeout``/``--retries``/``--inject-faults`` behave exactly like
-        ``repro-map bench``'s, and every failure arrives as a structured
-        :class:`CompileError` -- never as a dropped connection.  Admission
-        already fingerprinted the request and missed the cache, so the
-        compile skips the cache, the result is stored under that
-        fingerprint, and the response carries the payload the store encoded.
-        """
-        batch = compile_many(
-            [request],
-            workers=1,
-            cache=None,
-            on_error="collect",
-            timeout=self.config.timeout,
-            retries=self.config.retries,
-            faults=self.config.faults,
+    def _compile_in_pool(self, requests: list[CompileRequest], cache) -> tuple:
+        """``compile_many`` on one of the service's children; see :func:`_compile_many`."""
+        config = self.config
+        return _compile_many(
+            requests, workers=1, cache=cache, on_error="collect", timeout=config.timeout,
+            retries=config.retries, backoff=0.0, faults=config.faults, pool=self._pool,
         )
+
+    def _run_compile(self, request: CompileRequest, fingerprint: str) -> tuple[int, dict]:
+        """Compile one admitted miss from the worker thread (the blocking hot path).
+
+        Runs ``compile_many``'s scheduler on the single request, so the
+        service's ``--timeout``/``--retries``/``--inject-faults`` behave
+        exactly like ``repro-map bench``'s, and every failure arrives as a
+        structured :class:`CompileError` -- never as a dropped connection.
+        Admission already fingerprinted the request and missed the cache, so
+        the compile skips the cache, the result is stored under that
+        fingerprint, and the response carries the payload the store returned.
+        """
+        batch, _ = self._compile_in_pool([request], None)
         outcome = batch.results[0]
         if isinstance(outcome, CompileResult):
             payload = self.cache.store(fingerprint, outcome)
@@ -500,20 +513,15 @@ class CompileService:
         return compile_error_body(outcome)
 
     def _run_batch(self, requests: list[CompileRequest]) -> tuple[int, dict]:
-        batch = compile_many(
-            requests,
-            workers=1,
-            cache=self.cache,
-            on_error="collect",
-            timeout=self.config.timeout,
-            retries=self.config.retries,
-            faults=self.config.faults,
-        )
+        """Run a batch through the shared cache; a miss answers with the payload stored."""
+        batch, payloads = self._compile_in_pool(requests, self.cache)
         results = []
-        for outcome in batch.results:
+        for outcome, payload in zip(batch.results, payloads):
             if isinstance(outcome, CompileResult):
                 self._observe_pass_timings(outcome)
-                results.append({"ok": True, "result": result_to_payload(outcome)})
+                if payload is None:  # a hit, or a store() that returns nothing
+                    payload = result_to_payload(outcome)
+                results.append({"ok": True, "result": payload})
             else:
                 results.append({"ok": False, "error": outcome.summary()})
         body = {

@@ -256,6 +256,17 @@ class TestArgumentValidation:
             compile_many(eight_requests()[:1], cache=False, **{option: value})
 
 
+class TestCircuitWiderThanItsBackend:
+    def test_is_collected_as_a_load_failure(self):
+        wide = CompileRequest(generate="ghz:100", backend="ankaa3", router="sabre")
+        batch = compile_many([wide, eight_requests()[0]], cache=False, on_error="collect")
+        error = batch[0]
+        assert isinstance(error, CompileError)
+        assert error.phase == "load"
+        assert "100 qubits" in error.message and "82 physical qubits" in error.message
+        assert batch[1].ok
+
+
 _FORKS = []
 os.register_at_fork(after_in_parent=lambda: _FORKS.append(1))
 

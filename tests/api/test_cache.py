@@ -393,6 +393,26 @@ class TestQasmEditedDuringCompile:
         hit = CompileCache(directory=tmp_path / "cache").get(request)
         assert hit is not None and bits_of(hit) == bits_of(fresh_b)
 
+    def test_a_pool_child_reports_the_bytes_it_compiled_from(self, tmp_path, monkeypatch):
+        # A timeout puts the one request on a forked child, which inherits
+        # the edit and replies with the digest of the bytes it loaded.
+        a, b = circuit_to_qasm(ghz_circuit(6)), circuit_to_qasm(qft_circuit(6))
+        path = tmp_path / "circuit.qasm"
+        path.write_text(b)
+        request = CompileRequest(qasm=path, backend=GRID, router="sabre")
+        fresh_b = api_compile(request, cache=False)
+        path.write_text(a)
+
+        cache = CompileCache()
+        self._edited_while(monkeypatch, api_batch, "_compile", path, b, a)
+        edited = compile_many([request], cache=cache, timeout=60).results[0]
+        monkeypatch.undo()
+        assert bits_of(edited) == bits_of(fresh_b)
+        assert cache.get(request) is None
+        path.write_text(b)
+        hit = cache.get(request)
+        assert hit is not None and bits_of(hit) == bits_of(fresh_b)
+
     def test_unchanged_file_is_stored_under_its_request_fingerprint(self, tmp_path):
         path = tmp_path / "circuit.qasm"
         path.write_text(circuit_to_qasm(ghz_circuit(6)))

@@ -205,6 +205,31 @@ class TestCompileEndpoint:
             miss.body["result"], sort_keys=True
         )
 
+    def test_a_served_miss_makes_no_encode_and_one_table_copy(self, codec_calls):
+        """The child encodes; the server process copies the table once, to store it."""
+
+        async def scenario(service):
+            response = await service.handle("POST", "/v1/compile", {}, make_body())
+            return response, codec_calls.counts()
+
+        response, counts = run(with_service(ServeConfig(), scenario))
+        assert response.body["cached"] is False
+        assert counts == (0, 0, 1)
+        request = CompileRequest(generate="ghz:6", backend="ankaa3", router="greedy", seed=0)
+        direct = result_to_payload(api_compile(request, cache=False))
+        assert normalize(response.body["result"]) == normalize(direct)
+
+    def test_a_circuit_wider_than_its_backend_is_a_400(self):
+        body = {"generate": "ghz:100", "backend": "ankaa3", "router": "sabre"}
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/compile", {}, body)
+
+        response = run(with_service(ServeConfig(), scenario))
+        assert response.status == 400
+        assert response.body["error"]["phase"] == "load"
+        assert "82 physical qubits" in response.body["error"]["message"]
+
     def test_a_cache_whose_store_returns_nothing_still_answers(self):
         """A CompileCache subclass may override store() without returning the payload."""
 
@@ -558,6 +583,35 @@ class TestBatchEndpoint:
         assert json.dumps(hits.body["results"], sort_keys=True) == json.dumps(
             misses.body["results"], sort_keys=True
         )
+
+    def test_a_batch_of_misses_makes_no_encode_and_one_table_copy_each(self, codec_calls):
+        body = {"requests": [make_body(seed=s) for s in range(3)]}
+
+        async def scenario(service):
+            response = await service.handle("POST", "/v1/batch", {}, body)
+            return response, codec_calls.counts()
+
+        response, counts = run(with_service(ServeConfig(), scenario))
+        assert response.body["summary"]["cache"] == {"hits": 0, "misses": 3}
+        assert counts == (0, 0, 3)
+        for seed, slot in enumerate(response.body["results"]):
+            request = CompileRequest(generate="ghz:6", backend="ankaa3", router="greedy", seed=seed)
+            direct = result_to_payload(api_compile(request, cache=False))
+            assert normalize(slot["result"]) == normalize(direct)
+
+    def test_a_circuit_wider_than_its_backend_fails_its_slot_in_load(self):
+        wide = {"generate": "ghz:100", "backend": "ankaa3", "router": "sabre"}
+        body = {"requests": [make_body(), wide]}
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/batch", {}, body)
+
+        response = run(with_service(ServeConfig(), scenario))
+        assert response.status == 200
+        first, second = response.body["results"]
+        assert first["ok"] is True
+        assert second["ok"] is False
+        assert second["error"]["phase"] == "load"
 
     def test_batch_rejects_malformed_entries_with_400(self):
         async def scenario(service):
