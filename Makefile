@@ -54,17 +54,19 @@ test-cache:
 		tests/api/test_fingerprint.py tests/api/test_cache.py \
 		tests/analysis/test_perf_trajectory.py -q
 
-## Bounded piece-store battery: shard layout + per-shard indexes, max_bytes/
-## max_entries LRU eviction invariants (including seeded random
-## interleavings), index<->directory consistency (torn lines, orphans),
-## warm==cold bit-for-bit under eviction pressure, readonly fleet mode racing
-## a live writer, the vanishing-entry-mid-scan regression, two threads
-## storing 300 entries each into one 20-entry handle while a third looks up
+## Disk-tier battery (one SQLite database per cache directory): the row
+## layout and its digest, max_bytes/max_entries LRU eviction invariants
+## (including seeded random interleavings), an evicting put issuing the same
+## SQL statements at 50 and at 500 entries (counted with the connection's
+## trace callback), bound validation, the totals row equal to the entries,
+## warm==cold bit-for-bit under eviction pressure, readonly fleet mode
+## racing a live writer and never writing a byte, two threads storing 300
+## entries each into one 20-entry handle while a third looks up
 ## (TestConcurrencyStress::test_threads_share_one_bounded_handle: no raise,
-## catalog == directory), and the whole disk-failure battery: torn index,
-## stale index, an entry gone under the reader, read denied, failed write and
-## malformed metadata, each made on disk or by one failing OS call, each
-## degrading to a recomputed miss.
+## totals == entries), and the whole disk-failure battery: a truncated
+## database, a file that is not a database, a corrupt row, an entry deleted
+## under the reader, a locked database and a failed write (locked, full or
+## refused), each made on disk, each degrading to a recomputed miss.
 test-cache-store:
 	$(PYTHON) -m pytest tests/api/test_cache_store.py tests/serve/test_serve_cache.py -q
 
@@ -131,8 +133,8 @@ bench:
 
 ## Pre-commit gate: golden determinism snapshots and kernel oracles first (a
 ## routed-output or scorer regression fails in seconds, before the slow
-## suite), then the compile-cache battery, then the bounded piece-store
-## battery, then the fault-injection suite, then the compile-service suite,
+## suite), then the compile-cache battery, then the disk-tier battery,
+## then the fault-injection suite, then the compile-service suite,
 ## then the benchmark self-test, then tier-1 tests, then a CLI smoke of the
 ## public surface
 ## (`repro-map map` routes through repro.api.compile, from a generator spec,

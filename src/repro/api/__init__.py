@@ -34,9 +34,9 @@ Contents:
   registry all routers announce themselves to,
 * :mod:`~repro.api.cache` -- the content-addressed compile cache
   (:func:`request_fingerprint` + :class:`CompileCache`, in-memory LRU by
-  default; the opt-in disk tier is a bounded, sharded piece store with
-  per-shard indexes, LRU eviction and a ``readonly=`` fleet mode) backed
-  by the :mod:`~repro.api.serialize` payload round-trip.
+  default; the opt-in disk tier is one bounded SQLite database with LRU
+  eviction and a ``readonly=`` fleet mode) backed by the
+  :mod:`~repro.api.serialize` payload round-trip.
 
 Routed outputs are bit-for-bit reproducible: one request, one circuit,
 independent of worker count or scheduling.

@@ -12,47 +12,33 @@ name and its resolved graph fingerprint identically, configs digested field
 by field -- and :class:`CompileCache` keys a two-tier store on it:
 
 * an in-process LRU of payloads (fast, per-process, on by default), and
-* an optional on-disk **sharded piece store** shared across processes and
-  runs.
+* an optional disk tier shared across processes and runs: one SQLite
+  database, ``<directory>/cache.sqlite3``.
 
-The disk tier is a bounded, shareable piece store:
-
-* **Sharding** -- entries live under two-hex fingerprint-prefix shard
-  directories (``<dir>/ab/<fingerprint>.json``), so a populated cache
-  directory can be split or synced per shard.
-* **Per-shard index** -- every shard carries an append-only ``index.jsonl``
-  of ``put``/``touch`` records (fingerprint, size, schema version, created
-  and last-access stamps, a monotonic access sequence).  The *directory* is
-  always the source of truth: index metadata is reconciled against the
-  actual entry files on load, so a torn or malformed index line or an
-  index/payload mismatch degrades gracefully and is compacted away on the
-  next write.
-* **Bounds** -- ``max_bytes``/``max_entries`` cap the store globally; going
-  over evicts least-recently-used entries in a deterministic victim order
-  (ascending access sequence, fingerprint tie-break) as one batch, with an
-  atomic rewrite of each affected shard index.
-* **Integrity on read** -- entries embed a payload digest and the index
-  records their size; a digest or size mismatch is logged and served as a
-  recomputed miss, exactly like the corrupt-entry path.
-* **Read-only fleet mode** -- ``readonly=True`` opens a populated directory
-  without ever writing (no entries, no index appends, no eviction), so one
-  warm store can be mounted into many ``repro-serve`` workers without write
-  contention.  The single-writer/many-reader split is the supported sharing
-  model.
-* **Threads** -- one handle may serve many threads (the compile service
-  looks up on its event loop and stores from executor threads).  One lock
-  guards the disk tier's writer state and files, another the memory tier
-  and ``stats``, so a memory hit never waits on disk IO; neither is held
-  across an encode or a decode.
+A store and any eviction it causes is one transaction; a disk hit is one
+``SELECT`` and one access-order ``UPDATE``.  Going over ``max_bytes`` (of
+payload text) or ``max_entries`` evicts least-recently-used entries in a
+deterministic order (ascending access sequence, fingerprint tie-break) read
+from an index, against running totals, so an evicting put issues the same
+statements at any store size.  The digest covers the fingerprint and the
+payload text, so a hit hashes the text it read.  ``readonly=True`` opens the
+database through a ``mode=ro`` URI and never writes a byte, so one warm
+store can serve many ``repro-serve`` workers: the rollback journal
+(``TRUNCATE``; a WAL reader creates files) keeps such a reader from writing,
+and ``synchronous=OFF`` keeps a hit from syncing its access order.  One
+handle may serve many threads (the compile service looks up on its event
+loop and stores from executor threads): one lock guards the database
+connection, another the memory tier and ``stats``, so a memory hit never
+waits on disk IO, and neither is held across an encode or a decode.
 
 Both tiers store the *serialized* payload (:mod:`repro.api.serialize`: the
 routed circuit as a columnar gate table); a disk hit decodes it in the
 lookup and a memory hit on first use, through the round-trip the test
 battery pins as exact.  Every fingerprint embeds the payload version, so
 a payload layout change turns older entries into one-time misses; they are
-never read back.  Corrupted, truncated or version-mismatched disk entries are
-logged and treated as misses -- the cache never raises on bad persisted
-state, and caching only ever changes hit rates, never a single routed bit.
+never read back.  Bad persisted state is logged and treated as a miss --
+the cache never raises on it, and caching only ever changes hit rates,
+never a single routed bit.
 """
 
 from __future__ import annotations
@@ -61,17 +47,15 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
-import re
-import tempfile
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
-from repro.api.request import CompileRequest
+from repro.api.request import CompileRequest, parse_generate_spec
 from repro.api.result import CompileResult
 from repro.api.serialize import (
     PAYLOAD_VERSION,
@@ -84,9 +68,9 @@ from repro.obs.trace import current_tracer
 
 logger = logging.getLogger(__name__)
 
-#: Version stamp of the on-disk entry envelope *and* the fingerprint layout.
-#: Bump on any change to either; older entries then miss instead of
-#: deserializing into garbage.
+#: Version stamp of a stored entry *and* the fingerprint layout.  Bump on
+#: any change to either; older entries then miss instead of deserializing
+#: into garbage.
 CACHE_SCHEMA_VERSION = 1
 
 #: Environment variable enabling the disk tier of the process default cache.
@@ -98,17 +82,14 @@ CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 #: Default capacity of the in-process LRU tier.
 DEFAULT_MEMORY_ENTRIES = 256
 
-#: Per-shard append-only index file name (JSON lines).
-INDEX_NAME = "index.jsonl"
-#: Store-level metadata file (persisted eviction counters + sequence floor).
-META_NAME = "_meta.json"
+#: The disk tier's database file inside the cache directory.
+DATABASE_NAME = "cache.sqlite3"
+#: Seconds a statement waits for another connection's lock before it fails.
+_BUSY_TIMEOUT_SECONDS = 1.0
 
 #: Age-histogram bucket upper bounds in seconds (the last bucket is open).
 AGE_BUCKET_BOUNDS = (60.0, 3600.0, 86400.0, 604800.0)
 _AGE_BUCKET_LABELS = ("<=1m", "<=1h", "<=1d", "<=7d", ">7d")
-
-_SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
-_ENTRY_RE = re.compile(r"^[0-9a-f]{64}\.json$")
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +227,22 @@ def request_fingerprint(request: CompileRequest) -> str:
 
     Every request field is normalized into the digest: equal requests --
     including alias vs canonical router names, backend names vs their
-    resolved coupling graphs, and equal-content circuits or QASM files --
-    produce equal fingerprints, and any output-affecting mutation changes it.
+    resolved coupling graphs, equal-content circuits or QASM files, and
+    equivalent ``generate=`` specs -- produce equal fingerprints, and any
+    output-affecting mutation changes it.
     """
     if request.circuit is not None:
         source = _circuit_token(request.circuit)
     elif request.qasm is not None:
         source = _qasm_token(request.qasm)
     else:
-        source = {"kind": "generate", "spec": str(request.generate).strip()}
+        # The family:count form the load pass builds, so QFT:8, qft: 8 and
+        # qft:08 share a key; a spec that does not parse keys on its text.
+        try:
+            spec = "%s:%d" % parse_generate_spec(request.generate)
+        except ValueError:
+            spec = str(request.generate).strip()
+        source = {"kind": "generate", "spec": spec}
     return _fingerprint(request, source)
 
 
@@ -281,89 +269,71 @@ def _fingerprint(request: CompileRequest, source: dict) -> str:
     return _sha256(_canonical_json(record))
 
 
-def payload_digest(payload: dict) -> str:
-    """The integrity digest embedded in (and verified against) disk entries."""
-    return _sha256(_canonical_json(payload))
+def check_cache_bounds(max_memory_entries, max_bytes, max_entries,
+                       names=("max_memory_entries", "max_bytes", "max_entries")) -> None:
+    """Raise ``ValueError`` unless the three cache bounds are valid.
 
-
-# ---------------------------------------------------------------------------
-# The sharded disk catalog
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class _CatalogEntry:
-    """One disk entry as the writer's in-memory catalog sees it.
-
-    ``size`` is the actual payload file size (the directory is truth);
-    ``seq`` is the monotonic last-access sequence driving LRU eviction
-    (deterministic: no wall-clock comparisons), ``created`` the wall-clock
-    time of the first store, kept only in the shard index (the age
-    histogram reads each file's ``st_mtime``).
+    Each is an integer (a bool is not): the memory bound at least 0, the disk
+    bounds at least 1 or ``None``.  ``names`` label them in the message.
     """
-
-    fingerprint: str
-    size: int
-    created: float
-    seq: int
-
-    @property
-    def shard(self) -> str:
-        return self.fingerprint[:2]
-
-
-def _fresh_stats() -> dict:
-    return {
-        "memory_hits": 0,
-        "disk_hits": 0,
-        "misses": 0,
-        "stores": 0,
-        "evictions": 0,
-        "evicted_bytes": 0,
-        "integrity_misses": 0,
-        "stale_index_misses": 0,
-    }
-
-
-def _check_bound(value, name: str) -> int | None:
-    if value is None:
-        return None
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a positive integer or None, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer or None, got {value}")
-    return value
-
-
-def _finite(value) -> bool:
-    """Whether a persisted metadata field is a finite number (not a bool)."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Publish ``text`` at ``path`` through a sibling temp file and a rename.
-
-    Readers see the old file or the new one, never a partial write; a failed
-    write leaves no temp file behind.
-    """
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    for value, name, floor in zip((max_memory_entries, max_bytes, max_entries), names, (0, 1, 1)):
+        if value is None and floor:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+            allowed = f"an integer >= {floor}" + (" or None" if floor else "")
+            raise ValueError(f"{name} must be {allowed}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
 # The two-tier store
 # ---------------------------------------------------------------------------
+
+# The disk tier's schema, made in one transaction so that no reader sees
+# half of it.  The triggers keep the totals row at COUNT(*) and SUM(size).
+_SCHEMA = """
+BEGIN IMMEDIATE;
+CREATE TABLE IF NOT EXISTS entries (
+    fingerprint TEXT PRIMARY KEY,
+    seq INTEGER NOT NULL,
+    size INTEGER NOT NULL,
+    written REAL NOT NULL,
+    schema INTEGER NOT NULL,
+    digest TEXT NOT NULL,
+    payload TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS entries_by_access ON entries (seq, fingerprint);
+CREATE TABLE IF NOT EXISTS totals (
+    entries INTEGER NOT NULL,
+    bytes INTEGER NOT NULL,
+    evictions INTEGER NOT NULL,
+    evicted_bytes INTEGER NOT NULL
+);
+INSERT INTO totals SELECT 0, 0, 0, 0 WHERE NOT EXISTS (SELECT 1 FROM totals);
+CREATE TRIGGER IF NOT EXISTS entry_added AFTER INSERT ON entries
+    BEGIN UPDATE totals SET entries = entries + 1, bytes = bytes + new.size; END;
+CREATE TRIGGER IF NOT EXISTS entry_rewritten AFTER UPDATE OF size ON entries
+    BEGIN UPDATE totals SET bytes = bytes - old.size + new.size; END;
+CREATE TRIGGER IF NOT EXISTS entry_removed AFTER DELETE ON entries
+    BEGIN UPDATE totals SET entries = entries - 1, bytes = bytes - old.size; END;
+COMMIT;
+"""
+
+_PUT = """
+INSERT INTO entries (fingerprint, seq, size, written, schema, digest, payload)
+VALUES (?1, (SELECT IFNULL(MAX(seq), 0) + 1 FROM entries), ?2, ?3, ?4, ?5, ?6)
+ON CONFLICT (fingerprint) DO UPDATE SET
+    seq = excluded.seq, size = excluded.size, written = excluded.written,
+    schema = excluded.schema, digest = excluded.digest, payload = excluded.payload
+"""
+
+# Per shard and age bucket (the number of bucket bounds an entry's age
+# exceeds): entries, bytes, and the oldest and newest write times.
+_STATS = (
+    "SELECT substr(fingerprint, 1, 2) AS shard, "
+    + " + ".join(f"(?1 - written > {bound})" for bound in AGE_BUCKET_BOUNDS)
+    + " AS bucket, COUNT(*), SUM(size), MIN(written), MAX(written)"
+    " FROM entries GROUP BY shard, bucket ORDER BY shard"
+)
 
 
 class CompileCache:
@@ -374,14 +344,14 @@ class CompileCache:
             the memory tier entirely).
         directory: directory of the on-disk tier; ``None`` (the default)
             keeps the cache memory-only.
-        max_bytes: global byte bound of the disk tier (LRU eviction keeps the
-            store at or below it); ``None`` leaves it unbounded.
+        max_bytes: global byte bound of the disk tier's payloads (LRU
+            eviction keeps the store at or below it); ``None`` leaves it
+            unbounded.
         max_entries: global entry-count bound of the disk tier; ``None``
             leaves it unbounded.
         readonly: open the disk tier read-only -- lookups are served from a
             shared directory but nothing is ever written (no entries, no
-            index appends, no eviction).  Requires
-            ``directory``.
+            access order, no eviction).  Requires ``directory``.
     """
 
     def __init__(
@@ -393,26 +363,28 @@ class CompileCache:
         max_entries: int | None = None,
         readonly: bool = False,
     ):
-        if max_memory_entries < 0:
-            raise ValueError("max_memory_entries must be non-negative")
-        self.max_memory_entries = int(max_memory_entries)
+        check_cache_bounds(max_memory_entries, max_bytes, max_entries)
+        self.max_memory_entries = max_memory_entries
         self.directory = Path(directory) if directory is not None else None
-        self.max_bytes = _check_bound(max_bytes, "max_bytes")
-        self.max_entries = _check_bound(max_entries, "max_entries")
+        self.max_bytes = max_bytes
+        self.max_entries = max_entries
         self.readonly = bool(readonly)
         if self.readonly and self.directory is None:
             raise ValueError("readonly=True requires a cache directory")
         self._memory: OrderedDict[str, dict] = OrderedDict()
-        self.stats = _fresh_stats()
+        self.stats = dict.fromkeys(
+            ("memory_hits", "disk_hits", "misses", "stores", "evictions", "evicted_bytes",
+             "integrity_misses"), 0)
         # Guards _memory and stats; taken inside _disk_lock, never around it.
         self._memory_lock = threading.Lock()
-        # Guards the catalog, dirty shards, sequence, _meta and every disk write.
+        # Guards the database connection, opened on first use.
         self._disk_lock = threading.Lock()
-        # Writer-side disk catalog, built lazily on the first disk write/hit.
-        self._catalog: dict[str, _CatalogEntry] | None = None
-        self._dirty_shards: set[str] = set()
-        self._seq = 0
-        self._meta = {"evictions": 0, "evicted_bytes": 0}
+        self._db = None
+        if self.directory is not None:
+            import sqlite3  # only a disk tier pays for the import
+
+            self._sqlite = sqlite3
+            self._disk_errors = (OSError, sqlite3.Error)
 
     # -- lookups -------------------------------------------------------------
 
@@ -423,9 +395,9 @@ class CompileCache:
         carrying the caller's ``request``; a memory hit's routed circuit
         reads its table (which :meth:`store` wrote or a disk hit decoded) on
         first use.  A disk hit decodes here, so any undecodable entry
-        (corrupt JSON, truncated file, schema or payload version mismatch,
-        integrity digest or index size mismatch) is a logged miss; this
-        method never raises on bad cache state.
+        (unparsable text, schema or payload version mismatch, integrity
+        digest mismatch, a damaged or locked database) is a logged miss;
+        this method never raises on bad cache state.
         """
         payload = self._memory_get(fingerprint)
         tier = "memory"
@@ -504,457 +476,194 @@ class CompileCache:
             while len(self._memory) > self.max_memory_entries:
                 self._memory.popitem(last=False)
 
-    # -- disk layout ---------------------------------------------------------
+    # -- disk tier -----------------------------------------------------------
 
-    def _entry_path(self, fingerprint: str) -> Path:
-        return self.directory / fingerprint[:2] / f"{fingerprint}.json"
+    def _database(self, create: bool = True):
+        """The disk tier's connection, opened on first use (hold ``_disk_lock``).
 
-    def _index_path(self, shard: str) -> Path:
-        return self.directory / shard / INDEX_NAME
-
-    def _meta_path(self) -> Path:
-        return self.directory / META_NAME
-
-    def _scan_shard_dirs(self):
-        """Yield ``(shard, Path)`` for every shard directory, tolerantly."""
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        for name in sorted(names):
-            if _SHARD_RE.match(name):
-                yield name, self.directory / name
-
-    def _scan_entry_files(self, directory: Path):
-        """Yield payload-entry ``Path``s in one directory, tolerantly."""
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return
-        for name in sorted(names):
-            if _ENTRY_RE.match(name):
-                yield directory / name
-
-    def _disk_entries(self) -> list[Path]:
-        """Every sharded payload file, sorted (tolerant)."""
-        if self.directory is None or not self.directory.is_dir():
-            return []
-        return [
-            path
-            for _, shard_dir in self._scan_shard_dirs()
-            for path in self._scan_entry_files(shard_dir)
-        ]
-
-    # -- the writer catalog --------------------------------------------------
-
-    def _catalog_entries(self) -> dict[str, _CatalogEntry]:
-        if self._catalog is None:
-            self._catalog = self._load_catalog()
-        return self._catalog
-
-    def _load_catalog(self) -> dict[str, _CatalogEntry]:
-        """Reconcile every shard index against the directory contents.
-
-        The directory is the source of truth: entry files present on disk
-        define the store, the index only contributes created/last-access
-        metadata.  Files the index has never heard of (a crash between the
-        payload rename and the index append) are adopted with synthesized
-        metadata; index records whose payload vanished (a crash mid-eviction)
-        are dropped.  Either inconsistency marks the shard dirty so the next
-        write compacts its index.  This loader never raises on bad state.
+        ``None`` while the database file does not exist, unless ``create``
+        asks a writer handle to make it: a missing database reads as an
+        empty store, and only a store creates one.
         """
-        catalog: dict[str, _CatalogEntry] = {}
-        self._dirty_shards = set()
-        meta = self._read_meta() or {"evictions": 0, "evicted_bytes": 0, "seq": 0}
-        if self.directory.is_dir():
-            for shard, shard_dir in self._scan_shard_dirs():
-                index_meta = self._read_index(shard, shard_dir)
-                for path in self._scan_entry_files(shard_dir):
-                    fingerprint = path.name[:-5]
-                    try:
-                        stat = path.stat()
-                    except OSError:
-                        continue  # vanished mid-scan: skip, never raise
-                    known = index_meta.pop(fingerprint, None)
-                    if known is None:
-                        # orphan payload: adopt as coldest, reindex on write
-                        self._dirty_shards.add(shard)
-                        catalog[fingerprint] = _CatalogEntry(
-                            fingerprint, stat.st_size, stat.st_mtime, 0
-                        )
-                        continue
-                    if known.get("size") != stat.st_size:
-                        self._dirty_shards.add(shard)
-                    catalog[fingerprint] = _CatalogEntry(
-                        fingerprint,
-                        stat.st_size,
-                        float(known["created"] or stat.st_mtime),
-                        int(known["seq"]),
-                    )
-                if index_meta:
-                    # index records whose payloads are gone: stale, compact away
-                    self._dirty_shards.add(shard)
-        self._meta = {"evictions": meta["evictions"], "evicted_bytes": meta["evicted_bytes"]}
-        self._seq = max([meta["seq"]] + [entry.seq for entry in catalog.values()])
-        return catalog
-
-    def _read_meta(self) -> dict | None:
-        """The ``evictions``, ``evicted_bytes`` and ``seq`` counters of ``_meta.json``.
-
-        ``None`` for a memory-only cache, and when the file is missing,
-        unreadable, or anything but a JSON object whose counters are
-        non-negative integers.
-        """
-        if self.directory is None:
-            return None
-        try:
-            loaded = json.loads(self._meta_path().read_bytes())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(loaded, dict):
-            return None
-        meta = {key: loaded.get(key, 0) for key in ("evictions", "evicted_bytes", "seq")}
-        if all(type(value) is int and value >= 0 for value in meta.values()):
-            return meta
-        return None
-
-    def _read_index(self, shard: str, shard_dir: Path) -> dict[str, dict]:
-        """Parse one shard's ``index.jsonl`` tolerantly (last record wins).
-
-        A line that is not JSON, or a record whose numeric fields are not
-        finite numbers, counts as unreadable and marks the shard dirty.
-        """
-        records: dict[str, dict] = {}
-        try:
-            text = (shard_dir / INDEX_NAME).read_text(errors="replace")
-        except OSError:
-            return records
-        torn = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                torn += 1
-                continue
-            if not isinstance(record, dict):
-                torn += 1
-                continue
-            fingerprint = record.get("fp")
-            if not isinstance(fingerprint, str):
-                continue
-            if record.get("op") == "put":
-                fields = ("size", "created", "seq")
-            elif record.get("op") == "touch" and fingerprint in records:
-                fields = ("seq",)
+        if self._db is None:
+            path = self.directory / DATABASE_NAME
+            if (self.readonly or not create) and not path.exists():
+                return None
+            if self.readonly:
+                path = f"{path.absolute().as_uri()}?mode=ro"
             else:
-                continue
-            values = {name: record.get(name) for name in fields}
-            if not all(_finite(value) for value in values.values()):
-                torn += 1
-                continue
-            records.setdefault(fingerprint, {}).update(values)
-        if torn:
-            logger.warning(
-                "cache index %s/%s has %d unreadable line(s); will compact on next write",
-                shard, INDEX_NAME, torn,
-            )
-            self._dirty_shards.add(shard)
-        return records
+                self.directory.mkdir(parents=True, exist_ok=True)
+            # Transactions are explicit, and _disk_lock serializes the threads.
+            db = self._sqlite.connect(path, uri=self.readonly, timeout=_BUSY_TIMEOUT_SECONDS,
+                                      isolation_level=None, check_same_thread=False)
+            try:
+                if not self.readonly:
+                    db.execute("PRAGMA journal_mode=TRUNCATE")
+                    db.execute("PRAGMA synchronous=OFF")
+                    db.executescript(_SCHEMA)
+            except BaseException:
+                db.close()
+                raise
+            self._db = db
+        return self._db
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+    @contextmanager
+    def _transaction(self):
+        """A write transaction on the database (hold ``_disk_lock``)."""
+        db = self._database()
+        with db:  # commits, or rolls back on an exception
+            # Lock up front: two writing connections then wait, not fail to upgrade.
+            db.execute("BEGIN IMMEDIATE")
+            yield db
 
-    def _append_index(self, fingerprint: str, record: dict) -> None:
-        """Append one record to the entry's shard index."""
-        with open(self._index_path(fingerprint[:2]), "a") as handle:
-            handle.write(_canonical_json(record) + "\n")
+    def _disk_get(self, fingerprint: str) -> dict | None:
+        try:
+            with self._disk_lock:
+                db = self._database(create=False)
+                if db is None:
+                    return None
+                row = db.execute(
+                    "SELECT schema, digest, payload FROM entries WHERE fingerprint = ?",
+                    (fingerprint,),
+                ).fetchone()
+        except self._disk_errors as exc:
+            logger.warning("cache database unreadable (%s); treating %s as a miss",
+                           exc, fingerprint[:12])
+            return None
+        if row is None:
+            return None
+        schema, digest, text = row
+        if schema != CACHE_SCHEMA_VERSION:
+            logger.warning("cache entry %s has schema %r != %r; treating as miss",
+                           fingerprint[:12], schema, CACHE_SCHEMA_VERSION)
+            return None
+        if not isinstance(text, str) or digest != _sha256(fingerprint + text):
+            # Bit rot, or a row filed under another fingerprint.
+            logger.warning("cache entry %s failed integrity verification; treating as miss",
+                           fingerprint[:12])
+            self._count("integrity_misses")
+            return None
+        try:
+            return json.loads(text)  # lookup's decode rejects anything but a payload
+        except ValueError as exc:
+            logger.warning("cache entry %s malformed (%s); treating as miss",
+                           fingerprint[:12], exc)
+            return None
 
     def _touch(self, fingerprint: str) -> None:
         """Record a disk hit in the LRU order (writer handles only)."""
-        if self.readonly or self.directory is None:
+        if self.readonly:
             return
         try:
-            with self._disk_lock:
-                entry = self._catalog_entries().get(fingerprint)
-                if entry is None:
-                    return
-                entry.seq = self._next_seq()
-                self._append_index(
-                    fingerprint,
-                    {
-                        "op": "touch",
-                        "fp": fingerprint,
-                        "seq": entry.seq,
-                        "ts": round(time.time(), 3),
-                    },
+            with self._disk_lock, self._transaction() as db:
+                db.execute(
+                    "UPDATE entries SET seq = (SELECT MAX(seq) FROM entries) + 1"
+                    " WHERE fingerprint = ?",
+                    (fingerprint,),
                 )
-        except OSError as exc:
-            logger.warning("cannot record cache access for %s (%s)",
-                           fingerprint[:12], exc)
-
-    def _rewrite_shard_index(self, shard: str) -> None:
-        """Atomically rewrite one shard's index from the catalog (compaction)."""
-        catalog = self._catalog_entries()
-        entries = sorted(
-            (e for e in catalog.values() if e.shard == shard),
-            key=lambda e: e.fingerprint,
-        )
-        shard_dir = self.directory / shard
-        if not entries:
-            # the shard emptied out: drop its index and (if possible) the dir
-            try:
-                (shard_dir / INDEX_NAME).unlink()
-            except OSError:
-                pass
-            try:
-                shard_dir.rmdir()
-            except OSError:
-                pass  # stray temp files or a concurrent writer: leave it
-            return
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        lines = [
-            _canonical_json(
-                {
-                    "op": "put",
-                    "fp": entry.fingerprint,
-                    "size": entry.size,
-                    "schema": CACHE_SCHEMA_VERSION,
-                    "created": round(entry.created, 3),
-                    "seq": entry.seq,
-                }
-            )
-            + "\n"
-            for entry in entries
-        ]
-        _atomic_write(self._index_path(shard), "".join(lines))
-
-    def _compact_dirty_shards(self) -> None:
-        for shard in sorted(self._dirty_shards):
-            self._rewrite_shard_index(shard)
-        self._dirty_shards = set()
-
-    def _write_meta(self) -> None:
-        record = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "evictions": self._meta["evictions"],
-            "evicted_bytes": self._meta["evicted_bytes"],
-            "seq": self._seq,
-        }
-        _atomic_write(self._meta_path(), json.dumps(record, sort_keys=True))
-
-    def _enforce_bounds(self) -> None:
-        """Evict LRU entries (one batch) until the store is within bounds.
-
-        Victim order is deterministic: ascending last-access sequence with
-        the fingerprint as tie-break, so identical operation histories evict
-        identical entries regardless of timing.
-        """
-        if self.max_bytes is None and self.max_entries is None:
-            return
-        catalog = self._catalog_entries()
-        entries = len(catalog)
-        total = sum(entry.size for entry in catalog.values())
-        victims: list[_CatalogEntry] = []
-        if (self.max_entries is not None and entries > self.max_entries) or (
-            self.max_bytes is not None and total > self.max_bytes
-        ):
-            for entry in sorted(catalog.values(), key=lambda e: (e.seq, e.fingerprint)):
-                over_entries = (
-                    self.max_entries is not None and entries > self.max_entries
-                )
-                over_bytes = self.max_bytes is not None and total > self.max_bytes
-                if not over_entries and not over_bytes:
-                    break
-                victims.append(entry)
-                entries -= 1
-                total -= entry.size
-        if not victims:
-            return
-        shards: set[str] = set()
-        freed = 0
-        for entry in victims:
-            try:
-                self._entry_path(entry.fingerprint).unlink()
-            except OSError:
-                pass  # already gone: the bound still holds
-            del catalog[entry.fingerprint]
-            shards.add(entry.shard)
-            freed += entry.size
-        with self._memory_lock:
-            for entry in victims:
-                self._memory.pop(entry.fingerprint, None)
-            self.stats["evictions"] += len(victims)
-            self.stats["evicted_bytes"] += freed
-        current_tracer().count("cache.evictions", len(victims))
-        self._meta["evictions"] += len(victims)
-        self._meta["evicted_bytes"] += freed
-        try:
-            for shard in sorted(shards):
-                self._rewrite_shard_index(shard)
-            self._write_meta()
-        except OSError as exc:
-            logger.warning("cannot persist cache index after eviction (%s)", exc)
-        logger.debug("evicted %d cache entries (%d bytes)", len(victims), freed)
-
-    # -- disk tier -----------------------------------------------------------
-
-    def _disk_get(self, fingerprint: str) -> dict | None:
-        path = self._entry_path(fingerprint)
-        try:
-            raw = path.read_bytes()
-            envelope = json.loads(raw)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            logger.warning("cache entry %s unreadable (%s); treating as miss",
-                           path.name, exc)
-            return None
-        if not isinstance(envelope, dict):
-            logger.warning("cache entry %s malformed (not an object); treating as miss",
-                           path.name)
-            return None
-        if envelope.get("schema") != CACHE_SCHEMA_VERSION:
-            logger.warning(
-                "cache entry %s has schema %r != %r; treating as miss",
-                path.name, envelope.get("schema"), CACHE_SCHEMA_VERSION,
-            )
-            return None
-        if envelope.get("fingerprint") != fingerprint:
-            logger.warning("cache entry %s fingerprint mismatch; treating as miss",
-                           path.name)
-            return None
-        payload = envelope.get("payload")
-        if not isinstance(payload, dict):
-            return None
-        digest = envelope.get("digest")
-        if digest is not None and digest != payload_digest(payload):
-            # Bit rot that still parses as JSON: the embedded digest catches it.
-            logger.warning(
-                "cache entry %s failed integrity verification; treating as miss",
-                path.name,
-            )
-            self._count("integrity_misses")
-            return None
-        with self._disk_lock:
-            entry = self._catalog.get(fingerprint) if self._catalog is not None else None
-            if entry is None or entry.size == len(raw):
-                return payload
-            # The index disagrees with the bytes on disk: distrust both,
-            # recompute, and let the next write reindex the entry.
-            logger.warning(
-                "cache entry %s size %d != indexed %d (stale index); "
-                "treating as miss", path.name, len(raw), entry.size,
-            )
-            entry.size = len(raw)
-            self._dirty_shards.add(fingerprint[:2])
-        self._count("stale_index_misses")
-        return None
+        except self._disk_errors as exc:
+            logger.warning("cannot record cache access for %s (%s)", fingerprint[:12], exc)
 
     def _disk_put(self, fingerprint: str, payload: dict) -> None:
-        envelope = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "digest": payload_digest(payload),
-            "payload": payload,
-        }
-        text = json.dumps(envelope, sort_keys=True)
+        text = json.dumps(payload, separators=(",", ":"))
+        row = (fingerprint, len(text), time.time(), CACHE_SCHEMA_VERSION,
+               _sha256(fingerprint + text), text)
         try:
             with self._disk_lock:
-                catalog = self._catalog_entries()
-                path = self._entry_path(fingerprint)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                _atomic_write(path, text)
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    size = len(text)
-                previous = catalog.get(fingerprint)
-                created = previous.created if previous is not None else time.time()
-                seq = self._next_seq()
-                catalog[fingerprint] = _CatalogEntry(fingerprint, size, created, seq)
-                self._append_index(
-                    fingerprint,
-                    {
-                        "op": "put",
-                        "fp": fingerprint,
-                        "size": size,
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "created": round(created, 3),
-                        "seq": seq,
-                    },
-                )
-                self._compact_dirty_shards()
-                self._enforce_bounds()
-        except OSError as exc:
+                with self._transaction() as db:
+                    db.execute(_PUT, row)
+                    victims = self._evict(db)
+                if victims:
+                    freed = sum(size for _, size in victims)
+                    with self._memory_lock:
+                        for victim, _ in victims:
+                            self._memory.pop(victim, None)
+                        self.stats["evictions"] += len(victims)
+                        self.stats["evicted_bytes"] += freed
+                    current_tracer().count("cache.evictions", len(victims))
+                    logger.debug("evicted %d cache entries (%d bytes)", len(victims), freed)
+        except self._disk_errors as exc:
             logger.warning("cannot persist cache entry %s (%s); memory tier only",
                            fingerprint[:12], exc)
+
+    def _evict(self, db) -> list[tuple[str, int]]:
+        """Delete LRU entries (one batch) until the store is within bounds.
+
+        Victims go in ascending last-access sequence, fingerprint tie-break,
+        so identical operation histories evict identical entries; the totals
+        row and the access index make the cost independent of the store's
+        size.  Returns each victim's ``(fingerprint, size)``.
+        """
+        if self.max_bytes is None and self.max_entries is None:
+            return []
+
+        def over(entries, size):
+            return (self.max_entries is not None and entries > self.max_entries) or (
+                self.max_bytes is not None and size > self.max_bytes)
+
+        entries, size = db.execute("SELECT entries, bytes FROM totals").fetchone()
+        victims = []
+        if over(entries, size):
+            rows = db.execute("SELECT fingerprint, size FROM entries ORDER BY seq, fingerprint")
+            for victim in rows:
+                victims.append(victim)
+                entries, size = entries - 1, size - victim[1]
+                if not over(entries, size):
+                    break
+            rows.close()
+            db.executemany("DELETE FROM entries WHERE fingerprint = ?",
+                           [(victim,) for victim, _ in victims])
+            db.execute(
+                "UPDATE totals SET evictions = evictions + ?, evicted_bytes = evicted_bytes + ?",
+                (len(victims), sum(freed for _, freed in victims)),
+            )
+        return victims
 
     # -- introspection / maintenance -----------------------------------------
 
     def disk_stats(self) -> dict:
         """Aggregate statistics of the disk tier (the ``cache info`` payload).
 
-        Reports total bytes and entry count, per-shard bytes/entries, the age
-        in seconds of the oldest and newest entries, an entry-age histogram and
-        the persisted eviction counters.  Shared by ``repro-map cache info``
-        and the compile service's ``/metrics`` endpoint, so both surfaces
-        always agree.  The directory may be shared with concurrently writing
-        or clearing processes: an entry unlinked between scan and stat is
-        skipped, never raised.
+        Total bytes and entries, per-shard (two-hex fingerprint prefix)
+        bytes/entries, the ages in seconds of the oldest and newest writes, an
+        entry-age histogram and the persisted eviction counters, shared by
+        ``repro-map cache info`` and the service's ``/metrics``.  An
+        unreadable database is logged and reads as an empty store.
         """
-        entries = 0
-        total_bytes = 0
-        oldest_mtime: float | None = None
-        newest_mtime: float | None = None
+        now = time.time()
+        rows, evictions = [], (0, 0)
+        if self.directory is not None:
+            try:
+                with self._disk_lock:
+                    db = self._database(create=False)
+                    if db is not None:
+                        rows = db.execute(_STATS, (now,)).fetchall()
+                        evictions = db.execute(
+                            "SELECT evictions, evicted_bytes FROM totals"
+                        ).fetchone()
+            except self._disk_errors as exc:
+                logger.warning("cannot read cache statistics (%s)", exc)
         shards: dict[str, dict] = {}
         ages = [0] * len(_AGE_BUCKET_LABELS)
-        now = time.time()
-        for path in self._disk_entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # vanished mid-scan (e.g. a concurrent clear)
-            shard = path.parent.name
-            entries += 1
-            total_bytes += stat.st_size
-            bucket = shards.setdefault(shard, {"entries": 0, "bytes": 0})
-            bucket["entries"] += 1
-            bucket["bytes"] += stat.st_size
-            if oldest_mtime is None or stat.st_mtime < oldest_mtime:
-                oldest_mtime = stat.st_mtime
-            if newest_mtime is None or stat.st_mtime > newest_mtime:
-                newest_mtime = stat.st_mtime
-            age = max(0.0, now - stat.st_mtime)
-            for index, bound in enumerate(AGE_BUCKET_BOUNDS):
-                if age <= bound:
-                    ages[index] += 1
-                    break
-            else:
-                ages[-1] += 1
-        evictions, evicted_bytes = self._persisted_evictions()
+        for shard, bucket, count, size, _, _ in rows:
+            totals = shards.setdefault(shard, {"entries": 0, "bytes": 0})
+            totals["entries"] += count
+            totals["bytes"] += size
+            ages[bucket] += count
+
+        def age(written):
+            return None if written is None else max(0.0, round(now - written, 3))
+
         return {
-            "entries": entries,
-            "bytes": total_bytes,
+            "entries": sum(ages),
+            "bytes": sum(totals["bytes"] for totals in shards.values()),
             "shards": shards,
             "age_histogram": dict(zip(_AGE_BUCKET_LABELS, ages)),
-            "evictions": evictions,
-            "evicted_bytes": evicted_bytes,
-            "oldest_age_seconds": (
-                max(0.0, round(now - oldest_mtime, 3)) if oldest_mtime is not None else None
-            ),
-            "newest_age_seconds": (
-                max(0.0, round(now - newest_mtime, 3)) if newest_mtime is not None else None
-            ),
+            "evictions": evictions[0],
+            "evicted_bytes": evictions[1],
+            "oldest_age_seconds": age(min((row[4] for row in rows), default=None)),
+            "newest_age_seconds": age(max((row[5] for row in rows), default=None)),
         }
-
-    def _persisted_evictions(self) -> tuple[int, int]:
-        """Cumulative eviction counters from ``_meta.json`` (tolerant)."""
-        meta = self._read_meta() or self._meta
-        return meta["evictions"], meta["evicted_bytes"]
 
     def info(self) -> dict:
         """Flat introspection record (used by ``repro-map cache info``)."""
@@ -971,14 +680,7 @@ class CompileCache:
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
             "readonly": self.readonly,
-            "disk_entries": disk["entries"],
-            "disk_bytes": disk["bytes"],
-            "disk_shards": disk["shards"],
-            "disk_age_histogram": disk["age_histogram"],
-            "disk_evictions": disk["evictions"],
-            "disk_evicted_bytes": disk["evicted_bytes"],
-            "disk_oldest_age_seconds": disk["oldest_age_seconds"],
-            "disk_newest_age_seconds": disk["newest_age_seconds"],
+            **{f"disk_{key}": value for key, value in disk.items()},
             "hit_rate": round(hits / lookups, 4) if lookups else None,
             "stats": stats,
         }
@@ -986,39 +688,34 @@ class CompileCache:
     def clear(self) -> dict:
         """Drop every entry in both tiers; return per-tier removal counts.
 
+        Clearing also resets the persisted eviction counters.  A database
+        that cannot be read as one (damaged, or not a database) is removed.
         A ``readonly`` handle only clears its memory tier -- the shared disk
         store is left untouched.
         """
         with self._memory_lock:
             removed = {"memory_entries": len(self._memory), "disk_entries": 0}
             self._memory.clear()
-        if self.readonly:
+        if self.readonly or self.directory is None:
             return removed
         with self._disk_lock:
-            for path in self._disk_entries():
-                try:
-                    path.unlink()
-                except OSError as exc:
-                    logger.warning("cannot remove cache entry %s (%s)", path.name, exc)
-                else:
-                    removed["disk_entries"] += 1
-            if self.directory is not None and self.directory.is_dir():
-                for _, shard_dir in self._scan_shard_dirs():
+            try:
+                if self._database(create=False) is not None:
+                    with self._transaction() as db:
+                        removed["disk_entries"] = db.execute("DELETE FROM entries").rowcount
+                        db.execute("UPDATE totals SET evictions = 0, evicted_bytes = 0")
+            except (OSError, self._sqlite.OperationalError) as exc:
+                logger.warning("cannot clear the cache database (%s)", exc)
+            except self._sqlite.DatabaseError as exc:
+                logger.warning("removing the unreadable cache database (%s)", exc)
+                if self._db is not None:
+                    self._db.close()
+                    self._db = None
+                for name in (DATABASE_NAME, f"{DATABASE_NAME}-journal"):
                     try:
-                        (shard_dir / INDEX_NAME).unlink()
-                    except OSError:
-                        pass
-                    try:
-                        shard_dir.rmdir()
-                    except OSError:
-                        pass  # non-empty (a concurrent writer) or already gone
-                try:
-                    self._meta_path().unlink()
-                except OSError:
-                    pass
-            self._catalog = None
-            self._dirty_shards = set()
-            self._meta = {"evictions": 0, "evicted_bytes": 0}
+                        (self.directory / name).unlink(missing_ok=True)
+                    except OSError as error:
+                        logger.warning("cannot remove %s (%s)", name, error)
         return removed
 
     def __len__(self) -> int:

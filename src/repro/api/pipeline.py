@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 
 from repro.api.registry import resolve_router
-from repro.api.request import CompileRequest
+from repro.api.request import CompileRequest, parse_generate_spec
 from repro.api.result import CompileError, CompileResult
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.metrics import total_operations, two_qubit_gate_count
@@ -104,9 +104,8 @@ def load_circuit(
         return loaded
     from repro.benchgen.qasmbench import qasmbench_circuit
 
-    family, _, qubits = str(generate).partition(":")
     try:
-        return qasmbench_circuit(family, int(qubits or "20"))
+        return qasmbench_circuit(*parse_generate_spec(generate))
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         raise CompileError(f"cannot generate {generate!r}: {message}") from exc

@@ -30,6 +30,16 @@ def check_one_source(circuit, qasm, generate) -> None:
         raise ValueError("exactly one of circuit=, qasm= or generate= must be provided")
 
 
+def parse_generate_spec(spec) -> tuple[str, int]:
+    """The ``(family, qubits)`` of a ``generate=`` spec such as ``"qft:24"``.
+
+    The family is stripped and lower-cased, and the qubit count defaults to
+    20.  Raises ``ValueError`` when the count is not an integer.
+    """
+    family, _, qubits = str(spec).partition(":")
+    return family.strip().lower(), int(qubits or "20")
+
+
 @dataclass
 class CompileRequest:
     """One mapping job for :func:`repro.api.compile`.

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 from repro._version import __version__
 from repro.api.batch import _compile_many, _Pool, check_batch_options
-from repro.api.cache import CompileCache, request_fingerprint
+from repro.api.cache import CompileCache, check_cache_bounds, request_fingerprint
 from repro.api.request import CompileRequest
 from repro.api.result import CompileError, CompileResult
 from repro.api.serialize import result_to_payload
@@ -115,10 +115,12 @@ class ServeConfig:
             raise ValueError(
                 "cache_max_bytes/cache_max_entries/cache_readonly require cache_dir"
             )
-        for name in ("cache_max_bytes", "cache_max_entries"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value}")
+        check_cache_bounds(
+            self.cache_memory_entries,
+            self.cache_max_bytes,
+            self.cache_max_entries,
+            names=("cache_memory_entries", "cache_max_bytes", "cache_max_entries"),
+        )
 
 
 @dataclass

@@ -6,7 +6,10 @@ bad persisted state (corrupt, truncated or version-mismatched disk entries)
 degrades to a recompute -- logged, never raised.
 """
 
+import hashlib
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -24,7 +27,7 @@ from repro.api import (
     result_to_payload,
     set_default_cache,
 )
-from repro.api.cache import payload_digest
+from repro.api.cache import DATABASE_NAME
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
@@ -50,6 +53,19 @@ def bits_of(result):
         result.routing.final_layout,
         metrics,
     )
+
+
+def stored_row(directory, fingerprint):
+    """The ``(schema, digest, payload)`` columns of one disk entry."""
+    with closing(sqlite3.connect(directory / DATABASE_NAME)) as db:
+        return db.execute(
+            "SELECT schema, digest, payload FROM entries WHERE fingerprint = ?", (fingerprint,)
+        ).fetchone()
+
+
+def digest_of(fingerprint, text):
+    """The integrity digest the disk tier files with an entry's payload text."""
+    return hashlib.sha256((fingerprint + text).encode()).hexdigest()
 
 
 def workload():
@@ -153,9 +169,8 @@ class TestBadDiskEntries:
         cache = CompileCache(directory=tmp_path)
         result = api_compile(request, cache=cache)
         fingerprint = request_fingerprint(request)
-        path = tmp_path / fingerprint[:2] / f"{fingerprint}.json"
-        assert path.exists()
-        return result, fingerprint, path
+        assert stored_row(tmp_path, fingerprint) is not None
+        return result, fingerprint
 
     def _recompute(self, tmp_path, request, caplog):
         """A fresh disk-backed cache must recover by recomputing."""
@@ -175,35 +190,40 @@ class TestBadDiskEntries:
         self, tmp_path, caplog, corruption
     ):
         request = CompileRequest(circuit=ghz_circuit(8), backend=GRID, router="tket")
-        original, fingerprint, path = self._seed_entry(tmp_path, request)
-        envelope = json.loads(path.read_text())
+        original, fingerprint = self._seed_entry(tmp_path, request)
+        schema, digest, text = stored_row(tmp_path, fingerprint)
+        payload = json.loads(text)
         if corruption == "garbage":
-            path.write_text("{not json at all")
+            text = "{not json at all"
+            digest = digest_of(fingerprint, text)
         elif corruption == "truncated":
-            path.write_text(path.read_text()[: len(path.read_text()) // 2])
+            text = text[: len(text) // 2]  # the digest is still the whole text's
         elif corruption == "schema_mismatch":
-            envelope["schema"] = CACHE_SCHEMA_VERSION + 1
-            path.write_text(json.dumps(envelope))
+            schema = CACHE_SCHEMA_VERSION + 1
         elif corruption == "payload_version_mismatch":
-            envelope["payload"]["version"] = 999
-            path.write_text(json.dumps(envelope))
+            payload["version"] = 999
+            text = json.dumps(payload)
+            digest = digest_of(fingerprint, text)
         elif corruption == "fingerprint_mismatch":
-            envelope["fingerprint"] = "0" * 64
-            path.write_text(json.dumps(envelope))
+            # the row another fingerprint stored, filed under this one
+            digest = digest_of("0" * 64, text)
         elif corruption == "not_an_object":
-            path.write_text(json.dumps([1, 2, 3]))
+            text = json.dumps([1, 2, 3])
+            digest = digest_of(fingerprint, text)
         elif corruption == "gate_table_under_its_digest":
             # A disk hit decodes inside lookup, before it counts as a hit.
-            envelope["payload"]["routing"]["routed_circuit"]["ops"] += " 99"
-            envelope["digest"] = payload_digest(envelope["payload"])
-            path.write_text(json.dumps(envelope))
+            payload["routing"]["routed_circuit"]["ops"] += " 99"
+            text = json.dumps(payload)
+            digest = digest_of(fingerprint, text)
+        with closing(sqlite3.connect(tmp_path / DATABASE_NAME)) as db, db:
+            db.execute(
+                "UPDATE entries SET schema = ?, digest = ?, payload = ? WHERE fingerprint = ?",
+                (schema, digest, text, fingerprint),
+            )
         recomputed = self._recompute(tmp_path, request, caplog)
         assert bits_of(recomputed) == bits_of(original)
-        if corruption != "fingerprint_mismatch":
-            # every other corruption leaves evidence in the log
-            assert any("miss" in record.message for record in caplog.records) or (
-                caplog.records
-            )
+        # every corruption leaves evidence in the log
+        assert any("miss" in record.message for record in caplog.records)
 
     def test_unwritable_directory_degrades_to_memory_tier(self, tmp_path, caplog):
         blocked = tmp_path / "cache"
@@ -246,8 +266,7 @@ class TestTiers:
         fingerprint = request_fingerprint(request)
         payload = CompileCache(directory=tmp_path).store(fingerprint, result)
         assert payload == result_to_payload(result)
-        entry = tmp_path / fingerprint[:2] / f"{fingerprint}.json"
-        assert json.loads(entry.read_text())["payload"] == payload
+        assert json.loads(stored_row(tmp_path, fingerprint)[2]) == payload
 
     def test_disk_hit_promotes_into_memory(self, tmp_path):
         request = CompileRequest(circuit=ghz_circuit(6), backend=GRID, router="greedy")

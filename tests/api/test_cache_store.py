@@ -1,46 +1,46 @@
-"""Test battery for the bounded, sharded compile-cache piece store.
+"""Test battery for the bounded compile-cache disk tier: one SQLite database.
 
-Covers the ISSUE-9 store contract end to end:
+Covers the store contract end to end:
 
-* layout -- entries under two-hex fingerprint-prefix shard directories with
-  a per-shard append-only ``index.jsonl``,
+* layout -- one database file in the cache directory, one row per entry
+  (access sequence, size, write time, schema, digest, payload text) and a
+  totals row that always equals the entries' count and byte sum,
 * LRU bounds -- ``max_bytes``/``max_entries`` are never exceeded, victim
   order is deterministic and the hottest entry survives, including under
-  arbitrary put/get/clear interleavings,
-* index<->directory consistency -- the directory is the source of truth;
-  orphan payloads are adopted, dead index records dropped, torn lines
-  compacted on the next write,
+  arbitrary put/get/clear interleavings, and an evicting put issues the
+  same SQL statements at 50 entries as at 500,
+* bound validation -- every bound is an integer, not a bool, in range,
 * warm==cold bit-for-bit under eviction pressure for ``workers`` in {1, 2},
-* crash consistency (torn index, stale index record, entry evicted under
-  the reader, read denied, failed write, malformed metadata): each test
-  builds the state on disk or makes one OS call fail; every failure
-  degrades to a recomputed miss, never an exception, and the store
-  self-heals on the next write,
+* crash consistency (a truncated database, a file that is not a database,
+  a corrupt row, a row deleted under the reader, a locked database, a
+  failed write): each test builds the state on disk or fails one write;
+  every failure degrades to a recomputed miss, never an exception, and
+  ``clear`` removes a database it cannot read,
 * readonly fleet mode -- a second handle serves hits from a shared warm
   directory without ever writing, racing a live writer's evictions,
 * threads -- two writers and a reader sharing one bounded handle, as the
-  compile service shares its cache, never raise and leave the catalog
-  equal to the directory,
-* the vanishing-entry regression -- ``disk_stats``/``clear`` tolerate
-  entries unlinked between scan and stat (a concurrent ``clear``).
+  compile service shares its cache, never raise and leave the totals equal
+  to the entries.
 
 Most tests store one real compiled payload under synthetic fingerprints so
 the battery exercises the store, not the routers.
 """
 
-import errno
 import hashlib
 import itertools
 import json
 import logging
-import os
 import random
+import sqlite3
 import sys
 import threading
+import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
+import repro.api.cache as api_cache
 from repro.api import (
     CompileCache,
     CompileRequest,
@@ -55,10 +55,9 @@ from repro.api.cache import (
     CACHE_MAX_BYTES_ENV,
     CACHE_MAX_ENTRIES_ENV,
     CACHE_SCHEMA_VERSION,
-    INDEX_NAME,
-    META_NAME,
+    DATABASE_NAME,
 )
-from repro.benchgen.qasmbench import ghz_circuit
+from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.hardware.topologies import grid_topology
 
 GRID = grid_topology(4, 4)
@@ -92,25 +91,23 @@ def fp(index: int) -> str:
     return hashlib.sha256(f"entry-{index}".encode()).hexdigest()
 
 
-def payload_files(directory: Path) -> set[str]:
-    """Fingerprints of every payload file on disk."""
-    found = set()
-    for path in directory.rglob("*.json"):
-        if path.name != META_NAME and len(path.stem) == 64:
-            found.add(path.stem)
-    return found
+def query(directory: Path, sql: str, *parameters):
+    """The rows of ``sql``, run and committed by a second connection to the database."""
+    with closing(sqlite3.connect(directory / DATABASE_NAME)) as db, db:
+        return db.execute(sql, parameters).fetchall()
 
 
-def index_fingerprints(directory: Path) -> set[str]:
-    """Fingerprints with a live put record in any shard index."""
-    found = set()
-    for index_path in directory.rglob(INDEX_NAME):
-        for line in index_path.read_text().splitlines():
-            if line.strip():
-                record = json.loads(line)
-                if record.get("op") == "put":
-                    found.add(record["fp"])
-    return found
+def stored(directory: Path) -> set[str]:
+    """Fingerprints of every entry in the directory's database."""
+    if not (directory / DATABASE_NAME).exists():
+        return set()
+    return {row[0] for row in query(directory, "SELECT fingerprint FROM entries")}
+
+
+def assert_totals_match_entries(directory: Path) -> None:
+    totals = query(directory, "SELECT entries, bytes FROM totals")
+    counted = query(directory, "SELECT COUNT(*), IFNULL(SUM(size), 0) FROM entries")
+    assert totals == counted
 
 
 def entry_size(tmp_path, result) -> int:
@@ -120,39 +117,44 @@ def entry_size(tmp_path, result) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shard layout
+# The database
 # ---------------------------------------------------------------------------
 
 
-class TestShardLayout:
-    def test_entry_lands_in_two_hex_shard_dir(self, tmp_path, result):
+class TestDatabaseLayout:
+    def test_the_store_is_one_database_file(self, tmp_path, result):
         cache = CompileCache(directory=tmp_path)
-        cache.store(fp(1), result)
-        path = tmp_path / fp(1)[:2] / f"{fp(1)}.json"
-        assert path.exists()
-        assert not (tmp_path / f"{fp(1)}.json").exists()
+        for index in range(5):
+            cache.store(fp(index), result)
+        # the rollback journal stays behind, truncated to nothing
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            DATABASE_NAME, f"{DATABASE_NAME}-journal"
+        ]
+        assert (tmp_path / f"{DATABASE_NAME}-journal").stat().st_size == 0
 
-    def test_shard_carries_an_append_only_index(self, tmp_path, result):
-        cache = CompileCache(directory=tmp_path)
-        cache.store(fp(1), result)
-        index_path = tmp_path / fp(1)[:2] / INDEX_NAME
-        records = [json.loads(line) for line in index_path.read_text().splitlines()]
-        assert len(records) == 1
-        record = records[0]
-        assert record["op"] == "put"
-        assert record["fp"] == fp(1)
-        assert record["schema"] == CACHE_SCHEMA_VERSION
-        assert record["size"] == (tmp_path / fp(1)[:2] / f"{fp(1)}.json").stat().st_size
-        assert record["created"] > 0
-        assert record["seq"] >= 1
+    def test_a_row_holds_the_entry(self, tmp_path, result):
+        before = time.time()
+        payload = CompileCache(directory=tmp_path).store(fp(1), result)
+        [(seq, size, written, schema, digest, text)] = query(
+            tmp_path,
+            "SELECT seq, size, written, schema, digest, payload FROM entries WHERE fingerprint = ?",
+            fp(1),
+        )
+        assert seq >= 1
+        assert size == len(text.encode())
+        assert before <= written <= time.time()
+        assert schema == CACHE_SCHEMA_VERSION
+        assert digest == hashlib.sha256((fp(1) + text).encode()).hexdigest()
+        assert json.loads(text) == payload
 
-    def test_disk_hits_append_touch_records(self, tmp_path, result):
+    def test_disk_hits_advance_the_access_sequence(self, tmp_path, result):
         cache = CompileCache(max_memory_entries=0, directory=tmp_path)
         cache.store(fp(1), result)
+        cache.store(fp(2), result)
+        order = "SELECT fingerprint FROM entries ORDER BY seq"
+        assert query(tmp_path, order) == [(fp(1),), (fp(2),)]
         assert cache.lookup(fp(1), request_for()) is not None
-        lines = (tmp_path / fp(1)[:2] / INDEX_NAME).read_text().splitlines()
-        ops = [json.loads(line)["op"] for line in lines]
-        assert ops == ["put", "touch"]
+        assert query(tmp_path, order) == [(fp(2),), (fp(1),)]
 
     def test_entries_round_trip_through_a_fresh_handle(self, tmp_path, result):
         CompileCache(directory=tmp_path).store(fp(1), result)
@@ -162,25 +164,26 @@ class TestShardLayout:
         assert bits_of(hit) == bits_of(result)
         assert fresh.stats["disk_hits"] == 1
 
-    def test_entries_embed_an_integrity_digest(self, tmp_path, result):
-        cache = CompileCache(directory=tmp_path)
-        cache.store(fp(1), result)
-        envelope = json.loads((tmp_path / fp(1)[:2] / f"{fp(1)}.json").read_text())
-        assert set(envelope) == {"schema", "fingerprint", "digest", "payload"}
-        assert envelope["fingerprint"] == fp(1)
-
     def test_flipped_payload_bits_fail_digest_verification(self, tmp_path, result, caplog):
         cache = CompileCache(max_memory_entries=0, directory=tmp_path)
         cache.store(fp(1), result)
-        path = tmp_path / fp(1)[:2] / f"{fp(1)}.json"
-        envelope = json.loads(path.read_text())
-        envelope["payload"]["metrics"]["swaps"] = 424242  # still valid JSON
-        path.write_text(json.dumps(envelope, sort_keys=True))
+        [(text,)] = query(tmp_path, "SELECT payload FROM entries")
+        payload = json.loads(text)
+        payload["metrics"]["swaps"] = 424242  # still valid JSON
+        query(tmp_path, "UPDATE entries SET payload = ?", json.dumps(payload))
         fresh = CompileCache(max_memory_entries=0, directory=tmp_path)
         with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
             assert fresh.lookup(fp(1), request_for()) is None
         assert fresh.stats["integrity_misses"] == 1
         assert any("integrity" in record.message for record in caplog.records)
+
+    def test_lookups_stats_and_clear_never_create_the_database(self, tmp_path):
+        directory = tmp_path / "cache"
+        cache = CompileCache(directory=directory, max_entries=3)
+        assert cache.lookup(fp(1), request_for()) is None
+        assert cache.info()["disk_entries"] == 0
+        assert cache.clear() == {"memory_entries": 0, "disk_entries": 0}
+        assert not directory.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,7 @@ class TestBoundsAndEviction:
         cache = CompileCache(directory=tmp_path, max_entries=2)
         for index in range(3):
             cache.store(fp(index), result)
-        assert payload_files(tmp_path) == {fp(1), fp(2)}
+        assert stored(tmp_path) == {fp(1), fp(2)}
 
     def test_hottest_entry_survives(self, tmp_path, result):
         cache = CompileCache(max_memory_entries=0, directory=tmp_path, max_entries=3)
@@ -217,8 +220,8 @@ class TestBoundsAndEviction:
         assert cache.lookup(fp(0), request_for()) is not None
         cache.store(fp(3), result)
         cache.store(fp(4), result)
-        assert fp(0) in payload_files(tmp_path)
-        assert payload_files(tmp_path) == {fp(0), fp(3), fp(4)}
+        assert fp(0) in stored(tmp_path)
+        assert stored(tmp_path) == {fp(0), fp(3), fp(4)}
 
     def test_access_order_persists_across_handles(self, tmp_path, result):
         writer = CompileCache(max_memory_entries=0, directory=tmp_path, max_entries=3)
@@ -230,7 +233,7 @@ class TestBoundsAndEviction:
         third.store(fp(3), result)
         # the touch recorded by the *second* handle must steer the *third*
         # handle's eviction: entry 1 (coldest) dies, entry 0 survives
-        assert payload_files(tmp_path) == {fp(0), fp(2), fp(3)}
+        assert stored(tmp_path) == {fp(0), fp(2), fp(3)}
 
     def test_eviction_order_is_deterministic(self, tmp_path, result):
         survivors = []
@@ -242,7 +245,7 @@ class TestBoundsAndEviction:
                 cache.store(fp(index), result)
                 if index % 2 == 0:
                     cache.lookup(fp(index), request_for())
-            survivors.append(payload_files(tmp_path / run))
+            survivors.append(stored(tmp_path / run))
         assert survivors[0] == survivors[1]
 
     def test_eviction_batch_removes_several_victims_at_once(self, tmp_path, result):
@@ -274,13 +277,15 @@ class TestBoundsAndEviction:
             cache.store(fp(index), result)
         fresh = CompileCache(directory=tmp_path)
         assert fresh.info()["disk_evictions"] == 3
-        assert (tmp_path / META_NAME).exists()
+        assert query(tmp_path, "SELECT evictions FROM totals") == [(3,)]
 
-    def test_eviction_rewrites_the_shard_index(self, tmp_path, result):
+    def test_eviction_keeps_the_totals_equal_to_the_entries(self, tmp_path, result):
         cache = CompileCache(directory=tmp_path, max_entries=2)
         for index in range(5):
             cache.store(fp(index), result)
-        assert index_fingerprints(tmp_path) == payload_files(tmp_path)
+        cache.store(fp(4), result)  # a re-store replaces its row
+        assert_totals_match_entries(tmp_path)
+        assert query(tmp_path, "SELECT entries FROM totals") == [(2,)]
 
     def test_evicted_entry_also_leaves_the_memory_tier(self, tmp_path, result):
         cache = CompileCache(directory=tmp_path, max_entries=1)
@@ -288,12 +293,6 @@ class TestBoundsAndEviction:
         cache.store(fp(1), result)
         assert cache.lookup(fp(0), request_for()) is None
         assert cache.stats["memory_hits"] == 0
-
-    @pytest.mark.parametrize("bound", ["max_bytes", "max_entries"])
-    @pytest.mark.parametrize("value", [0, -1, "three"])
-    def test_invalid_bounds_rejected(self, tmp_path, bound, value):
-        with pytest.raises(ValueError, match=bound):
-            CompileCache(directory=tmp_path, **{bound: value})
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_interleavings_respect_bounds(self, tmp_path, result, seed):
@@ -318,16 +317,52 @@ class TestBoundsAndEviction:
             assert stats["bytes"] <= 6 * size, f"step {step} exceeded max_bytes"
 
 
-# ---------------------------------------------------------------------------
-# Index <-> directory consistency
-# ---------------------------------------------------------------------------
-
-
-class TestIndexDirectoryConsistency:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_fresh_handle_catalog_matches_directory_after_random_ops(
-        self, tmp_path, result, seed
+class TestFlatCostPuts:
+    def test_an_evicting_put_issues_as_many_statements_at_50_as_at_500_entries(
+        self, tmp_path, result
     ):
+        counts = []
+        for size in (50, 500):
+            cache = CompileCache(
+                max_memory_entries=0, directory=tmp_path / str(size), max_entries=size
+            )
+            for index in range(size):
+                cache.store(fp(index), result)
+            statements = []
+            cache._db.set_trace_callback(statements.append)
+            cache.store(fp(size), result)
+            cache._db.set_trace_callback(None)
+            assert cache.stats["evictions"] == 1
+            counts.append(len(statements))
+        assert counts[0] == counts[1]
+
+
+class TestBoundValidation:
+    BOUNDS = ("max_memory_entries", "max_bytes", "max_entries")
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    @pytest.mark.parametrize("value", [True, 2.7, "5", "three", 0, -1])
+    def test_bad_bounds_are_rejected_not_coerced(self, tmp_path, bound, value):
+        if bound == "max_memory_entries" and value == 0:
+            assert CompileCache(directory=tmp_path, max_memory_entries=0).max_memory_entries == 0
+            return
+        with pytest.raises(ValueError, match=bound):
+            CompileCache(directory=tmp_path, **{bound: value})
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_integer_bounds_are_kept_as_given(self, tmp_path, bound):
+        cache = CompileCache(directory=tmp_path, **{bound: 7})
+        assert getattr(cache, bound) == 7
+
+
+# ---------------------------------------------------------------------------
+# Totals and clear
+# ---------------------------------------------------------------------------
+
+
+class TestTotalsConsistency:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_totals_match_the_entries_after_random_ops(self, tmp_path, result, seed):
         rng = random.Random(seed)
         cache = CompileCache(max_memory_entries=0, directory=tmp_path, max_entries=5)
         for _ in range(50):
@@ -338,54 +373,29 @@ class TestIndexDirectoryConsistency:
                 cache.lookup(fp(rng.randrange(10)), request_for())
             else:
                 cache.clear()
-        on_disk = payload_files(tmp_path)
-        fresh = CompileCache(directory=tmp_path)
-        assert set(fresh._catalog_entries()) == on_disk
-        assert index_fingerprints(tmp_path) == on_disk
+        assert_totals_match_entries(tmp_path)
+        fresh = CompileCache(directory=tmp_path).disk_stats()
+        assert fresh["entries"] == len(stored(tmp_path))
 
-    def test_orphan_payload_is_adopted_and_reindexed(self, tmp_path, result):
-        cache = CompileCache(directory=tmp_path)
-        cache.store(fp(1), result)
-        (tmp_path / fp(1)[:2] / INDEX_NAME).unlink()  # crash before the append
-        fresh = CompileCache(max_memory_entries=0, directory=tmp_path)
-        assert fresh.lookup(fp(1), request_for()) is not None  # directory is truth
-        fresh.store(fp(2), result)  # next write heals the index
-        assert index_fingerprints(tmp_path) == {fp(1), fp(2)}
-
-    def test_index_record_without_payload_is_dropped(self, tmp_path, result):
-        cache = CompileCache(directory=tmp_path)
-        cache.store(fp(1), result)
-        cache.store(fp(2), result)
-        (tmp_path / fp(1)[:2] / f"{fp(1)}.json").unlink()  # crash mid-eviction
-        fresh = CompileCache(max_memory_entries=0, directory=tmp_path)
-        assert fresh.lookup(fp(1), request_for()) is None
-        assert fresh.disk_stats()["entries"] == 1
-        fresh.store(fp(3), result)
-        assert fp(1) not in index_fingerprints(tmp_path)
-
-    def test_torn_trailing_index_line_is_skipped_and_compacted(self, tmp_path, result):
-        cache = CompileCache(directory=tmp_path)
-        cache.store(fp(1), result)
-        index_path = tmp_path / fp(1)[:2] / INDEX_NAME
-        with open(index_path, "a") as handle:
-            handle.write('{"op":"put","fp":"')  # half a line, no newline
-        fresh = CompileCache(max_memory_entries=0, directory=tmp_path)
-        assert fresh.lookup(fp(1), request_for()) is not None
-        fresh.store(fp(1), result)  # the write compacts the dirty shard
-        for line in index_path.read_text().splitlines():
-            json.loads(line)  # every surviving line parses
-
-    def test_clear_removes_entries_indexes_and_meta(self, tmp_path, result):
+    def test_clear_removes_every_entry_and_resets_the_counters(self, tmp_path, result):
         cache = CompileCache(directory=tmp_path, max_entries=2)
         for index in range(4):
             cache.store(fp(index), result)
         removed = cache.clear()
         assert removed["disk_entries"] == 2
-        assert payload_files(tmp_path) == set()
-        assert list(tmp_path.rglob(INDEX_NAME)) == []
-        assert not (tmp_path / META_NAME).exists()
+        assert stored(tmp_path) == set()
+        assert query(tmp_path, "SELECT * FROM totals") == [(0, 0, 0, 0)]
         cache.store(fp(9), result)  # the store works again after a clear
-        assert payload_files(tmp_path) == {fp(9)}
+        assert stored(tmp_path) == {fp(9)}
+
+    def test_clear_counts_only_the_entries_it_removed(self, tmp_path, result):
+        cache = CompileCache(directory=tmp_path)
+        for index in range(3):
+            cache.store(fp(index), result)
+        # another process got to one entry first
+        query(tmp_path, "DELETE FROM entries WHERE fingerprint = ?", fp(1))
+        assert cache.clear()["disk_entries"] == 2
+        assert stored(tmp_path) == set()
 
     def test_clear_keeps_the_legacy_removed_counts_shape(self, tmp_path, result):
         cache = CompileCache(directory=tmp_path)
@@ -416,151 +426,128 @@ class TestWarmEqualsColdUnderEviction:
 
 
 # ---------------------------------------------------------------------------
-# Crash consistency: each state is built on disk or by one failing OS call
+# Crash consistency: each state is built on disk or by one failing write
 # ---------------------------------------------------------------------------
 
 
-def entry_path(directory: Path, fingerprint: str) -> Path:
-    return directory / fingerprint[:2] / f"{fingerprint}.json"
+@pytest.fixture
+def short_busy_timeout(monkeypatch):
+    """Give up on a locked database after 50 ms instead of the full timeout."""
+    monkeypatch.setattr(api_cache, "_BUSY_TIMEOUT_SECONDS", 0.05)
 
 
-def write_meta(text: str):
-    def damage(directory: Path, fingerprint: str) -> None:
-        (directory / META_NAME).write_text(text)
-
-    return damage
+def truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
-def rewrite_put_record(**fields):
-    def damage(directory: Path, fingerprint: str) -> None:
-        index_path = directory / fingerprint[:2] / INDEX_NAME
-        record = json.loads(index_path.read_text().splitlines()[0])
-        index_path.write_text(json.dumps({**record, **fields}) + "\n")
-
-    return damage
-
-
-def append_to_index(data: bytes):
-    def damage(directory: Path, fingerprint: str) -> None:
-        with open(directory / fingerprint[:2] / INDEX_NAME, "ab") as handle:
-            handle.write(data)
-
-    return damage
+def overwrite(path: Path) -> None:
+    path.write_bytes(b"this is not an SQLite database\n" * 200)
 
 
 class TestCrashConsistency:
-    def test_torn_index_append_never_raises_and_heals_on_next_write(
-        self, tmp_path, result
+    @pytest.mark.parametrize("damage", [truncate, overwrite], ids=["truncated", "not-a-database"])
+    def test_damaged_database_is_a_logged_miss_and_clear_removes_it(
+        self, tmp_path, caplog, damage
     ):
-        CompileCache(max_memory_entries=0, directory=tmp_path).store(fp(1), result)
-        index_path = tmp_path / fp(1)[:2] / INDEX_NAME
-        text = index_path.read_text()
-        index_path.write_text(text[: len(text) // 2])  # the entry's only record, torn
-        fresh = CompileCache(max_memory_entries=0, directory=tmp_path)
-        # the payload file is the truth: the entry still serves
-        assert fresh.lookup(fp(1), request_for()) is not None
-        fresh.store(fp(2), result)  # a clean write compacts the torn shard
-        assert index_fingerprints(tmp_path) == {fp(1), fp(2)}
-        for index_path in tmp_path.rglob(INDEX_NAME):
-            for line in index_path.read_text().splitlines():
-                json.loads(line)
+        requests = [request_for(seed) for seed in range(8)]
+        writer = CompileCache(directory=tmp_path)
+        clean = [api_compile(request, cache=writer) for request in requests]
+        del writer
+        damage(tmp_path / DATABASE_NAME)
+        cache = CompileCache(max_memory_entries=0, directory=tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
+            again = [api_compile(request, cache=cache) for request in requests]
+            assert cache.info()["disk_entries"] <= len(requests)  # never raises
+        assert [bits_of(r) for r in again] == [bits_of(r) for r in clean]
+        assert cache.stats["misses"] + cache.stats["disk_hits"] == len(requests)
+        assert any("miss" in record.message for record in caplog.records)
+        cache.clear()  # removes the database it cannot read
+        assert not (tmp_path / DATABASE_NAME).exists()
+        healed = CompileCache(max_memory_entries=0, directory=tmp_path)
+        api_compile(requests[0], cache=healed)
+        api_compile(requests[0], cache=healed)
+        assert healed.stats["disk_hits"] == 1
 
-    def test_stale_index_record_degrades_to_miss_then_recovers(self, tmp_path, caplog):
+    def test_corrupt_row_is_a_logged_miss_then_recovers(self, tmp_path, caplog):
         request = request_for()
         cache = CompileCache(max_memory_entries=0, directory=tmp_path)
-        clean = api_compile(request, cache=cache)  # store loads the catalog
-        with open(entry_path(tmp_path, request_fingerprint(request)), "a") as handle:
-            handle.write(" ")  # still parses, digest still matches: only the size moved
+        clean = api_compile(request, cache=cache)
+        query(tmp_path, "UPDATE entries SET payload = X'FF00FF'")  # a blob, not text
         with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
             recomputed = api_compile(request, cache=cache)
-        assert cache.stats["stale_index_misses"] == 1
         assert bits_of(recomputed) == bits_of(clean)
-        assert any("stale" in record.message for record in caplog.records)
-        api_compile(request, cache=cache)
-        assert cache.stats["disk_hits"] == 1  # healed: the entry hits again
+        assert cache.stats["integrity_misses"] == 1
+        api_compile(request, cache=cache)  # the miss stored the entry again
+        assert cache.stats["disk_hits"] == 1
 
     def test_evicted_underfoot_degrades_to_miss_then_recovers(self, tmp_path):
         request = request_for()
         cache = CompileCache(max_memory_entries=0, directory=tmp_path)
         clean = api_compile(request, cache=cache)
-        entry_path(tmp_path, request_fingerprint(request)).unlink()  # another writer evicted it
+        # another writer evicted it
+        query(tmp_path, "DELETE FROM entries WHERE fingerprint = ?", request_fingerprint(request))
         recomputed = api_compile(request, cache=cache)
         assert bits_of(recomputed) == bits_of(clean)
         assert cache.stats["misses"] == 2
         api_compile(request, cache=cache)
         assert cache.stats["disk_hits"] == 1
+        assert_totals_match_entries(tmp_path)
 
-    def test_read_denied_shard_recomputes_identically(self, tmp_path, monkeypatch, caplog):
-        request = request_for()
-        clean = api_compile(request, cache=False)
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path)
-        read_bytes = Path.read_bytes
-
-        def denied(path):
-            # Tests may run as root, which chmod cannot deny: fail the call itself.
-            if tmp_path in path.parents:
-                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
-            return read_bytes(path)
-
-        monkeypatch.setattr(Path, "read_bytes", denied)
-        with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
-            api_compile(request, cache=cache)
-            again = api_compile(request, cache=cache)
-        assert bits_of(again) == bits_of(clean)
-        assert cache.stats["disk_hits"] == 0 and cache.stats["misses"] == 2
-        assert any("unreadable" in record.message for record in caplog.records)
-
-    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES], ids=["enospc", "eacces"])
-    def test_failed_write_leaves_the_memory_tier_only(self, tmp_path, monkeypatch, code):
-        request = request_for()
-        clean = api_compile(request, cache=False)
-        cache = CompileCache(directory=tmp_path)
-        replace = os.replace
-
-        def failing_replace(source, target, **kwargs):
-            if tmp_path in Path(target).parents:
-                raise OSError(code, os.strerror(code), str(target))
-            return replace(source, target, **kwargs)
-
-        monkeypatch.setattr(os, "replace", failing_replace)
-        first = api_compile(request, cache=cache)  # returns: the failure stays inside
-        second = api_compile(request, cache=cache)
-        assert bits_of(first) == bits_of(clean) == bits_of(second)
-        assert cache.stats["memory_hits"] == 1 and cache.stats["disk_hits"] == 0
-        assert payload_files(tmp_path) == set()
-        assert list(tmp_path.rglob(".tmp-*")) == []
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            write_meta("[1, 2]"),
-            write_meta('{"seq": Infinity}'),
-            write_meta('{"evictions": Infinity}'),
-            rewrite_put_record(seq="x"),
-            rewrite_put_record(seq=[1]),
-            rewrite_put_record(created="yesterday"),
-            append_to_index(b"\xff\n"),
-        ],
-        ids=[
-            "meta-not-an-object",
-            "meta-infinite-seq",
-            "meta-infinite-evictions",
-            "index-seq-string",
-            "index-seq-list",
-            "index-created-string",
-            "index-not-utf8",
-        ],
-    )
-    def test_malformed_metadata_never_raises(self, tmp_path, damage):
+    @pytest.mark.parametrize("readonly", [False, True], ids=["writer", "reader"])
+    def test_locked_database_is_a_logged_miss(
+        self, tmp_path, caplog, readonly, short_busy_timeout
+    ):
         request = request_for()
         clean = api_compile(request, cache=CompileCache(directory=tmp_path))
-        damage(tmp_path, request_fingerprint(request))
-        cache = CompileCache(max_memory_entries=0, directory=tmp_path)
-        first = api_compile(request, cache=cache)
-        second = api_compile(request, cache=cache)
+        cache = CompileCache(max_memory_entries=0, directory=tmp_path, readonly=readonly)
+        holder = sqlite3.connect(tmp_path / DATABASE_NAME, isolation_level=None)
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
+                recomputed = api_compile(request, cache=cache)
+                assert cache.info()["disk_entries"] == 0  # stats read as empty
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert bits_of(recomputed) == bits_of(clean)
+        assert cache.stats["disk_hits"] == 0 and cache.stats["misses"] == 1
+        assert any("locked" in record.message for record in caplog.records)
+        api_compile(request, cache=cache)  # the lock is gone: the entry hits
+        assert cache.stats["disk_hits"] == 1
+
+    @pytest.mark.parametrize("failure", ["locked", "full", "refused"])
+    def test_failed_write_leaves_the_memory_tier_only(
+        self, tmp_path, caplog, failure, short_busy_timeout
+    ):
+        # qft:16's payload needs overflow pages, so a full database fails it
+        request = CompileRequest(circuit=qft_circuit(16), backend=GRID, router="greedy")
+        clean = api_compile(request, cache=False)
+        cache = CompileCache(directory=tmp_path)
+        cache.store(fp(0), api_compile(request_for(), cache=False))  # opens the database
+        holder = sqlite3.connect(tmp_path / DATABASE_NAME, isolation_level=None)
+        if failure == "locked":
+            holder.execute("BEGIN EXCLUSIVE")
+        elif failure == "full":
+            [(pages,)] = cache._db.execute("PRAGMA page_count").fetchall()
+            cache._db.execute(f"PRAGMA max_page_count = {pages}")
+        else:
+            holder.execute(
+                "CREATE TRIGGER refuse BEFORE INSERT ON entries"
+                " BEGIN SELECT RAISE(ABORT, 'refused'); END"
+            )
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
+                first = api_compile(request, cache=cache)  # returns: the failure stays inside
+                second = api_compile(request, cache=cache)
+        finally:
+            if holder.in_transaction:
+                holder.execute("ROLLBACK")
+            holder.close()
         assert bits_of(first) == bits_of(clean) == bits_of(second)
-        assert cache.stats["disk_hits"] == 2
-        assert cache.info()["disk_entries"] == 1
+        assert cache.stats["memory_hits"] == 1 and cache.stats["disk_hits"] == 0
+        assert stored(tmp_path) == {fp(0)}
+        assert_totals_match_entries(tmp_path)
+        assert any("cannot persist" in record.message for record in caplog.records)
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +585,20 @@ class TestReadonly:
         reader.clear()                        # clears memory only
         assert snapshot_tree(tmp_path) == before
 
+    def test_readonly_on_a_missing_database_reads_an_empty_store(self, tmp_path, result):
+        reader = CompileCache(directory=tmp_path / "absent", readonly=True)
+        assert reader.lookup(fp(1), request_for()) is None
+        assert reader.info()["disk_entries"] == 0
+        assert not (tmp_path / "absent").exists()
+        CompileCache(directory=tmp_path / "absent").store(fp(1), result)
+        assert reader.lookup(fp(1), request_for()) is not None  # the writer made it
+
     def test_readonly_store_still_feeds_the_memory_tier(self, tmp_path, result):
         reader = CompileCache(directory=tmp_path, readonly=True)
         reader.store(fp(1), result)
         assert reader.lookup(fp(1), request_for()) is not None
         assert reader.stats["memory_hits"] == 1
-        assert payload_files(tmp_path) == set()
+        assert stored(tmp_path) == set()
 
     def test_readonly_never_evicts_even_over_bounds(self, tmp_path, result):
         writer = CompileCache(directory=tmp_path)
@@ -666,7 +661,7 @@ class TestConcurrencyStress:
         """The compile service stores from executor threads while its event
         loop looks up, all on one handle: two threads each storing 300
         distinct entries into a 20-entry store, and a third looking up, must
-        neither raise nor leave the catalog apart from the directory."""
+        neither raise nor leave the totals apart from the entries."""
         cache = CompileCache(directory=tmp_path, max_entries=20)
         errors: list[Exception] = []
         writers_done = threading.Event()
@@ -680,7 +675,7 @@ class TestConcurrencyStress:
 
         def read():
             # One lookup per pause: a reader that held on to the GIL would
-            # stall each writer at every file operation.
+            # stall each writer at every statement.
             keys = itertools.cycle(range(0, 600, 7))
             try:
                 while not writers_done.wait(0.0005):
@@ -706,16 +701,15 @@ class TestConcurrencyStress:
         assert not any(thread.is_alive() for thread in (*writers, reader))
         assert errors == []
         assert cache.stats["stores"] == 600
-        on_disk = payload_files(tmp_path)
-        assert len(on_disk) == 20
-        assert set(CompileCache(directory=tmp_path)._catalog_entries()) == on_disk
+        assert len(stored(tmp_path)) == 20
+        assert_totals_match_entries(tmp_path)
         assert not any("cannot persist" in record.message for record in caplog.records)
 
     def test_writer_handoff_stays_bounded_and_deterministic(self, tmp_path, result):
         """The single-writer contract allows *sequential* handoff: a fresh
-        writer picking up the directory recovers the catalog, sequence and
-        bounds, and converges to the same deterministic survivor set as one
-        writer doing all the puts."""
+        writer picking up the directory recovers the sequence and bounds,
+        and converges to the same deterministic survivor set as one writer
+        doing all the puts."""
         for run in ("handoff", "single"):
             directory = tmp_path / run
             if run == "handoff":
@@ -736,52 +730,7 @@ class TestConcurrencyStress:
                 for index in range(8):
                     cache.store(fp(index), result)
             assert CompileCache(directory=directory).disk_stats()["entries"] == 3
-        assert payload_files(tmp_path / "handoff") == payload_files(tmp_path / "single")
-
-
-# ---------------------------------------------------------------------------
-# The vanishing-entry regression (non-atomic scan-then-stat)
-# ---------------------------------------------------------------------------
-
-
-class TestVanishingEntriesMidScan:
-    def test_disk_stats_tolerates_entries_vanishing_between_scan_and_stat(
-        self, tmp_path, result, monkeypatch
-    ):
-        cache = CompileCache(directory=tmp_path)
-        for index in range(3):
-            cache.store(fp(index), result)
-        doomed = tmp_path / fp(1)[:2] / f"{fp(1)}.json"
-        original_stat = Path.stat
-
-        def racing_stat(self, **kwargs):
-            if self == doomed:
-                # a concurrent `clear` unlinked the entry after the scan
-                raise FileNotFoundError(2, "vanished mid-scan", str(self))
-            return original_stat(self, **kwargs)
-
-        monkeypatch.setattr(Path, "stat", racing_stat)
-        stats = cache.disk_stats()  # the regression: this used to raise
-        assert stats["entries"] == 2
-        info = cache.info()
-        assert info["disk_entries"] == 2
-
-    def test_clear_tolerates_entries_already_removed(self, tmp_path, result, monkeypatch):
-        cache = CompileCache(directory=tmp_path)
-        for index in range(3):
-            cache.store(fp(index), result)
-        doomed = tmp_path / fp(1)[:2] / f"{fp(1)}.json"
-        original_unlink = Path.unlink
-
-        def racing_unlink(self, missing_ok=False):
-            if self == doomed:
-                original_unlink(self)  # the other process got there first
-            return original_unlink(self, missing_ok=missing_ok)
-
-        monkeypatch.setattr(Path, "unlink", racing_unlink)
-        removed = cache.clear()  # must not raise on the double unlink
-        assert removed["disk_entries"] == 2
-        assert payload_files(tmp_path) == set()
+        assert stored(tmp_path / "handoff") == stored(tmp_path / "single")
 
     def test_info_races_a_concurrent_clear_without_raising(self, tmp_path, result):
         cache = CompileCache(directory=tmp_path)
@@ -819,6 +768,7 @@ class TestStatsAndInfo:
         info = cache.info()
         assert sum(b["entries"] for b in info["disk_shards"].values()) == 6
         assert sum(b["bytes"] for b in info["disk_shards"].values()) == info["disk_bytes"]
+        assert set(info["disk_shards"]) == {fp(index)[:2] for index in range(6)}
 
     def test_age_histogram_buckets_every_entry(self, tmp_path, result):
         cache = CompileCache(directory=tmp_path)
@@ -827,6 +777,22 @@ class TestStatsAndInfo:
         histogram = cache.info()["disk_age_histogram"]
         assert sum(histogram.values()) == 4
         assert histogram["<=1m"] == 4  # just written
+
+    def test_ages_come_from_the_write_times(self, tmp_path, result):
+        cache = CompileCache(directory=tmp_path)
+        ages = {0: 10.0, 1: 7200.0, 2: 7200.0, 3: 30 * 86400.0}
+        for index in ages:
+            cache.store(fp(index), result)
+        now = time.time()
+        for index, age in ages.items():
+            query(tmp_path, "UPDATE entries SET written = ? WHERE fingerprint = ?",
+                  now - age, fp(index))
+        info = cache.info()
+        assert info["disk_age_histogram"] == {
+            "<=1m": 1, "<=1h": 0, "<=1d": 2, "<=7d": 0, ">7d": 1
+        }
+        assert info["disk_oldest_age_seconds"] == pytest.approx(30 * 86400.0, abs=5)
+        assert info["disk_newest_age_seconds"] == pytest.approx(10.0, abs=5)
 
     def test_hit_rate_tracks_this_handles_lookups(self, tmp_path, result):
         cache = CompileCache(directory=tmp_path)

@@ -4,7 +4,8 @@ The fingerprint is the cache key, so it must move with every
 output-affecting request field (a stale hit would silently serve the wrong
 routed circuit) and must *not* move across spellings of the same request
 (alias vs canonical router name, backend name vs its resolved coupling
-graph, equal-content circuits or QASM files) -- otherwise equal work misses.
+graph, equal-content circuits or QASM files, equivalent ``generate=`` specs)
+-- otherwise equal work misses.
 """
 
 import json
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import CompileRequest, request_fingerprint
+from repro.api import CompileError, CompileRequest, request_fingerprint
+from repro.api.pipeline import load_circuit
 from repro.api.serialize import circuit_from_payload
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.core.config import QlosureConfig
@@ -80,6 +82,25 @@ class TestSensitivity:
         b = request_fingerprint(CompileRequest(generate="qft:9"))
         c = request_fingerprint(CompileRequest(generate="ghz:8"))
         assert len({a, b, c}) == 3
+
+    def test_equivalent_generate_specs_share_one_fingerprint(self):
+        spellings = ["qft:8", "QFT:8", "qft: 8", "qft:08", " Qft :8 "]
+        fingerprints = {request_fingerprint(CompileRequest(generate=spec)) for spec in spellings}
+        assert len(fingerprints) == 1
+        # the load pass builds one circuit from every spelling
+        circuits = [load_circuit(generate=spec) for spec in spellings]
+        assert len({(c.name, tuple((g.name, g.qubits) for g in c)) for c in circuits}) == 1
+        assert request_fingerprint(CompileRequest(generate="qft")) == request_fingerprint(
+            CompileRequest(generate="qft:20")
+        )
+
+    def test_a_generate_spec_that_does_not_parse_keys_on_its_text(self):
+        a = request_fingerprint(CompileRequest(generate="qft:eight"))
+        b = request_fingerprint(CompileRequest(generate=" qft:eight "))
+        c = request_fingerprint(CompileRequest(generate="qft:nine"))
+        assert a == b != c
+        with pytest.raises(CompileError, match="cannot generate"):
+            load_circuit(generate="qft:eight")
 
     def test_circuit_gate_content_not_identity_is_keyed(self):
         # Two distinct objects, same gates -> equal; one extra gate -> different.

@@ -1,4 +1,4 @@
-"""Service-level tests for the bounded, sharded compile cache.
+"""Service-level tests for the bounded compile cache and its disk tier.
 
 Drives :meth:`CompileService.handle` (the socket-free entry point the HTTP
 front-end calls) against a disk-backed cache under eviction pressure: the
@@ -187,5 +187,17 @@ class TestServeConfigValidation:
     @pytest.mark.parametrize("field", ["cache_max_bytes", "cache_max_entries"])
     def test_non_positive_bounds_rejected(self, tmp_path, field):
         config = ServeConfig(cache_dir=str(tmp_path), **{field: 0})
+        with pytest.raises(ValueError, match=field):
+            config.check()
+
+    @pytest.mark.parametrize(
+        "field", ["cache_memory_entries", "cache_max_bytes", "cache_max_entries"]
+    )
+    @pytest.mark.parametrize("value", [True, 2.7, "5", 0, -1])
+    def test_bad_bounds_fail_the_check_not_the_first_cache(self, tmp_path, field, value):
+        config = ServeConfig(cache_dir=str(tmp_path), **{field: value})
+        if field == "cache_memory_entries" and value == 0:
+            config.check()  # 0 turns the memory tier off
+            return
         with pytest.raises(ValueError, match=field):
             config.check()

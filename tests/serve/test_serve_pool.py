@@ -4,7 +4,8 @@ Every served miss compiles in one of ``workers`` children forked at the
 first miss (``repro.api.batch``'s pool).  These tests pin the pool's
 contract from outside: compiles run in the children, a client still reads
 EOF when its connection closes, the service forks its pool size plus one
-child per timeout, and no child outlives the service.
+child per timeout, no child outlives the service, and the children, which
+inherit the service's open cache database, leave it intact.
 """
 
 import asyncio
@@ -14,16 +15,19 @@ import multiprocessing
 import os
 import re
 import socket
+import sqlite3
 import sys
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
 import repro.api.batch as api_batch
 from repro.api import CompileRequest, FaultPlan
 from repro.api import compile as api_compile
-from repro.api.cache import request_fingerprint
+from repro.api.cache import DATABASE_NAME, CompileCache, request_fingerprint
+from repro.api.serialize import result_to_payload
 from repro.serve import CompileService, ServeConfig, run_server
 from tests.serve.test_http_loopback import LoopbackServer
 from tests.serve.test_service import make_body, run, with_service
@@ -250,3 +254,32 @@ class TestLifecycle:
         stopped, left = run(scenario())
         assert stopped < 5.0
         assert not left
+
+
+class TestTheDatabaseOutlivesTheChildren:
+    def test_children_killed_and_replaced_leave_the_cache_database_intact(self, tmp_path, forks):
+        # The seeded database makes the first lookup open it, so every child
+        # is forked holding the service's open connection.
+        seeded = make_body(seed=90)
+        CompileCache(directory=tmp_path).put(api_compile(CompileRequest(**seeded), cache=False))
+        slow = make_body(seed=92)
+        bodies = [make_body(seed=91), slow, *(make_body(seed=seed) for seed in (93, 94, 95))]
+
+        async def scenario(service):
+            return await post_all(service, [seeded, *bodies])
+
+        config = ServeConfig(workers=2, timeout=0.5, faults=delayed(slow), cache_dir=str(tmp_path))
+        responses = run(with_service(config, scenario))
+        assert [r.status for r in responses] == [200, 200, 500, 200, 200, 200]
+        assert responses[0].body["cached"] is True
+        assert forks() == 3  # two slots, and one replacement for the timed-out child
+        with closing(sqlite3.connect(tmp_path / DATABASE_NAME)) as db:
+            assert db.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+        fresh = CompileCache(max_memory_entries=0, directory=tmp_path)
+        served = [(body, r) for body, r in zip([seeded, *bodies], responses) if r.status == 200]
+        for body, response in served:
+            request = CompileRequest(**body)
+            hit = fresh.lookup(request_fingerprint(request), request)
+            assert hit is not None
+            assert result_to_payload(hit) == response.body["result"]
+        assert fresh.stats["disk_hits"] == len(served) == 5

@@ -152,6 +152,18 @@ class TestCompileEndpoint:
         # A cache hit replays the stored payload: identical including timings.
         assert second.body["result"] == first.body["result"]
 
+    def test_another_spelling_of_a_served_spec_is_a_served_hit(self):
+        async def scenario(service):
+            first = await service.handle("POST", "/v1/compile", {}, make_body(generate="ghz:6"))
+            second = await service.handle("POST", "/v1/compile", {}, make_body(generate="GHZ: 06"))
+            return first, second
+
+        first, second = run(with_service(ServeConfig(), scenario))
+        assert first.body["cached"] is False
+        assert second.body["cached"] is True
+        assert second.body["fingerprint"] == first.body["fingerprint"]
+        assert second.body["result"] == first.body["result"]
+
     def test_a_served_miss_is_looked_up_once(self):
         """Admission's lookup is the only one: the cache agrees with the service."""
 

@@ -8,6 +8,8 @@ a bare interpreter in the same environment (``site`` hooks, for instance).
 A Qlosure compile must not load the affine lifting (only ``repro-map info``
 reads it) or anything under ``tests/`` (the polyhedral oracle of Eq. 1), and
 no source file under ``src/`` or ``examples/`` may import from ``tests/``.
+``sqlite3`` loads only with a disk cache: neither the import nor a compile
+through the default, memory-only cache may load it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,23 @@ def test_qlosure_compile_loads_no_affine_or_test_module():
         if module.partition(".")[0] == "tests" or module.startswith("repro.affine")
     )
     assert not unwanted, f"a qlosure compile loads {unwanted}"
+
+
+def test_sqlite3_loads_only_with_a_disk_cache():
+    compile_once = (  # through the default cache, memory-only without REPRO_CACHE_DIR
+        "import os\nos.environ.pop('REPRO_CACHE_DIR', None)\n"
+        "from repro.api import CompileRequest, compile\n"
+        "compile(CompileRequest(generate='ghz:6', backend='sherbrooke', router='sabre'))"
+    )
+    for statement in (f"import {PACKAGES}", f"import {PACKAGES}\n{compile_once}"):
+        loaded = loaded_modules(statement)
+        assert "repro.api.cache" in loaded
+        assert not {"sqlite3", "_sqlite3"} & loaded, f"{statement!r} loads sqlite3"
+    # Building the handle imports sqlite3 and touches no file.
+    with_disk = loaded_modules(
+        "from repro.api import CompileCache\nCompileCache(directory='never-created')"
+    )
+    assert "sqlite3" in with_disk  # the check can see the module
 
 
 def imported_names(path: Path) -> list[str]:
