@@ -66,18 +66,23 @@ test-cache:
 ## totals == entries), and the whole disk-failure battery: a truncated
 ## database, a file that is not a database, a corrupt row, an entry deleted
 ## under the reader, a locked database and a failed write (locked, full or
-## refused), each made on disk, each degrading to a recomputed miss.
+## refused), each made on disk, each degrading to a recomputed miss; a damaged
+## database costs a handle one open and one warning, not one per operation.
 test-cache-store:
 	$(PYTHON) -m pytest tests/api/test_cache_store.py tests/serve/test_serve_cache.py -q
 
-## Batch executor and fault-injection suite (~4 s), the whole compile_many
+## Batch executor and failure-contract suite (~4 s), the whole compile_many
 ## contract: worker-count determinism (test_batch.py), structured per-request
 ## failures (on_error="collect"), timeouts, retries with deterministic seeded
 ## backoff, worker-crash isolation, forks per batch (pool size plus one per
 ## respawn; a child replies with the result's payload, which the parent
 ## rebuilds without decoding), determinism-under-failure (faulted siblings
 ## never perturb clean results), and child spans stitched into the batch
-## trace span for span (test_trace_propagation.py).
+## trace span for span (test_trace_propagation.py).  Faults come from the
+## test suite's own plan (tests/faults.py, the `faults` fixture), which wraps
+## the one compile call of each attempt; test_faults.py checks that plan and
+## fails if src/repro names a fault harness or any entry point, ServeConfig
+## or command accepts one.
 test-faults:
 	$(PYTHON) -m pytest tests/api/test_faults.py tests/api/test_batch_failures.py \
 		tests/api/test_batch.py tests/obs/test_trace_propagation.py -q
@@ -85,22 +90,23 @@ test-faults:
 ## Compile-service suite: wire codecs and error mapping, handler-level
 ## service semantics (priority order through the service, a full queue's 429
 ## for compiles and batches, coalescing, jobs and their retention bound, drain
-## with queued work, fault injection through the service path, served hits on
-## /v1/compile and /v1/batch sending the stored gate table with no codec call
-## counted, served misses with no encode and one table copy each, a circuit
-## wider than its backend answering 400, 150 concurrent distinct misses on two
-## workers and a 5-entry disk cache each answering 200
-## (TestConcurrentBoundedMisses in test_serve_cache.py)), the service's
+## with queued work, faults from the test suite's plan (tests/faults.py)
+## through the service path, served hits on /v1/compile and /v1/batch sending
+## the stored gate table with no codec call counted, served misses with no
+## encode and one table copy each, a circuit wider than its backend answering
+## 400, 150 concurrent distinct misses on two workers and a 5-entry disk cache
+## each answering 200 (TestConcurrentBoundedMisses in test_serve_cache.py),
+## and /metrics reading disk statistics off the event loop), the service's
 ## forked compile children (test_serve_pool.py: misses compile in children
-## forked once per service plus one per timeout, a client reads EOF while a
-## child lives, and no child outlives run_server), plus one loopback HTTP
-## smoke proving served-vs-direct bit-for-bit parity, single-execution
-## coalescing, 429 + Retry-After, bounded request and header lines, a
-## rejected request's 400 read intact after a bounded discard of its unread
-## bytes, and drain-exits-0.  Runs in Python's development mode with
-## ResourceWarning and unraisable exceptions as errors, so an unclosed socket
-## or pipe fails the suite.  Fast (~15 s); no ports are bound except by the
-## loopback tests (ephemeral, 127.0.0.1 only).
+## forked once per service plus one per timeout, a batch of misses forks every
+## slot, a client reads EOF while a child lives, and no child outlives
+## run_server), plus one loopback HTTP smoke proving served-vs-direct
+## bit-for-bit parity, single-execution coalescing, 429 + Retry-After, bounded
+## request and header lines, a rejected request's 400 read intact after a
+## bounded discard of its unread bytes, and drain-exits-0.  Runs in Python's
+## development mode with ResourceWarning and unraisable exceptions as errors,
+## so an unclosed socket or pipe fails the suite.  Fast (~15 s); no ports are
+## bound except by the loopback tests (ephemeral, 127.0.0.1 only).
 test-serve:
 	$(PYTHON) -X dev -m pytest tests/serve -q -W error::ResourceWarning \
 		-W error::pytest.PytestUnraisableExceptionWarning

@@ -81,7 +81,6 @@ def run_perf_smoke(
     cache: CompileCache | None = None,
     timeout=None,
     retries: int = 0,
-    faults=None,
 ) -> dict:
     """Route the pinned fixture with every router; return the trajectory record.
 
@@ -102,9 +101,8 @@ def run_perf_smoke(
     ``failures`` section -- :func:`quality_regressions` refuses a partially
     failed record outright, so a crashed or timed-out request can never
     slip through the ``--compare`` drift gate disguised as a healthy run.
-    ``workers``/``timeout``/``retries``/``faults`` pass straight through to
-    :func:`repro.api.compile_many`, which validates them (the ``faults``
-    hook is how the fault-injection tests drive this code path end to end).
+    ``workers``/``timeout``/``retries`` pass straight through to
+    :func:`repro.api.compile_many`, which validates them.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -117,7 +115,6 @@ def run_perf_smoke(
         on_error="collect",
         timeout=timeout,
         retries=retries,
-        faults=faults,
     )
     directory = getattr(cache, "directory", None)
     record: dict = {

@@ -25,11 +25,9 @@ Contents:
   fault tolerance: ``on_error="collect"`` records per-request failures as
   structured :class:`~repro.api.result.CompileError` values instead of
   aborting siblings, ``timeout=``/``retries=``/``backoff=`` bound and retry
-  attempts on a deterministic seeded schedule, and crashed or hung worker
-  processes are reaped and retried,
-* :mod:`~repro.api.faults` -- the deterministic fault-injection harness
-  (:class:`~repro.api.faults.FaultPlan`: exceptions, delays and worker
-  kills keyed by request fingerprint or batch index + attempt number),
+  attempts on a deterministic seeded schedule
+  (:func:`~repro.api.batch.deterministic_backoff`), and crashed or hung
+  worker processes are reaped and retried,
 * :mod:`~repro.api.registry` -- the declarative ``@register_router``
   registry all routers announce themselves to,
 * :mod:`~repro.api.cache` -- the content-addressed compile cache
@@ -66,12 +64,6 @@ from repro.api.batch import (
     ON_ERROR_POLICIES,
     compile_many,
     compile_sweep,
-)
-from repro.api.faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
     deterministic_backoff,
 )
 from repro.api.cache import (
@@ -104,10 +96,6 @@ __all__ = [
     "compile_many",
     "compile_sweep",
     "ON_ERROR_POLICIES",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
     "deterministic_backoff",
     "CACHE_DIR_ENV",
     "CACHE_MAX_BYTES_ENV",

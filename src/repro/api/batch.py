@@ -11,39 +11,37 @@ only the misses are scheduled; their results are stored in the parent as
 they arrive (children never own a cache).
 
 One scheduler runs every miss.  Retries, the seeded backoff
-(:func:`~repro.api.faults.deterministic_backoff`, a pure function of the
-fingerprint and attempt, never wall-clock jitter) and the ``on_error``
-policy stay in the parent, which hands each attempt to one of two executors:
+(:func:`deterministic_backoff`, a pure function of the fingerprint and
+attempt, never wall-clock jitter) and the ``on_error`` policy stay in the
+parent, which hands each attempt to one of two executors:
 
 * **in process**, on the calling thread, when one slot is enough
-  (``workers=1`` or a single miss) and no attempt needs isolation.  A
+  (``workers=1`` or a single miss) and no ``timeout`` needs enforcing.  A
   request's retries then run back to back, sleeping the backoff in between;
 * otherwise slots of a **pool** of forked children.  A batch forks
   ``min(workers, misses)`` children that live for the batch.  The compile
   service (:mod:`repro.serve`) runs every served miss on slots of one pool
   that lives as long as the service.  Only a separate process can enforce a
-  ``timeout`` or survive a ``kill`` fault: a child that runs past its
-  deadline or dies is reaped, and its slot forks a fresh one for its next
-  attempt.  A pool therefore forks its size plus one child per respawn.
+  ``timeout`` or survive a crash: a child that runs past its deadline or
+  dies is reaped, and its slot forks a fresh one for its next attempt.  A
+  pool therefore forks its size plus one child per respawn.
 
-A child takes jobs over a pipe, each carrying its request, fingerprint,
-fault plan and trace context, so one child serves any number of calls.  It
-replies with the result's payload (the cache's codec) and the digest of the
-QASM bytes it loaded, or with a structured
-:class:`~repro.api.result.CompileError` and the request's own exception when
-that pickles, plus its trace fragment, which the parent folds into the batch
-trace in batch order.  The parent rebuilds the result around the payload
-with the gate table undecoded, so storing or sending it copies the table
-and the parent encodes nothing.  A child first drops every socket it
-inherited but its own pipe end, so a connection its parent closes reaches
-EOF at the client.  A :class:`~repro.api.faults.FaultPlan` injects
-exceptions, delays and kills at deterministic (request, attempt) points, so
-every recovery path is testable and replayable.
+A child takes jobs over a pipe, each carrying its request and trace
+context, so one child serves any number of calls.  It replies with the
+result's payload (the cache's codec) and the digest of the QASM bytes it
+loaded, or with a structured :class:`~repro.api.result.CompileError` and
+the request's own exception when that pickles, plus its trace fragment,
+which the parent folds into the batch trace in batch order.  The parent
+rebuilds the result around the payload with the gate table undecoded, so
+storing or sending it copies the table and the parent encodes nothing.  A
+child first drops every socket it inherited but its own pipe end, so a
+connection its parent closes reaches EOF at the client.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 import multiprocessing
 import os
@@ -54,7 +52,6 @@ import time
 from collections import deque
 from typing import Iterable
 
-from repro.api.faults import apply_execution_faults, deterministic_backoff, resolve_faults
 from repro.api.pipeline import compile_uncached as _compile
 from repro.api.request import CompileRequest
 from repro.api.result import BatchResult, CompileError, CompileResult
@@ -95,21 +92,24 @@ def check_batch_options(workers, timeout, retries, backoff, on_error) -> tuple:
     return workers, timeout, retries, backoff
 
 
-def _job(work, index: int, attempt: int) -> tuple:
-    """Attempt ``attempt`` of request ``index`` of ``work``, as :func:`_attempt` takes it."""
-    requests, fingerprints, plan = work
-    return index, attempt, requests[index], fingerprints[index], plan
+def deterministic_backoff(seed_key: str, attempt: int, base: float = 0.0) -> float:
+    """Seeded exponential backoff before retry ``attempt`` (0 = first try).
 
-
-def _attempt(index: int, attempt: int, request, fingerprint, plan, in_worker: bool):
-    """Run one attempt: ``(result, None)`` or ``(CompileError, exception)``.
-
-    This is the one place a batch fires execution faults; a ``kill`` fault
-    hard-exits a pool child and degrades to an exception in process.
+    A pure function of its arguments: ``base * 2**(attempt-1)`` scaled by a
+    jitter factor in ``[0.5, 1.0)`` derived from SHA-256 of
+    ``"{seed_key}:{attempt}"`` -- no wall-clock, no RNG state, so a replayed
+    batch waits exactly as long as the original run did.
     """
+    if base <= 0 or attempt <= 0:
+        return 0.0
+    digest = hashlib.sha256(f"{seed_key}:{attempt}".encode()).digest()
+    jitter = 0.5 + digest[0] / 512.0
+    return base * (2 ** (attempt - 1)) * jitter
+
+
+def _attempt(index: int, attempt: int, request):
+    """Run one attempt: ``(result, None)`` or ``(CompileError, exception)``."""
     try:
-        if plan is not None:
-            apply_execution_faults(plan, fingerprint, index, attempt, in_worker=in_worker)
         with current_tracer().span("request", index=index, attempt=attempt):
             return _compile(request), None
     except Exception as exc:
@@ -121,8 +121,8 @@ class _InProcess:
 
     size = 1
 
-    def __init__(self, work):
-        self.work = work
+    def __init__(self, requests):
+        self.requests = requests
         self.finished: list[tuple] = []
 
     @property
@@ -130,7 +130,7 @@ class _InProcess:
         return len(self.finished)
 
     def start(self, index: int, attempt: int) -> None:
-        outcome = _attempt(*_job(self.work, index, attempt), in_worker=False)
+        outcome = _attempt(index, attempt, self.requests[index])
         self.finished.append((index, attempt) + outcome)
 
     def wait(self, until: float) -> list[tuple]:
@@ -178,7 +178,7 @@ def _child(conn) -> None:
         for *job, trace_ctx in iter(conn.recv, None):
             tracer = NULL_TRACER if trace_ctx is None else Tracer(context=trace_ctx)
             with use_tracer(tracer):
-                value, exc = _attempt(*job, in_worker=True)
+                value, exc = _attempt(*job)
             if isinstance(value, CompileResult):
                 value = result_to_payload(value), value.source_digest
             try:
@@ -304,12 +304,12 @@ class _Pool:
 class _Leased:
     """The executor of one call on slots leased from a pool."""
 
-    def __init__(self, pool: _Pool, size: int, timeout, work, trace_ctx):
+    def __init__(self, pool: _Pool, size: int, timeout, requests, trace_ctx):
         self.pool = pool
         self.slots = pool.lease(size)
         self.size = size
         self.timeout = timeout
-        self.work = work
+        self.requests = requests
         self.trace_ctx = trace_ctx
         self.fragments: list[tuple] = []  # (index, attempt, spans, counters)
 
@@ -320,7 +320,7 @@ class _Leased:
     def start(self, index: int, attempt: int) -> None:
         slot = next(slot for slot in self.slots if slot.job is None)
         deadline = time.monotonic() + (self.timeout or math.inf)
-        self.pool.start(slot, _job(self.work, index, attempt) + (self.trace_ctx,), deadline)
+        self.pool.start(slot, (index, attempt, self.requests[index], self.trace_ctx), deadline)
 
     def wait(self, until: float) -> list[tuple]:
         """The attempts that finished by ``until``, a deadline or a reply."""
@@ -357,7 +357,7 @@ class _Leased:
 
     def _result(self, index: int, payload: dict, source_digest) -> CompileResult:
         """A child's reply as a result whose gate table decodes on first read."""
-        result = result_from_payload(payload, self.work[0][index], lazy=True)
+        result = result_from_payload(payload, self.requests[index], lazy=True)
         result.source_digest = source_digest
         return result
 
@@ -404,14 +404,13 @@ def compile_many(
     timeout: float | None = None,
     retries: int = 0,
     backoff: float = 0.0,
-    faults=None,
 ) -> BatchResult:
     """Compile every request, in process or across ``workers`` forked children.
 
     ``workers`` must be at least 1 (zero or negative counts raise
     :class:`ValueError`).  Misses run in process when one slot is enough
-    (``workers=1`` or a single miss) and no attempt needs isolation,
-    otherwise on a pool of ``min(workers, misses)`` children that live for
+    (``workers=1`` or a single miss) and no ``timeout`` is set, otherwise
+    on a pool of ``min(workers, misses)`` children that live for
     the whole batch.  The reported ``workers`` is clamped to the request
     count.  Each request's seed is fixed before scheduling, so the routed
     circuits are identical for every worker count.
@@ -424,8 +423,7 @@ def compile_many(
     before any work is scheduled):
 
     * ``on_error`` -- ``"raise"`` (default) aborts on the first failing
-      request.  A batch with no ``timeout``, ``retries`` or ``faults``
-      re-raises the request's own exception (from a child too, when it
+      request.  A batch with no ``timeout`` or ``retries`` re-raises the request's own exception (from a child too, when it
       pickles); any other batch raises its structured
       :class:`~repro.api.result.CompileError`.  ``"collect"`` records each
       failure as a ``CompileError`` in its original batch slot and keeps
@@ -436,19 +434,16 @@ def compile_many(
     * ``retries`` -- extra attempts per failed request (``retries=2`` means
       up to 3 attempts), spaced by the deterministic seeded backoff schedule
       ``backoff * 2**(attempt-1) * jitter(fingerprint, attempt)``.
-    * ``faults`` -- a :class:`~repro.api.faults.FaultPlan` (or its parse
-      syntax) injecting exceptions, delays and worker kills at deterministic
-      (request, attempt) points.
 
     Successful results are bit-for-bit identical to a clean serial run
-    regardless of worker count, timeouts, retries or faults injected into
-    *other* requests -- each result is a pure function of its request.
+    regardless of worker count, timeouts, retries or failures of *other*
+    requests -- each result is a pure function of its request.
     """
-    return _compile_many(requests, workers, cache, on_error, timeout, retries, backoff, faults)[0]
+    return _compile_many(requests, workers, cache, on_error, timeout, retries, backoff)[0]
 
 
 def _compile_many(
-    requests, workers, cache, on_error, timeout, retries, backoff, faults, pool=None
+    requests, workers, cache, on_error, timeout, retries, backoff, pool=None
 ) -> tuple[BatchResult, list]:
     """:func:`compile_many`, plus the payload the cache stored for each request.
 
@@ -463,7 +458,6 @@ def _compile_many(
     workers, timeout, retries, backoff = check_batch_options(
         workers, timeout, retries, backoff, on_error
     )
-    plan = resolve_faults(faults)
     requests = list(requests)
     cache_store = resolve_cache(cache)
     start = time.perf_counter()
@@ -476,10 +470,6 @@ def _compile_many(
     with tracer.span("batch", requests=len(requests), workers=workers) as batch_span:
         if cache_store is None:
             misses = list(range(len(requests)))
-            if plan is not None:
-                # fault targets and backoff seeds key on the content address
-                for index, request in enumerate(requests):
-                    fingerprints[index] = request_fingerprint(request)
         else:
             for index, request in enumerate(requests):
                 fingerprint = request_fingerprint(request)
@@ -493,7 +483,7 @@ def _compile_many(
             hits = len(requests) - len(misses)
             batch_span.update({"cache_hits": hits, "cache_misses": len(misses)})
 
-        plain = timeout is None and retries == 0 and plan is None
+        plain = timeout is None and retries == 0
 
         def settle(index, attempt, value, exc):
             # Results are stored as they arrive, so a failing request late in
@@ -513,19 +503,16 @@ def _compile_many(
                 return None
             raise exc if plain and exc is not None else value
 
-        work = (requests, fingerprints, plan)
         size = min(workers, len(misses))
         own_pool = None
-        if pool is None and (
-            size > 1 or timeout is not None or (plan is not None and plan.has_kills())
-        ):
+        if pool is None and (size > 1 or timeout is not None):
             pool = own_pool = _Pool(size)
         try:
             if pool is None:
-                _schedule(_InProcess(work), misses, settle)
+                _schedule(_InProcess(requests), misses, settle)
             elif misses:
                 ctx = tracer.context() if tracer.enabled else None
-                _schedule(_Leased(pool, size, timeout, work, ctx), misses, settle)
+                _schedule(_Leased(pool, size, timeout, requests, ctx), misses, settle)
         finally:
             if own_pool is not None:
                 own_pool.close()
@@ -552,7 +539,6 @@ def compile_sweep(
     timeout: float | None = None,
     retries: int = 0,
     backoff: float = 0.0,
-    faults=None,
 ) -> BatchResult:
     """Expand ``base`` with :func:`repro.api.request.sweep_requests` and compile it."""
     from repro.api.request import sweep_requests
@@ -560,7 +546,7 @@ def compile_sweep(
     return compile_many(
         sweep_requests(base, routers=routers, seeds=seeds, circuits=circuits),
         workers=workers, cache=cache, on_error=on_error,
-        timeout=timeout, retries=retries, backoff=backoff, faults=faults,
+        timeout=timeout, retries=retries, backoff=backoff,
     )
 
 

@@ -38,7 +38,8 @@ battery pins as exact.  Every fingerprint embeds the payload version, so
 a payload layout change turns older entries into one-time misses; they are
 never read back.  Bad persisted state is logged and treated as a miss --
 the cache never raises on it, and caching only ever changes hit rates,
-never a single routed bit.
+never a single routed bit.  A handle that finds its database damaged logs
+it once and keeps to its memory tier until the file changes.
 """
 
 from __future__ import annotations
@@ -147,10 +148,17 @@ def _circuit_token(circuit) -> dict:
     else:
         digest = hashlib.sha256()
         digest.update(str(circuit.num_qubits).encode())
+        # A decoded circuit repeats one object per distinct gate, so each is
+        # formatted once.  The key is the object, never its value: -0.0 ==
+        # 0.0, but their reprs differ.  The circuit holds every gate, so no
+        # id is reused during the loop.
+        formatted: dict[int, bytes] = {}
         for gate in circuit:
-            digest.update(
-                repr((gate.name, gate.qubits, gate.params, gate.label)).encode()
-            )
+            text = formatted.get(id(gate))
+            if text is None:
+                text = repr((gate.name, gate.qubits, gate.params, gate.label)).encode()
+                formatted[id(gate)] = text
+            digest.update(text)
         gates_digest = digest.hexdigest()
         try:
             circuit._repro_gate_digest = (len(circuit), gates_digest)
@@ -380,6 +388,8 @@ class CompileCache:
         # Guards the database connection, opened on first use.
         self._disk_lock = threading.Lock()
         self._db = None
+        # (st_ino, st_size, st_mtime_ns) of a damaged database this handle gave up on.
+        self._damaged = None
         if self.directory is not None:
             import sqlite3  # only a disk tier pays for the import
 
@@ -401,7 +411,7 @@ class CompileCache:
         """
         payload = self._memory_get(fingerprint)
         tier = "memory"
-        if payload is None and self.directory is not None:
+        if payload is None and self._disk_usable():
             payload = self._disk_get(fingerprint)
             tier = "disk"
         if payload is not None:
@@ -442,7 +452,7 @@ class CompileCache:
             fingerprint = _fingerprint(request, _qasm_token(request.qasm, result.source_digest))
         payload = result_to_payload(result)
         self._memory_put(fingerprint, payload)
-        if self.directory is not None and not self.readonly:
+        if not self.readonly and self._disk_usable():
             self._disk_put(fingerprint, payload)
         self._count("stores")
         current_tracer().count("cache.stores")
@@ -477,6 +487,34 @@ class CompileCache:
                 self._memory.popitem(last=False)
 
     # -- disk tier -----------------------------------------------------------
+
+    def _file_identity(self) -> tuple | None:
+        try:
+            info = os.stat(self.directory / DATABASE_NAME)
+        except OSError:
+            return None
+        return info.st_ino, info.st_size, info.st_mtime_ns
+
+    def _disk_usable(self) -> bool:
+        """Whether the disk tier is on and its file is not the damaged one given up on."""
+        if self._damaged is not None and self._damaged != self._file_identity():
+            self._damaged = None
+        return self.directory is not None and self._damaged is None
+
+    def _give_up_if_damaged(self, exc: Exception) -> None:
+        """Close a damaged database and keep to the memory tier until its file changes.
+
+        Damage is any ``DatabaseError`` but an ``OperationalError``, which a
+        locked or full database raises too: those are tried again next time.
+        :meth:`clear` removes a damaged file.
+        """
+        damaged = isinstance(exc, self._sqlite.DatabaseError)
+        if damaged and not isinstance(exc, self._sqlite.OperationalError):
+            with self._disk_lock:
+                if self._db is not None:
+                    self._db.close()
+                    self._db = None
+                self._damaged = self._file_identity()
 
     def _database(self, create: bool = True):
         """The disk tier's connection, opened on first use (hold ``_disk_lock``).
@@ -527,6 +565,7 @@ class CompileCache:
                     (fingerprint,),
                 ).fetchone()
         except self._disk_errors as exc:
+            self._give_up_if_damaged(exc)
             logger.warning("cache database unreadable (%s); treating %s as a miss",
                            exc, fingerprint[:12])
             return None
@@ -562,6 +601,7 @@ class CompileCache:
                     (fingerprint,),
                 )
         except self._disk_errors as exc:
+            self._give_up_if_damaged(exc)
             logger.warning("cannot record cache access for %s (%s)", fingerprint[:12], exc)
 
     def _disk_put(self, fingerprint: str, payload: dict) -> None:
@@ -583,6 +623,7 @@ class CompileCache:
                     current_tracer().count("cache.evictions", len(victims))
                     logger.debug("evicted %d cache entries (%d bytes)", len(victims), freed)
         except self._disk_errors as exc:
+            self._give_up_if_damaged(exc)
             logger.warning("cannot persist cache entry %s (%s); memory tier only",
                            fingerprint[:12], exc)
 
@@ -632,7 +673,7 @@ class CompileCache:
         """
         now = time.time()
         rows, evictions = [], (0, 0)
-        if self.directory is not None:
+        if self._disk_usable():
             try:
                 with self._disk_lock:
                     db = self._database(create=False)
@@ -642,6 +683,7 @@ class CompileCache:
                             "SELECT evictions, evicted_bytes FROM totals"
                         ).fetchone()
             except self._disk_errors as exc:
+                self._give_up_if_damaged(exc)
                 logger.warning("cannot read cache statistics (%s)", exc)
         shards: dict[str, dict] = {}
         ages = [0] * len(_AGE_BUCKET_LABELS)

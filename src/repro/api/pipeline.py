@@ -136,37 +136,24 @@ def resolve_backend(backend: str | CouplingGraph) -> CouplingGraph:
 def compile(  # noqa: A001 - deliberate name
     request: CompileRequest,
     cache: "CompileCache | bool | None" = True,
-    faults: "FaultPlan | str | None" = None,
 ) -> CompileResult:
     """Run the full pass pipeline for one request (cache-aware).
 
     ``cache`` is ``True`` (the process default in-memory cache), ``False`` /
     ``None`` (always recompute) or an explicit
     :class:`~repro.api.cache.CompileCache`.
-
-    ``faults`` is the deterministic fault-injection harness
-    (:class:`~repro.api.faults.FaultPlan` or its parse syntax): its faults
-    fire before the pipeline, as attempt 0 (single calls never retry; use
-    :func:`repro.api.compile_many` for retry semantics).  ``None`` (the
-    default) injects nothing and costs nothing.
     """
     from repro.api.cache import request_fingerprint, resolve_cache
-    from repro.api.faults import apply_execution_faults, resolve_faults
 
     cache_store = resolve_cache(cache)
-    plan = resolve_faults(faults)
-    fingerprint = None
-    if cache_store is not None or plan is not None:
-        fingerprint = request_fingerprint(request)
-    if cache_store is not None:
-        hit = cache_store.lookup(fingerprint, request)
-        if hit is not None:
-            return hit
-    if plan is not None:
-        apply_execution_faults(plan, fingerprint, None, 0)
+    if cache_store is None:
+        return compile_uncached(request)
+    fingerprint = request_fingerprint(request)
+    hit = cache_store.lookup(fingerprint, request)
+    if hit is not None:
+        return hit
     result = compile_uncached(request)
-    if cache_store is not None:
-        cache_store.store(fingerprint, result)
+    cache_store.store(fingerprint, result)
     return result
 
 

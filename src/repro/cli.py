@@ -46,7 +46,6 @@ from repro.api import (
     CompileCache,
     CompileError,
     CompileRequest,
-    FaultPlan,
     UnknownRouterError,
     compile as api_compile,
     load_circuit,
@@ -148,28 +147,6 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fault_argument(parser: argparse.ArgumentParser) -> None:
-    # Hidden: the deterministic fault-injection harness, for exercising and
-    # replaying recovery paths (see repro.api.faults).  Not part of the
-    # supported surface, hence absent from --help.
-    parser.add_argument(
-        "--inject-faults",
-        metavar="PLAN",
-        default=None,
-        help=argparse.SUPPRESS,
-    )
-
-
-def _parse_faults(args: argparse.Namespace) -> FaultPlan | None:
-    """The fault plan named by the hidden ``--inject-faults`` flag."""
-    if getattr(args, "inject_faults", None) is None:
-        return None
-    try:
-        return FaultPlan.parse(args.inject_faults)
-    except ValueError as exc:
-        raise CompileError(f"--inject-faults: {exc}") from exc
-
-
 def _check_run_options(args: argparse.Namespace, command: str) -> None:
     """Validate ``--workers``, ``--timeout`` and ``--retries`` (``bench`` and ``serve``)."""
     if args.workers < 1:
@@ -223,9 +200,8 @@ def _command_map(args: argparse.Namespace) -> int:
         validation="full" if args.verify else "none",
     )
     cache = _make_cache(args)
-    faults = _parse_faults(args)
     with _tracing(args, "map"):
-        result = api_compile(request, cache=cache, faults=faults)
+        result = api_compile(request, cache=cache)
         metrics = result.metrics
         print(
             f"circuit      : {metrics['circuit']} "
@@ -334,7 +310,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             cache=cache if isinstance(cache, CompileCache) else None,
             timeout=args.timeout,
             retries=args.retries,
-            faults=_parse_faults(args),
         )
         args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(render_trajectory(record))
@@ -435,7 +410,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_readonly=args.cache_readonly,
         timeout=args.timeout,
         retries=args.retries,
-        faults=_parse_faults(args),
         trace_out=str(args.trace_out) if args.trace_out is not None else None,
     )
 
@@ -518,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record per-pass spans and kernel counters as a JSONL trace file",
     )
     _add_cache_arguments(map_parser)
-    _add_fault_argument(map_parser)
     map_parser.set_defaults(func=_command_map)
 
     compare_parser = subparsers.add_parser("compare", help="compare all mappers on one circuit")
@@ -572,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         "record (the determinism gate for performance-only changes)",
     )
     _add_cache_arguments(bench_parser)
-    _add_fault_argument(bench_parser)
     bench_parser.set_defaults(func=_command_bench)
 
     cache_parser = subparsers.add_parser(
@@ -645,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-json", action="store_true",
         help="emit JSON-lines log records (for log shippers)",
     )
-    _add_fault_argument(serve_parser)
     serve_parser.set_defaults(func=_command_serve)
 
     trace_parser = subparsers.add_parser(

@@ -14,9 +14,9 @@ Failures map onto the PR-6 structured-error contract:
 ``summary()`` dict inside an ``{"error": ...}`` envelope, with the HTTP
 status derived from the failing phase -- client-side mistakes (``request``,
 ``load``, ``protocol``) are ``400``; everything that died *inside* the
-pipeline (including injected faults and worker crashes) is ``500``.  A
-fault-injected service therefore answers with structured bodies, never with
-connection drops.
+pipeline (including worker crashes and timeouts) is ``500``.  A failing
+compile therefore answers with a structured body, never with a connection
+drop.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ bounded :class:`asyncio.PriorityQueue` holds admitted jobs, lower priority
 values first and ties in arrival order, and a full queue is explicit
 backpressure (HTTP 429 + ``Retry-After``).  ``workers`` asyncio tasks drain the
 queue.  Each runs its job on an executor thread, through ``compile_many``'s
-scheduler (``on_error="collect"``), so per-request timeouts, retries,
-worker-crash reaping and fault injection behave identically to the CLI.
+scheduler (``on_error="collect"``), so per-request timeouts, retries and
+worker-crash reaping behave identically to the CLI.
 Every miss compiles in one of ``workers`` forked children that live as long
 as the service (:mod:`repro.api.batch`'s pool, forked at the first miss):
 the executor thread waits on the child's pipe, which releases the GIL, so
@@ -95,7 +95,6 @@ class ServeConfig:
     cache_readonly: bool = False
     timeout: float | None = None
     retries: int = 0
-    faults: object | None = None  # FaultPlan | None
     #: JSONL trace sink: each finished job appends its request trace here.
     trace_out: str | None = None
 
@@ -239,7 +238,7 @@ class CompileService:
                         },
                         text=self.prometheus_payload(),
                     )
-                return Response(200, self.metrics_payload())
+                return Response(200, await self.metrics_payload())
             if path == "/v1/compile" and method == "POST":
                 return await self.handle_compile(
                     body,
@@ -398,14 +397,15 @@ class CompileService:
             "cache_evicted_bytes": self.cache.stats["evicted_bytes"],
         }
 
-    def metrics_payload(self) -> dict:
+    async def metrics_payload(self) -> dict:
         snapshot = self.metrics.snapshot(
             gauges=self._gauges(), extra_counters=self._extra_counters()
         )
         # The same stats helper `repro-map cache info` prints: the service's
         # warm cache is the whole point of running a daemon, so its hit/miss
-        # counters and disk-tier stats are first-class metrics.
-        snapshot["cache"] = self.cache.info()
+        # counters and disk-tier stats are first-class metrics.  The disk
+        # statistics scan every row, so they are read off the event loop.
+        snapshot["cache"] = await asyncio.to_thread(self.cache.info)
         snapshot["version"] = __version__
         return snapshot
 
@@ -480,26 +480,26 @@ class CompileService:
             )
         return status, response
 
-    def _compile_in_pool(self, requests: list[CompileRequest], cache) -> tuple:
-        """``compile_many`` on one of the service's children; see :func:`_compile_many`."""
+    def _compile_in_pool(self, requests: list[CompileRequest], cache, workers: int) -> tuple:
+        """``compile_many`` on ``workers`` of the service's children; see :func:`_compile_many`."""
         config = self.config
         return _compile_many(
-            requests, workers=1, cache=cache, on_error="collect", timeout=config.timeout,
-            retries=config.retries, backoff=0.0, faults=config.faults, pool=self._pool,
+            requests, workers=workers, cache=cache, on_error="collect", timeout=config.timeout,
+            retries=config.retries, backoff=0.0, pool=self._pool,
         )
 
     def _run_compile(self, request: CompileRequest, fingerprint: str) -> tuple[int, dict]:
         """Compile one admitted miss from the worker thread (the blocking hot path).
 
         Runs ``compile_many``'s scheduler on the single request, so the
-        service's ``--timeout``/``--retries``/``--inject-faults`` behave
-        exactly like ``repro-map bench``'s, and every failure arrives as a
-        structured :class:`CompileError` -- never as a dropped connection.
+        service's ``--timeout``/``--retries`` behave exactly like ``repro-map
+        bench``'s, and every failure arrives as a structured
+        :class:`CompileError` -- never as a dropped connection.
         Admission already fingerprinted the request and missed the cache, so
         the compile skips the cache, the result is stored under that
         fingerprint, and the response carries the payload the store returned.
         """
-        batch, _ = self._compile_in_pool([request], None)
+        batch, _ = self._compile_in_pool([request], None, workers=1)
         outcome = batch.results[0]
         if isinstance(outcome, CompileResult):
             payload = self.cache.store(fingerprint, outcome)
@@ -515,8 +515,12 @@ class CompileService:
         return compile_error_body(outcome)
 
     def _run_batch(self, requests: list[CompileRequest]) -> tuple[int, dict]:
-        """Run a batch through the shared cache; a miss answers with the payload stored."""
-        batch, payloads = self._compile_in_pool(requests, self.cache)
+        """Run a batch through the shared cache; a miss answers with the payload stored.
+
+        Its misses lease ``min(workers, misses)`` of the pool's slots at once,
+        so a batch never holds some slots while it waits for others.
+        """
+        batch, payloads = self._compile_in_pool(requests, self.cache, self.config.workers)
         results = []
         for outcome, payload in zip(batch.results, payloads):
             if isinstance(outcome, CompileResult):

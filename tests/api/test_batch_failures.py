@@ -14,15 +14,10 @@ import os
 
 import pytest
 
-from repro.api import (
-    CompileError,
-    CompileRequest,
-    FaultPlan,
-    compile_many,
-    compile_sweep,
-)
+from repro.api import CompileError, CompileRequest, compile_many, compile_sweep
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.hardware.topologies import grid_topology
+from tests.faults import FaultPlan
 
 GRID = grid_topology(4, 4)
 
@@ -52,14 +47,14 @@ class TestAcceptanceScenario:
     """ISSUE 6 acceptance: 8 requests, exception@2 + kill@5, collect mode."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_six_results_two_structured_errors_in_order(self, workers, clean_serial):
-        plan = FaultPlan().inject(2, "exception").inject(5, "kill")
+    def test_six_results_two_structured_errors_in_order(self, workers, clean_serial, faults):
+        faults.inject(2, "exception").inject(5, "kill")
         batch = compile_many(
             eight_requests(),
             workers=workers,
             cache=False,
             on_error="collect",
-            faults=plan,
+            timeout=60,  # a pool, so the kill takes a child down at any worker count
         )
         assert len(batch) == 8
         assert not batch.ok
@@ -85,16 +80,15 @@ class TestAcceptanceScenario:
         assert crashed.request.router == "sabre"
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_faulted_siblings_never_perturb_clean_results(self, workers, clean_serial):
+    def test_faulted_siblings_never_perturb_clean_results(self, workers, clean_serial, faults):
         """Determinism under failure: non-faulted slots are bit-for-bit
         identical to a clean serial run, for every worker count."""
-        plan = FaultPlan().inject(2, "exception").inject(5, "exception")
+        faults.inject(2, "exception").inject(5, "exception")
         batch = compile_many(
             eight_requests(),
             workers=workers,
             cache=False,
             on_error="collect",
-            faults=plan,
         )
         for index, (result, reference) in enumerate(zip(batch, clean_serial)):
             if index in (2, 5):
@@ -113,10 +107,10 @@ class TestAcceptanceScenario:
 
 class TestRetries:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_attempt_zero_fault_recovers_transparently(self, workers, clean_serial):
+    def test_attempt_zero_fault_recovers_transparently(self, workers, clean_serial, faults):
         """A fault injected only on attempt 0 is absorbed by one retry: the
         batch comes back fully successful and bit-for-bit identical."""
-        plan = FaultPlan().inject(2, "exception", attempt=0).inject(
+        faults.inject(2, "exception", attempt=0).inject(
             5, "exception", attempt=0
         )
         batch = compile_many(
@@ -124,7 +118,6 @@ class TestRetries:
             workers=workers,
             cache=False,
             retries=1,
-            faults=plan,
         )
         assert batch.ok and not batch.failures
         for result, reference in zip(batch, clean_serial):
@@ -132,40 +125,36 @@ class TestRetries:
                 reference.routed_circuit
             )
 
-    def test_kill_on_attempt_zero_recovers_with_retry(self, clean_serial):
-        plan = FaultPlan().inject(2, "kill", attempt=0)
-        batch = compile_many(
-            eight_requests(), workers=2, cache=False, retries=1, faults=plan
-        )
+    def test_kill_on_attempt_zero_recovers_with_retry(self, clean_serial, faults):
+        faults.inject(2, "kill", attempt=0)
+        batch = compile_many(eight_requests(), workers=2, cache=False, retries=1)
         assert batch.ok
         assert gates_of(batch[2].routed_circuit) == gates_of(
             clean_serial[2].routed_circuit
         )
 
-    def test_exhausted_retries_report_total_attempts(self):
-        plan = FaultPlan().inject(2, "exception")  # fires on every attempt
+    def test_exhausted_retries_report_total_attempts(self, faults):
+        faults.inject(2, "exception")  # fires on every attempt
         batch = compile_many(
             eight_requests(),
             workers=1,
             cache=False,
             on_error="collect",
             retries=2,
-            faults=plan,
         )
         assert isinstance(batch[2], CompileError)
         assert batch[2].attempts == 3  # 1 try + 2 retries
 
 
 class TestTimeouts:
-    def test_hung_request_times_out_and_is_recorded(self):
-        plan = FaultPlan().inject(2, "delay", delay_seconds=5.0)
+    def test_hung_request_times_out_and_is_recorded(self, faults):
+        faults.inject(2, "delay", delay_seconds=5.0)
         batch = compile_many(
             eight_requests(),
             workers=2,
             cache=False,
             on_error="collect",
             timeout=0.5,
-            faults=plan,
         )
         error = batch[2]
         assert isinstance(error, CompileError)
@@ -173,34 +162,32 @@ class TestTimeouts:
         assert "timed out" in error.message
         assert all(result.ok for i, result in enumerate(batch) if i != 2)
 
-    def test_timeout_with_serial_workers_still_enforced(self):
-        plan = FaultPlan().inject(0, "delay", delay_seconds=5.0)
+    def test_timeout_with_serial_workers_still_enforced(self, faults):
+        faults.inject(0, "delay", delay_seconds=5.0)
         batch = compile_many(
             eight_requests()[:3],
             workers=1,
             cache=False,
             on_error="collect",
             timeout=0.5,
-            faults=plan,
         )
         assert isinstance(batch[0], CompileError)
         assert batch[1].ok and batch[2].ok
 
 
 class TestOnErrorRaise:
-    def test_injected_fault_raises_compile_error(self):
-        plan = FaultPlan().inject(1, "exception")
+    def test_injected_fault_raises_compile_error(self, faults):
+        faults.inject(1, "exception")
         with pytest.raises(CompileError) as excinfo:
-            compile_many(
-                eight_requests()[:4], workers=1, cache=False, retries=0, faults=plan
-            )
+            # a timeout makes the batch non-plain: it raises the structured error
+            compile_many(eight_requests()[:4], workers=1, cache=False, timeout=60)
         assert excinfo.value.phase == "inject"
         assert excinfo.value.request.seed == 3
 
-    def test_worker_kill_raises_compile_error(self):
-        plan = FaultPlan().inject(1, "kill")
+    def test_worker_kill_raises_compile_error(self, faults):
+        faults.inject(1, "kill")
         with pytest.raises(CompileError) as excinfo:
-            compile_many(eight_requests()[:4], workers=2, cache=False, faults=plan)
+            compile_many(eight_requests()[:4], workers=2, cache=False)
         assert excinfo.value.phase == "worker"
 
 
@@ -287,26 +274,23 @@ class TestForksPerBatch:
         for result, reference in zip(batch, clean_serial):
             assert gates_of(result.routed_circuit) == gates_of(reference.routed_circuit)
 
-    def test_a_killed_child_is_replaced_once(self, forks, clean_serial):
-        plan = FaultPlan().inject(2, "kill", attempt=0)
-        batch = compile_many(
-            eight_requests()[:6], workers=2, cache=False, retries=1, faults=plan
-        )
+    def test_a_killed_child_is_replaced_once(self, forks, clean_serial, faults):
+        faults.inject(2, "kill", attempt=0)
+        batch = compile_many(eight_requests()[:6], workers=2, cache=False, retries=1)
         assert forks() == 3
         assert batch.ok
         for result, reference in zip(batch, clean_serial):
             assert gates_of(result.routed_circuit) == gates_of(reference.routed_circuit)
             assert result.routing.final_layout == reference.routing.final_layout
 
-    def test_a_timed_out_child_is_replaced_for_the_next_request(self, forks):
-        plan = FaultPlan().inject(0, "delay", delay_seconds=5.0)
+    def test_a_timed_out_child_is_replaced_for_the_next_request(self, forks, faults):
+        faults.inject(0, "delay", delay_seconds=5.0)
         batch = compile_many(
             eight_requests()[:3],
             workers=1,
             cache=False,
             on_error="collect",
             timeout=0.5,
-            faults=plan,
         )
         assert "timed out" in batch[0].message
         assert batch[1].ok and batch[2].ok
@@ -316,14 +300,8 @@ class TestForksPerBatch:
 class TestBatchResultFailureViews:
     @pytest.fixture(scope="class")
     def mixed_batch(self):
-        plan = FaultPlan().inject(2, "exception").inject(5, "exception")
-        return compile_many(
-            eight_requests(),
-            workers=1,
-            cache=False,
-            on_error="collect",
-            faults=plan,
-        )
+        with FaultPlan().inject(2, "exception").inject(5, "exception"):
+            return compile_many(eight_requests(), workers=1, cache=False, on_error="collect")
 
     def test_successes_and_errors_partition_the_batch(self, mixed_batch):
         assert len(mixed_batch.successes) == 6
@@ -357,14 +335,13 @@ class TestBatchResultFailureViews:
 
 
 class TestCompileErrorShape:
-    def test_summary_fields(self):
-        plan = FaultPlan().inject(0, "exception", message="boom")
+    def test_summary_fields(self, faults):
+        faults.inject(0, "exception", message="boom")
         batch = compile_many(
             eight_requests()[:1],
             workers=1,
             cache=False,
             on_error="collect",
-            faults=plan,
         )
         error = batch[0]
         summary = error.summary()
@@ -376,16 +353,15 @@ class TestCompileErrorShape:
         assert "InjectedFault" in error.describe()
         assert "inject" in error.describe()
 
-    def test_compile_error_is_picklable(self):
+    def test_compile_error_is_picklable(self, faults):
         import pickle
 
-        plan = FaultPlan().inject(0, "exception")
+        faults.inject(0, "exception")
         batch = compile_many(
             eight_requests()[:1],
             workers=1,
             cache=False,
             on_error="collect",
-            faults=plan,
         )
         clone = pickle.loads(pickle.dumps(batch[0]))
         assert clone.phase == batch[0].phase
@@ -423,8 +399,8 @@ class TestCleanPathUnchanged:
         assert isinstance(batch[1], CompileError)
         assert batch[1].exc_type == "UnknownRouterError"
 
-    def test_sweep_passes_failure_knobs_through(self):
-        plan = FaultPlan().inject(0, "exception")
+    def test_sweep_passes_failure_knobs_through(self, faults):
+        faults.inject(0, "exception")
         base = CompileRequest(
             circuit=ghz_circuit(8), backend=GRID, router="greedy", seed=0
         )
@@ -436,7 +412,6 @@ class TestCleanPathUnchanged:
             seeds=(0,),
             cache=False,
             on_error="collect",
-            faults=plan,
         )
         assert isinstance(batch[0], CompileError)
         assert batch[1].ok

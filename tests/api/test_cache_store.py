@@ -468,6 +468,36 @@ class TestCrashConsistency:
         api_compile(requests[0], cache=healed)
         assert healed.stats["disk_hits"] == 1
 
+    @pytest.mark.parametrize("readonly", [False, True], ids=["writer", "reader"])
+    def test_a_damaged_database_costs_one_open_and_one_warning(
+        self, tmp_path, caplog, monkeypatch, result, readonly
+    ):
+        writer = CompileCache(directory=tmp_path)
+        for index in range(8):
+            writer.store(fp(index), result)
+        del writer
+        truncate(tmp_path / DATABASE_NAME)
+        connects, connect = [], sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            connects.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        cache = CompileCache(max_memory_entries=0, directory=tmp_path, readonly=readonly)
+        with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
+            for index in range(20):
+                assert cache.lookup(fp(index), request_for()) is None
+            cache.store(fp(20), result)  # the memory tier only
+            assert cache.disk_stats()["entries"] == 0
+        assert len(connects) <= 1
+        assert len([r for r in caplog.records if r.levelno >= logging.WARNING]) <= 1
+        # A store recreates the removed file, and the handle that gave up hits.
+        (tmp_path / DATABASE_NAME).unlink()
+        (CompileCache(directory=tmp_path) if readonly else cache).store(fp(0), result)
+        assert CompileCache(max_memory_entries=0, directory=tmp_path).lookup(fp(0), request_for())
+        assert cache.lookup(fp(0), request_for()) is not None
+
     def test_corrupt_row_is_a_logged_miss_then_recovers(self, tmp_path, caplog):
         request = request_for()
         cache = CompileCache(max_memory_entries=0, directory=tmp_path)

@@ -1,129 +1,115 @@
-"""Tests for the deterministic fault-injection harness (:mod:`repro.api.faults`).
+"""The fault plan the failure-contract tests use, the backoff, and the guard.
 
-Covers the plan algebra (targeting, attempt scoping, parse syntax), the
-seeded backoff schedule, execution-fault application and the CLI/pipeline
-wiring of ``--inject-faults``.  The disk tier's failure battery lives in
-``test_cache_store.py``: each test there builds the degraded state on disk
-or makes one OS call fail.
+Covers :mod:`tests.faults` (targeting, attempt scoping, what each fault kind
+does and where it fires), the seeded backoff schedule of
+:mod:`repro.api.batch`, and the guard that fault injection stays a test
+fixture: no module under ``src/repro`` names it, and no production entry
+point, config or command accepts a fault plan.  The disk tier's failure
+battery lives in ``test_cache_store.py``: each test there builds the
+degraded state on disk or makes one OS call fail.
 """
+
+import dataclasses
+import inspect
+import re
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.perf_trajectory import run_perf_smoke
 from repro.api import (
+    CompileError,
     CompileRequest,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
     compile as api_compile,
+    compile_many,
+    compile_sweep,
     deterministic_backoff,
     request_fingerprint,
 )
-from repro.api.faults import apply_execution_faults
 from repro.benchgen.qasmbench import ghz_circuit
+from repro.cli import main
 from repro.hardware.topologies import grid_topology
+from repro.serve import ServeConfig
+from tests.faults import FaultPlan, InjectedFault
 
 GRID = grid_topology(4, 4)
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def request_for(seed=0, router="greedy"):
     return CompileRequest(circuit=ghz_circuit(8), backend=GRID, router=router, seed=seed)
 
 
-class TestFaultSpec:
+class TestFaultPlan:
     @pytest.mark.parametrize("kind", ["explode", "cache-corrupt"])
     def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec(kind=kind)
+            FaultPlan().inject(0, kind)
 
-    def test_negative_attempt_rejected(self):
-        with pytest.raises(ValueError, match="attempt must be non-negative"):
-            FaultSpec(kind="exception", attempt=-1)
-
-    def test_attempt_scoping(self):
-        every = FaultSpec(kind="exception")
-        first_only = FaultSpec(kind="exception", attempt=0)
-        assert every.matches(0) and every.matches(7)
-        assert first_only.matches(0) and not first_only.matches(1)
-
-
-class TestFaultPlanTargeting:
     def test_index_target(self):
         plan = FaultPlan().inject(2, "exception")
-        assert plan.faults_for(None, 2, 0)
-        assert not plan.faults_for(None, 1, 0)
+        with pytest.raises(InjectedFault):
+            plan.fire(request_for(), 2, 0)
+        plan.fire(request_for(), 1, 0)
 
-    def test_fingerprint_target_via_request(self):
-        request = request_for()
-        plan = FaultPlan().inject(request, "exception")
-        fingerprint = request_fingerprint(request)
-        # matches by content address regardless of batch position
-        assert plan.faults_for(fingerprint, 41, 0)
-        assert not plan.faults_for("0" * 64, 41, 0)
+    def test_fingerprint_target_fires_at_any_index(self):
+        plan = FaultPlan().inject(request_fingerprint(request_for()), "exception")
+        with pytest.raises(InjectedFault):
+            plan.fire(request_for(), 41, 0)
+        plan.fire(request_for(seed=1), 41, 0)
 
     def test_wildcard_target(self):
-        plan = FaultPlan().inject("*", "delay")
-        assert plan.faults_for(None, 0, 0) and plan.faults_for("f" * 64, 9, 3)
+        plan = FaultPlan().inject("*", "exception")
+        for index, attempt in ((0, 0), (9, 3)):
+            with pytest.raises(InjectedFault):
+                plan.fire(request_for(), index, attempt)
+
+    def test_unscoped_fault_fires_on_every_attempt(self):
+        plan = FaultPlan().inject(0, "exception")
+        for attempt in (0, 7):
+            with pytest.raises(InjectedFault):
+                plan.fire(request_for(), 0, attempt)
 
     def test_attempt_scoped_fault_fires_once(self):
         plan = FaultPlan().inject(0, "exception", attempt=0)
-        assert plan.faults_for(None, 0, 0)
-        assert not plan.faults_for(None, 0, 1)
+        with pytest.raises(InjectedFault):
+            plan.fire(request_for(), 0, 0)
+        plan.fire(request_for(), 0, 1)
 
-    def test_bad_targets_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan().inject(-1, "exception")
-        with pytest.raises(ValueError):
-            FaultPlan().inject(None, "exception")
-        with pytest.raises(ValueError):
-            FaultPlan().inject("", "exception")
-
-
-class TestFaultPlanParse:
-    def test_parse_round_trip(self):
-        plan = FaultPlan.parse("2:exception,5:kill:0,*:delay")
-        assert len(plan) == 3
-        assert [s.kind for s in plan.faults_for(None, 2, 0)] == ["exception", "delay"]
-        assert [s.kind for s in plan.faults_for(None, 5, 0)] == ["kill", "delay"]
-        assert [s.kind for s in plan.faults_for(None, 5, 1)] == ["delay"]
-
-    @pytest.mark.parametrize(
-        "text",
-        ["", "2", "2:explode", "x:exception", "2:exception:x", "2:exception:0:9"],
-    )
-    def test_parse_rejects_malformed_specs(self, text):
-        with pytest.raises(ValueError):
-            FaultPlan.parse(text)
-
-    def test_plans_are_picklable(self):
-        import pickle
-
-        plan = FaultPlan.parse("2:exception,5:kill:0")
-        clone = pickle.loads(pickle.dumps(plan))
-        assert [s.kind for s in clone.faults_for(None, 5, 0)] == ["kill"]
-
-
-class TestApplyExecutionFaults:
-    def test_exception_fault_raises_injected_fault(self):
+    def test_exception_names_the_request_and_attempt(self):
         plan = FaultPlan().inject(3, "exception", message="boom")
         with pytest.raises(InjectedFault, match=r"boom \(request #3, attempt 1\)"):
-            apply_execution_faults(plan, None, 3, 1)
+            plan.fire(request_for(), 3, 1)
 
-    def test_kill_fault_outside_worker_degrades_to_exception(self):
-        # the parent interpreter must survive a kill fault applied in-process
+    def test_kill_in_the_process_that_made_the_plan_raises(self):
+        # the test's own interpreter must survive a kill fired in process
         plan = FaultPlan().inject(0, "kill")
         with pytest.raises(InjectedFault, match="outside a worker process"):
-            apply_execution_faults(plan, None, 0, 0, in_worker=False)
+            plan.fire(request_for(), 0, 0)
 
-    def test_delay_fault_sleeps(self):
-        import time
-
+    def test_delay_sleeps(self):
         plan = FaultPlan().inject(0, "delay", delay_seconds=0.05)
         start = time.perf_counter()
-        apply_execution_faults(plan, None, 0, 0)
+        plan.fire(request_for(), 0, 0)
         assert time.perf_counter() - start >= 0.04
 
     def test_no_faults_is_a_no_op(self):
-        apply_execution_faults(FaultPlan(), None, 0, 0)
+        FaultPlan().fire(request_for(), 0, 0)
+
+    def test_an_entered_plan_fires_inside_the_attempt(self, faults):
+        faults.inject(1, "exception")
+        batch = compile_many(
+            [request_for(seed) for seed in range(3)], cache=False, on_error="collect"
+        )
+        assert batch[0].ok and batch[2].ok
+        assert isinstance(batch[1], CompileError)
+        assert (batch[1].phase, batch[1].exc_type) == ("inject", "InjectedFault")
+
+    def test_leaving_the_plan_restores_the_compile(self):
+        with FaultPlan().inject("*", "exception"):
+            assert not compile_many([request_for()], cache=False, on_error="collect").ok
+        assert compile_many([request_for()], cache=False).ok
 
 
 class TestDeterministicBackoff:
@@ -147,57 +133,30 @@ class TestDeterministicBackoff:
             assert 0.5 * envelope <= delay < envelope
 
 
-class TestCompileFaultWiring:
-    def test_compile_applies_execution_faults(self):
-        request = request_for()
-        with pytest.raises(InjectedFault):
-            api_compile(request, cache=False, faults=FaultPlan().inject("*", "exception"))
+class TestNoFaultHarnessInTheProgram:
+    FAULT_NAMES = re.compile(r"FaultPlan|InjectedFault|apply_execution_faults|inject[-_]faults")
 
-    def test_compile_accepts_parse_syntax(self):
-        request = request_for()
-        with pytest.raises(InjectedFault):
-            api_compile(request, cache=False, faults="*:exception")
+    def test_no_module_names_the_fault_harness(self):
+        named = [
+            f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if self.FAULT_NAMES.search(line)
+        ]
+        assert not named
 
-    def test_compile_rejects_bad_faults_argument(self):
-        with pytest.raises(TypeError, match="faults must be"):
-            api_compile(request_for(), cache=False, faults=42)
+    @pytest.mark.parametrize(
+        "entry_point", [api_compile, compile_many, compile_sweep, run_perf_smoke]
+    )
+    def test_no_entry_point_accepts_faults(self, entry_point):
+        assert "faults" not in inspect.signature(entry_point).parameters
 
+    def test_the_service_config_has_no_faults(self):
+        assert "faults" not in {field.name for field in dataclasses.fields(ServeConfig)}
 
-class TestCliFaultInjection:
-    def test_map_inject_exception_exits_1_with_structured_summary(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "map",
-                "--generate",
-                "ghz:8",
-                "--mapper",
-                "greedy",
-                "--no-cache",
-                "--inject-faults",
-                "*:exception",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "repro-map: compile failed:" in captured.err
-        assert "InjectedFault" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_map_bad_fault_spec_exits_2(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["map", "--generate", "ghz:8", "--inject-faults", "nonsense"]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--inject-faults" in captured.err
-
-    def test_map_cache_fault_kind_exits_2(self, capsys):
-        from repro.cli import main
-
-        code = main(["map", "--generate", "ghz:8", "--inject-faults", "*:cache-corrupt"])
-        assert code == 2
-        assert "unknown fault kind 'cache-corrupt'" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [["map", "--generate", "ghz:8"], ["bench"], ["serve"]])
+    def test_the_fault_flag_is_an_argument_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--inject-faults", "*:exception"])
+        assert excinfo.value.code == 2
+        assert "--inject-faults" in capsys.readouterr().err

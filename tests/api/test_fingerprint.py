@@ -8,20 +8,24 @@ graph, equal-content circuits or QASM files, equivalent ``generate=`` specs)
 -- otherwise equal work misses.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from repro.api import CompileError, CompileRequest, request_fingerprint
+from repro.api.cache import _circuit_token
 from repro.api.pipeline import load_circuit
-from repro.api.serialize import circuit_from_payload
+from repro.api.serialize import circuit_from_payload, circuit_to_payload
 from repro.benchgen.qasmbench import ghz_circuit, qft_circuit
 from repro.core.config import QlosureConfig
 from repro.hardware.backends import sherbrooke
 from repro.hardware.coupling import CouplingGraph
 from repro.hardware.topologies import grid_topology
+from tests.api.test_serialize import repeating_circuits
 
 BELL_QASM = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
 
@@ -129,6 +133,23 @@ class TestSensitivity:
         renamed = ghz_circuit(6)
         renamed.name = "something-else"
         assert request_fingerprint(replace(base, circuit=renamed)) != request_fingerprint(base)
+
+
+class TestGateStreamDigest:
+    @given(repeating_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_a_decoded_circuit_digests_as_its_gates_one_by_one(self, circuit):
+        """Formatting each distinct gate object once keeps the per-gate digest.
+
+        A decoded circuit repeats one object per distinct gate; ``-0.0`` and
+        ``0.0`` (equal, with different reprs) and ``nan`` stay apart.
+        """
+        decoded = circuit_from_payload(json.loads(json.dumps(circuit_to_payload(circuit))))
+        digest = hashlib.sha256(str(decoded.num_qubits).encode())
+        for gate in decoded:
+            digest.update(repr((gate.name, gate.qubits, gate.params, gate.label)).encode())
+        assert _circuit_token(decoded)["gates"] == digest.hexdigest()
+        assert _circuit_token(circuit)["gates"] == digest.hexdigest()
 
 
 class TestEquivalence:

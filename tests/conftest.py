@@ -100,6 +100,15 @@ def qft6() -> QuantumCircuit:
     return qft_circuit(6)
 
 
+@pytest.fixture
+def faults():
+    """A :class:`tests.faults.FaultPlan` fired on every batch attempt of this test."""
+    from tests.faults import FaultPlan  # importable under ``python -m pytest``
+
+    with FaultPlan() as plan:
+        yield plan
+
+
 class CodecCalls:
     """Gate-table codec calls, counted by wrapping the module-level names.
 

@@ -23,7 +23,7 @@ import time
 import pytest
 
 import repro.serve.server as serve_server
-from repro.api import CompileRequest, FaultPlan
+from repro.api import CompileRequest
 from repro.api import compile as api_compile
 from repro.api.cache import request_fingerprint
 from repro.api.serialize import result_from_payload, result_to_payload
@@ -260,16 +260,14 @@ class TestServedParity:
 class TestCoalescingOverHTTP:
     """(b) N concurrent identical requests -> one execution."""
 
-    def test_concurrent_identical_requests_execute_once(self):
+    def test_concurrent_identical_requests_execute_once(self, faults):
         request = CompileRequest(
             generate="qft:6", backend="ankaa3", router="sabre", seed=3
         )
         # Hold the one execution in flight long enough for all N sockets to
         # land in admission; coalescing does the rest.
-        plan = FaultPlan().inject(
-            request_fingerprint(request), "delay", delay_seconds=1.0
-        )
-        server = LoopbackServer(workers=2, queue_size=32, faults=plan)
+        faults.inject(request_fingerprint(request), "delay", delay_seconds=1.0)
+        server = LoopbackServer(workers=2, queue_size=32)
         try:
             n = 4
             results = [None] * n
@@ -301,11 +299,11 @@ class TestCoalescingOverHTTP:
 class TestBackpressureOverHTTP:
     """(c) full queue -> 429 + Retry-After."""
 
-    def test_full_queue_returns_429_with_retry_after(self):
+    def test_full_queue_returns_429_with_retry_after(self, faults):
         # One worker, queue of one: a delay fault keeps request A executing,
         # B fills the queue, C must bounce with 429 + Retry-After.
-        plan = FaultPlan().inject("*", "delay", delay_seconds=2.0)
-        server = LoopbackServer(workers=1, queue_size=1, faults=plan)
+        faults.inject("*", "delay", delay_seconds=2.0)
+        server = LoopbackServer(workers=1, queue_size=1)
         try:
             responses = {}
 
@@ -340,9 +338,9 @@ class TestBackpressureOverHTTP:
 class TestDrainOverHTTP:
     """(d) drain finishes in-flight work, rejects new work, exits 0."""
 
-    def test_drain_completes_inflight_rejects_new_and_exits_zero(self):
-        plan = FaultPlan().inject("*", "delay", delay_seconds=1.0)
-        server = LoopbackServer(workers=1, queue_size=8, faults=plan)
+    def test_drain_completes_inflight_rejects_new_and_exits_zero(self, faults):
+        faults.inject("*", "delay", delay_seconds=1.0)
+        server = LoopbackServer(workers=1, queue_size=8)
         inflight = {}
 
         def submit():
@@ -365,9 +363,9 @@ class TestDrainOverHTTP:
         # The server loop exited cleanly.
         assert server.exit_code == 0
 
-    def test_new_work_is_rejected_while_draining(self):
-        plan = FaultPlan().inject("*", "delay", delay_seconds=1.5)
-        server = LoopbackServer(workers=1, queue_size=8, faults=plan)
+    def test_new_work_is_rejected_while_draining(self, faults):
+        faults.inject("*", "delay", delay_seconds=1.5)
+        server = LoopbackServer(workers=1, queue_size=8)
         inflight = {}
 
         def submit():

@@ -1,8 +1,14 @@
 """Tests for the metric registry the service keeps (counters + latency histograms)."""
 
+import asyncio
+import threading
+
 import pytest
 
+from repro.api.cache import CompileCache
 from repro.obs.metrics import DEFAULT_BUCKET_BOUNDS, Histogram, MetricsRegistry
+from repro.serve import ServeConfig
+from tests.serve.test_service import run, until, with_service
 
 
 class TestHistogram:
@@ -66,3 +72,36 @@ class TestServiceRegistry:
         metrics.increment("http_requests")
         encoded = json.dumps(metrics.snapshot(gauges={"in_flight": 0}))
         assert "http_requests" in encoded
+
+
+class TestMetricsEndpoint:
+    def test_disk_statistics_are_read_off_the_event_loop(self, tmp_path):
+        entered, release = threading.Event(), threading.Event()
+
+        async def scenario(service):
+            disk_stats = service.cache.disk_stats
+
+            def held():
+                entered.set()
+                release.wait(timeout=2)
+                return disk_stats()
+
+            service.cache.disk_stats = held
+            metrics = asyncio.ensure_future(service.handle("GET", "/metrics"))
+            await until(entered.is_set)
+            healthz = await service.handle("GET", "/healthz")
+            answered_first = not metrics.done()
+            release.set()
+            return healthz, answered_first, await metrics
+
+        healthz, answered_first, metrics = run(
+            with_service(ServeConfig(cache_dir=str(tmp_path)), scenario)
+        )
+        assert healthz.status == 200
+        assert answered_first
+        assert metrics.status == 200
+        assert set(metrics.body) == {
+            "cache", "counters", "gauges", "latency_seconds", "trace_id", "version"
+        }
+        assert metrics.body["cache"].keys() == CompileCache(directory=tmp_path).info().keys()
+        assert metrics.body["cache"]["disk_dir"] == str(tmp_path)

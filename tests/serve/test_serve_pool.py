@@ -24,13 +24,13 @@ from contextlib import closing
 import pytest
 
 import repro.api.batch as api_batch
-from repro.api import CompileRequest, FaultPlan
+from repro.api import CompileRequest, compile_many
 from repro.api import compile as api_compile
 from repro.api.cache import DATABASE_NAME, CompileCache, request_fingerprint
 from repro.api.serialize import result_to_payload
 from repro.serve import CompileService, ServeConfig, run_server
 from tests.serve.test_http_loopback import LoopbackServer
-from tests.serve.test_service import make_body, run, with_service
+from tests.serve.test_service import make_body, normalize, run, with_service
 
 _FORKS = []
 os.register_at_fork(after_in_parent=lambda: _FORKS.append(1))
@@ -43,10 +43,10 @@ def forks():
     return lambda: len(_FORKS) - before
 
 
-def delayed(body, seconds=30.0) -> FaultPlan:
-    """A plan that holds ``body``'s compile for ``seconds``."""
+def delay(faults, body, seconds=30.0) -> None:
+    """Hold ``body``'s compile for ``seconds``."""
     fingerprint = request_fingerprint(CompileRequest(**body))
-    return FaultPlan().inject(fingerprint, "delay", delay_seconds=seconds)
+    faults.inject(fingerprint, "delay", delay_seconds=seconds)
 
 
 async def post_all(service, bodies):
@@ -118,9 +118,10 @@ class TestClientsGetEOF:
         finally:
             server.drain_and_join()
 
-    def test_on_a_miss_answered_by_the_child_that_replaced_a_timed_out_one(self):
+    def test_on_a_miss_answered_by_the_child_that_replaced_a_timed_out_one(self, faults):
         slow = make_body(seed=32)
-        server = LoopbackServer(workers=1, timeout=0.5, faults=delayed(slow))
+        delay(faults, slow)
+        server = LoopbackServer(workers=1, timeout=0.5)
         try:
             timed_out, _ = raw_compile(server, slow)
             assert timed_out.startswith(b"HTTP/1.1 500 ")
@@ -141,18 +142,55 @@ class TestForks:
         assert len({r.body["fingerprint"] for r in responses}) == 6
         assert forks() == 2
 
-    def test_a_timed_out_compile_adds_exactly_one_fork(self, forks):
+    def test_a_timed_out_compile_adds_exactly_one_fork(self, forks, faults):
         slow = make_body(seed=51)
+        delay(faults, slow)
         bodies = [make_body(seed=50), slow, make_body(seed=52), make_body(seed=53)]
 
         async def scenario(service):
             return await post_all(service, bodies)
 
-        config = ServeConfig(workers=1, timeout=0.5, faults=delayed(slow))
+        config = ServeConfig(workers=1, timeout=0.5)
         responses = run(with_service(config, scenario))
         assert [r.status for r in responses] == [200, 500, 200, 200]
         assert responses[1].body["error"]["error"] == "Timeout"
         assert forks() == 2
+
+
+class TestBatchesUseEveryChild:
+    def test_a_batch_of_misses_forks_every_slot(self, forks):
+        # A batch leases min(workers, misses) slots at once, so its misses
+        # compile side by side instead of on one child while the rest idle.
+        bodies = [make_body(seed=seed) for seed in range(80, 84)]
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/batch", {}, {"requests": bodies})
+
+        response = run(with_service(ServeConfig(workers=2), scenario))
+        assert forks() == 2
+        clean = compile_many([CompileRequest(**body) for body in bodies], workers=1, cache=False)
+        assert [normalize(slot["result"]) for slot in response.body["results"]] == [
+            normalize(result_to_payload(result)) for result in clean
+        ]
+
+    def test_batches_and_compiles_side_by_side_all_finish(self):
+        # A batch leases its slots all at once, so it never holds one slot
+        # while a compile holds the other and each waits for the rest.
+        def batch(*seeds):
+            return {"requests": [make_body(seed=seed) for seed in seeds]}
+
+        async def scenario(service):
+            calls = [
+                service.handle("POST", "/v1/batch", {}, batch(85, 86, 87)),
+                *(service.handle("POST", "/v1/compile", {}, make_body(seed=seed)) for seed in (88, 89)),
+                service.handle("POST", "/v1/batch", {}, batch(90, 91)),
+                service.handle("POST", "/v1/compile", {}, make_body(seed=92)),
+            ]
+            return await asyncio.wait_for(asyncio.gather(*calls), timeout=120)
+
+        responses = run(with_service(ServeConfig(workers=2), scenario))
+        assert [r.status for r in responses] == [200] * 5
+        assert all(slot["ok"] for r in (responses[0], responses[3]) for slot in r.body["results"])
 
 
 class TestSharedPool:
@@ -175,7 +213,7 @@ class TestSharedPool:
             def run_share(first):
                 for index in range(first, len(requests), 6):
                     batch, _ = api_batch._compile_many(
-                        [requests[index]], 1, None, "collect", None, 0, 0.0, None, pool=pool
+                        [requests[index]], 1, None, "collect", None, 0, 0.0, pool=pool
                     )
                     results[index] = batch[0]
 
@@ -232,12 +270,13 @@ class TestLifecycle:
         assert exit_codes == [0]
         assert not set(multiprocessing.active_children()) - before
 
-    def test_stop_kills_a_child_that_is_still_compiling(self):
+    def test_stop_kills_a_child_that_is_still_compiling(self, faults):
         slow = make_body(seed=70)
+        delay(faults, slow)
         before = set(multiprocessing.active_children())
 
         async def scenario():
-            service = CompileService(ServeConfig(faults=delayed(slow)))
+            service = CompileService(ServeConfig())
             await service.start()
             pending = asyncio.ensure_future(service.handle("POST", "/v1/compile", {}, slow))
             deadline = time.monotonic() + 30
@@ -257,18 +296,21 @@ class TestLifecycle:
 
 
 class TestTheDatabaseOutlivesTheChildren:
-    def test_children_killed_and_replaced_leave_the_cache_database_intact(self, tmp_path, forks):
+    def test_children_killed_and_replaced_leave_the_cache_database_intact(
+        self, tmp_path, forks, faults
+    ):
         # The seeded database makes the first lookup open it, so every child
         # is forked holding the service's open connection.
         seeded = make_body(seed=90)
         CompileCache(directory=tmp_path).put(api_compile(CompileRequest(**seeded), cache=False))
         slow = make_body(seed=92)
+        delay(faults, slow)
         bodies = [make_body(seed=91), slow, *(make_body(seed=seed) for seed in (93, 94, 95))]
 
         async def scenario(service):
             return await post_all(service, [seeded, *bodies])
 
-        config = ServeConfig(workers=2, timeout=0.5, faults=delayed(slow), cache_dir=str(tmp_path))
+        config = ServeConfig(workers=2, timeout=0.5, cache_dir=str(tmp_path))
         responses = run(with_service(config, scenario))
         assert [r.status for r in responses] == [200, 200, 500, 200, 200, 200]
         assert responses[0].body["cached"] is True

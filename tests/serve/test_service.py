@@ -3,7 +3,7 @@
 Every test drives :meth:`CompileService.handle` directly inside a fresh
 event loop -- the socket-free entry point the HTTP front-end also calls --
 so the whole service contract (priority order, coalescing, caching, jobs,
-drain, fault injection) is exercised without binding a single port.  The
+drain, injected faults) is exercised without binding a single port.  The
 one loopback smoke test lives in ``test_http_loopback.py``.
 """
 
@@ -15,7 +15,7 @@ import time
 import pytest
 
 import repro.serve.jobs as serve_jobs
-from repro.api import CompileRequest, FaultPlan, compile_many
+from repro.api import CompileRequest, compile_many
 from repro.api import compile as api_compile
 from repro.api.cache import CompileCache, request_fingerprint
 from repro.api.serialize import request_to_payload, result_to_payload
@@ -170,7 +170,7 @@ class TestCompileEndpoint:
         async def scenario(service):
             await service.handle("POST", "/v1/compile", {}, make_body())
             await service.handle("POST", "/v1/compile", {}, make_body())
-            return service.cache.stats, service.cache.info(), service.metrics_payload()
+            return service.cache.stats, service.cache.info(), await service.metrics_payload()
 
         stats, info, metrics = run(with_service(ServeConfig(), scenario))
         assert stats["misses"] == 1
@@ -319,14 +319,12 @@ class TestCompileEndpoint:
 
 
 class TestCoalescing:
-    def test_identical_inflight_requests_share_one_execution(self):
+    def test_identical_inflight_requests_share_one_execution(self, faults):
         # A delay fault keeps the first request in flight long enough for
         # three identical siblings to arrive: all four must resolve from ONE
         # pipeline execution with byte-identical payloads.
         request = CompileRequest(generate="ghz:6", backend="ankaa3", router="greedy", seed=0)
-        plan = FaultPlan().inject(
-            request_fingerprint(request), "delay", delay_seconds=0.2
-        )
+        faults.inject(request_fingerprint(request), "delay", delay_seconds=0.2)
 
         async def scenario(service):
             calls = [
@@ -334,10 +332,10 @@ class TestCoalescing:
                 for _ in range(4)
             ]
             responses = await asyncio.gather(*calls)
-            return responses, service.metrics_payload()
+            return responses, await service.metrics_payload()
 
         responses, metrics = run(
-            with_service(ServeConfig(workers=2, queue_size=16, faults=plan), scenario)
+            with_service(ServeConfig(workers=2, queue_size=16), scenario)
         )
         assert [r.status for r in responses] == [200] * 4
         payloads = [r.body["result"] for r in responses]
@@ -731,70 +729,64 @@ class TestFaultInjection:
     leave every sibling slot bit-identical to a clean run.
     """
 
-    def test_injected_exception_is_a_structured_500(self):
-        plan = FaultPlan().inject("*", "exception")
+    def test_injected_exception_is_a_structured_500(self, faults):
+        faults.inject("*", "exception")
 
         async def scenario(service):
             response = await service.handle("POST", "/v1/compile", {}, make_body())
             return response, service.metrics.counter("failures")
 
-        response, failures = run(
-            with_service(ServeConfig(faults=plan), scenario)
-        )
+        response, failures = run(with_service(ServeConfig(), scenario))
         assert response.status == 500
         assert response.body["ok"] is False
         assert response.body["error"]["error"] == "InjectedFault"
         assert response.body["error"]["phase"] == "inject"
         assert failures == 1
 
-    def test_timeout_through_service_is_a_structured_500(self):
-        plan = FaultPlan().inject("*", "delay", delay_seconds=30.0)
+    def test_timeout_through_service_is_a_structured_500(self, faults):
+        faults.inject("*", "delay", delay_seconds=30.0)
 
         async def scenario(service):
             return await service.handle("POST", "/v1/compile", {}, make_body())
 
-        response = run(
-            with_service(ServeConfig(faults=plan, timeout=0.5), scenario)
-        )
+        response = run(with_service(ServeConfig(timeout=0.5), scenario))
         assert response.status == 500
         assert response.body["error"]["error"] == "Timeout"
         assert response.body["error"]["phase"] == "worker"
 
-    def test_killed_worker_mid_batch_leaves_siblings_bit_identical(self):
-        # Index targets count positions inside ONE batch, so "#1" kills the
-        # middle slot of this three-request batch and nothing else.
-        plan = FaultPlan().inject(1, "kill")
-        body = {"requests": [make_body(seed=s) for s in range(3)]}
-
-        async def scenario(service):
-            return await service.handle("POST", "/v1/batch", {}, body)
-
-        response = run(with_service(ServeConfig(faults=plan), scenario))
-        assert response.status == 200  # a served batch with failed slots is still a batch
-        slots = response.body["results"]
-        assert slots[1]["ok"] is False
-        assert slots[1]["error"]["error"] == "WorkerCrash"
-        assert slots[1]["error"]["phase"] == "worker"
+    def test_killed_worker_mid_batch_leaves_siblings_bit_identical(self, faults):
         requests = [
             CompileRequest(generate="ghz:6", backend="ankaa3", router="greedy", seed=s)
             for s in range(3)
         ]
         clean = compile_many(requests, cache=False)
+        # Index targets count positions inside ONE batch, so index 1 kills
+        # the middle slot of this three-request batch and nothing else.
+        faults.inject(1, "kill")
+        body = {"requests": [make_body(seed=s) for s in range(3)]}
+
+        async def scenario(service):
+            return await service.handle("POST", "/v1/batch", {}, body)
+
+        response = run(with_service(ServeConfig(), scenario))
+        assert response.status == 200  # a served batch with failed slots is still a batch
+        slots = response.body["results"]
+        assert slots[1]["ok"] is False
+        assert slots[1]["error"]["error"] == "WorkerCrash"
+        assert slots[1]["error"]["phase"] == "worker"
         for index in (0, 2):
             assert slots[index]["ok"] is True
             assert normalize(slots[index]["result"]) == normalize(
                 result_to_payload(clean.results[index])
             )
 
-    def test_retry_recovers_an_attempt_zero_fault(self):
-        plan = FaultPlan().inject("*", "exception", attempt=0)
+    def test_retry_recovers_an_attempt_zero_fault(self, faults):
+        faults.inject("*", "exception", attempt=0)
 
         async def scenario(service):
             return await service.handle("POST", "/v1/compile", {}, make_body())
 
-        response = run(
-            with_service(ServeConfig(faults=plan, retries=1), scenario)
-        )
+        response = run(with_service(ServeConfig(retries=1), scenario))
         assert response.status == 200
         assert response.body["ok"] is True
 

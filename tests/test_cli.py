@@ -179,35 +179,19 @@ class TestFailureContract:
         assert "Traceback" not in captured.err
 
     def test_bench_with_injected_fault_exits_1_and_lists_failures(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, faults
     ):
-        code = main(
-            [
-                "bench",
-                "--quick",
-                "--output",
-                str(tmp_path / "bench.json"),
-                "--inject-faults",
-                "0:exception",
-            ]
-        )
+        faults.inject(0, "exception")
+        code = main(["bench", "--quick", "--output", str(tmp_path / "bench.json")])
         captured = capsys.readouterr()
         assert code == 1
         assert "request(s) failed" in captured.err
         assert "InjectedFault" in captured.err
 
-    def test_bench_retry_absorbs_transient_fault(self, capsys, tmp_path):
+    def test_bench_retry_absorbs_transient_fault(self, capsys, tmp_path, faults):
+        faults.inject(0, "exception", attempt=0)
         code = main(
-            [
-                "bench",
-                "--quick",
-                "--output",
-                str(tmp_path / "bench.json"),
-                "--retries",
-                "1",
-                "--inject-faults",
-                "0:exception:0",
-            ]
+            ["bench", "--quick", "--output", str(tmp_path / "bench.json"), "--retries", "1"]
         )
         captured = capsys.readouterr()
         assert code == 0
@@ -514,7 +498,3 @@ class TestServeParser:
     def test_serve_rejects_negative_retries(self, capsys):
         assert main(["serve", "--retries", "-1"]) == 2
         assert "--retries" in capsys.readouterr().err
-
-    def test_serve_accepts_fault_plan_syntax(self):
-        args = build_parser().parse_args(["serve", "--inject-faults", "*:exception"])
-        assert args.inject_faults == "*:exception"
