@@ -96,11 +96,11 @@ test-faults:
 ## encode and one table copy each, a circuit wider than its backend answering
 ## 400, 150 concurrent distinct misses on two workers and a 5-entry disk cache
 ## each answering 200 (TestConcurrentBoundedMisses in test_serve_cache.py),
-## and /metrics reading disk statistics off the event loop), the service's
-## forked compile children (test_serve_pool.py: misses compile in children
-## forked once per service plus one per timeout, a batch of misses forks every
-## slot, a client reads EOF while a child lives, and no child outlives
-## run_server), plus one loopback HTTP smoke proving served-vs-direct
+## and /metrics reading disk statistics off the event loop, even while every
+## compile thread is busy), the service's forked compile children
+## (test_serve_pool.py: misses compile in children forked once per service
+## plus one per timeout, a client reads EOF while a child lives, and no child
+## outlives run_server), plus one loopback HTTP smoke proving served-vs-direct
 ## bit-for-bit parity, single-execution coalescing, 429 + Retry-After, bounded
 ## request and header lines, a rejected request's 400 read intact after a
 ## bounded discard of its unread bytes, and drain-exits-0.  Runs in Python's

@@ -148,17 +148,10 @@ def _circuit_token(circuit) -> dict:
     else:
         digest = hashlib.sha256()
         digest.update(str(circuit.num_qubits).encode())
-        # A decoded circuit repeats one object per distinct gate, so each is
-        # formatted once.  The key is the object, never its value: -0.0 ==
-        # 0.0, but their reprs differ.  The circuit holds every gate, so no
-        # id is reused during the loop.
-        formatted: dict[int, bytes] = {}
         for gate in circuit:
-            text = formatted.get(id(gate))
-            if text is None:
-                text = repr((gate.name, gate.qubits, gate.params, gate.label)).encode()
-                formatted[id(gate)] = text
-            digest.update(text)
+            digest.update(
+                repr((gate.name, gate.qubits, gate.params, gate.label)).encode()
+            )
         gates_digest = digest.hexdigest()
         try:
             circuit._repro_gate_digest = (len(circuit), gates_digest)

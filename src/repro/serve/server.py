@@ -21,9 +21,11 @@ the lookup and the registration, so coalescing has no race window); one
 bounded :class:`asyncio.PriorityQueue` holds admitted jobs, lower priority
 values first and ties in arrival order, and a full queue is explicit
 backpressure (HTTP 429 + ``Retry-After``).  ``workers`` asyncio tasks drain the
-queue.  Each runs its job on an executor thread, through ``compile_many``'s
-scheduler (``on_error="collect"``), so per-request timeouts, retries and
-worker-crash reaping behave identically to the CLI.
+queue.  Each runs its job on a thread of the service's own executor (one
+thread per worker, so the loop's default executor stays free for
+``/metrics``), through ``compile_many``'s scheduler (``on_error="collect"``),
+so per-request timeouts, retries and worker-crash reaping behave
+identically to the CLI.
 Every miss compiles in one of ``workers`` forked children that live as long
 as the service (:mod:`repro.api.batch`'s pool, forked at the first miss):
 the executor thread waits on the child's pipe, which releases the GIL, so
@@ -47,6 +49,7 @@ direct :func:`repro.api.compile` call.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import functools
 import itertools
 import json
@@ -169,6 +172,10 @@ class CompileService:
         self._trace_lock = threading.Lock()
         #: The forked children every miss compiles in, one per worker.
         self._pool = _Pool(self.config.workers)
+        #: The threads jobs run on, one per worker.
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            self.config.workers, thread_name_prefix="repro-serve"
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -184,7 +191,8 @@ class CompileService:
     async def stop(self) -> None:
         """Cancel the worker tasks and the drain watcher, then stop the children.
 
-        A child still compiling is killed; every child is joined.
+        A child still compiling is killed; every child and executor thread
+        is joined.
         """
         tasks = list(self._workers)
         if self._drain_watcher is not None:
@@ -199,6 +207,7 @@ class CompileService:
             except (asyncio.CancelledError, Exception):
                 pass
         self._pool.close()
+        await asyncio.to_thread(self._executor.shutdown)
 
     async def wait_for_shutdown(self) -> None:
         await self._shutdown.wait()
@@ -404,7 +413,8 @@ class CompileService:
         # The same stats helper `repro-map cache info` prints: the service's
         # warm cache is the whole point of running a daemon, so its hit/miss
         # counters and disk-tier stats are first-class metrics.  The disk
-        # statistics scan every row, so they are read off the event loop.
+        # statistics scan every row, so they are read off the event loop, on
+        # the default executor, which runs no compile.
         snapshot["cache"] = await asyncio.to_thread(self.cache.info)
         snapshot["version"] = __version__
         return snapshot
@@ -440,7 +450,7 @@ class CompileService:
                     else:
                         run = functools.partial(self._run_compile, work, job.fingerprint)
                     status, response = await loop.run_in_executor(
-                        None, self._run_traced, run, job
+                        self._executor, self._run_traced, run, job
                     )
                 except Exception as exc:  # the executor call itself failed
                     logger.exception("worker execution failed for %s", job.id)
@@ -480,11 +490,11 @@ class CompileService:
             )
         return status, response
 
-    def _compile_in_pool(self, requests: list[CompileRequest], cache, workers: int) -> tuple:
-        """``compile_many`` on ``workers`` of the service's children; see :func:`_compile_many`."""
+    def _compile_in_pool(self, requests: list[CompileRequest], cache) -> tuple:
+        """``compile_many`` on one of the service's children; see :func:`_compile_many`."""
         config = self.config
         return _compile_many(
-            requests, workers=workers, cache=cache, on_error="collect", timeout=config.timeout,
+            requests, workers=1, cache=cache, on_error="collect", timeout=config.timeout,
             retries=config.retries, backoff=0.0, pool=self._pool,
         )
 
@@ -499,7 +509,7 @@ class CompileService:
         the compile skips the cache, the result is stored under that
         fingerprint, and the response carries the payload the store returned.
         """
-        batch, _ = self._compile_in_pool([request], None, workers=1)
+        batch, _ = self._compile_in_pool([request], None)
         outcome = batch.results[0]
         if isinstance(outcome, CompileResult):
             payload = self.cache.store(fingerprint, outcome)
@@ -515,12 +525,8 @@ class CompileService:
         return compile_error_body(outcome)
 
     def _run_batch(self, requests: list[CompileRequest]) -> tuple[int, dict]:
-        """Run a batch through the shared cache; a miss answers with the payload stored.
-
-        Its misses lease ``min(workers, misses)`` of the pool's slots at once,
-        so a batch never holds some slots while it waits for others.
-        """
-        batch, payloads = self._compile_in_pool(requests, self.cache, self.config.workers)
+        """Run a batch through the shared cache; a miss answers with the payload stored."""
+        batch, payloads = self._compile_in_pool(requests, self.cache)
         results = []
         for outcome, payload in zip(batch.results, payloads):
             if isinstance(outcome, CompileResult):

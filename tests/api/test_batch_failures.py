@@ -179,8 +179,9 @@ class TestOnErrorRaise:
     def test_injected_fault_raises_compile_error(self, faults):
         faults.inject(1, "exception")
         with pytest.raises(CompileError) as excinfo:
-            # a timeout makes the batch non-plain: it raises the structured error
-            compile_many(eight_requests()[:4], workers=1, cache=False, timeout=60)
+            # retries make the batch non-plain, in process: it raises the
+            # structured error once the fault has fired on both attempts
+            compile_many(eight_requests()[:4], workers=1, cache=False, retries=1)
         assert excinfo.value.phase == "inject"
         assert excinfo.value.request.seed == 3
 

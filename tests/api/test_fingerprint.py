@@ -139,10 +139,12 @@ class TestGateStreamDigest:
     @given(repeating_circuits())
     @settings(max_examples=150, deadline=None)
     def test_a_decoded_circuit_digests_as_its_gates_one_by_one(self, circuit):
-        """Formatting each distinct gate object once keeps the per-gate digest.
+        """The gate-stream digest is the per-gate formula, decoded or not.
 
         A decoded circuit repeats one object per distinct gate; ``-0.0`` and
-        ``0.0`` (equal, with different reprs) and ``nan`` stay apart.
+        ``0.0`` (equal, with different reprs) and ``nan`` stay apart.  A
+        faster token (one format per distinct gate, or one from the table's
+        keys) must keep this digest.
         """
         decoded = circuit_from_payload(json.loads(json.dumps(circuit_to_payload(circuit))))
         digest = hashlib.sha256(str(decoded.num_qubits).encode())

@@ -1,6 +1,7 @@
 """Tests for the metric registry the service keeps (counters + latency histograms)."""
 
 import asyncio
+import concurrent.futures
 import threading
 
 import pytest
@@ -8,7 +9,15 @@ import pytest
 from repro.api.cache import CompileCache
 from repro.obs.metrics import DEFAULT_BUCKET_BOUNDS, Histogram, MetricsRegistry
 from repro.serve import ServeConfig
-from tests.serve.test_service import run, until, with_service
+from tests.serve.test_service import (
+    HELD_SEED,
+    make_body,
+    post,
+    run,
+    until,
+    with_held_service,
+    with_service,
+)
 
 
 class TestHistogram:
@@ -105,3 +114,25 @@ class TestMetricsEndpoint:
         }
         assert metrics.body["cache"].keys() == CompileCache(directory=tmp_path).info().keys()
         assert metrics.body["cache"]["disk_dir"] == str(tmp_path)
+
+    def test_a_scrape_answers_while_every_compile_thread_is_busy(self, tmp_path):
+        # Compiles run on the service's own threads, so the scrape's disk
+        # read never queues behind them, even on a one-thread default executor.
+        async def scenario(service):
+            asyncio.get_running_loop().set_default_executor(
+                concurrent.futures.ThreadPoolExecutor(1)
+            )
+            held = post(service, make_body(seed=HELD_SEED))
+            await until(service.holding.is_set)
+            metrics = await asyncio.wait_for(service.handle("GET", "/metrics"), timeout=10)
+            still_held = not held.done()
+            service.release.set()
+            return metrics, still_held, await held
+
+        metrics, still_held, held = run(
+            with_held_service(ServeConfig(cache_dir=str(tmp_path)), scenario)
+        )
+        assert still_held
+        assert metrics.status == 200
+        assert metrics.body["gauges"]["running"] == 1
+        assert held.status == 200

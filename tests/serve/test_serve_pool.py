@@ -4,8 +4,8 @@ Every served miss compiles in one of ``workers`` children forked at the
 first miss (``repro.api.batch``'s pool).  These tests pin the pool's
 contract from outside: compiles run in the children, a client still reads
 EOF when its connection closes, the service forks its pool size plus one
-child per timeout, no child outlives the service, and the children, which
-inherit the service's open cache database, leave it intact.
+child per timeout, no child or compile thread outlives the service, and the
+children, which inherit the service's open cache database, leave it intact.
 """
 
 import asyncio
@@ -24,13 +24,13 @@ from contextlib import closing
 import pytest
 
 import repro.api.batch as api_batch
-from repro.api import CompileRequest, compile_many
+from repro.api import CompileRequest
 from repro.api import compile as api_compile
 from repro.api.cache import DATABASE_NAME, CompileCache, request_fingerprint
 from repro.api.serialize import result_to_payload
 from repro.serve import CompileService, ServeConfig, run_server
 from tests.serve.test_http_loopback import LoopbackServer
-from tests.serve.test_service import make_body, normalize, run, with_service
+from tests.serve.test_service import make_body, run, with_service
 
 _FORKS = []
 os.register_at_fork(after_in_parent=lambda: _FORKS.append(1))
@@ -157,42 +157,6 @@ class TestForks:
         assert forks() == 2
 
 
-class TestBatchesUseEveryChild:
-    def test_a_batch_of_misses_forks_every_slot(self, forks):
-        # A batch leases min(workers, misses) slots at once, so its misses
-        # compile side by side instead of on one child while the rest idle.
-        bodies = [make_body(seed=seed) for seed in range(80, 84)]
-
-        async def scenario(service):
-            return await service.handle("POST", "/v1/batch", {}, {"requests": bodies})
-
-        response = run(with_service(ServeConfig(workers=2), scenario))
-        assert forks() == 2
-        clean = compile_many([CompileRequest(**body) for body in bodies], workers=1, cache=False)
-        assert [normalize(slot["result"]) for slot in response.body["results"]] == [
-            normalize(result_to_payload(result)) for result in clean
-        ]
-
-    def test_batches_and_compiles_side_by_side_all_finish(self):
-        # A batch leases its slots all at once, so it never holds one slot
-        # while a compile holds the other and each waits for the rest.
-        def batch(*seeds):
-            return {"requests": [make_body(seed=seed) for seed in seeds]}
-
-        async def scenario(service):
-            calls = [
-                service.handle("POST", "/v1/batch", {}, batch(85, 86, 87)),
-                *(service.handle("POST", "/v1/compile", {}, make_body(seed=seed)) for seed in (88, 89)),
-                service.handle("POST", "/v1/batch", {}, batch(90, 91)),
-                service.handle("POST", "/v1/compile", {}, make_body(seed=92)),
-            ]
-            return await asyncio.wait_for(asyncio.gather(*calls), timeout=120)
-
-        responses = run(with_service(ServeConfig(workers=2), scenario))
-        assert [r.status for r in responses] == [200] * 5
-        assert all(slot["ok"] for r in (responses[0], responses[3]) for slot in r.body["results"])
-
-
 class TestSharedPool:
     def test_more_threads_than_slots_share_the_pool(self, forks):
         # Six threads lease from two slots with a tiny switch interval: a
@@ -269,6 +233,18 @@ class TestLifecycle:
             thread.join(timeout=60)
         assert exit_codes == [0]
         assert not set(multiprocessing.active_children()) - before
+
+    def test_stop_joins_every_compile_thread(self):
+        before = set(threading.enumerate())
+
+        async def scenario(service):
+            # Keep the service: its executor, once collected, ends idle threads.
+            return service, await post_all(service, [make_body(seed=s) for s in (62, 63)])
+
+        service, responses = run(with_service(ServeConfig(workers=2), scenario))
+        assert [r.status for r in responses] == [200, 200]
+        left = set(threading.enumerate()) - before
+        assert not [thread for thread in left if thread.name.startswith("repro-serve")]
 
     def test_stop_kills_a_child_that_is_still_compiling(self, faults):
         slow = make_body(seed=70)
