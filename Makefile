@@ -26,11 +26,16 @@ test-fast:
 ## must finish, with its own valve threshold and with the valve opening after
 ## two SWAPs.  The look-ahead each router builds once per front layer is
 ## checked at every stall: Qlosure's window against the reference builder
-## (tests/core/lookahead_oracle.py), its window scorer against one built at
-## that stall, and the extended set and next slices of sabre, cirq and tket
-## against a fresh build.  tests/baselines/test_tket_oracle.py checks tket's
-## cost function against its lexicographic (longest, total) rule, re-summed
-## in tests/baselines/tket_oracle.py: at every stall of the golden and stress
+## (tests/core/lookahead_oracle.py), its window scorer (with the candidate
+## deltas it kept from the layer's previous stall) against one built at that
+## stall, and the extended set and next slices of sabre, cirq and tket
+## against a fresh build.  At every stall and after every committed SWAP of
+## every router on the stress corpus, the engine's kept front views (the
+## unresolved front, its pairs and partners, footprint and candidate list)
+## equal a brute-force rebuild (tests/routing/test_invariants.py).
+## tests/baselines/test_tket_oracle.py checks tket's cost function against
+## its lexicographic (longest, total) rule, re-summed in
+## tests/baselines/tket_oracle.py: at every stall of the golden and stress
 ## routes the engine's tie list equals the rule's.  A drifting scorer, window,
 ## omega, choice rule, stall record or valve fails here in seconds.
 test-golden:
@@ -38,7 +43,8 @@ test-golden:
 		tests/routing/test_pair_delta_scorer.py tests/routing/test_engine.py \
 		tests/routing/test_stress.py tests/core/test_cost.py tests/core/test_lookahead.py \
 		tests/baselines/test_tket_oracle.py tests/affine/test_dependence.py \
-		tests/integration/test_end_to_end.py::TestFullPipeline::test_dependence_weights_feed_the_router -q
+		tests/integration/test_end_to_end.py::TestFullPipeline::test_dependence_weights_feed_the_router \
+		tests/routing/test_invariants.py::test_cached_front_state_matches_brute_force -q
 
 ## Compile-cache battery: the Gate record's contract (a disk hit, and a
 ## memory hit's routed circuit on its first read, build each distinct routed

@@ -19,9 +19,10 @@ The search is *incremental* on the shared routing kernel:
   index -> physical qubit) is materialised only when the node is popped, as
   one list copy plus an O(1) two-entry update through the parent's inverse
   map.
-* **Incremental heuristics.**  Front gates are qubit-disjoint, so each
-  search builds one partner table over the front's logical qubits.  A
-  child's heuristic is the parent's summed distance plus the change of the
+* **Incremental heuristics.**  Front gates are qubit-disjoint, so every
+  front qubit has one partner, and the search reads the engine's cached
+  partner table (:meth:`~repro.routing.engine.RoutingState.front_partners`).
+  A child's heuristic is the parent's summed distance plus the change of the
   (at most two) pairs with an operand on the swapped qubits, read through
   the node's inverse map, the partner table and its placement: integer
   arithmetic on the flat distance table, so the values are bit-for-bit
@@ -144,14 +145,10 @@ class QmapLikeRouter(RoutingEngine):
             return self._greedy_fallback(state, pairs)
         num_pairs = len(pairs)
 
-        # Front gates are qubit-disjoint, so every front qubit has exactly
-        # one partner; a node reads its pairs through its own placement.
-        partner: dict[int, int] = {}
-        h_root = 0
-        for q1, q2 in pairs:
-            partner[q1] = q2
-            partner[q2] = q1
-            h_root += distance[start[q1]][start[q2]]
+        # Every front qubit has exactly one partner; a node reads its pairs
+        # through its own placement.
+        partner = state.front_partners()
+        h_root = sum(distance[start[q1]][start[q2]] for q1, q2 in pairs)
         front_qubits = list(partner)
         partner_get = partner.get
 

@@ -76,4 +76,4 @@ class QlosureRouter(RoutingEngine):
         """Score every candidate SWAP with ``M(s)``."""
         scorer = self._scorer
         scorer.rebase()
-        return list(map(scorer.score, candidates))
+        return scorer.costs(candidates)

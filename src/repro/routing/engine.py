@@ -35,8 +35,12 @@ on every query.  Heuristics plugged into the engine must respect these rules:
 * **Read-only views.**  :meth:`RoutingState.unresolved_front`,
   :meth:`RoutingState.front_physical_qubits` and
   :meth:`RoutingState.candidate_swaps` return internal caches; treat them as
-  immutable snapshots valid until the next mutation and never modify them in
-  place.
+  read-only and never modify them in place.  A committed SWAP updates the
+  footprint set in place (only the front qubit that moved changes), so a
+  copy is needed to keep an earlier footprint.  The candidate-list object
+  outlives every SWAP that keeps the footprint (two front qubits trading
+  places): the same list serves the next stall, and a router that mutated
+  it would corrupt every later stall of the layer.
 * **Mutate through the engine.**  The layout and the front set must only be
   changed through the engine loop, which calls
   :meth:`RoutingState.mark_front_dirty` when a gate retires and
@@ -44,6 +48,8 @@ on every query.  Heuristics plugged into the engine must respect these rules:
   heuristic that speculatively mutates ``state.layout`` must call
   :meth:`RoutingState.mark_front_dirty` afterwards -- better, it should score
   candidates arithmetically and never touch the shared layout at all.
+  After a SWAP the loop rescans the front for executable gates only when
+  :meth:`RoutingState.front_may_execute` says one may be.
 * **Precomputed operand arrays.**  ``state.op_pairs[i]`` holds the two
   qubit operands of gate ``i`` (``None`` for single-qubit gates and
   barriers) and ``state.is_2q[i]`` flags exactly-two-qubit gates; cost loops
@@ -56,7 +62,8 @@ on every query.  Heuristics plugged into the engine must respect these rules:
   choice.  For a router that overrides it, each later stall that reaches
   ``select_swap`` counts as a ``heuristic_cache_hits``.
   :meth:`RoutingState.front_pairs` caches the *logical* operand pairs of the
-  unresolved front gates.
+  unresolved front gates, and :meth:`RoutingState.front_partners` maps each
+  of their qubits to its partner; both are read-only views too.
 * **Delta scoring.**  Distance-sum costs score candidates with a
   :class:`PairDeltaScorer` built once per stall from the current physical
   operand pairs: a SWAP ``(a, b)`` only moves the pairs with an endpoint on
@@ -64,8 +71,18 @@ on every query.  Heuristics plugged into the engine must respect these rules:
   a re-summation of the whole front and look-ahead.  Integer distances make
   the delta sum equal to a fresh summation, so the committed SWAP is the
   same.  Qlosure's :class:`~repro.core.cost.WindowScorer` indexes its
-  window by logical qubit once per layer and re-reads the distances once
-  per stall.
+  window by logical qubit once per layer, re-reads the distances once per
+  stall and keeps each candidate's delta from the layer's previous stall
+  unless the SWAP committed since then dirtied it.
+* **Every committed SWAP is in the stall record.**
+  ``state.swaps_since_progress`` and ``state.last_swap`` count every
+  committed SWAP, release-valve ones included.  In :meth:`RoutingEngine.run`
+  two scored stalls of one layer are always exactly one SWAP apart: once
+  the valve opens it commits every SWAP until a two-qubit gate executes,
+  which starts a new layer.  A scorer that keeps values between its stalls
+  still reads the count and recomputes everything when it moved by more
+  than one, so a router that commits SWAPs outside ``select_swap`` cannot
+  make it reuse a stale value.
 
 Replaying the same seed against the same circuit and device reproduces the
 emitted gate sequence bit for bit: caches only memoise what the non-cached
@@ -232,6 +249,7 @@ class RoutingState:
         self._unresolved: list[int] = []
         self._front_pairs: list[tuple[int, int]] = []
         self._front_physical: set[int] = set()
+        self._front_partner: dict[int, int] = {}
         self._candidates: list[tuple[int, int]] = []
         # Kernel telemetry (reported via the tracer only -- never serialized
         # into results, so traced and untraced payloads stay bit-identical).
@@ -239,6 +257,7 @@ class RoutingState:
         self.candidate_builds = 0
         self.candidate_total = 0
         self.heuristic_cache_hits = 0
+        self.deltas_reused = 0
 
     def gate(self, index: int) -> Gate:
         """The gate at circuit index ``index``."""
@@ -251,32 +270,48 @@ class RoutingState:
         self._front_dirty = True
 
     def note_swap_applied(self, p1: int, p2: int) -> None:
-        """Fold a committed SWAP into the cached views.
+        """Fold a committed SWAP on ``(p1, p2)`` into the cached views.
 
-        Front membership is untouched by a SWAP, so while no unresolved gate
-        became executable the cached unresolved list stays valid verbatim and
-        only the physical footprint (and with it the candidate set) needs
-        refreshing.  As soon as a gate turns executable the engine is about to
-        retire it, so the caches are simply invalidated.
+        Front membership is untouched by a SWAP, and only the unresolved
+        gates on the two moved logical qubits can turn executable.  While
+        none does, the unresolved list stays valid verbatim and the footprint
+        changes in place: a front qubit that moved onto a non-front qubit
+        takes its new position, and the candidate list is rebuilt.  Two front
+        qubits that trade places (or two non-front ones) leave the footprint
+        and the candidate-list object as they are.  As soon as a gate turns
+        executable the engine is about to retire it, so the caches are simply
+        invalidated.
         """
         if self._front_dirty:
             return
         phys_of = self.layout.phys_of
+        logical_at = self.layout.logical_at
+        partner = self._front_partner
         adjacency = self._adjacency
         n = self._num_physical
-        op_pairs = self.op_pairs
-        for index in self._unresolved:
-            q1, q2 = op_pairs[index]
-            if adjacency[phys_of[q1] * n + phys_of[q2]]:
-                self._front_dirty = True
-                return
-        front_physical: set[int] = set()
-        for index in self._unresolved:
-            q1, q2 = op_pairs[index]
-            front_physical.add(phys_of[q1])
-            front_physical.add(phys_of[q2])
-        self._front_physical = front_physical
-        self._candidates = self._build_candidates(front_physical)
+        moved = []
+        for here, there in ((p1, p2), (p2, p1)):
+            mate = partner.get(logical_at[here])
+            if mate is not None:
+                if adjacency[here * n + phys_of[mate]]:
+                    self._front_dirty = True
+                    return
+                moved.append((there, here))
+        if len(moved) == 1:
+            (left, arrived), = moved
+            footprint = self._front_physical
+            footprint.discard(left)
+            footprint.add(arrived)
+            self._candidates = self._build_candidates(footprint)
+
+    def front_may_execute(self) -> bool:
+        """Whether a front gate may be executable under the current layout.
+
+        False only when the cached views are valid and every front gate is an
+        unresolved two-qubit gate; a gate on three or more qubits never joins
+        the unresolved front, so a SWAP may still make it executable.
+        """
+        return self._front_dirty or len(self._unresolved) != len(self.front)
 
     def _refresh_front(self) -> None:
         phys_of = self.layout.phys_of
@@ -287,6 +322,7 @@ class RoutingState:
         unresolved: list[int] = []
         front_pairs: list[tuple[int, int]] = []
         front_physical: set[int] = set()
+        partner: dict[int, int] = {}
         for index in self.front:
             if not is_2q[index]:
                 continue
@@ -299,9 +335,12 @@ class RoutingState:
             front_pairs.append((q1, q2))
             front_physical.add(p1)
             front_physical.add(p2)
+            partner[q1] = q2
+            partner[q2] = q1
         self._unresolved = unresolved
         self._front_pairs = front_pairs
         self._front_physical = front_physical
+        self._front_partner = partner
         self._candidates = self._build_candidates(front_physical)
         self._front_dirty = False
         self.front_rebuilds += 1
@@ -323,6 +362,7 @@ class RoutingState:
             "candidate_builds": self.candidate_builds,
             "candidate_total": self.candidate_total,
             "heuristic_cache_hits": self.heuristic_cache_hits,
+            "deltas_reused": self.deltas_reused,
         }
 
     def unresolved_front(self) -> list[int]:
@@ -353,6 +393,17 @@ class RoutingState:
         if self._front_dirty:
             self._refresh_front()
         return self._front_pairs
+
+    def front_partners(self) -> dict[int, int]:
+        """Logical qubit -> its partner in an unresolved front gate (cached view).
+
+        Keys follow :meth:`front_pairs`, both operands of each pair in turn.
+        Front gates are qubit-disjoint, so each qubit has one partner, and
+        the map survives committed SWAPs verbatim until a gate retires.
+        """
+        if self._front_dirty:
+            self._refresh_front()
+        return self._front_partner
 
     def upcoming_two_qubit(self, limit: int) -> list[int]:
         """Up to ``limit`` two-qubit gates that become ready right after the front layer.
@@ -486,14 +537,16 @@ class RoutingEngine:
         # A router without a per-layer look-ahead reuses nothing at a stall.
         memoises = type(self).on_front_layer is not RoutingEngine.on_front_layer
         layer_started = False
+        rescan = True
 
         while len(state.executed) < total_gates:
-            progressed = self._execute_ready_gates(state)
-            if len(state.executed) >= total_gates:
-                break
-            if progressed:
+            # A rescan runs every ready gate, so the front it leaves is
+            # stalled; after a SWAP that made no front gate executable there
+            # is nothing to rescan.
+            if rescan and self._execute_ready_gates(state):
+                if len(state.executed) >= total_gates:
+                    break
                 layer_started = False
-                continue
             front = state.unresolved_front()
             if not front:
                 raise RouterError(f"{self.name} stalled with no unresolved front gates")
@@ -507,6 +560,7 @@ class RoutingEngine:
                     state.heuristic_cache_hits += 1
                 swap = self.select_swap(state)
             self._apply_swap(state, swap)
+            rescan = state.front_may_execute()
             swaps_applied += 1
             if swaps_applied > swap_budget:
                 raise RouterError(

@@ -13,7 +13,8 @@ from repro.core.error_aware import ErrorAwareQlosureRouter
 from repro.core.lookahead import LookaheadWindow, build_lookahead
 from repro.core.router import QlosureRouter
 from repro.hardware.backends import sherbrooke
-from repro.hardware.topologies import line_topology
+from repro.hardware.topologies import grid_topology, line_topology
+from repro.routing.decay import DecayTable
 from repro.routing.layout import Layout
 
 from tests.core.test_lookahead import make_state
@@ -281,11 +282,13 @@ def lockstep(router_class):
     At each stall the router scores the candidates with the scorer its
     ``on_front_layer`` built at the layer's first stall, then builds a second
     scorer at the current stall through the same hook and asserts equal
-    costs.  ``reused`` counts the stalls whose scorer was built earlier.
+    costs.  ``reused`` counts the stalls whose scorer was built earlier and
+    ``deltas_reused`` the candidates whose kept scorer took its delta from
+    the layer's previous stall (a fresh scorer reuses none).
     """
 
     class Lockstep(router_class):
-        stalls = reused = 0
+        stalls = reused = deltas_reused = 0
 
         def swap_costs(self, state, candidates):
             costs = super().swap_costs(state, candidates)
@@ -296,31 +299,91 @@ def lockstep(router_class):
             assert costs == fresh
             self.stalls += 1
             self.reused = state.heuristic_cache_hits
+            self.deltas_reused = state.deltas_reused
             return costs
 
     return Lockstep
 
 
+class ValveAtTwo(QlosureRouter):
+    """Qlosure with the release valve opening after two SWAPs without progress."""
+
+    release_valve_threshold = 2
+
+
+ROUTER_CLASSES = [QlosureRouter, ErrorAwareQlosureRouter, ValveAtTwo]
+
+
 class TestLayerScorerLockstep:
     """A scorer kept for its whole front layer scores like one built per stall."""
 
+    @pytest.mark.parametrize("router_class", ROUTER_CLASSES, ids=lambda cls: cls.__name__)
     @pytest.mark.parametrize("variant", sorted(ORACLE_CONFIGS))
-    def test_random_couplings(self, variant):
+    def test_random_couplings(self, variant, router_class):
+        # Float error distances (ErrorAwareQlosureRouter) and layers cut short
+        # by the release valve (ValveAtTwo) keep the same costs too.
         rng = random.Random(len(variant))
-        stalls = reused = 0
+        stalls = reused = deltas_reused = 0
         for trial in range(12):
             device = random_connected_coupling(rng.randint(5, 14), rng)
             circuit = random_circuit(
                 rng.randint(3, device.num_qubits), rng.randint(20, 80), seed=trial
             )
-            router = lockstep(QlosureRouter)(device, ORACLE_CONFIGS[variant])
+            router = lockstep(router_class)(device, config=ORACLE_CONFIGS[variant])
             router.run(circuit)
             stalls += router.stalls
             reused += router.reused
+            deltas_reused += router.deltas_reused
         assert reused > 0 and stalls > reused
+        assert deltas_reused > 0
 
-    @pytest.mark.parametrize("router_class", [QlosureRouter, ErrorAwareQlosureRouter])
+    @pytest.mark.parametrize("router_class", ROUTER_CLASSES, ids=lambda cls: cls.__name__)
     def test_fixture(self, router_class):
         router = lockstep(router_class)(sherbrooke())
         router.run(smoke_fixture()[2].circuit)
         assert router.reused > 0
+        assert router.deltas_reused > 0
+
+
+class TestKeptTerms:
+    """``WindowScorer.costs`` reuses the terms one SWAP left unchanged, and no others."""
+
+    def stalled(self, seed):
+        device = grid_topology(6, 6)
+        circuit = random_circuit(36, 150, two_qubit_fraction=0.9, seed=seed)
+        state = make_state(circuit, device)
+        state.decay = DecayTable(circuit.num_qubits)
+        window = build_lookahead(state, lookahead_constant=4)
+        weights = state.dag.descendant_counts()
+        return state, window, weights
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_gap_of_several_swaps_rescores_every_candidate(self, seed):
+        state, window, weights = self.stalled(seed)
+        config = QlosureConfig()
+        engine = QlosureRouter(state.coupling)
+        scorer = WindowScorer(state, window, weights, state.decay, config)
+        rng = random.Random(seed)
+
+        def stall():
+            candidates = state.candidate_swaps()
+            scorer.rebase()
+            costs = scorer.costs(candidates)
+            fresh = scorer_at(state, window, weights, state.decay, config)
+            assert costs == [fresh.score(candidate) for candidate in candidates]
+            return candidates
+
+        candidates = stall()
+        assert state.deltas_reused == 0
+        for _ in range(6):
+            # One SWAP, committed the way the engine commits it.
+            engine._apply_swap(state, rng.choice(candidates))
+            candidates = stall()
+        assert state.deltas_reused > 0
+        # Two SWAPs between stalls, which the engine loop never commits but a
+        # router committing SWAPs outside select_swap could: nothing kept.
+        before = state.deltas_reused
+        engine._apply_swap(state, rng.choice(candidates))
+        engine._apply_swap(state, rng.choice(state.candidate_swaps()))
+        stall()
+        assert state.deltas_reused == before

@@ -11,9 +11,17 @@ The load-bearing claims of the telemetry layer:
   untraced output, and the cache emits hit/miss/eviction counters.
 """
 
+import json
+
 import pytest
 
-from repro.api import CompileCache, CompileRequest, compile as api_compile, compile_many
+from repro.api import (
+    CompileCache,
+    CompileRequest,
+    compile as api_compile,
+    compile_many,
+    result_to_payload,
+)
 from repro.hardware.topologies import grid_topology
 from repro.obs.trace import Tracer, use_tracer
 
@@ -118,6 +126,32 @@ class TestObservationalOnly:
             traced = compile_many(reqs, workers=2, cache=False)
         for a, b in zip(baseline.results, traced.results):
             assert gates_of(a) == gates_of(b)
+
+    def test_qlosure_counts_reused_deltas_and_serializes_none(self):
+        # kernel.deltas_reused: the candidates whose delta Qlosure kept from
+        # the layer's previous stall.  It is a trace counter only.
+        req = CompileRequest(generate="qft:12", backend=GRID, router="qlosure", seed=0)
+        untraced = api_compile(req, cache=False)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = api_compile(req, cache=False)
+        route = next(span for span in tracer.spans if span.name == "route")
+        assert route.attributes["kernel.deltas_reused"] > 0
+        assert tracer.counters["kernel.deltas_reused"] == route.attributes["kernel.deltas_reused"]
+        encoded = [
+            json.dumps(timing_free(result_to_payload(result)), sort_keys=True).encode()
+            for result in (untraced, traced)
+        ]
+        assert encoded[0] == encoded[1]
+        assert b"deltas_reused" not in encoded[1]
+
+
+def timing_free(payload: dict) -> dict:
+    """A result payload minus its wall-clock fields (pass timings, runtime)."""
+    payload = {k: v for k, v in payload.items() if k != "pass_timings"}
+    for part in ("routing", "metrics"):
+        payload[part] = {k: v for k, v in payload[part].items() if k != "runtime_seconds"}
+    return payload
 
 
 class TestBatchStitching:

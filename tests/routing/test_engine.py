@@ -259,6 +259,25 @@ class TestStallRecord:
         with pytest.raises(RouterError, match="no unresolved front gates"):
             GreedyDistanceRouter(line5).run(circuit)
 
+    def test_a_swap_that_readies_a_three_qubit_gate_rescans(self):
+        # ccx(0, 2, 5) never joins the unresolved front, and the SWAP (0, 1)
+        # makes its first two operands adjacent while cx(1, 4) stays blocked:
+        # the engine must rescan the front before the next stall.
+        class FirstSwap(GreedyDistanceRouter):
+            def select_swap(self, state):
+                if state.last_swap is None:
+                    return (0, 1)
+                return super().select_swap(state)
+
+        circuit = QuantumCircuit(6)
+        circuit.append(Gate("ccx", (0, 2, 5)))
+        circuit.cx(1, 4)
+        result = FirstSwap(line_topology(6)).run(circuit)
+        gates = list(result.routed_circuit)
+        assert (gates[0].name, gates[0].qubits) == ("swap", (0, 1))
+        assert (gates[1].name, gates[1].qubits) == ("ccx", (1, 2, 5))
+        assert [gate.name for gate in gates].count("cx") == 1
+
 
 class LayerRecordingRouter(GreedyDistanceRouter):
     """Greedy routing that logs the per-layer hook and every SWAP choice.

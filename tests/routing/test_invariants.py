@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import router_specs
 from repro.baselines.cirq_like import CirqLikeRouter
 from repro.baselines.greedy import GreedyDistanceRouter
 from repro.baselines.qmap_like import QmapLikeRouter
@@ -22,6 +23,8 @@ from repro.benchgen.random_circuits import random_circuit
 from repro.circuit.validation import verify_routing
 from repro.core.router import QlosureRouter
 from repro.hardware.topologies import grid_topology, line_topology, ring_topology
+
+from tests.routing.test_stress import stress_corpus
 
 ROUTERS = [
     GreedyDistanceRouter,
@@ -91,44 +94,79 @@ def is_executable(state, index: int) -> bool:
     return p2 in state.coupling.neighbors(p1)
 
 
-def test_cached_front_state_matches_brute_force():
-    """The incremental caches agree with a from-scratch recomputation mid-run."""
-    from repro.routing.engine import RoutingEngine, RoutingState
+def brute_force_views(state):
+    """The unresolved front, its logical pairs, footprint and candidate SWAPs.
 
-    device = grid_topology(3, 3)
-    circuit = random_circuit(num_qubits=8, num_gates=40, seed=11)
+    Recomputed straight from the primary state (front set, layout, coupling).
+    """
+    front = [
+        index
+        for index in state.front
+        if state.is_2q[index] and not is_executable(state, index)
+    ]
+    pairs = [state.op_pairs[index] for index in front]
+    footprint = {state.layout.physical(q) for pair in pairs for q in pair}
+    candidates = sorted(
+        {
+            (min(p1, p2), max(p1, p2))
+            for p1 in footprint
+            for p2 in state.coupling.neighbors(p1)
+        }
+    )
+    return front, pairs, footprint, candidates
 
-    class CheckingRouter(GreedyDistanceRouter):
-        checks = 0
 
-        def select_swap(self, state: RoutingState) -> tuple[int, int]:
-            cached_front = list(state.unresolved_front())
-            cached_phys = set(state.front_physical_qubits())
-            cached_candidates = list(state.candidate_swaps())
-            # Brute-force recomputation straight from the primary state.
-            expected_front = [
-                index
-                for index in state.front
-                if state.is_2q[index] and not is_executable(state, index)
-            ]
-            expected_phys = set()
-            for index in expected_front:
-                q1, q2 = state.op_pairs[index]
-                expected_phys.add(state.layout.physical(q1))
-                expected_phys.add(state.layout.physical(q2))
-            expected_candidates = sorted(
-                {
-                    (min(p1, p2), max(p1, p2))
-                    for p1 in expected_phys
-                    for p2 in self.coupling.neighbors(p1)
-                }
-            )
-            assert cached_front == expected_front
-            assert cached_phys == expected_phys
-            assert cached_candidates == expected_candidates
-            CheckingRouter.checks += 1
-            return super().select_swap(state)
+@pytest.mark.parametrize("spec", list(router_specs()), ids=lambda spec: spec.name)
+def test_cached_front_state_matches_brute_force(spec):
+    """The incremental caches agree with a recomputation from the primary state.
 
-    result = CheckingRouter(device).run(circuit)
-    assert CheckingRouter.checks > 0
-    verify_routing(circuit, result.routed_circuit, device.edges(), result.initial_layout)
+    Checked at every stall, and after every committed SWAP (release-valve
+    ones included) that leaves the cached views valid, on a 3x3 grid and the
+    stress corpus.  A SWAP that keeps the footprint keeps the candidate-list
+    object, and when the engine skips the front rescan no front gate is
+    executable.
+    """
+    counts = {"stalls": 0, "swaps": 0, "kept": 0}
+
+    def assert_views_match(state):
+        front, pairs, footprint, candidates = brute_force_views(state)
+        assert state.unresolved_front() == front
+        assert state.front_pairs() == pairs
+        assert list(state.front_partners().items()) == [
+            item for q1, q2 in pairs for item in ((q1, q2), (q2, q1))
+        ]
+        assert state.front_physical_qubits() == footprint
+        assert state.candidate_swaps() == candidates
+        return footprint
+
+    workloads = [(grid_topology(3, 3), random_circuit(num_qubits=8, num_gates=40, seed=11))]
+    workloads += stress_corpus(cases=24, seed=77)
+    for device, circuit in workloads:
+        router = spec.make(device, seed=3)
+        select_swap = router.select_swap
+        apply_swap = router._apply_swap
+
+        def checked_select(state):
+            assert_views_match(state)
+            counts["stalls"] += 1
+            return select_swap(state)
+
+        def checked_apply(state, swap):
+            footprint = set(state.front_physical_qubits())
+            candidates = state.candidate_swaps()
+            apply_swap(state, swap)
+            if state._front_dirty:
+                return  # a front gate became executable
+            if assert_views_match(state) == footprint:
+                # Two front qubits traded places: the same list object.
+                assert state.candidate_swaps() is candidates
+                counts["kept"] += 1
+            if not state.front_may_execute():
+                assert not any(is_executable(state, index) for index in state.front)
+            counts["swaps"] += 1
+
+        router.select_swap = checked_select
+        router._apply_swap = checked_apply
+        result = router.run(circuit)
+        verify_routing(circuit, result.routed_circuit, device.edges(), result.initial_layout)
+    assert counts["stalls"] > 0 and counts["swaps"] > 0 and counts["kept"] > 0
